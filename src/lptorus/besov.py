@@ -24,7 +24,7 @@ own time grid (log-uniform grids resolve the t -> 0 weights).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,37 @@ class BesovSpec:
         return 2.0 ** (qs * self.s) * (3.0 + qs) ** self.alpha
 
 
+def _physical(stack: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid values of a spectral stack (..., m, N, ..., N).
+
+    ``.real`` takes exactly the Hermitian part, Nyquist planes included, so
+    the coefficients need no symmetrization first.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(stack, axes=axes, norm="forward").real
+
+
+def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N)."""
+    p = _check_exponent("p", p)
+    cax = -grid.dim - 1
+    if values.shape[cax] == 1:
+        mag = np.squeeze(np.abs(values), axis=cax)
+    else:
+        mag = np.sqrt(np.sum(values**2, axis=cax))
+    axes = tuple(range(-grid.dim, 0))
+    if p == INF:
+        return np.max(mag, axis=axes)
+    return (grid.cell_volume * np.sum(mag**p, axis=axes)) ** (1.0 / p)
+
+
 def lp_norm(f: Field, p: float) -> float:
     """Rectangle-rule L^p norm; the max over samples when p = inf.
 
     Multi-component fields are measured through their pointwise Euclidean
     magnitude.
     """
-    p = _check_exponent("p", p)
-    mag = f.magnitude()
-    if p == INF:
-        return float(np.max(mag))
-    return float((f.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    return float(_lp_norms(f.values, f.grid, p))
 
 
 def sequence_norm(values: np.ndarray, r: float) -> float:
@@ -84,20 +104,28 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
+def _block_table(
+    stack: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None
+) -> np.ndarray:
+    """||block_q f||_p for q = -1..shell_max and each sample of a stack.
+
+    ``stack`` is spectral, (..., m, N, ..., N); the result is (shells, ...).
+    Looping over shells keeps the working set to one shell of the stack.
+    """
+    cut = cutoffs or build_cutoffs()
+    qm = shell_max(grid, cut)
+    out = np.empty((qm + 2,) + stack.shape[: -grid.dim - 1])
+    for q in range(-1, qm + 1):
+        block = _physical(stack * block_weights(grid, q, cut), grid)
+        out[q + 1] = _lp_norms(block, grid, p)
+    return out
+
+
 def block_lp_norms(
     f: Field, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
     """||block_q f||_p for q = -1..shell_max, as one vector."""
-    cut = cutoffs or build_cutoffs()
-    grid = f.grid
-    qm = shell_max(grid, cut)
-    out = np.empty(qm + 2)
-    for q in range(-1, qm + 1):
-        block = Field.from_spectral(
-            grid, f.spectral * block_weights(grid, q, cut)
-        )
-        out[q + 1] = lp_norm(block, p)
-    return out
+    return _block_table(f.spectral, f.grid, p, cutoffs)
 
 
 def besov_norm(
@@ -108,53 +136,83 @@ def besov_norm(
     return sequence_norm(spec.weights(qs) * block_lp_norms(f, spec.p, cutoffs), spec.r)
 
 
-def intersection_norm(f: Field, specs, cutoffs: CutoffPair | None = None) -> float:
-    """Norm of an intersection space: the sum of the member norms."""
-    return sum(besov_norm(f, s, cutoffs) for s in specs)
+def mixed_norm(per_block: np.ndarray, s: float = 0.0) -> float:
+    """||.||_{B^s_{p,1}} + ||.||_{B^{s,1}_{p,inf}} from block norms q = -1, ...
+
+    Pass ``block_lp_norms`` of a field, or ``time_block_norms`` of a
+    trajectory for the L~rho_T intersection norm.  Bit for bit the sum of
+    the two member norms.
+    """
+    qs = np.arange(-1, per_block.shape[0] - 1)
+    lift = 2.0 ** (qs * s)
+    return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
 
 
 # ---------------------------------------------------------------------------
 # trajectories and time-integrated norms
 
 
-@dataclass(frozen=True)
 class FieldTrajectory:
     """Time-sampled field on one grid; times increase within [0, T].
+
+    The data is one spectral stack ``stack`` of shape (samples, m, N, ...,
+    N) in the amplitude convention of :class:`~lptorus.spectral.Field`.
+    Build a trajectory from ``Field`` samples with ``FieldTrajectory(times,
+    fields)`` or from a stack with :meth:`from_stack`; ``fields`` builds the
+    per-sample ``Field`` objects on first use only.
 
     The initial sample t = 0 is allowed (the Duhamel quadrature needs it);
     norms that weight by negative powers of t reject trajectories containing
     it.
     """
 
-    times: np.ndarray
-    fields: tuple[Field, ...]
-    T: float = dataclass_field(default=0.0)
+    __slots__ = ("grid", "times", "stack", "T", "_fields")
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if times.size == 0 or len(self.fields) != times.size:
+    def __init__(self, times, fields, T: float = 0.0):
+        self._fields = tuple(fields)
+        if not self._fields:
             raise ValueError("need one field per time and at least one sample")
+        grid = self._fields[0].grid
+        if any(f.grid != grid for f in self._fields):
+            raise ValueError("all fields must share one grid")
+        self._init(grid, times, np.stack([f.spectral for f in self._fields]), T)
+
+    @classmethod
+    def from_stack(
+        cls, grid: Grid, times, stack: np.ndarray, T: float = 0.0
+    ) -> "FieldTrajectory":
+        """Trajectory whose sample i has the spectral coefficients stack[i]."""
+        traj = cls.__new__(cls)
+        traj._fields = None
+        traj._init(grid, times, stack, T)
+        return traj
+
+    def _init(self, grid: Grid, times, stack: np.ndarray, T: float) -> None:
+        times = np.asarray(times, dtype=float)
+        stack = np.asarray(stack, dtype=np.complex128).view()
+        stack.setflags(write=False)
+        if times.ndim != 1 or times.size == 0 or stack.shape[:1] != times.shape:
+            raise ValueError("need one field per time and at least one sample")
+        if stack.ndim != grid.dim + 2 or stack.shape[2:] != grid.shape:
+            raise ValueError(f"stack shape {stack.shape} does not match grid")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if times[0] < 0:
             raise ValueError("times must be >= 0")
-        horizon = float(self.T) if self.T else float(times[-1])
+        horizon = float(T) if T else float(times[-1])
         if times[-1] > horizon * (1 + 1e-12):
             raise ValueError("times exceed the horizon T")
-        object.__setattr__(self, "T", horizon)
-        grid = self.fields[0].grid
-        if any(f.grid != grid for f in self.fields):
-            raise ValueError("all fields must share one grid")
+        self.grid, self.times, self.stack, self.T = grid, times, stack, horizon
 
     @property
-    def grid(self) -> Grid:
-        return self.fields[0].grid
+    def fields(self) -> tuple[Field, ...]:
+        if self._fields is None:
+            self._fields = tuple(Field.from_spectral(self.grid, c) for c in self.stack)
+        return self._fields
 
     @property
     def components(self) -> int:
-        return self.fields[0].components
+        return self.stack.shape[1]
 
     def field_at(self, t: float) -> Field:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -167,15 +225,15 @@ class FieldTrajectory:
             return self
         if self.times.size == 1:
             raise ValueError("trajectory has no positive sample times")
-        return FieldTrajectory(self.times[1:], self.fields[1:], self.T)
+        return FieldTrajectory.from_stack(
+            self.grid, self.times[1:], self.stack[1:], self.T
+        )
 
 
 def heat_trajectory(f: Field, times) -> FieldTrajectory:
     """Free heat evolution of ``f`` sampled at ``times``."""
-    times = np.asarray(times, dtype=float)
     stack = heat_stack(f.spectral, f.grid, times)
-    fields = tuple(Field.from_spectral(f.grid, stack[i]) for i in range(times.size))
-    return FieldTrajectory(times, fields)
+    return FieldTrajectory.from_stack(f.grid, times, stack)
 
 
 def _trapezoid(values: np.ndarray, xs: np.ndarray) -> float:
@@ -194,17 +252,17 @@ def time_norm(values: np.ndarray, times: np.ndarray, rho: float) -> float:
 def block_time_lp(
     traj: FieldTrajectory, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
-    """Matrix ||block_q f(t_i)||_p with shape (shells, samples)."""
-    cut = cutoffs or build_cutoffs()
-    grid = traj.grid
-    qm = shell_max(grid, cut)
-    out = np.empty((qm + 2, traj.times.size))
-    for q in range(-1, qm + 1):
-        w = block_weights(grid, q, cut)
-        for i, f in enumerate(traj.fields):
-            block = Field.from_spectral(grid, f.spectral * w)
-            out[q + 1, i] = lp_norm(block, p)
-    return out
+    """Matrix ||block_q f(t_i)||_p with shape (shells, samples).
+
+    Reads the trajectory's spectral stack, one inverse FFT per shell batched
+    over all samples; no ``Field`` is built.
+    """
+    return _block_table(traj.stack, traj.grid, p, cutoffs)
+
+
+def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
+    """||block_q||_{L^rho_T L^p} for every row of a ``block_time_lp`` matrix."""
+    return np.array([time_norm(row, times, rho) for row in matrix])
 
 
 def chemin_lerner_norm(
@@ -214,11 +272,8 @@ def chemin_lerner_norm(
     cutoffs: CutoffPair | None = None,
 ) -> float:
     """Time-inside-shells norm: l^r over q of ||block_q||_{L^rho_T L^p}."""
-    matrix = block_time_lp(traj, spec.p, cutoffs)
-    per_block = np.array(
-        [time_norm(matrix[j], traj.times, rho) for j in range(matrix.shape[0])]
-    )
-    qs = np.arange(-1, matrix.shape[0] - 1)
+    per_block = time_block_norms(block_time_lp(traj, spec.p, cutoffs), traj.times, rho)
+    qs = np.arange(-1, per_block.shape[0] - 1)
     return sequence_norm(spec.weights(qs) * per_block, spec.r)
 
 
@@ -230,13 +285,8 @@ def lebesgue_besov_norm(
 ) -> float:
     """Shells-inside-time norm: L^rho_T of the pointwise-in-time Besov norm."""
     matrix = block_time_lp(traj, spec.p, cutoffs)
-    qs = np.arange(-1, matrix.shape[0] - 1)
-    per_time = np.array(
-        [
-            sequence_norm(spec.weights(qs) * matrix[:, i], spec.r)
-            for i in range(matrix.shape[1])
-        ]
-    )
+    weights = spec.weights(np.arange(-1, matrix.shape[0] - 1))
+    per_time = np.array([sequence_norm(weights * col, spec.r) for col in matrix.T])
     return time_norm(per_time, traj.times, rho)
 
 
@@ -261,7 +311,7 @@ def kato_weighted_norm(
         raise ValueError(f"weighted norm requires T <= 1, got T = {traj.T}")
     t = traj.times
     weights = np.sqrt(t) * log_weight(t, sigma)
-    norms = np.array([lp_norm(f, p) for f in traj.fields])
+    norms = _lp_norms(_physical(traj.stack, traj.grid), traj.grid, p)
     return float(np.max(weights * norms))
 
 
@@ -295,18 +345,8 @@ def heat_characterization_norm(
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(times > 1):
         raise ValueError("time grid must lie inside (0, 1]")
-    grid = f.grid
-    stack = heat_stack(f.spectral, grid, times)
-    axes = tuple(range(-grid.dim, 0))
-    phys = np.fft.ifftn(stack * grid.points**grid.dim, axes=axes).real
-    if f.components == 1:
-        mags = np.abs(phys[:, 0])
-    else:
-        mags = np.sqrt(np.sum(phys**2, axis=1))
-    if p == INF:
-        norms = np.max(mags, axis=axes)
-    else:
-        norms = (grid.cell_volume * np.sum(mags**p, axis=axes)) ** (1.0 / p)
+    stack = heat_stack(f.spectral, f.grid, times)
+    norms = _lp_norms(_physical(stack, f.grid), f.grid, p)
     values = times ** (abs(s) / 2.0) * log_weight(times, sigma) * norms
     if r == INF:
         return float(np.max(values))

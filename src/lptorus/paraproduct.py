@@ -34,11 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import INF, BesovSpec, FieldTrajectory, besov_norm, chemin_lerner_norm
+from .besov import (
+    INF,
+    BesovSpec,
+    FieldTrajectory,
+    besov_norm,
+    block_lp_norms,
+    block_time_lp,
+    chemin_lerner_norm,
+    heat_trajectory,
+    mixed_norm,
+    time_block_norms,
+)
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, lowpass_weights, shell_max
 from .ensembles import random_field
-from .spectral import Field, Grid, dealias_multiply, heat_stack
+from .spectral import Field, Grid, dealias_multiply
 
 
 @dataclass(frozen=True)
@@ -148,20 +159,13 @@ class BilinearEstimateSpec:
 
 def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field, cut) -> float:
     prod = Field.from_spectral(u.grid, dealias_multiply(u.spectral, v.spectral, u.grid))
-    u_mixed = besov_norm(u, BesovSpec(0, spec.p1, 1), cut) + besov_norm(
-        u, BesovSpec(0, spec.p1, INF, 1.0), cut
-    )
+    u_mixed = mixed_norm(block_lp_norms(u, spec.p1, cut))
     if spec.estimate == "2.4":
         lhs = besov_norm(prod, BesovSpec(0, spec.p, spec.r), cut)
         rhs = u_mixed * besov_norm(v, BesovSpec(0, spec.p2, spec.r), cut)
     else:  # 2.5
-        lhs = besov_norm(prod, BesovSpec(0, spec.p, 1), cut) + besov_norm(
-            prod, BesovSpec(0, spec.p, INF, 1.0), cut
-        )
-        v_mixed = besov_norm(v, BesovSpec(0, spec.p2, 1), cut) + besov_norm(
-            v, BesovSpec(0, spec.p2, INF, 1.0), cut
-        )
-        rhs = u_mixed * v_mixed
+        lhs = mixed_norm(block_lp_norms(prod, spec.p, cut))
+        rhs = u_mixed * mixed_norm(block_lp_norms(v, spec.p2, cut))
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -171,28 +175,23 @@ def _time_ratio(
     v: FieldTrajectory,
     cut,
 ) -> float:
-    grid = u.grid
-    prod_fields = tuple(
-        Field.from_spectral(grid, dealias_multiply(a.spectral, b.spectral, grid))
-        for a, b in zip(u.fields, v.fields)
-    )
-    prod = FieldTrajectory(u.times, prod_fields, u.T)
-    u_mixed = chemin_lerner_norm(u, spec.rho1, BesovSpec(0, spec.p1, 1), cut) + (
-        chemin_lerner_norm(u, spec.rho1, BesovSpec(0, spec.p1, INF, 1.0), cut)
-    )
+    # one sample at a time: the whole padded stack costs memory and no time
+    prod = np.stack([dealias_multiply(a, b, u.grid) for a, b in zip(u.stack, v.stack)])
+    prod = FieldTrajectory.from_stack(u.grid, u.times, prod, u.T)
+
+    def mixed(traj, rho, p):
+        matrix = block_time_lp(traj, p, cut)
+        return mixed_norm(time_block_norms(matrix, traj.times, rho))
+
+    u_mixed = mixed(u, spec.rho1, spec.p1)
     if spec.estimate == "2.6":
         lhs = chemin_lerner_norm(prod, spec.rho, BesovSpec(0, spec.p, spec.r), cut)
         rhs = u_mixed * chemin_lerner_norm(
             v, spec.rho2, BesovSpec(0, spec.p2, spec.r), cut
         )
     else:  # 2.7
-        lhs = chemin_lerner_norm(prod, spec.rho, BesovSpec(0, spec.p, 1), cut) + (
-            chemin_lerner_norm(prod, spec.rho, BesovSpec(0, spec.p, INF, 1.0), cut)
-        )
-        v_mixed = chemin_lerner_norm(v, spec.rho2, BesovSpec(0, spec.p2, 1), cut) + (
-            chemin_lerner_norm(v, spec.rho2, BesovSpec(0, spec.p2, INF, 1.0), cut)
-        )
-        rhs = u_mixed * v_mixed
+        lhs = mixed(prod, spec.rho, spec.p)
+        rhs = u_mixed * mixed(v, spec.rho2, spec.p2)
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -225,16 +224,7 @@ def bilinear_constant_estimate(
             u = random_field(g, rng, ref_grid=ref)
             v = random_field(g, rng, ref_grid=ref)
             if spec.time_dependent:
-                ustack = heat_stack(u.spectral, g, times)
-                vstack = heat_stack(v.spectral, g, times)
-                utraj = FieldTrajectory(
-                    times,
-                    tuple(Field.from_spectral(g, ustack[i]) for i in range(times.size)),
-                )
-                vtraj = FieldTrajectory(
-                    times,
-                    tuple(Field.from_spectral(g, vstack[i]) for i in range(times.size)),
-                )
+                utraj, vtraj = heat_trajectory(u, times), heat_trajectory(v, times)
                 ratio = _time_ratio(spec, utraj, vtraj, cut)
             else:
                 ratio = _static_ratio(spec, u, v, cut)

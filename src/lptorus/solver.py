@@ -48,11 +48,14 @@ from .besov import (
     BesovSpec,
     FieldTrajectory,
     besov_norm,
+    block_lp_norms,
     block_time_lp,
-    log_weight,
+    chemin_lerner_norm,
+    heat_trajectory,
+    kato_weighted_norm,
     lp_norm,
-    sequence_norm,
-    time_norm,
+    mixed_norm,
+    time_block_norms,
 )
 from .cutoffs import CutoffPair, build_cutoffs
 from .ensembles import random_field
@@ -169,15 +172,6 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
     return out
 
 
-def _stack_of(traj: FieldTrajectory) -> np.ndarray:
-    return np.stack([f.spectral for f in traj.fields])
-
-
-def _traj_of(grid: Grid, times: np.ndarray, stack: np.ndarray) -> FieldTrajectory:
-    fields = tuple(Field.from_spectral(grid, stack[i]) for i in range(len(times)))
-    return FieldTrajectory(times, fields)
-
-
 def duhamel_integral(
     source: FieldTrajectory, t_grid: np.ndarray | None = None
 ) -> FieldTrajectory:
@@ -189,9 +183,9 @@ def duhamel_integral(
     times = source.times
     if times[0] != 0.0:
         raise ValueError("the Duhamel integral needs the source sampled from t = 0")
-    stack = _duhamel_stack(times, _stack_of(source), source.grid)
+    stack = _duhamel_stack(times, source.stack, source.grid)
     if t_grid is None:
-        return _traj_of(source.grid, times, stack)
+        return FieldTrajectory.from_stack(source.grid, times, stack)
     t_grid = np.asarray(t_grid, dtype=float)
     idx = []
     for t in t_grid:
@@ -199,7 +193,7 @@ def duhamel_integral(
         if abs(times[j] - t) > 1e-12 * max(1.0, times[-1]):
             raise ValueError(f"t = {t} is not contained in the source sampling")
         idx.append(j)
-    return _traj_of(source.grid, times[idx], stack[idx])
+    return FieldTrajectory.from_stack(source.grid, times[idx], stack[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +281,12 @@ def boussinesq_rhs(
         )
     a = np.asarray(config.buoyancy, dtype=float)
     j1, j2 = _fixed_point_map(
-        u.times, _stack_of(u), _stack_of(theta), u0.spectral, theta0.spectral,
-        grid, a,
+        u.times, u.stack, theta.stack, u0.spectral, theta0.spectral, grid, a
     )
-    return _traj_of(grid, u.times, j1), _traj_of(grid, u.times, j2)
+    return (
+        FieldTrajectory.from_stack(grid, u.times, j1),
+        FieldTrajectory.from_stack(grid, u.times, j2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +296,7 @@ def boussinesq_rhs(
 def _cl_pair_norm(traj: FieldTrajectory, p: float, cutoffs) -> float:
     """||.||_{L~2_T(B^0_{p,1})} + ||.||_{L~2_T(B^{0,1}_{p,inf})}."""
     matrix = block_time_lp(traj, p, cutoffs)
-    per_block = np.array(
-        [time_norm(matrix[j], traj.times, 2.0) for j in range(matrix.shape[0])]
-    )
-    qs = np.arange(-1, matrix.shape[0] - 1)
-    return float(np.sum(per_block) + np.max((3.0 + qs) * per_block))
-
-
-def _cl_single_norm(traj, rho, spec: BesovSpec, cutoffs) -> float:
-    matrix = block_time_lp(traj, spec.p, cutoffs)
-    per_block = np.array(
-        [time_norm(matrix[j], traj.times, rho) for j in range(matrix.shape[0])]
-    )
-    qs = np.arange(-1, matrix.shape[0] - 1)
-    return sequence_norm(spec.weights(qs) * per_block, spec.r)
-
-
-def _weighted_sup_norm(traj: FieldTrajectory, sigma: float, p: float) -> float:
-    pos = traj.restrict_positive()
-    t = pos.times
-    weights = np.sqrt(t) * log_weight(t, sigma)
-    return float(
-        np.max(weights * np.array([lp_norm(f, p) for f in pos.fields]))
-    )
+    return mixed_norm(time_block_norms(matrix, traj.times, 2.0))
 
 
 def velocity_norm(
@@ -330,7 +304,7 @@ def velocity_norm(
 ) -> float:
     """Solution-space norm of the velocity in the configured regime."""
     if config.regime == "thm1.4":
-        return _weighted_sup_norm(traj, 1.0, INF)
+        return kato_weighted_norm(traj.restrict_positive(), 1.0, INF)
     return _cl_pair_norm(traj, INF, cutoffs or build_cutoffs())
 
 
@@ -342,8 +316,8 @@ def scalar_norm(
     if config.regime == "thm1.2":
         return _cl_pair_norm(traj, traj.grid.dim / 2.0, cut)
     if config.regime == "thm1.3":
-        return _cl_single_norm(traj, 2.0, BesovSpec(0, config.p, config.r), cut)
-    return _weighted_sup_norm(traj, config.eps, config.p)
+        return chemin_lerner_norm(traj, 2.0, BesovSpec(0, config.p, config.r), cut)
+    return kato_weighted_norm(traj.restrict_positive(), config.eps, config.p)
 
 
 def velocity_data_norm(
@@ -352,9 +326,7 @@ def velocity_data_norm(
     """Initial-data norm of u0 in the regime's data space (the mu_1 scale)."""
     if config.regime == "thm1.4":
         return besov_norm(u0, BesovSpec(-1, INF, INF, 1.0), cutoffs)
-    return besov_norm(u0, BesovSpec(-1, INF, 1), cutoffs) + besov_norm(
-        u0, BesovSpec(-1, INF, INF, 1.0), cutoffs
-    )
+    return mixed_norm(block_lp_norms(u0, INF, cutoffs), -1.0)
 
 
 def scalar_data_norm(
@@ -362,10 +334,7 @@ def scalar_data_norm(
 ) -> float:
     """Initial-data norm of theta0 in the regime's data space (mu_2 scale)."""
     if config.regime == "thm1.2":
-        half = theta0.grid.dim / 2.0
-        return besov_norm(theta0, BesovSpec(-1, half, 1), cutoffs) + besov_norm(
-            theta0, BesovSpec(-1, half, INF, 1.0), cutoffs
-        )
+        return mixed_norm(block_lp_norms(theta0, theta0.grid.dim / 2.0, cutoffs), -1.0)
     if config.regime == "thm1.3":
         return besov_norm(theta0, BesovSpec(-1, config.p, config.r), cutoffs)
     return besov_norm(theta0, BesovSpec(-1, config.p, INF, config.eps), cutoffs)
@@ -388,6 +357,10 @@ def measure_operator_constants(
     cut = cutoffs or build_cutoffs()
     config.validate_grid(grid)
     times = time_grid(config)
+
+    def traj(stack):
+        return FieldTrajectory.from_stack(grid, times, stack)
+
     rng = np.random.default_rng(config.constant_seed)
     a = np.asarray(config.buoyancy, dtype=float)
     n = grid.dim
@@ -403,34 +376,25 @@ def measure_operator_constants(
         x1_t = heat_stack(x1, grid, times)
         x2_t = heat_stack(x2, grid, times)
         y_t = heat_stack(y, grid, times)
-        x1_traj = _traj_of(grid, times, x1_t)
-        x2_traj = _traj_of(grid, times, x2_t)
-        y_traj = _traj_of(grid, times, y_t)
-        nx1 = velocity_norm(x1_traj, config, cut)
-        nx2 = velocity_norm(x2_traj, config, cut)
-        ny = scalar_norm(y_traj, config, cut)
+        nx1 = velocity_norm(traj(x1_t), config, cut)
+        nx2 = velocity_norm(traj(x2_t), config, cut)
+        ny = scalar_norm(traj(y_t), config, cut)
 
         # B1(x1, x2): -P div(x1 (x) x2)
         nl12 = _tensor_divergence(x1_t, x2_t, grid)
-        b1_val = velocity_norm(
-            _traj_of(grid, times, _duhamel_stack(times, nl12, grid)), config, cut
-        )
+        b1_val = velocity_norm(traj(_duhamel_stack(times, nl12, grid)), config, cut)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
         # B2(x1, y): -div(x1 y)
         nl_th = _scalar_flux_divergence(x1_t, y_t, grid)
-        b2_val = scalar_norm(
-            _traj_of(grid, times, _duhamel_stack(times, nl_th, grid)), config, cut
-        )
+        b2_val = scalar_norm(traj(_duhamel_stack(times, nl_th, grid)), config, cut)
         if nx1 * ny > 0:
             b2 = max(b2, b2_val / (nx1 * ny))
         # L(y): +P(a y)
         buoy = project_divergence_free(
             a.reshape((n,) + (1,) * n) * y_t, grid
         )
-        lin_val = velocity_norm(
-            _traj_of(grid, times, _duhamel_stack(times, buoy, grid)), config, cut
-        )
+        lin_val = velocity_norm(traj(_duhamel_stack(times, buoy, grid)), config, cut)
         if ny > 0:
             lin = max(lin, lin_val / ny)
     return {
@@ -543,13 +507,11 @@ def smallness_certificate(
         else:
             constants = measure_operator_constants(grid, config, cut)
     times = time_grid(config)
-    free_u = _traj_of(grid, times, heat_stack(u0.spectral, grid, times))
-    free_th = _traj_of(grid, times, heat_stack(theta0.spectral, grid, times))
     return SmallnessCertificate.evaluate(
         constants["lambda"],
         constants["eta"],
-        velocity_norm(free_u, config, cut),
-        scalar_norm(free_th, config, cut),
+        velocity_norm(heat_trajectory(u0, times), config, cut),
+        scalar_norm(heat_trajectory(theta0, times), config, cut),
         velocity_data_norm(u0, config, cut),
         scalar_data_norm(theta0, config, cut),
         config.regime,
@@ -613,13 +575,14 @@ def picard_solve(
     a = np.asarray(config.buoyancy, dtype=float)
     times = time_grid(config)
 
+    def traj(stack):
+        return FieldTrajectory.from_stack(grid, times, stack)
+
+    # iteration 0 is the free evolution, whose norms the certificate holds
     u_hat = heat_stack(u0.spectral, grid, times)
     th_hat = heat_stack(theta0.spectral, grid, times)
-    u_traj = _traj_of(grid, times, u_hat)
-    th_traj = _traj_of(grid, times, th_hat)
-    u_norm = velocity_norm(u_traj, config, cut)
-    th_norm = scalar_norm(th_traj, config, cut)
-    pair0 = u_norm + cert.c_star * th_norm
+    u_norm, th_norm = cert.free_velocity_norm, cert.free_scalar_norm
+    pair0 = cert.lhs
 
     report = IterationReport(certificate=cert)
     report.iterations.append(
@@ -639,13 +602,11 @@ def picard_solve(
         new_u, new_th = _fixed_point_map(
             times, u_hat, th_hat, u0.spectral, theta0.spectral, grid, a
         )
-        du = velocity_norm(_traj_of(grid, times, new_u - u_hat), config, cut)
-        dth = scalar_norm(_traj_of(grid, times, new_th - th_hat), config, cut)
+        du = velocity_norm(traj(new_u - u_hat), config, cut)
+        dth = scalar_norm(traj(new_th - th_hat), config, cut)
         u_hat, th_hat = new_u, new_th
-        u_traj = _traj_of(grid, times, u_hat)
-        th_traj = _traj_of(grid, times, th_hat)
-        u_norm = velocity_norm(u_traj, config, cut)
-        th_norm = scalar_norm(th_traj, config, cut)
+        u_norm = velocity_norm(traj(u_hat), config, cut)
+        th_norm = scalar_norm(traj(th_hat), config, cut)
         pair_diff = du + cert.c_star * dth
         contraction = None if prev_diff in (None, 0.0) else pair_diff / prev_diff
         report.iterations.append(
@@ -689,6 +650,7 @@ def picard_solve(
         "pair_norm": pair_final,
         "pair_limit": pair_limit,
     }
+    u_traj, th_traj = traj(u_hat), traj(th_hat)
     report.residuals = residual_check(u_traj, th_traj, u0, theta0, config, cut)
     return u_traj, th_traj, report
 
@@ -705,12 +667,15 @@ def residual_check(
     cut = cutoffs or build_cutoffs()
     grid = u0.grid
     a = np.asarray(config.buoyancy, dtype=float)
-    u_hat, th_hat = _stack_of(u), _stack_of(theta)
     j1, j2 = _fixed_point_map(
-        u.times, u_hat, th_hat, u0.spectral, theta0.spectral, grid, a
+        u.times, u.stack, theta.stack, u0.spectral, theta0.spectral, grid, a
     )
-    ru = velocity_norm(_traj_of(grid, u.times, u_hat - j1), config, cut)
-    rth = scalar_norm(_traj_of(grid, u.times, th_hat - j2), config, cut)
+    ru = velocity_norm(
+        FieldTrajectory.from_stack(grid, u.times, u.stack - j1), config, cut
+    )
+    rth = scalar_norm(
+        FieldTrajectory.from_stack(grid, u.times, theta.stack - j2), config, cut
+    )
     u_scale = max(velocity_norm(u, config, cut), 1e-300)
     th_scale = max(scalar_norm(theta, config, cut), 1e-300)
     return {
@@ -771,8 +736,8 @@ def oracle_compare(
     else:
         u_traj, th_traj = solution
     u_ref, th_ref = exponential_euler(u0, theta0, config)
-    u_end = u_traj.fields[-1]
-    th_end = th_traj.fields[-1]
+    u_end = Field.from_spectral(u_traj.grid, u_traj.stack[-1])
+    th_end = Field.from_spectral(th_traj.grid, th_traj.stack[-1])
 
     def rel(a: Field, b: Field) -> float:
         diff = lp_norm(a - b, 2.0)

@@ -468,4 +468,6 @@ def read_field(path) -> Field:
             "payload", f"expected {expected} bytes, got {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape((m,) + grid.shape)
+    if not np.all(np.isfinite(values)):
+        raise FieldFormatError("payload", "contains non-finite samples")
     return Field(grid, values)

@@ -25,7 +25,16 @@ from lptorus import (
     lp_norm,
     single_mode,
 )
-from lptorus.besov import INF, characterization_ratio, embedding_report
+from lptorus.besov import (
+    INF,
+    block_lp_norms,
+    block_time_lp,
+    characterization_ratio,
+    embedding_report,
+    mixed_norm,
+    time_block_norms,
+)
+from lptorus.dyadic import block_weights
 from lptorus.ensembles import random_field
 
 TWO_PI = 2.0 * math.pi
@@ -188,6 +197,90 @@ def test_minkowski_order_between_time_norms(grid32, rng, r, rho):
         assert plain <= tilde * (1 + 1e-10)
     else:
         assert tilde == pytest.approx(plain, rel=1e-12)
+
+
+def _full_lattice_stack(rng, samples, components, grid):
+    """Random complex coefficients on every mode, Nyquist planes included."""
+    shape = (samples, components) + grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    vector=st.booleans(),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]),  # covers p = n/2 for n = 2, 3
+    samples=st.sampled_from([1, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_table_matches_per_sample_fields(dim, vector, p, samples, seed):
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    rng = np.random.default_rng(seed)
+    stack = _full_lattice_stack(rng, samples, dim if vector else 1, grid)
+    traj = FieldTrajectory.from_stack(grid, np.linspace(0.1, 1.0, samples), stack)
+    table = block_time_lp(traj, p)
+    reference = np.array(
+        [
+            [
+                lp_norm(Field.from_spectral(grid, stack[i] * block_weights(grid, q)), p)
+                for i in range(samples)
+            ]
+            for q in range(-1, table.shape[0] - 1)
+        ]
+    )
+    np.testing.assert_allclose(table, reference, rtol=1e-13, atol=0.0)
+    single = block_lp_norms(Field.from_spectral(grid, stack[0]), p)
+    np.testing.assert_allclose(single, reference[:, 0], rtol=1e-13, atol=0.0)
+
+
+def test_trajectory_from_fields_and_from_stack_agree(grid32, rng):
+    times = np.geomspace(0.1, 1.0, 5)
+    fields = [
+        Field.from_spectral(grid32, c)
+        for c in _full_lattice_stack(rng, times.size, 2, grid32)
+    ]
+    by_fields = FieldTrajectory(times, fields)
+    by_stack = FieldTrajectory.from_stack(
+        grid32, times, np.stack([f.spectral for f in fields])
+    )
+    for p in (1.0, 2.0, INF):
+        assert np.array_equal(block_time_lp(by_fields, p), block_time_lp(by_stack, p))
+        spec = BesovSpec(-1.0, p, 2.0, 1.0)
+        assert chemin_lerner_norm(by_fields, 2.0, spec) == chemin_lerner_norm(
+            by_stack, 2.0, spec
+        )
+        assert kato_weighted_norm(by_fields, 1.0, p) == kato_weighted_norm(
+            by_stack, 1.0, p
+        )
+    assert by_stack.components == by_fields.components == 2
+    for a, b in zip(by_fields.fields, by_stack.fields):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_trajectory_from_stack_validation(grid32):
+    times = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError):
+        FieldTrajectory.from_stack(grid32, times, np.zeros((2, 1, 32, 32)))
+    with pytest.raises(ValueError):
+        FieldTrajectory.from_stack(grid32, times, np.zeros((3, 1, 16, 16)))
+    with pytest.raises(ValueError):
+        FieldTrajectory.from_stack(grid32, times[::-1], np.zeros((3, 1, 32, 32)))
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_mixed_norm_equals_the_two_member_norms_bit_for_bit(grid32, rng, s, p):
+    f = random_field(grid32, rng)
+    two_calls = besov_norm(f, BesovSpec(s, p, 1)) + besov_norm(
+        f, BesovSpec(s, p, INF, 1.0)
+    )
+    assert mixed_norm(block_lp_norms(f, p), s) == two_calls
+    traj = heat_trajectory(f, np.linspace(0.0, 1.0, 9))
+    two_calls = chemin_lerner_norm(traj, 2.0, BesovSpec(0, p, 1)) + chemin_lerner_norm(
+        traj, 2.0, BesovSpec(0, p, INF, 1.0)
+    )
+    per_block = time_block_norms(block_time_lp(traj, p), traj.times, 2.0)
+    assert mixed_norm(per_block) == two_calls
 
 
 # -- weighted Kato norms -------------------------------------------------------

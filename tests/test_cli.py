@@ -142,6 +142,18 @@ def test_malformed_field_file_exits_2_names_field(tmp_path, capsys):
     assert "components" in err
 
 
+def test_non_finite_field_file_exits_2(tmp_path, capsys):
+    values = np.zeros((1, 32, 32))
+    values[0, 7, 2] = np.nan
+    bad = tmp_path / "nan.lpfld"
+    bad.write_bytes(b"LPFLD1 2 1 32 6.283185307179586\n" + values.astype("<f8").tobytes())
+    code = main(["norm", str(bad), "--s", "0", "--p", "2", "--r", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "payload" in captured.err
+
+
 def test_missing_field_file_exits_2(tmp_path):
     assert main(["norm", str(tmp_path / "nope.lpfld"),
                  "--s", "0", "--p", "2", "--r", "2"]) == 2

@@ -282,3 +282,14 @@ def test_field_file_payload_size_checked(tmp_path, grid32):
     with pytest.raises(FieldFormatError) as err:
         read_field(path)
     assert err.value.field == "payload"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_file_non_finite_payload_rejected(tmp_path, grid32, bad):
+    values = np.zeros((1,) + grid32.shape)
+    values[0, 3, 5] = bad
+    path = tmp_path / "nonfinite.lpfld"
+    path.write_bytes(b"LPFLD1 2 1 32 6.283185307179586\n" + values.astype("<f8").tobytes())
+    with pytest.raises(FieldFormatError) as err:
+        read_field(path)
+    assert err.value.field == "payload"
