@@ -62,10 +62,9 @@ from .ensembles import random_field
 from .spectral import (
     Field,
     Grid,
-    embed_spectrum,
+    dealiased_products,
     heat_stack,
     project_divergence_free,
-    restrict_spectrum,
 )
 
 REGIMES = ("thm1.2", "thm1.3", "thm1.4")
@@ -160,14 +159,15 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
     """
     out = np.zeros_like(source)
     acc = np.zeros_like(source[0])
-    k2 = grid.k_sq
+    weights = {}  # keyed on the exact panel width; uniform grids have few
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
-        x = k2 * dt
-        g1, g2 = _panel_weights(x)
-        acc = np.exp(-x) * acc + dt * (
-            source[j] * (g1 - g2) + source[j - 1] * g2
-        )
+        if dt not in weights:
+            x = grid.k_sq * dt
+            g1, g2 = _panel_weights(x)
+            weights[dt] = (np.exp(-x), g1 - g2, g2)
+        decay, w_new, w_old = weights[dt]
+        acc = decay * acc + dt * (source[j] * w_new + source[j - 1] * w_old)
         out[j] = acc
     return out
 
@@ -200,9 +200,25 @@ def duhamel_integral(
 # Boussinesq right-hand side
 
 
-def _comp(arr: np.ndarray, sel, n: int) -> np.ndarray:
-    """Index the component axis, which sits ahead of the n spatial axes."""
-    return arr[(Ellipsis, sel) + (slice(None),) * n]
+def _flux_divergences(
+    u_hat: np.ndarray, v_hat: np.ndarray, th_hat: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral flux divergences (-div(u x v), -div(u theta)), unprojected.
+
+    Row i of the first result is -sum_j d_j(u_i v_j).  Inputs carry arbitrary
+    leading axes before the component axis; with ``v_hat is u_hat`` the
+    velocity is transformed once.  All products go through one
+    ``dealiased_products`` batch.
+    """
+    n = grid.dim
+    ax = -n - 1
+    b = np.concatenate([v_hat, th_hat], axis=ax)
+    a = b if v_hat is u_hat else u_hat
+    pairs = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    prod = dealiased_products(a, b, pairs, grid)
+    prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + grid.shape)
+    div = -1j * np.sum(grid.k_mesh_deriv * prod, axis=ax)
+    return tuple(np.split(div, [n], axis=ax))
 
 
 def _nonlinear_sources(
@@ -210,36 +226,13 @@ def _nonlinear_sources(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral sources (-P div(u x u) + P(theta a), -div(u theta)).
 
-    Inputs carry arbitrary leading axes before the component axis; products
-    are dealiased on the doubled grid in one batch.
+    Inputs carry arbitrary leading axes before the component axis; the
+    products are dealiased by the 3/2 rule in one batch.
     """
     n = grid.dim
-    axes = tuple(range(-n, 0))
-    n2 = 2 * grid.points
-    state = np.concatenate([u_hat, th_hat], axis=-n - 1)
-    phys = np.fft.ifftn(
-        embed_spectrum(state, n, grid.points, n2) * n2**n, axes=axes
-    ).real
-    u_phys = _comp(phys, slice(None, n), n)
-    th_phys = _comp(phys, slice(n, None), n)
-    rows = [_comp(u_phys, slice(i, i + 1), n) * u_phys for i in range(n)]
-    rows.append(th_phys * u_phys)
-    prod_phys = np.concatenate(rows, axis=-n - 1)
-    prod_hat = restrict_spectrum(
-        np.fft.fftn(prod_phys, axes=axes) / n2**n, n, grid.points
-    )
-    ik = 1j * grid.k_mesh_deriv
-    flux_u = np.stack(
-        [
-            -sum(ik[j] * _comp(prod_hat, i * n + j, n) for j in range(n))
-            for i in range(n)
-        ],
-        axis=-n - 1,
-    )
+    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid)
     nl_u = flux_u + buoyancy.reshape((n,) + (1,) * n) * th_hat
-    nl_u = project_divergence_free(nl_u, grid)
-    nl_th = -sum(ik[j] * _comp(prod_hat, n * n + j, n) for j in range(n))
-    return nl_u, np.expand_dims(nl_th, -n - 1)
+    return project_divergence_free(nl_u, grid), flux_th
 
 
 def _fixed_point_map(
@@ -380,13 +373,13 @@ def measure_operator_constants(
         nx2 = velocity_norm(traj(x2_t), config, cut)
         ny = scalar_norm(traj(y_t), config, cut)
 
+        nl12, nl_th = _flux_divergences(x1_t, x2_t, y_t, grid)
         # B1(x1, x2): -P div(x1 (x) x2)
-        nl12 = _tensor_divergence(x1_t, x2_t, grid)
+        nl12 = project_divergence_free(nl12, grid)
         b1_val = velocity_norm(traj(_duhamel_stack(times, nl12, grid)), config, cut)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
         # B2(x1, y): -div(x1 y)
-        nl_th = _scalar_flux_divergence(x1_t, y_t, grid)
         b2_val = scalar_norm(traj(_duhamel_stack(times, nl_th, grid)), config, cut)
         if nx1 * ny > 0:
             b2 = max(b2, b2_val / (nx1 * ny))
@@ -406,45 +399,6 @@ def measure_operator_constants(
         "trials": config.constant_trials,
         "seed": config.constant_seed,
     }
-
-
-def _tensor_divergence(u_hat, v_hat, grid: Grid) -> np.ndarray:
-    """-P div(u (x) v) as a spectral stack."""
-    n = grid.dim
-    axes = tuple(range(-n, 0))
-    n2 = 2 * grid.points
-    up = np.fft.ifftn(embed_spectrum(u_hat, n, grid.points, n2) * n2**n, axes=axes).real
-    vp = np.fft.ifftn(embed_spectrum(v_hat, n, grid.points, n2) * n2**n, axes=axes).real
-    rows = [_comp(up, slice(i, i + 1), n) * vp for i in range(n)]
-    prod = restrict_spectrum(
-        np.fft.fftn(np.concatenate(rows, axis=-n - 1), axes=axes) / n2**n,
-        n,
-        grid.points,
-    )
-    ik = 1j * grid.k_mesh_deriv
-    out = np.stack(
-        [
-            -sum(ik[j] * _comp(prod, i * n + j, n) for j in range(n))
-            for i in range(n)
-        ],
-        axis=-n - 1,
-    )
-    return project_divergence_free(out, grid)
-
-
-def _scalar_flux_divergence(u_hat, th_hat, grid: Grid) -> np.ndarray:
-    """-div(u theta) as a spectral stack (theta has one component)."""
-    n = grid.dim
-    axes = tuple(range(-n, 0))
-    n2 = 2 * grid.points
-    up = np.fft.ifftn(embed_spectrum(u_hat, n, grid.points, n2) * n2**n, axes=axes).real
-    tp = np.fft.ifftn(embed_spectrum(th_hat, n, grid.points, n2) * n2**n, axes=axes).real
-    prod = restrict_spectrum(
-        np.fft.fftn(tp * up, axes=axes) / n2**n, n, grid.points
-    )
-    ik = 1j * grid.k_mesh_deriv
-    out = -sum(ik[j] * _comp(prod, j, n) for j in range(n))
-    return np.expand_dims(out, -n - 1)
 
 
 @dataclass(frozen=True)
@@ -562,8 +516,8 @@ def picard_solve(
     """Iterate the Duhamel map from the free evolution until contraction.
 
     Runs even when the smallness certificate fails (flagged in the report);
-    aborts early if the pair norm grows past ``divergence_guard`` times its
-    initial value.
+    stops as diverged if the pair norm grows past ``divergence_guard`` times
+    its initial value or the pair norm or difference is not finite.
     """
     cut = cutoffs or build_cutoffs()
     grid = u0.grid
@@ -621,7 +575,9 @@ def picard_solve(
             }
         )
         pair_norm = u_norm + cert.c_star * th_norm
-        if pair0 > 0 and pair_norm > config.divergence_guard * pair0:
+        if not (np.isfinite(pair_norm) and np.isfinite(pair_diff)) or (
+            pair0 > 0 and pair_norm > config.divergence_guard * pair0
+        ):
             report.diverged = True
             break
         scale = max(pair_norm, 1e-300)
@@ -697,7 +653,11 @@ def exponential_euler(
     refine: int | None = None,
 ) -> tuple[Field, Field]:
     """Integrate to t = T with exact per-step heat multiplier and explicit
-    (frozen) nonlinearity; first order in the step size."""
+    (frozen) nonlinearity; first order in the step size.
+
+    Raises RuntimeError when the state grows past 1e3 times its initial size
+    or stops being finite.
+    """
     grid = u0.grid
     config.validate_grid(grid)
     a = np.asarray(config.buoyancy, dtype=float)
@@ -707,6 +667,7 @@ def exponential_euler(
     x = grid.k_sq * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
+    weight = dt * g1
     u_hat = project_divergence_free(u0.spectral.copy(), grid)
     th_hat = theta0.spectral.copy()
     guard = 1e3 * max(
@@ -714,9 +675,10 @@ def exponential_euler(
     )
     for _ in range(nsteps):
         nl_u, nl_th = _nonlinear_sources(u_hat, th_hat, grid, a)
-        u_hat = decay * u_hat + dt * g1 * nl_u
-        th_hat = decay * th_hat + dt * g1 * nl_th
-        if np.max(np.abs(u_hat)) + np.max(np.abs(th_hat)) > guard:
+        u_hat = decay * u_hat + weight * nl_u
+        th_hat = decay * th_hat + weight * nl_th
+        size = np.max(np.abs(u_hat)) + np.max(np.abs(th_hat))
+        if not np.isfinite(size) or size > guard:
             raise RuntimeError(
                 "oracle integrator is unstable for this data/step combination"
             )

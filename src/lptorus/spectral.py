@@ -12,10 +12,14 @@ Operators provided here are exact Fourier multipliers:
     heat_propagate          exp(-|k|^2 t)
     helmholtz_project       delta_ij - k_i k_j / |k|^2   (identity at k = 0)
 
-Quadratic nonlinearities go through ``dealiased_product``, which zero-pads the
-spectrum onto a grid of twice the resolution, multiplies in physical space and
-truncates back, so the retained coefficients are the exact convolution of the
-inputs (the Nyquist plane is dropped to keep the result Hermitian).
+Quadratic nonlinearities go through ``dealiased_products`` (Orszag's 3/2
+rule): the spectra are zero-padded onto the M = 3N/2 lattice, multiplied in
+physical space and truncated back to N, and the retained coefficients are the
+exact convolution of the inputs.  Taking ``.real`` of the padded transform
+leaves input modes in [-N/2, N/2] per axis, so pair sums lie in [-N, N]; a sum
+aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N lattice
+only on the Nyquist plane +-N/2, and truncation zeroes that plane (it also
+keeps the result Hermitian).
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -118,6 +122,14 @@ class Grid:
         return ksq
 
     @cached_property
+    def inv_k_sq_deriv(self) -> np.ndarray:
+        """Leray multiplier 1/|k|^2 on the derivative lattice, 0 at k = 0."""
+        ksq = np.sum(self.k_mesh_deriv**2, axis=0)
+        inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
     def k_abs(self) -> np.ndarray:
         kabs = np.sqrt(self.k_sq)
         kabs.setflags(write=False)
@@ -127,9 +139,6 @@ class Grid:
         """Physical coordinates, shape (dim, N, ..., N)."""
         x = np.arange(self.points) * self.spacing
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
-
-    def doubled(self) -> "Grid":
-        return Grid(self.dim, 2 * self.points, self.period)
 
 
 def _spatial_axes(dim: int) -> tuple[int, ...]:
@@ -310,11 +319,9 @@ def helmholtz_project(field: Field) -> Field:
 def project_divergence_free(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Apply the Leray projector to a spectral stack (..., dim, N, ..., N)."""
     k = grid.k_mesh_deriv
-    ksq = np.sum(k**2, axis=0)
-    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
     ax = -grid.dim - 1
     kdotu = np.sum(k * coeffs, axis=ax)
-    return coeffs - np.expand_dims(kdotu * inv, ax) * k
+    return coeffs - np.expand_dims(kdotu * grid.inv_k_sq_deriv, ax) * k
 
 
 def heat_propagate(field: Field, t: float) -> Field:
@@ -343,26 +350,26 @@ def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _embed_indices(n_src: int, n_dst: int) -> tuple[np.ndarray, ...]:
+def _embed_indices(n_src: int, n_dst: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of the n_src modes inside the n_dst lattice."""
     if n_dst < n_src:
         raise ValueError("target lattice must be at least as fine")
-    ints = (np.fft.fftfreq(n_src) * n_src).astype(int)
-    return (ints % n_dst,)
+    idx = (np.fft.fftfreq(n_src) * n_src).astype(int) % n_dst
+    idx.setflags(write=False)
+    return np.ix_(*([idx] * dim))
 
 
 def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.ndarray:
     """Copy spectral modes onto a finer lattice (same integer wavevectors)."""
-    (idx,) = _embed_indices(n_src, n_dst)
     out = np.zeros(coeffs.shape[:-dim] + (n_dst,) * dim, dtype=np.complex128)
-    out[(Ellipsis,) + np.ix_(*([idx] * dim))] = coeffs
+    out[(Ellipsis,) + _embed_indices(n_src, n_dst, dim)] = coeffs
     return out
 
 
 def restrict_spectrum(coeffs: np.ndarray, dim: int, n_dst: int) -> np.ndarray:
     """Keep modes representable on the coarser lattice; Nyquist plane zeroed."""
     n_src = coeffs.shape[-1]
-    (idx,) = _embed_indices(n_dst, n_src)
-    out = coeffs[(Ellipsis,) + np.ix_(*([idx] * dim))]
+    out = coeffs[(Ellipsis,) + _embed_indices(n_dst, n_src, dim)]
     out = np.ascontiguousarray(out)
     nyq = n_dst // 2
     for ax in _spatial_axes(dim):
@@ -372,22 +379,50 @@ def restrict_spectrum(coeffs: np.ndarray, dim: int, n_dst: int) -> np.ndarray:
     return out
 
 
+def dealiased_products(
+    spec_a: np.ndarray, spec_b: np.ndarray, pairs: list[tuple[int, int]], grid: Grid
+) -> np.ndarray:
+    """Exact spectra of the pointwise products a_i * b_j for (i, j) in ``pairs``.
+
+    ``spec_a`` and ``spec_b`` are spectral stacks (..., m, N, ..., N) whose
+    leading axes broadcast; i and j index their component axes.  Both are
+    padded to the 3N/2 lattice (``spec_b is spec_a`` transforms once), the
+    requested pairs are multiplied there, and the products are truncated back
+    to N.  Returns (..., len(pairs), N, ..., N); within the retained band each
+    product is the exact linear convolution of its factors.
+    """
+    dim, n = grid.dim, grid.points
+    m = 3 * n // 2
+    axes = _spatial_axes(dim)
+
+    def padded(spec):
+        return np.fft.ifftn(
+            embed_spectrum(spec, dim, n, m), axes=axes, norm="forward"
+        ).real
+
+    pa = padded(spec_a)
+    pb = pa if spec_b is spec_a else padded(spec_b)
+    ia, ib = np.array(pairs, dtype=int).reshape(-1, 2).T
+    prod = np.take(pa, ia, axis=-dim - 1) * np.take(pb, ib, axis=-dim - 1)
+    return restrict_spectrum(np.fft.fftn(prod, axes=axes, norm="forward"), dim, n)
+
+
 def dealias_multiply(
     spec_a: np.ndarray, spec_b: np.ndarray, grid: Grid
 ) -> np.ndarray:
-    """Exact (2x zero-padded) product of two spectral stacks.
+    """Exact (3/2-rule dealiased) product of two spectral stacks.
 
     The inputs may carry arbitrary leading axes, which broadcast against each
-    other.  Returns the spectrum of the pointwise product restricted to the
-    original lattice; within that band the result is the exact linear
-    convolution of the inputs, so no aliased mode pollutes it.
+    other, and a one-component factor broadcasts over a multi-component one.
+    Returns the spectrum of the pointwise product restricted to the original
+    lattice, the exact linear convolution of the inputs within that band.
     """
-    dim, n, n2 = grid.dim, grid.points, 2 * grid.points
-    axes = _spatial_axes(dim)
-    pa = np.fft.ifftn(embed_spectrum(spec_a, dim, n, n2) * n2**dim, axes=axes).real
-    pb = np.fft.ifftn(embed_spectrum(spec_b, dim, n, n2) * n2**dim, axes=axes).real
-    prod = np.fft.fftn(pa * pb, axes=axes) / n2**dim
-    return restrict_spectrum(prod, dim, n)
+    ax = -grid.dim - 1
+    ma, mb = spec_a.shape[ax], spec_b.shape[ax]
+    (m,) = np.broadcast_shapes((ma,), (mb,))
+    return dealiased_products(
+        spec_a, spec_b, [(i % ma, i % mb) for i in range(m)], grid
+    )
 
 
 def dealiased_product(f: Field, g: Field) -> Field:

@@ -17,6 +17,8 @@ from lptorus.besov import lp_norm
 from lptorus.solver import (
     SmallnessCertificate,
     SolverConfig,
+    _flux_divergences,
+    _nonlinear_sources,
     boussinesq_rhs,
     duhamel_integral,
     exponential_euler,
@@ -27,6 +29,7 @@ from lptorus.solver import (
     smallness_certificate,
     time_grid,
 )
+from lptorus.spectral import embed_spectrum, project_divergence_free, restrict_spectrum
 
 CONFIG = SolverConfig(horizon=0.5, steps=32, regime="thm1.2")
 
@@ -175,6 +178,64 @@ def test_rhs_rejects_divergent_data(grid32):
         boussinesq_rhs(u, th, u0, th0, CONFIG)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flux_kernel_matches_2n_padded_formulas(dim):
+    # the tensor, scalar-flux and source formulas the kernel replaced, each
+    # with its own products dealiased by 2N zero padding
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    n, ax, axes = dim, -dim - 1, tuple(range(-dim, 0))
+    n2, ik = 2 * grid.points, 1j * grid.k_mesh_deriv
+    rng = np.random.default_rng(dim)
+
+    def full_lattice(m):  # three samples, every mode, Nyquist planes included
+        shape = (3, m) + grid.shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = project_divergence_free(full_lattice(n), grid)
+    v = project_divergence_free(full_lattice(n), grid)
+    th = full_lattice(1)
+    a = np.arange(1.0, n + 1)
+
+    def padded(spec):
+        emb = embed_spectrum(spec, n, grid.points, n2) * n2**n
+        return np.fft.ifftn(emb, axes=axes).real
+
+    def truncated(phys):
+        return restrict_spectrum(np.fft.fftn(phys, axes=axes) / n2**n, n, grid.points)
+
+    def div_rows(prod, rows):  # row r: -sum_j i k_j prod[r n + j]
+        return np.stack(
+            [
+                -sum(ik[j] * np.take(prod, r * n + j, axis=ax) for j in range(n))
+                for r in range(rows)
+            ],
+            axis=ax,
+        )
+
+    up, vp, tp = padded(u), padded(v), padded(th)
+    rows_uv = [np.take(up, [i], axis=ax) * vp for i in range(n)]
+    rows_uu = [np.take(up, [i], axis=ax) * up for i in range(n)]
+    tensor = project_divergence_free(div_rows(truncated(np.concatenate(rows_uv, ax)), n), grid)
+    scalar = div_rows(truncated(tp * up), 1)
+    self_flux = div_rows(truncated(np.concatenate(rows_uu + [tp * up], ax)), n + 1)
+    sources = (
+        project_divergence_free(
+            np.take(self_flux, range(n), axis=ax) + a.reshape((n,) + (1,) * n) * th, grid
+        ),
+        np.take(self_flux, [n], axis=ax),
+    )
+
+    def close(got, expected):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    flux_uv, flux_th = _flux_divergences(u, v, th, grid)
+    close(project_divergence_free(flux_uv, grid), tensor)
+    close(flux_th, scalar)
+    for got, expected in zip(_nonlinear_sources(u, th, grid, a), sources):
+        close(got, expected)
+
+
 # -- certificate ----------------------------------------------------------------
 
 
@@ -308,6 +369,17 @@ def test_picard_oversized_data_flagged_but_runs(grid32, constants):
     assert len(report.iterations) > 1  # it still ran
 
 
+def test_picard_stops_as_diverged_on_non_finite_iterate():
+    config = SolverConfig(horizon=0.5, steps=8, regime="thm1.2", lambda_=1.0, eta=1.0)
+    grid = Grid(2, 16)
+    u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
+    with np.errstate(all="ignore"):
+        _, _, report = picard_solve(u0, th0, config)
+    assert report.diverged and not report.converged
+    assert len(report.iterations) == 2  # stopped at the first non-finite pair
+    assert not np.isfinite(report.final["pair_norm"])
+
+
 def test_picard_preserves_taylor_green_lattice_symmetry(grid32, constants):
     # the data is invariant under the half-period shift x -> x + (pi, pi):
     # only modes with k1 + k2 even are populated, and products and
@@ -389,6 +461,14 @@ def test_oracle_instability_is_reported(grid32):
             taylor_green(grid32, 1e4), single_mode(grid32, (1, 1), 1e4),
             config, refine=1,
         )
+
+
+def test_oracle_non_finite_state_is_reported():
+    config = SolverConfig(horizon=0.5, steps=8, regime="thm1.2", lambda_=1.0, eta=1.0)
+    grid = Grid(2, 16)
+    u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="unstable"):
+        exponential_euler(u0, th0, config, refine=1)
 
 
 def test_oracle_matches_heat_flow_in_linear_regime(grid32):

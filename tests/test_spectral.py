@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lptorus import (
     Field,
@@ -19,7 +20,12 @@ from lptorus import (
 )
 from lptorus.besov import INF, lp_norm
 from lptorus.ensembles import random_field
-from lptorus.spectral import spectral_l2_norm, to_physical, to_spectral
+from lptorus.spectral import (
+    dealias_multiply,
+    spectral_l2_norm,
+    to_physical,
+    to_spectral,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -230,6 +236,48 @@ def test_product_broadcasting(grid32, rng):
     assert prod.components == 2
     comp = dealiased_product(scalar, vector.component(1))
     assert np.max(np.abs(prod.values[1] - comp.values[0])) < 1e-13
+
+
+def padded_product_2n(spec_a, spec_b, grid):
+    """Reference product: zero-pad onto the 2N lattice, multiply, truncate."""
+    dim, n = grid.dim, grid.points
+    axes = tuple(range(-dim, 0))
+    ints = (np.fft.fftfreq(n) * n).astype(int)
+    big = np.ix_(*([ints % (2 * n)] * dim))
+
+    def physical(spec):
+        pad = np.zeros(spec.shape[:-dim] + (2 * n,) * dim, dtype=complex)
+        pad[(Ellipsis,) + big] = spec
+        return np.fft.ifftn(pad, axes=axes, norm="forward").real
+
+    full = np.fft.fftn(physical(spec_a) * physical(spec_b), axes=axes, norm="forward")
+    out = full[(Ellipsis,) + big]
+    for ax in axes:
+        np.moveaxis(out, ax, 0)[n // 2] = 0.0  # the Nyquist plane is dropped
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    components=st.sampled_from([(1, 1), (3, 3), (1, 3), (3, 1)]),
+    leading=st.sampled_from([((), ()), ((4,), (4,)), ((4,), (1,)), ((1,), (2, 4))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dealias_multiply_matches_2n_padding(dim, components, leading, seed):
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    rng = np.random.default_rng(seed)
+
+    def full_lattice(lead, m):  # every mode, Nyquist planes included
+        shape = lead + (m,) + grid.shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = full_lattice(leading[0], components[0])
+    b = full_lattice(leading[1], components[1])
+    got = dealias_multiply(a, b, grid)
+    expected = padded_product_2n(a, b, grid)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_product_grid_mismatch(grid32, grid64, rng):
