@@ -60,6 +60,11 @@ class BesovSpec:
     def weights(self, qs: np.ndarray) -> np.ndarray:
         return 2.0 ** (qs * self.s) * (3.0 + qs) ** self.alpha
 
+    def reduce(self, per_block: np.ndarray) -> float:
+        """The norm from block norms q = -1, 0, ... (``block_lp_norms`` of a field)."""
+        qs = np.arange(-1, per_block.shape[0] - 1)
+        return sequence_norm(self.weights(qs) * per_block, self.r)
+
 
 def _physical(stack: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid values of a spectral stack (..., m, N, ..., N).
@@ -132,8 +137,7 @@ def besov_norm(
     f: Field, spec: BesovSpec, cutoffs: CutoffPair | None = None
 ) -> float:
     """Besov norm of a band-limited field (shells -1..shell_max)."""
-    qs = np.arange(-1, shell_max(f.grid, cutoffs) + 1)
-    return sequence_norm(spec.weights(qs) * block_lp_norms(f, spec.p, cutoffs), spec.r)
+    return spec.reduce(block_lp_norms(f, spec.p, cutoffs))
 
 
 def mixed_norm(per_block: np.ndarray, s: float = 0.0) -> float:
@@ -273,8 +277,7 @@ def chemin_lerner_norm(
 ) -> float:
     """Time-inside-shells norm: l^r over q of ||block_q||_{L^rho_T L^p}."""
     per_block = time_block_norms(block_time_lp(traj, spec.p, cutoffs), traj.times, rho)
-    qs = np.arange(-1, per_block.shape[0] - 1)
-    return sequence_norm(spec.weights(qs) * per_block, spec.r)
+    return spec.reduce(per_block)
 
 
 def lebesgue_besov_norm(
@@ -285,8 +288,7 @@ def lebesgue_besov_norm(
 ) -> float:
     """Shells-inside-time norm: L^rho_T of the pointwise-in-time Besov norm."""
     matrix = block_time_lp(traj, spec.p, cutoffs)
-    weights = spec.weights(np.arange(-1, matrix.shape[0] - 1))
-    per_time = np.array([sequence_norm(weights * col, spec.r) for col in matrix.T])
+    per_time = np.array([spec.reduce(col) for col in matrix.T])
     return time_norm(per_time, traj.times, rho)
 
 
@@ -461,37 +463,19 @@ def embedding_report(
         ||f||_{B^s_{p,r}}       <= C ||f||_{B^{s,1}_{p,inf}}
     """
 
-    def ratio(num, den):
-        return num / den if den > 0 else 0.0
-
-    consts = {
-        "weak_vs_sup": 0.0,
-        "sup_vs_strong": 0.0,
-        "log_vs_shift": 0.0,
-        "summed_vs_log": 0.0,
-    }
+    consts = dict.fromkeys(
+        ("weak_vs_sup", "sup_vs_strong", "log_vs_shift", "summed_vs_log"), 0.0
+    )
     for f in fields:
         sup = lp_norm(f, INF)
-        consts["weak_vs_sup"] = max(
-            consts["weak_vs_sup"],
-            ratio(besov_norm(f, BesovSpec(0, INF, INF), cutoffs), sup),
-        )
-        consts["sup_vs_strong"] = max(
-            consts["sup_vs_strong"],
-            ratio(sup, besov_norm(f, BesovSpec(0, INF, 1), cutoffs)),
-        )
-        consts["log_vs_shift"] = max(
-            consts["log_vs_shift"],
-            ratio(
-                besov_norm(f, BesovSpec(s, p, INF, 1.0), cutoffs),
-                besov_norm(f, BesovSpec(s + eps, p, INF), cutoffs),
-            ),
-        )
-        consts["summed_vs_log"] = max(
-            consts["summed_vs_log"],
-            ratio(
-                besov_norm(f, BesovSpec(s, p, r_tilde), cutoffs),
-                besov_norm(f, BesovSpec(s, p, INF, 1.0), cutoffs),
-            ),
-        )
+        sup_blocks = block_lp_norms(f, INF, cutoffs)
+        p_blocks = sup_blocks if p == INF else block_lp_norms(f, p, cutoffs)
+        log_p = BesovSpec(s, p, INF, 1.0).reduce(p_blocks)
+        for key, num, den in (
+            ("weak_vs_sup", BesovSpec(0, INF, INF).reduce(sup_blocks), sup),
+            ("sup_vs_strong", sup, BesovSpec(0, INF, 1).reduce(sup_blocks)),
+            ("log_vs_shift", log_p, BesovSpec(s + eps, p, INF).reduce(p_blocks)),
+            ("summed_vs_log", BesovSpec(s, p, r_tilde).reduce(p_blocks), log_p),
+        ):
+            consts[key] = max(consts[key], num / den if den > 0 else 0.0)
     return consts

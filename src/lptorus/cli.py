@@ -38,6 +38,7 @@ from .besov import INF, BesovSpec, besov_norm, lp_norm
 from .dyadic import decompose, shell_bounds
 from .ensembles import single_mode, taylor_green
 from .solver import (
+    OracleInstabilityError,
     SolverConfig,
     measure_operator_constants,
     oracle_compare,
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
     except FieldFormatError as exc:
         print(f"error: malformed field file ({exc})", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,14 @@ Consequently
 so a_j = 1/(j+3) has bounded log-weighted sup norm but logarithmically
 divergent summed norm, and no inclusion holds in either direction.
 
-Blocks are evaluated through the convolution kernels of the cutoffs: the
-kernel h (inverse transform of phi, and h-tilde of chi) is materialized once
-by high-resolution quadrature on the line, cached, and the block weight of a
-mode at radius omega is recovered as the cosine transform of the sampled
-kernel at omega.  The sup norm of a block is taken over a dense sample of
-one period of its lowest active frequency.
+Blocks are evaluated through the convolution kernels of the cutoffs: h
+(inverse transform of phi, and h-tilde of chi) is sampled once per cutoff pair
+by two matrix products per kernel, splitting the sample grid as y = Y_b + y_t
+with cos(rho y) = cos(rho Y_b) cos(rho y_t) - sin(rho Y_b) sin(rho y_t).  Block
+q weighs the mode at radius omega by the cosine transform of the kernel at
+omega / 2^q, cached, inside the cutoff's support (far below the band pi/dy of
+the samples, so no comb frequency aliases) and by the exact 0.0 outside it.
+Block sup norms are taken over a dense sample of one period of the lowest mode.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cutoffs import CutoffPair, build_cutoffs
+from .cutoffs import CHI_FLAT_RADIUS, CutoffPair, build_cutoffs
 
-KERNEL_POINTS = 1 << 16  # samples of h on the half-line
+SPLIT = 1 << 8  # coarse and fine factors of the y grid
+KERNEL_POINTS = SPLIT * SPLIT  # samples of h on the half-line
 KERNEL_EXTENT = 400.0  # the kernel decays super-polynomially; tail checked in tests
 PROFILE_POINTS = 1 << 11
 SUP_SAMPLES = 1 << 13
@@ -72,23 +75,30 @@ class DiracCombSpec:
 @lru_cache(maxsize=None)
 def _kernel_table(cutoffs: CutoffPair) -> dict:
     """h = F^-1 phi and h~ = F^-1 chi sampled on [0, KERNEL_EXTENT]."""
-    rho_top = 2.0 * cutoffs.gamma + 0.5
-    rho = np.linspace(0.0, rho_top, PROFILE_POINTS)
-    phi_vals = cutoffs.phi(rho)
-    chi_vals = cutoffs.chi(rho)
+    # h(y) = (1/pi) int_0^inf phi(rho) cos(rho y) drho by the trapezoid rule;
+    # entry (b, t) of each product is the sample at y = ys[SPLIT b + t]
+    rho = np.linspace(0.0, 2.0 * cutoffs.gamma + 0.5, PROFILE_POINTS)
+    weights = np.full(rho.size, (rho[1] - rho[0]) / np.pi)
+    weights[[0, -1]] *= 0.5
     ys = np.linspace(0.0, KERNEL_EXTENT, KERNEL_POINTS)
-    drho = rho[1] - rho[0]
-    # h(y) = (1/pi) int_0^inf phi(rho) cos(rho y) drho, in manageable chunks
-    h = np.empty_like(ys)
-    h_tilde = np.empty_like(ys)
-    chunk = 2048
-    for start in range(0, ys.size, chunk):
-        block = np.cos(np.outer(ys[start : start + chunk], rho))
-        weights = np.full(rho.size, drho)
-        weights[0] = weights[-1] = 0.5 * drho
-        h[start : start + chunk] = block @ (phi_vals * weights) / np.pi
-        h_tilde[start : start + chunk] = block @ (chi_vals * weights) / np.pi
-    return {"y": ys, "h": h, "h_tilde": h_tilde}
+    coarse = np.outer(ys[::SPLIT], rho)
+    fine = np.outer(rho, ys[:SPLIT])
+    cos_c, sin_c = np.cos(coarse), np.sin(coarse)
+    cos_f, sin_f = np.cos(fine), np.sin(fine)
+    table = {"y": ys}
+    for key, profile in (("h", cutoffs.phi(rho)), ("h_tilde", cutoffs.chi(rho))):
+        w = profile * weights
+        table[key] = ((cos_c * w) @ cos_f - (sin_c * w) @ sin_f).ravel()
+    return table
+
+
+@lru_cache(maxsize=4096)
+def _cosine_transform(kernel: str, arg: float, cutoffs: CutoffPair) -> float:
+    """2 int_0^inf kernel(y) cos(arg y) dy by the trapezoid rule on the table."""
+    table = _kernel_table(cutoffs)
+    ys = table["y"]
+    integrand = table[kernel] * np.cos(arg * ys)
+    return float(2.0 * np.trapezoid(integrand, dx=ys[1] - ys[0]))
 
 
 def kernel_multiplier(
@@ -98,19 +108,20 @@ def kernel_multiplier(
 
     For q >= 0 this is the cosine transform of 2^q h(2^q .) at omega, i.e.
     the numerically recovered phi(2^-q omega); for q = -1 it is the recovered
-    chi(omega).
+    chi(omega).  Outside the cutoff's support (and for q <= -2) it is the
+    exact 0.0 at any omega, with no quadrature.
     """
-    cut = cutoffs or build_cutoffs()
     if q <= -2:
         return 0.0
-    table = _kernel_table(cut)
-    ys, dy = table["y"], table["y"][1] - table["y"][0]
-    kern = table["h_tilde"] if q == -1 else table["h"]
-    arg = omega if q == -1 else omega / 2.0**q
-    integrand = kern * np.cos(arg * ys)
-    # even kernel: transform = 2 * int_0^inf
-    total = 2.0 * dy * (np.sum(integrand) - 0.5 * integrand[0] - 0.5 * integrand[-1])
-    return float(total)
+    cut = cutoffs or build_cutoffs()
+    if q == -1:
+        kernel, arg, lo, hi = "h_tilde", abs(omega), 0.0, cut.gamma
+    else:
+        kernel, arg = "h", abs(omega) / 2.0**q
+        lo, hi = CHI_FLAT_RADIUS, 2.0 * cut.gamma
+    if not lo <= arg <= hi:
+        return 0.0
+    return _cosine_transform(kernel, arg, cut)
 
 
 def _block_sup(amps: list[float], exponents: list[int]) -> float:

@@ -70,6 +70,10 @@ from .spectral import (
 REGIMES = ("thm1.2", "thm1.3", "thm1.4")
 
 
+class OracleInstabilityError(RuntimeError):
+    """The fine-step oracle blew up on this data and step size."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Horizon, discretization, regime and operator constants for one run."""
@@ -655,8 +659,8 @@ def exponential_euler(
     """Integrate to t = T with exact per-step heat multiplier and explicit
     (frozen) nonlinearity; first order in the step size.
 
-    Raises RuntimeError when the state grows past 1e3 times its initial size
-    or stops being finite.
+    Raises OracleInstabilityError when the state grows past 1e3 times its
+    initial size or stops being finite.
     """
     grid = u0.grid
     config.validate_grid(grid)
@@ -679,7 +683,7 @@ def exponential_euler(
         th_hat = decay * th_hat + weight * nl_th
         size = np.max(np.abs(u_hat)) + np.max(np.abs(th_hat))
         if not np.isfinite(size) or size > guard:
-            raise RuntimeError(
+            raise OracleInstabilityError(
                 "oracle integrator is unstable for this data/step combination"
             )
     return Field.from_spectral(grid, u_hat), Field.from_spectral(grid, th_hat)

@@ -414,6 +414,34 @@ def test_embedding_zero_field(grid32):
     assert all(v == 0.0 for v in consts.values())
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, INF])
+def test_embedding_report_equals_per_norm_calls(grid32, rng, p):
+    # one table per field and exponent, reduced several ways, gives bit for
+    # bit the constants of one besov_norm call per norm
+    fields = [random_field(grid32, rng) for _ in range(4)] + [Field.zeros(grid32)]
+    s, eps, r_tilde = -0.5, 0.25, 3.0
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    expected = dict.fromkeys(
+        ("weak_vs_sup", "sup_vs_strong", "log_vs_shift", "summed_vs_log"), 0.0
+    )
+    for f in fields:
+        sup = lp_norm(f, INF)
+        log_p = besov_norm(f, BesovSpec(s, p, INF, 1.0))
+        for key, value in (
+            ("weak_vs_sup", ratio(besov_norm(f, BesovSpec(0, INF, INF)), sup)),
+            ("sup_vs_strong", ratio(sup, besov_norm(f, BesovSpec(0, INF, 1)))),
+            ("log_vs_shift", ratio(log_p, besov_norm(f, BesovSpec(s + eps, p, INF)))),
+            ("summed_vs_log", ratio(besov_norm(f, BesovSpec(s, p, r_tilde)), log_p)),
+        ):
+            expected[key] = max(expected[key], value)
+    got = embedding_report(fields, s=s, eps=eps, p=p, r_tilde=r_tilde)
+    assert got == expected
+    assert all(v > 0 for v in got.values())
+
+
 def test_embedding_constants_stable_at_doubled_resolution(rng):
     coarse, fine = Grid(2, 32), Grid(2, 64)
     fields32, fields64 = [], []

@@ -159,6 +159,19 @@ def test_missing_field_file_exits_2(tmp_path):
                  "--s", "0", "--p", "2", "--r", "2"]) == 2
 
 
+def test_solve_oracle_overflow_exits_2(tmp_path, capsys):
+    grid = Grid(2, 16)
+    u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"
+    write_field(u0, taylor_green(grid, 1e306))
+    write_field(th0, single_mode(grid, (1, 1), 1e306))
+    with np.errstate(all="ignore"):
+        code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.5",
+                     "--M", "8", "--oracle", "--oracle-refine", "1",
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "error: oracle integrator is unstable" in capsys.readouterr().err
+
+
 def test_verify_comb_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "comb", "--seed", "9", "--report", str(a)]) == 0

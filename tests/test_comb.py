@@ -6,7 +6,31 @@ import numpy as np
 import pytest
 
 from lptorus import DiracCombSpec, build_cutoffs, dirac_comb_norms
-from lptorus.comb import kernel_multiplier
+from lptorus.comb import (
+    KERNEL_EXTENT,
+    KERNEL_POINTS,
+    PROFILE_POINTS,
+    SPLIT,
+    _kernel_table,
+    kernel_multiplier,
+)
+
+# kernel_multiplier at the four in-support reduced arguments of the comb,
+# (omega, q) -> value, as computed by the direct-cosine kernel table
+PINNED_MULTIPLIERS = {
+    "exp": {
+        (1.0, 0): 0.3581659549520068,
+        (2.0, 0): 0.6418340450812283,
+        (0.5, -1): 1.000000000006123,
+        (1.0, -1): 0.6418340450479966,
+    },
+    "exp-sq": {
+        (1.0, 0): 0.08455992552420925,
+        (2.0, 0): 0.9154400744669957,
+        (0.5, -1): 1.0000000000008613,
+        (1.0, -1): 0.915440074475793,
+    },
+}
 
 
 def test_kernel_recovers_the_profiles():
@@ -16,6 +40,57 @@ def test_kernel_recovers_the_profiles():
     for omega, q in ((1.0, 0), (2.0, 0), (2.0, 1), (1.0, -1), (0.5, -1)):
         exact = float(cut.phi(omega / 2.0**q)) if q >= 0 else float(cut.chi(omega))
         assert kernel_multiplier(omega, q, cut) == pytest.approx(exact, abs=1e-7)
+
+
+@pytest.mark.parametrize("transition", ["exp", "exp-sq"])
+def test_factored_table_matches_direct_cosine_sum(transition):
+    # h(y) = (1/pi) sum_k cos(rho_k y) profile(rho_k) w_k, one cosine per
+    # (y, rho) pair, on sampled rows: both ends and both sides of seams
+    # between blocks of SPLIT rows
+    cut = build_cutoffs(transition)
+    table = _kernel_table(cut)
+    ys = np.linspace(0.0, KERNEL_EXTENT, KERNEL_POINTS)
+    assert np.array_equal(table["y"], ys)
+    rng = np.random.default_rng(7)
+    seams = [SPLIT * b + d for b in (1, 2, 97, SPLIT - 1) for d in (-1, 0)]
+    rows = np.unique(np.concatenate([
+        [0, KERNEL_POINTS - 1], seams, rng.integers(0, KERNEL_POINTS, 1000)
+    ]))
+    rho = np.linspace(0.0, 2.0 * cut.gamma + 0.5, PROFILE_POINTS)
+    w = np.full(rho.size, rho[1] - rho[0])
+    w[0] = w[-1] = 0.5 * (rho[1] - rho[0])
+    cosines = np.cos(np.outer(ys[rows], rho))
+    for key, profile in (("h", cut.phi(rho)), ("h_tilde", cut.chi(rho))):
+        direct = cosines @ (profile * w) / np.pi
+        assert np.max(np.abs(table[key][rows] - direct)) <= 1e-13, key
+
+
+@pytest.mark.parametrize("transition", ["exp", "exp-sq"])
+def test_in_support_multipliers_pinned(transition):
+    cut = build_cutoffs(transition)
+    for (omega, q), value in PINNED_MULTIPLIERS[transition].items():
+        assert kernel_multiplier(omega, q, cut) == pytest.approx(value, rel=1e-13, abs=0)
+
+
+def test_arguments_outside_the_support_give_exact_zero():
+    # the sampled kernel resolves |arg| < pi/dy only; these arguments used to
+    # alias back to nonzero weights through the quadrature
+    dy = KERNEL_EXTENT / (KERNEL_POINTS - 1)
+    assert kernel_multiplier(2.0 * np.pi / dy + 1.0, 0) == 0.0
+    assert kernel_multiplier(2.0**40, 0) == 0.0
+    assert kernel_multiplier(2.0**40, -1) == 0.0
+    assert kernel_multiplier(4.0, 0) == 0.0
+    assert kernel_multiplier(0.5, 0) == 0.0
+    assert kernel_multiplier(2.0, -1) == 0.0
+    assert kernel_multiplier(-1.0, 0) == kernel_multiplier(1.0, 0)
+
+
+def test_long_kronecker_comb_matches_short_one():
+    # a single mode at radius 2^k meets the same two reduced arguments for
+    # every k, so (3+k) times the summed norm does not depend on k
+    short, _ = dirac_comb_norms(DiracCombSpec.kronecker(4))
+    long, _ = dirac_comb_norms(DiracCombSpec.kronecker(40))
+    assert 43.0 * long == pytest.approx(7.0 * short, rel=1e-9)
 
 
 def test_spec_validation():
