@@ -280,6 +280,17 @@ def chemin_lerner_norm(
     return spec.reduce(per_block)
 
 
+def chemin_lerner_mixed_norm(
+    traj: FieldTrajectory,
+    rho: float,
+    p: float,
+    cutoffs: CutoffPair | None = None,
+) -> float:
+    """||.||_{L~rho_T(B^0_{p,1})} + ||.||_{L~rho_T(B^{0,1}_{p,inf})}, from one table."""
+    per_block = time_block_norms(block_time_lp(traj, p, cutoffs), traj.times, rho)
+    return mixed_norm(per_block)
+
+
 def lebesgue_besov_norm(
     traj: FieldTrajectory,
     rho: float,

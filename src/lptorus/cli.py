@@ -15,14 +15,16 @@ files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
-output paths), which is the only place timestamps appear.  LP_THREADS caps
-the worker count of the sweep's row-parallel executor.
+output paths), which is the only place timestamps appear.  The sweep solves
+its rows on one worker thread per usable CPU; its output does not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -38,6 +40,7 @@ from .besov import INF, BesovSpec, besov_norm, lp_norm
 from .dyadic import decompose, shell_bounds
 from .ensembles import single_mode, taylor_green
 from .solver import (
+    CONSTANT_TRIALS,
     OracleInstabilityError,
     SolverConfig,
     measure_operator_constants,
@@ -220,18 +223,16 @@ def parse_regime(text: str) -> dict:
     raise ValueError(f"unknown regime {text!r}")
 
 
-def _solve_config(args) -> SolverConfig:
-    kwargs = parse_regime(args.regime)
+def _solve_config(args, **extra) -> SolverConfig:
     return SolverConfig(
         horizon=args.T,
         steps=args.M,
-        substeps=args.substeps,
         max_iterations=args.max_iterations,
         tol=args.tol,
         buoyancy=tuple(float(x) for x in args.buoyancy.split(",")),
-        oracle_refine=args.oracle_refine,
         constant_seed=args.seed,
-        **kwargs,
+        **parse_regime(args.regime),
+        **extra,
     )
 
 
@@ -239,7 +240,6 @@ def _config_echo(config: SolverConfig) -> dict:
     return {
         "horizon": config.horizon,
         "steps": config.steps,
-        "substeps": config.substeps,
         "max_iterations": config.max_iterations,
         "tol": config.tol,
         "buoyancy": list(config.buoyancy),
@@ -248,7 +248,7 @@ def _config_echo(config: SolverConfig) -> dict:
         "r": config.r,
         "eps": config.eps,
         "oracle_refine": config.oracle_refine,
-        "constant_trials": config.constant_trials,
+        "constant_trials": CONSTANT_TRIALS,
         "constant_seed": config.constant_seed,
     }
 
@@ -256,7 +256,7 @@ def _config_echo(config: SolverConfig) -> dict:
 def cmd_solve(args) -> int:
     u0 = _load_field(args.u0)
     theta0 = _load_field(args.theta0)
-    config = _solve_config(args)
+    config = _solve_config(args, oracle_refine=args.oracle_refine)
     u, theta, report = picard_solve(u0, theta0, config)
     payload = {"config": _config_echo(config)}
     payload.update(report.to_dict())
@@ -278,13 +278,11 @@ def cmd_solve(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_row(i, j, amp_u, amp_th, grid, config):
+def _sweep_row(amp_u, amp_th, grid, config):
     u0 = taylor_green(grid, amp_u)
     th0 = single_mode(grid, (1, 1), amp_th)
     _, _, report = picard_solve(u0, th0, config)
     return {
-        "i": i,
-        "j": j,
         "amp_u": amp_u,
         "amp_theta": amp_th,
         "certificate_pass": report.certificate.passed,
@@ -305,24 +303,17 @@ def cmd_sweep(args) -> int:
     grid = Grid(2, args.N)
     config = _solve_config(args)
     constants = measure_operator_constants(grid, config)
-    config = SolverConfig(
-        **{**_config_echo(config), "buoyancy": tuple(config.buoyancy),
-           "lambda_": constants["lambda"], "eta": constants["eta"]},
+    config = dataclasses.replace(
+        config, lambda_=constants["lambda"], eta=constants["eta"]
     )
-    tasks = [
-        (i, j, amp_u, amp_th)
-        for i, amp_u in enumerate(amps_u)
-        for j, amp_th in enumerate(amps_th)
-    ]
-    workers = max(1, int(os.environ.get("LP_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda t: _sweep_row(*t, grid, config), tasks)
-            )
-    else:
-        rows = [_sweep_row(*t, grid, config) for t in tasks]
-    rows.sort(key=lambda row: (row["i"], row["j"]))
+    tasks = [(amp_u, amp_th) for amp_u in amps_u for amp_th in amps_th]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    # map returns rows in task order, so the CSV is in (amp_u, amp_theta) order
+    with ThreadPoolExecutor(max_workers=min(len(tasks), cpus)) as pool:
+        rows = list(pool.map(lambda t: _sweep_row(*t, grid, config), tasks))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fieldnames = [
@@ -331,7 +322,7 @@ def cmd_sweep(args) -> int:
         "velocity_norm", "scalar_norm",
     ]
     with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
@@ -391,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--theta0", required=True)
     p_sol.add_argument("--T", type=float, default=0.5)
     p_sol.add_argument("--M", type=int, default=64)
-    p_sol.add_argument("--substeps", type=int, default=1)
     p_sol.add_argument("--max-iterations", type=int, default=25)
     p_sol.add_argument("--tol", type=float, default=1e-8)
     p_sol.add_argument("--regime", default="thm1.2")
@@ -408,12 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--N", type=int, default=32)
     p_sw.add_argument("--T", type=float, default=0.5)
     p_sw.add_argument("--M", type=int, default=16)
-    p_sw.add_argument("--substeps", type=int, default=1)
     p_sw.add_argument("--max-iterations", type=int, default=25)
     p_sw.add_argument("--tol", type=float, default=1e-8)
     p_sw.add_argument("--regime", default="thm1.2")
     p_sw.add_argument("--buoyancy", default="0,1")
-    p_sw.add_argument("--oracle-refine", type=int, default=10)
     p_sw.add_argument("--seed", type=int, default=1234)
     p_sw.add_argument("--out", required=True)
     p_sw.set_defaults(func=cmd_sweep)

@@ -40,11 +40,10 @@ from .besov import (
     FieldTrajectory,
     besov_norm,
     block_lp_norms,
-    block_time_lp,
+    chemin_lerner_mixed_norm,
     chemin_lerner_norm,
     heat_trajectory,
     mixed_norm,
-    time_block_norms,
 )
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, lowpass_weights, shell_max
@@ -178,20 +177,15 @@ def _time_ratio(
     # one sample at a time: the whole padded stack costs memory and no time
     prod = np.stack([dealias_multiply(a, b, u.grid) for a, b in zip(u.stack, v.stack)])
     prod = FieldTrajectory.from_stack(u.grid, u.times, prod, u.T)
-
-    def mixed(traj, rho, p):
-        matrix = block_time_lp(traj, p, cut)
-        return mixed_norm(time_block_norms(matrix, traj.times, rho))
-
-    u_mixed = mixed(u, spec.rho1, spec.p1)
+    u_mixed = chemin_lerner_mixed_norm(u, spec.rho1, spec.p1, cut)
     if spec.estimate == "2.6":
         lhs = chemin_lerner_norm(prod, spec.rho, BesovSpec(0, spec.p, spec.r), cut)
         rhs = u_mixed * chemin_lerner_norm(
             v, spec.rho2, BesovSpec(0, spec.p2, spec.r), cut
         )
     else:  # 2.7
-        lhs = mixed(prod, spec.rho, spec.p)
-        rhs = u_mixed * mixed(v, spec.rho2, spec.p2)
+        lhs = chemin_lerner_mixed_norm(prod, spec.rho, spec.p, cut)
+        rhs = u_mixed * chemin_lerner_mixed_norm(v, spec.rho2, spec.p2, cut)
     return lhs / rhs if rhs > 0 else 0.0
 
 

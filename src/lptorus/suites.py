@@ -20,6 +20,7 @@ from .besov import (
     BesovSpec,
     bernstein_check,
     besov_norm,
+    block_lp_norms,
     characterization_ratio,
     chemin_lerner_norm,
     embedding_report,
@@ -363,24 +364,22 @@ def besov_suite(
     r_mono = a_mono = 0.0
     triangle = homogeneity = 0.0
     for i, f in enumerate(fields):
-        n1 = besov_norm(f, BesovSpec(0, 2.0, 1.0), cut)
-        n2 = besov_norm(f, BesovSpec(0, 2.0, 2.0), cut)
-        ninf = besov_norm(f, BesovSpec(0, 2.0, INF), cut)
+        blocks = block_lp_norms(f, 2.0, cut)
+        n1 = BesovSpec(0, 2.0, 1.0).reduce(blocks)
+        n2 = BesovSpec(0, 2.0, 2.0).reduce(blocks)
+        ninf = BesovSpec(0, 2.0, INF).reduce(blocks)
         r_mono = max(r_mono, n2 / n1 if n1 else 0.0, ninf / n2 if n2 else 0.0)
-        alpha_lo = besov_norm(f, BesovSpec(-1, 2.0, INF, 0.5), cut)
-        alpha_hi = besov_norm(f, BesovSpec(-1, 2.0, INF, 1.0), cut)
+        alpha_lo = BesovSpec(-1, 2.0, INF, 0.5).reduce(blocks)
+        alpha_hi = BesovSpec(-1, 2.0, INF, 1.0).reduce(blocks)
         a_mono = max(a_mono, alpha_lo / alpha_hi if alpha_hi else 0.0)
         g = fields[(i + 1) % len(fields)]
         spec = BesovSpec(0, INF, 1.0)
+        nf = besov_norm(f, spec, cut)
         triangle = max(
-            triangle,
-            besov_norm(f + g, spec, cut)
-            / (besov_norm(f, spec, cut) + besov_norm(g, spec, cut)),
+            triangle, besov_norm(f + g, spec, cut) / (nf + besov_norm(g, spec, cut))
         )
         homogeneity = max(
-            homogeneity,
-            abs(besov_norm(2.5 * f, spec, cut) - 2.5 * besov_norm(f, spec, cut))
-            / (2.5 * besov_norm(f, spec, cut)),
+            homogeneity, abs(besov_norm(2.5 * f, spec, cut) - 2.5 * nf) / (2.5 * nf)
         )
 
     times = np.linspace(0.0, 1.0, 17)

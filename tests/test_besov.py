@@ -30,6 +30,7 @@ from lptorus.besov import (
     block_lp_norms,
     block_time_lp,
     characterization_ratio,
+    chemin_lerner_mixed_norm,
     embedding_report,
     mixed_norm,
     time_block_norms,
@@ -281,6 +282,18 @@ def test_mixed_norm_equals_the_two_member_norms_bit_for_bit(grid32, rng, s, p):
     )
     per_block = time_block_norms(block_time_lp(traj, p), traj.times, 2.0)
     assert mixed_norm(per_block) == two_calls
+
+
+@pytest.mark.parametrize("rho", [2.0, 3.0, INF])
+@pytest.mark.parametrize("p", [2.0, INF])
+def test_chemin_lerner_mixed_norm_equals_the_two_member_norms_bit_for_bit(
+    grid32, rng, rho, p
+):
+    traj = heat_trajectory(random_field(grid32, rng), np.linspace(0.0, 1.0, 9))
+    two_calls = chemin_lerner_norm(traj, rho, BesovSpec(0, p, 1)) + chemin_lerner_norm(
+        traj, rho, BesovSpec(0, p, INF, 1.0)
+    )
+    assert chemin_lerner_mixed_norm(traj, rho, p) == two_calls
 
 
 # -- weighted Kato norms -------------------------------------------------------

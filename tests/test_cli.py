@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report shapes, schema validation, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -170,6 +171,47 @@ def test_solve_oracle_overflow_exits_2(tmp_path, capsys):
                      "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert "error: oracle integrator is unstable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_solve_oracle_refine_below_one_exits_2(tmp_path, capsys, refine):
+    grid = Grid(2, 16)
+    u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"
+    write_field(u0, taylor_green(grid, 0.004))
+    write_field(th0, single_mode(grid, (1, 1), 0.003))
+    report = tmp_path / "r.json"
+    code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.25",
+                 "--M", "4", "--oracle", "--oracle-refine", refine,
+                 "--report", str(report)])
+    assert code == 2
+    assert "error: steps and oracle_refine must be >= 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_solve_velocity_file_with_wrong_component_count_exits_2(
+    field_files, tmp_path, capsys
+):
+    report = tmp_path / "r.json"
+    code = main(["solve", "--u0", field_files["scalar"], "--theta0",
+                 field_files["theta0"], "--T", "0.25", "--M", "4",
+                 "--report", str(report)])
+    assert code == 2
+    assert "error: u0 must have 2 components" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    outputs = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / f"sweep-{len(cpus)}.csv"
+        assert main(["sweep", "--amps-u", "0.002,0.01", "--amps-theta",
+                     "0.003,0.3", "--N", "16", "--M", "4", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    amps = [line.split(",")[:2] for line in outputs[0].decode().splitlines()[1:]]
+    assert amps == [["0.002", "0.003"], ["0.002", "0.3"],
+                    ["0.01", "0.003"], ["0.01", "0.3"]]
 
 
 def test_verify_comb_rerun_byte_identical(tmp_path):

@@ -304,6 +304,19 @@ def test_config_validation():
         cfg.validate_grid(Grid(2, 32))  # p = 1 <= n/2
 
 
+@pytest.mark.parametrize("refine", [0, -1])
+def test_config_rejects_oracle_refine_below_one(refine):
+    with pytest.raises(ValueError, match="oracle_refine"):
+        SolverConfig(horizon=0.25, steps=4, oracle_refine=refine)
+
+
+def test_picard_rejects_velocity_with_wrong_component_count(grid32):
+    config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0)
+    th0 = single_mode(grid32, (1, 1), 1e-3)
+    with pytest.raises(ValueError, match="u0 must have 2 components"):
+        picard_solve(single_mode(grid32, (1, 0), 1e-3), th0, config)
+
+
 def test_time_grid_log_prefix_for_weighted_regime():
     cfg = SolverConfig(horizon=0.5, steps=8, regime="thm1.4", p=2.0, eps=0.5)
     times = time_grid(cfg)
