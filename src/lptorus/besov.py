@@ -30,7 +30,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import Field, Grid, heat_stack
+from .spectral import Field, Grid, heat_stack, hermitian_half, values_from_half
 
 INF = float("inf")
 
@@ -64,16 +64,6 @@ class BesovSpec:
         """The norm from block norms q = -1, 0, ... (``block_lp_norms`` of a field)."""
         qs = np.arange(-1, per_block.shape[0] - 1)
         return sequence_norm(self.weights(qs) * per_block, self.r)
-
-
-def _physical(stack: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid values of a spectral stack (..., m, N, ..., N).
-
-    ``.real`` takes exactly the Hermitian part, Nyquist planes included, so
-    the coefficients need no symmetrization first.
-    """
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(stack, axes=axes, norm="forward").real
 
 
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
@@ -115,13 +105,17 @@ def _block_table(
     """||block_q f||_p for q = -1..shell_max and each sample of a stack.
 
     ``stack`` is spectral, (..., m, N, ..., N); the result is (shells, ...).
-    Looping over shells keeps the working set to one shell of the stack.
+    The Hermitian half of the stack is taken once; the block weights are
+    even in k, so each shell is one ``irfftn`` of the half times the weights'
+    half.  Looping over shells keeps the working set to one shell.
     """
     cut = cutoffs or build_cutoffs()
     qm = shell_max(grid, cut)
     out = np.empty((qm + 2,) + stack.shape[: -grid.dim - 1])
+    half = hermitian_half(stack, grid.dim)
+    cols = half.shape[-1]
     for q in range(-1, qm + 1):
-        block = _physical(stack * block_weights(grid, q, cut), grid)
+        block = values_from_half(half * block_weights(grid, q, cut)[..., :cols], grid)
         out[q + 1] = _lp_norms(block, grid, p)
     return out
 
@@ -269,6 +263,21 @@ def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.nd
     return np.array([time_norm(row, times, rho) for row in matrix])
 
 
+def chemin_lerner_reduce(
+    matrix: np.ndarray, times: np.ndarray, rho: float, spec: BesovSpec
+) -> float:
+    """``chemin_lerner_norm`` from its ``block_time_lp`` matrix at p = spec.p."""
+    return spec.reduce(time_block_norms(matrix, times, rho))
+
+
+def lebesgue_besov_reduce(
+    matrix: np.ndarray, times: np.ndarray, rho: float, spec: BesovSpec
+) -> float:
+    """``lebesgue_besov_norm`` from its ``block_time_lp`` matrix at p = spec.p."""
+    per_time = np.array([spec.reduce(col) for col in matrix.T])
+    return time_norm(per_time, times, rho)
+
+
 def chemin_lerner_norm(
     traj: FieldTrajectory,
     rho: float,
@@ -276,8 +285,9 @@ def chemin_lerner_norm(
     cutoffs: CutoffPair | None = None,
 ) -> float:
     """Time-inside-shells norm: l^r over q of ||block_q||_{L^rho_T L^p}."""
-    per_block = time_block_norms(block_time_lp(traj, spec.p, cutoffs), traj.times, rho)
-    return spec.reduce(per_block)
+    return chemin_lerner_reduce(
+        block_time_lp(traj, spec.p, cutoffs), traj.times, rho, spec
+    )
 
 
 def chemin_lerner_mixed_norm(
@@ -298,9 +308,9 @@ def lebesgue_besov_norm(
     cutoffs: CutoffPair | None = None,
 ) -> float:
     """Shells-inside-time norm: L^rho_T of the pointwise-in-time Besov norm."""
-    matrix = block_time_lp(traj, spec.p, cutoffs)
-    per_time = np.array([spec.reduce(col) for col in matrix.T])
-    return time_norm(per_time, traj.times, rho)
+    return lebesgue_besov_reduce(
+        block_time_lp(traj, spec.p, cutoffs), traj.times, rho, spec
+    )
 
 
 def log_weight(t, sigma: float):
@@ -324,7 +334,8 @@ def kato_weighted_norm(
         raise ValueError(f"weighted norm requires T <= 1, got T = {traj.T}")
     t = traj.times
     weights = np.sqrt(t) * log_weight(t, sigma)
-    norms = _lp_norms(_physical(traj.stack, traj.grid), traj.grid, p)
+    half = hermitian_half(traj.stack, traj.grid.dim)
+    norms = _lp_norms(values_from_half(half, traj.grid), traj.grid, p)
     return float(np.max(weights * norms))
 
 
@@ -359,7 +370,8 @@ def heat_characterization_norm(
     if np.any(times <= 0) or np.any(times > 1):
         raise ValueError("time grid must lie inside (0, 1]")
     stack = heat_stack(f.spectral, f.grid, times)
-    norms = _lp_norms(_physical(stack, f.grid), f.grid, p)
+    half = hermitian_half(stack, f.grid.dim)
+    norms = _lp_norms(values_from_half(half, f.grid), f.grid, p)
     values = times ** (abs(s) / 2.0) * log_weight(times, sigma) * norms
     if r == INF:
         return float(np.max(values))

@@ -40,6 +40,7 @@ linear in time at any stiffness and second-order accurate otherwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,9 +63,11 @@ from .ensembles import random_field
 from .spectral import (
     Field,
     Grid,
+    dealiased_half_products,
     dealiased_products,
     heat_stack,
     project_divergence_free,
+    values_from_half,
 )
 
 REGIMES = ("thm1.2", "thm1.3", "thm1.4")
@@ -205,37 +208,67 @@ def duhamel_integral(
 # Boussinesq right-hand side
 
 
+@lru_cache(maxsize=None)
+def _flux_plan(n: int, self_flux: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Product pairs of one flux batch and the pair behind each flux entry.
+
+    The entries are u_i v_j (row i, column j) followed by u_j theta; the
+    factors are u and (v, theta).  For a self flux (v = u) only the
+    n(n + 1)/2 distinct u_i u_j are formed, as u_min(i,j) u_max(i,j), which
+    is bit for bit u_i u_j because floating-point products commute.
+    """
+    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    if self_flux:
+        entries = [(min(i, j), max(i, j)) for i, j in entries]
+    pairs = list(dict.fromkeys(entries))
+    rows = np.array([pairs.index(e) for e in entries])
+    pairs = np.array(pairs)
+    for arr in (pairs, rows):
+        arr.setflags(write=False)
+    return pairs, rows
+
+
 def _flux_divergences(
-    u_hat: np.ndarray, v_hat: np.ndarray, th_hat: np.ndarray, grid: Grid
+    u_hat: np.ndarray,
+    v_hat: np.ndarray,
+    th_hat: np.ndarray,
+    grid: Grid,
+    products=dealiased_products,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral flux divergences (-div(u x v), -div(u theta)), unprojected.
 
     Row i of the first result is -sum_j d_j(u_i v_j).  Inputs carry arbitrary
     leading axes before the component axis; with ``v_hat is u_hat`` the
-    velocity is transformed once.  All products go through one
-    ``dealiased_products`` batch.
+    velocity is transformed once and only the distinct products are formed.
+    All products go through one ``products`` batch: ``dealiased_products``
+    for full spectra, ``dealiased_half_products`` for half spectra.
     """
     n = grid.dim
     ax = -n - 1
     b = np.concatenate([v_hat, th_hat], axis=ax)
     a = b if v_hat is u_hat else u_hat
-    pairs = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
-    prod = dealiased_products(a, b, pairs, grid)
-    prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + grid.shape)
-    div = -1j * np.sum(grid.k_mesh_deriv * prod, axis=ax)
+    pairs, rows = _flux_plan(n, v_hat is u_hat)
+    prod = np.take(products(a, b, pairs, grid), rows, axis=ax)
+    prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
+    k = grid.k_mesh_deriv[..., : prod.shape[-1]]
+    div = -1j * np.sum(k * prod, axis=ax)
     return tuple(np.split(div, [n], axis=ax))
 
 
 def _nonlinear_sources(
-    u_hat: np.ndarray, th_hat: np.ndarray, grid: Grid, buoyancy: np.ndarray
+    u_hat: np.ndarray,
+    th_hat: np.ndarray,
+    grid: Grid,
+    buoyancy: np.ndarray,
+    products=dealiased_products,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral sources (-P div(u x u) + P(theta a), -div(u theta)).
 
     Inputs carry arbitrary leading axes before the component axis; the
-    products are dealiased by the 3/2 rule in one batch.
+    products are dealiased by the 3/2 rule in one ``products`` batch.
     """
     n = grid.dim
-    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid)
+    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid, products)
     nl_u = flux_u + buoyancy.reshape((n,) + (1,) * n) * th_hat
     return project_divergence_free(nl_u, grid), flux_th
 
@@ -483,6 +516,7 @@ class IterationReport:
     iterations: list = dataclass_field(default_factory=list)
     converged: bool = False
     diverged: bool = False
+    divergence: str | None = None  # why a diverged run stopped: "growth" or "non-finite"
     bounds: dict = dataclass_field(default_factory=dict)
     residuals: dict = dataclass_field(default_factory=dict)
     final: dict = dataclass_field(default_factory=dict)
@@ -495,7 +529,7 @@ class IterationReport:
         ]
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "certificate": self.certificate.to_dict(),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -504,6 +538,9 @@ class IterationReport:
             "residuals": self.residuals,
             "final": self.final,
         }
+        if self.diverged:
+            out["divergence"] = self.divergence
+        return out
 
 
 def picard_solve(
@@ -516,7 +553,8 @@ def picard_solve(
 
     Runs even when the smallness certificate fails (flagged in the report);
     stops as diverged if the pair norm grows past ``DIVERGENCE_GUARD`` times
-    its initial value or the pair norm or difference is not finite.
+    its initial value (``divergence`` "growth") or the pair norm or
+    difference is not finite ("non-finite").
     """
     cut = cutoffs or build_cutoffs()
     grid = u0.grid
@@ -576,10 +614,11 @@ def picard_solve(
             }
         )
         pair_norm = u_norm + cert.c_star * th_norm
-        if not (np.isfinite(pair_norm) and np.isfinite(pair_diff)) or (
-            pair0 > 0 and pair_norm > DIVERGENCE_GUARD * pair0
-        ):
-            report.diverged = True
+        if not (np.isfinite(pair_norm) and np.isfinite(pair_diff)):
+            report.diverged, report.divergence = True, "non-finite"
+            break
+        if pair0 > 0 and pair_norm > DIVERGENCE_GUARD * pair0:
+            report.diverged, report.divergence = True, "growth"
             break
         scale = max(pair_norm, 1e-300)
         if pair_diff <= config.tol * scale:
@@ -656,26 +695,34 @@ def exponential_euler(
     """Integrate to t = T with exact per-step heat multiplier and explicit
     (frozen) nonlinearity; first order in the step size.
 
-    Raises OracleInstabilityError when the state grows past 1e3 times its
-    initial size or stops being finite.
+    The state is carried as rfftn half spectra (..., N, ..., N/2+1) of the
+    real fields, so every step runs ``dealiased_half_products`` and the
+    multipliers are sliced to the half lattice.  Raises OracleInstabilityError
+    when the state grows past 1e3 times its initial size or stops being
+    finite.
     """
     grid = u0.grid
     config.validate_grid(grid)
-    a = np.asarray(config.buoyancy, dtype=float)
     refine = config.oracle_refine if refine is None else refine
+    if refine < 1:
+        raise ValueError(f"oracle refine must be >= 1, got {refine}")
+    a = np.asarray(config.buoyancy, dtype=float)
     nsteps = config.steps * refine
     dt = config.horizon / nsteps
-    x = grid.k_sq * dt
+    cols = grid.points // 2 + 1
+    x = grid.k_sq[..., :cols] * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
     weight = dt * g1
-    u_hat = project_divergence_free(u0.spectral.copy(), grid)
-    th_hat = theta0.spectral.copy()
+    u_hat = project_divergence_free(u0.spectral[..., :cols], grid)
+    th_hat = theta0.spectral[..., :cols]
     guard = 1e3 * max(
         np.max(np.abs(u_hat)) + np.max(np.abs(th_hat)), 1e-300
     )
     for _ in range(nsteps):
-        nl_u, nl_th = _nonlinear_sources(u_hat, th_hat, grid, a)
+        nl_u, nl_th = _nonlinear_sources(
+            u_hat, th_hat, grid, a, dealiased_half_products
+        )
         u_hat = decay * u_hat + weight * nl_u
         th_hat = decay * th_hat + weight * nl_th
         size = np.max(np.abs(u_hat)) + np.max(np.abs(th_hat))
@@ -683,7 +730,10 @@ def exponential_euler(
             raise OracleInstabilityError(
                 "oracle integrator is unstable for this data/step combination"
             )
-    return Field.from_spectral(grid, u_hat), Field.from_spectral(grid, th_hat)
+    return (
+        Field(grid, values_from_half(u_hat, grid)),
+        Field(grid, values_from_half(th_hat, grid)),
+    )
 
 
 def oracle_compare(

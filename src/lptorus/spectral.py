@@ -12,14 +12,19 @@ Operators provided here are exact Fourier multipliers:
     heat_propagate          exp(-|k|^2 t)
     helmholtz_project       delta_ij - k_i k_j / |k|^2   (identity at k = 0)
 
-Quadratic nonlinearities go through ``dealiased_products`` (Orszag's 3/2
-rule): the spectra are zero-padded onto the M = 3N/2 lattice, multiplied in
-physical space and truncated back to N, and the retained coefficients are the
-exact convolution of the inputs.  Taking ``.real`` of the padded transform
-leaves input modes in [-N/2, N/2] per axis, so pair sums lie in [-N, N]; a sum
-aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N lattice
-only on the Nyquist plane +-N/2, and truncation zeroes that plane (it also
-keeps the result Hermitian).
+Quadratic nonlinearities go through one 3/2-rule body (Orszag): each factor
+is placed on the M = 3N/2 lattice as the Hermitian half spectrum (the
+``rfftn`` layout (..., M, ..., M/2+1)) of its real padded field, brought to
+the grid by ``irfftn``, multiplied there, and brought back by ``rfftn``;
+the band of the N lattice is kept, with its Nyquist planes zeroed, and the
+retained coefficients are the exact convolution of the inputs.  The padded
+Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in [-N/2, N/2]
+per axis (an N-lattice Nyquist mode splits between +-N/2), so pair sums lie
+in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which
+meets the N lattice only on the Nyquist plane +-N/2, and that plane is
+zeroed.  ``dealiased_products`` takes full spectra of any complex content
+and returns full spectra rebuilt by conjugate symmetry;
+``dealiased_half_products`` takes and returns half spectra of real fields.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -145,12 +150,86 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
 
+@lru_cache(maxsize=None)
+def _wavenumbers(m: int) -> np.ndarray:
+    """Signed integer wavenumber of each index of an m-point FFT axis."""
+    # rint, not a truncating cast: fftfreq(m) * m is inexact when 3 divides m
+    k = np.rint(np.fft.fftfreq(m) * m).astype(int)
+    k.setflags(write=False)
+    return k
+
+
+def _mesh(m: int, dim: int, last) -> list[np.ndarray]:
+    """Signed wavevectors of the m lattice with last-axis wavenumbers ``last``."""
+    return np.meshgrid(*([_wavenumbers(m)] * (dim - 1) + [last]), indexing="ij")
+
+
+def _flat(ks, m: int, half: bool, keep=True) -> np.ndarray:
+    """Flat index of wavevectors ``ks`` (mod m) in the full (m, ..., m) or the
+    half (m, ..., m, m/2+1) lattice, or that lattice's size (a zero
+    sentinel) where not ``keep``."""
+    shape = (m,) * (len(ks) - 1) + ((m // 2 + 1) if half else m,)
+    idx = np.ravel_multi_index([np.where(keep, k % m, 0) for k in ks], shape)
+    idx = np.where(keep, idx, int(np.prod(shape)))
+    idx.setflags(write=False)
+    return idx
+
+
+def _gather(coeffs: np.ndarray, dim: int, idx: np.ndarray) -> np.ndarray:
+    """``coeffs`` with its spatial axes flattened, taken at the flat ``idx``.
+
+    The result is C-contiguous; an open-mesh fancy index would put the
+    leading axes innermost and slow every later reduction over them.
+    """
+    return np.take(coeffs.reshape(coeffs.shape[:-dim] + (-1,)), idx, axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _mirror_index(n: int, dim: int) -> np.ndarray:
+    """Full-lattice flat index of -k for each k of the N half lattice."""
+    return _flat([-k for k in _mesh(n, dim, np.arange(n // 2 + 1))], n, half=False)
+
+
+@lru_cache(maxsize=None)
+def _unfold_index(n: int, dim: int) -> np.ndarray:
+    """Half-lattice flat index of -k for each k with N/2 < k_last mod N."""
+    ks = _mesh(n, dim, np.arange(n // 2 + 1, n) - n)
+    return _flat([-k for k in ks], n, half=True)
+
+
+def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian part 0.5 (c_k + conj c_{-k}) of a full spectrum (..., N, ...,
+    N), on the rfftn half lattice (..., N, ..., N/2+1).
+
+    It is the half spectrum of the real field ``ifftn(coeffs).real``, Nyquist
+    content included, so ``irfftn`` of it gives that field.
+    """
+    n = coeffs.shape[-1]
+    mirror = _gather(coeffs, dim, _mirror_index(n, dim))
+    return 0.5 * (coeffs[..., : n // 2 + 1] + np.conj(mirror))
+
+
+def values_from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid values of a half spectrum (..., m, N, ..., N/2+1) by ``irfftn``.
+
+    Of ``hermitian_half`` of a full spectral stack, these are the values
+    ``ifftn(stack).real``, Nyquist planes included.
+    """
+    axes = _spatial_axes(grid.dim)
+    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+
+
+def _unfold(half: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """Full spectrum of a real field from its half spectrum: c_{-k} = conj c_k."""
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    full[..., n // 2 + 1 :] = np.conj(_gather(half, dim, _unfold_index(n, dim)))
+    return full
+
+
 def hermitian_symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Project spectral coefficients onto the Hermitian (real-field) part."""
-    flipped = coeffs
-    for ax in _spatial_axes(dim):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    return 0.5 * (coeffs + np.conj(flipped))
+    return _unfold(hermitian_half(coeffs, dim), coeffs.shape[-1], dim)
 
 
 class Field:
@@ -317,11 +396,16 @@ def helmholtz_project(field: Field) -> Field:
 
 
 def project_divergence_free(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply the Leray projector to a spectral stack (..., dim, N, ..., N)."""
-    k = grid.k_mesh_deriv
+    """Apply the Leray projector to a spectral stack (..., dim, N, ..., N).
+
+    A half spectrum (..., dim, N, ..., N/2+1) is projected the same way: the
+    projector's symbol is even in k, so its factors are sliced to match.
+    """
+    cols = coeffs.shape[-1]
+    k = grid.k_mesh_deriv[..., :cols]
     ax = -grid.dim - 1
     kdotu = np.sum(k * coeffs, axis=ax)
-    return coeffs - np.expand_dims(kdotu * grid.inv_k_sq_deriv, ax) * k
+    return coeffs - np.expand_dims(kdotu * grid.inv_k_sq_deriv[..., :cols], ax) * k
 
 
 def heat_propagate(field: Field, t: float) -> Field:
@@ -354,9 +438,7 @@ def _embed_indices(n_src: int, n_dst: int, dim: int) -> tuple[np.ndarray, ...]:
     """Open-mesh index of the n_src modes inside the n_dst lattice."""
     if n_dst < n_src:
         raise ValueError("target lattice must be at least as fine")
-    idx = (np.fft.fftfreq(n_src) * n_src).astype(int) % n_dst
-    idx.setflags(write=False)
-    return np.ix_(*([idx] * dim))
+    return np.ix_(*([_wavenumbers(n_src) % n_dst] * dim))
 
 
 def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.ndarray:
@@ -366,45 +448,110 @@ def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.n
     return out
 
 
+def _zero_nyquist(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """Zero the Nyquist plane (index N/2) of every spatial axis of a full or
+    half N-lattice spectrum in place."""
+    nyq = n // 2
+    for after in range(dim):
+        coeffs[(Ellipsis, nyq) + (slice(None),) * after] = 0.0
+    return coeffs
+
+
 def restrict_spectrum(coeffs: np.ndarray, dim: int, n_dst: int) -> np.ndarray:
     """Keep modes representable on the coarser lattice; Nyquist plane zeroed."""
     n_src = coeffs.shape[-1]
     out = coeffs[(Ellipsis,) + _embed_indices(n_dst, n_src, dim)]
-    out = np.ascontiguousarray(out)
-    nyq = n_dst // 2
-    for ax in _spatial_axes(dim):
-        sl = [slice(None)] * out.ndim
-        sl[ax] = nyq
-        out[tuple(sl)] = 0.0
-    return out
+    return _zero_nyquist(np.ascontiguousarray(out), dim, n_dst)
+
+
+def _inside(ks, lo: int, hi: int) -> np.ndarray:
+    return np.logical_and.reduce([(lo <= k) & (k <= hi) for k in ks])
+
+
+@lru_cache(maxsize=None)
+def _pad_index(n: int, dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat N-lattice indices of the two terms of the padded Hermitian part.
+
+    At each p of the 3N/2 half lattice that part is 0.5 (c_p [p in B-] +
+    conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
+    lattice; the zero sentinel stands in outside it.  The first index reads
+    c_p.  On the full layout the second reads c_{-p}, to be conjugated; on
+    the half layout of a real field conj c_{-p} = c_p, and [-p in B-] =
+    [p in B+], B+ = [-N/2 + 1, N/2]^n, so it reads c_p again.
+    """
+    m, h = 3 * n // 2, n // 2
+    ks = _mesh(m, dim, np.arange(m // 2 + 1))
+    low, high = _inside(ks, -h, h - 1), _inside(ks, -h + 1, h)
+    other = ks if half else [-k for k in ks]
+    return _flat(ks, n, half, keep=low), _flat(other, n, half, keep=high)
+
+
+@lru_cache(maxsize=None)
+def _band_index(n: int, dim: int) -> np.ndarray:
+    """3N/2-half-lattice flat index of each k of the N half lattice."""
+    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), 3 * n // 2, half=True)
+
+
+def _padded(coeffs: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
+    """The 3N/2 half spectrum of a factor given on the N lattice (``_pad_index``)."""
+    flat = coeffs.reshape(coeffs.shape[: -grid.dim] + (-1,))
+    flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
+    ilow, ihigh = _pad_index(grid.points, grid.dim, half)
+    other = _gather(flat, 1, ihigh)
+    return 0.5 * (_gather(flat, 1, ilow) + (other if half else np.conj(other)))
+
+
+def _padded_products(spec_a, spec_b, pairs, grid: Grid, half: bool) -> np.ndarray:
+    """Half spectra of the products a_i * b_j, (i, j) in ``pairs``.
+
+    The one transform body of the 3/2 rule: pad both factors onto the 3N/2
+    half lattice, ``irfftn`` them onto the padded grid (``spec_b is spec_a``
+    pads and transforms once), multiply the requested pairs there,
+    ``rfftn`` them back and keep the band of the N lattice with its Nyquist
+    planes zeroed.
+    """
+    dim, n = grid.dim, grid.points
+    shape, axes = (3 * n // 2,) * dim, _spatial_axes(dim)
+    pa = np.fft.irfftn(_padded(spec_a, grid, half), s=shape, axes=axes, norm="forward")
+    pb = pa
+    if spec_b is not spec_a:
+        pb = np.fft.irfftn(_padded(spec_b, grid, half), s=shape, axes=axes, norm="forward")
+    ia, ib = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    prod = np.take(pa, ia, axis=-dim - 1) * np.take(pb, ib, axis=-dim - 1)
+    spec = np.fft.rfftn(prod, axes=axes, norm="forward")
+    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
 
 
 def dealiased_products(
-    spec_a: np.ndarray, spec_b: np.ndarray, pairs: list[tuple[int, int]], grid: Grid
+    spec_a: np.ndarray, spec_b: np.ndarray, pairs, grid: Grid
 ) -> np.ndarray:
     """Exact spectra of the pointwise products a_i * b_j for (i, j) in ``pairs``.
 
-    ``spec_a`` and ``spec_b`` are spectral stacks (..., m, N, ..., N) whose
-    leading axes broadcast; i and j index their component axes.  Both are
-    padded to the 3N/2 lattice (``spec_b is spec_a`` transforms once), the
-    requested pairs are multiplied there, and the products are truncated back
-    to N.  Returns (..., len(pairs), N, ..., N); within the retained band each
-    product is the exact linear convolution of its factors.
+    ``spec_a`` and ``spec_b`` are full spectral stacks (..., m, N, ..., N)
+    whose leading axes broadcast; i and j index their component axes.  Each
+    factor means the real part of its zero padding, ``ifftn(...).real`` on
+    the 3N/2 grid, for any complex content, Nyquist planes included: the
+    Hermitian part 0.5 (c_p + conj c_{-p}) of that padding is gathered
+    straight onto the 3N/2 half lattice, the products go through
+    ``_padded_products``, and their full spectra are rebuilt by conjugate
+    symmetry.  Returns (..., len(pairs), N, ..., N); within the retained
+    band each product is the exact linear convolution of its factors.
     """
-    dim, n = grid.dim, grid.points
-    m = 3 * n // 2
-    axes = _spatial_axes(dim)
+    half = _padded_products(spec_a, spec_b, pairs, grid, half=False)
+    return _unfold(half, grid.points, grid.dim)
 
-    def padded(spec):
-        return np.fft.ifftn(
-            embed_spectrum(spec, dim, n, m), axes=axes, norm="forward"
-        ).real
 
-    pa = padded(spec_a)
-    pb = pa if spec_b is spec_a else padded(spec_b)
-    ia, ib = np.array(pairs, dtype=int).reshape(-1, 2).T
-    prod = np.take(pa, ia, axis=-dim - 1) * np.take(pb, ib, axis=-dim - 1)
-    return restrict_spectrum(np.fft.fftn(prod, axes=axes, norm="forward"), dim, n)
+def dealiased_half_products(
+    half_a: np.ndarray, half_b: np.ndarray, pairs, grid: Grid
+) -> np.ndarray:
+    """``dealiased_products`` for real fields held as half spectra.
+
+    Inputs and result have the ``rfftn`` layout (..., m, N, ..., N/2+1),
+    and the inputs must be half spectra of real fields; the padding reads
+    them through the half-layout ``_pad_index`` into the same
+    ``_padded_products`` body.
+    """
+    return _padded_products(half_a, half_b, pairs, grid, half=True)
 
 
 def dealias_multiply(

@@ -21,11 +21,12 @@ from .besov import (
     bernstein_check,
     besov_norm,
     block_lp_norms,
+    block_time_lp,
     characterization_ratio,
-    chemin_lerner_norm,
+    chemin_lerner_reduce,
     embedding_report,
     heat_trajectory,
-    lebesgue_besov_norm,
+    lebesgue_besov_reduce,
 )
 from .comb import DiracCombSpec, dirac_comb_norms
 from .cutoffs import build_cutoffs, default_test_radii, partition_defect
@@ -386,17 +387,18 @@ def besov_suite(
     minkowski = 0.0
     equality = 0.0
     for f in fields[:8]:
-        traj = heat_trajectory(f, times)
+        # every norm below is at p = 2: one block table per trajectory
+        table = block_time_lp(heat_trajectory(f, times), 2.0, cut)
         for r, rho in ((1.0, 2.0), (INF, 2.0)):
             spec = BesovSpec(0, 2.0, r)
-            tilde = chemin_lerner_norm(traj, rho, spec, cut)
-            plain = lebesgue_besov_norm(traj, rho, spec, cut)
+            tilde = chemin_lerner_reduce(table, times, rho, spec)
+            plain = lebesgue_besov_reduce(table, times, rho, spec)
             # r >= rho: tilde <= plain; r <= rho: plain <= tilde
             ratio = tilde / plain if r >= rho else plain / tilde
             minkowski = max(minkowski, ratio)
         spec = BesovSpec(0, 2.0, 2.0)
-        tilde = chemin_lerner_norm(traj, 2.0, spec, cut)
-        plain = lebesgue_besov_norm(traj, 2.0, spec, cut)
+        tilde = chemin_lerner_reduce(table, times, 2.0, spec)
+        plain = lebesgue_besov_reduce(table, times, 2.0, spec)
         equality = max(equality, abs(tilde - plain) / plain)
 
     emb = embedding_report(fields, cutoffs=cut)

@@ -31,7 +31,9 @@ from lptorus.besov import (
     block_time_lp,
     characterization_ratio,
     chemin_lerner_mixed_norm,
+    chemin_lerner_reduce,
     embedding_report,
+    lebesgue_besov_reduce,
     mixed_norm,
     time_block_norms,
 )
@@ -294,6 +296,21 @@ def test_chemin_lerner_mixed_norm_equals_the_two_member_norms_bit_for_bit(
         traj, rho, BesovSpec(0, p, INF, 1.0)
     )
     assert chemin_lerner_mixed_norm(traj, rho, p) == two_calls
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0, INF])
+@pytest.mark.parametrize("r", [1.0, 2.0, INF])
+def test_table_reductions_equal_the_per_call_norms_bit_for_bit(grid32, rng, r, rho):
+    # one block table serves every norm at its p
+    traj = heat_trajectory(random_field(grid32, rng), np.linspace(0.0, 1.0, 9))
+    spec = BesovSpec(0.0, 2.0, r)
+    table = block_time_lp(traj, 2.0)
+    assert chemin_lerner_reduce(table, traj.times, rho, spec) == chemin_lerner_norm(
+        traj, rho, spec
+    )
+    assert lebesgue_besov_reduce(table, traj.times, rho, spec) == lebesgue_besov_norm(
+        traj, rho, spec
+    )
 
 
 # -- weighted Kato norms -------------------------------------------------------

@@ -173,6 +173,25 @@ def test_solve_oracle_overflow_exits_2(tmp_path, capsys):
     assert "error: oracle integrator is unstable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude, reason", [(30.0, "growth"), (1e306, "non-finite")])
+def test_solve_report_says_why_it_diverged(tmp_path, amplitude, reason):
+    grid = Grid(2, 16)
+    u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"
+    write_field(u0, taylor_green(grid, amplitude))
+    write_field(th0, single_mode(grid, (1, 1), amplitude))
+    report_path = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.5",
+                     "--M", "8", "--report", str(report_path)])
+    assert code == 1
+    report = json.loads(report_path.read_text())
+    assert report["diverged"] and report["divergence"] == reason
+    schema = load_schema("solve.schema.json")
+    assert reason in schema["properties"]["divergence"]["enum"]
+    if reason == "growth":  # all finite, so the whole report validates
+        jsonschema.validate(report, schema)
+
+
 @pytest.mark.parametrize("refine", ["0", "-1"])
 def test_solve_oracle_refine_below_one_exits_2(tmp_path, capsys, refine):
     grid = Grid(2, 16)

@@ -15,6 +15,7 @@ from lptorus import (
 )
 from lptorus.besov import lp_norm
 from lptorus.solver import (
+    DIVERGENCE_GUARD,
     SmallnessCertificate,
     SolverConfig,
     _flux_divergences,
@@ -29,7 +30,13 @@ from lptorus.solver import (
     smallness_certificate,
     time_grid,
 )
-from lptorus.spectral import embed_spectrum, project_divergence_free, restrict_spectrum
+from lptorus.spectral import (
+    dealiased_half_products,
+    dealiased_products,
+    embed_spectrum,
+    project_divergence_free,
+    restrict_spectrum,
+)
 
 CONFIG = SolverConfig(horizon=0.5, steps=32, regime="thm1.2")
 
@@ -236,6 +243,30 @@ def test_flux_kernel_matches_2n_padded_formulas(dim):
         close(got, expected)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("half", [False, True])
+def test_self_flux_distinct_products_are_bit_identical(dim, half):
+    # the kernel forms n(n + 1)/2 distinct u_i u_j for a self flux; the
+    # parent's batch formed all n^2 of them in this order
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    n, ax = dim, -dim - 1
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((3, n + 1) + grid.shape)
+    spec = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
+    products = dealiased_products
+    if half:
+        spec, products = spec[..., : grid.points // 2 + 1], dealiased_half_products
+    u, th = spec[:, :n], spec[:, n:]
+    b = np.concatenate([u, th], axis=ax)
+    pairs = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    prod = products(b, b, pairs, grid)
+    prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
+    div = -1j * np.sum(grid.k_mesh_deriv[..., : spec.shape[-1]] * prod, axis=ax)
+    expected = np.split(div, [n], axis=ax)
+    for got, want in zip(_flux_divergences(u, u, th, grid, products), expected):
+        assert np.array_equal(got, want)
+
+
 # -- certificate ----------------------------------------------------------------
 
 
@@ -393,6 +424,43 @@ def test_picard_stops_as_diverged_on_non_finite_iterate():
     assert not np.isfinite(report.final["pair_norm"])
 
 
+def test_picard_reports_non_finite_divergence():
+    config = SolverConfig(horizon=0.5, steps=8, regime="thm1.2", lambda_=1.0, eta=1.0)
+    grid = Grid(2, 16)
+    u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
+    with np.errstate(all="ignore"):
+        _, _, report = picard_solve(u0, th0, config)
+    assert report.diverged and report.divergence == "non-finite"
+    assert report.to_dict()["divergence"] == "non-finite"
+
+
+def test_picard_reports_growth_divergence():
+    # past the certificate the pair norm outgrows DIVERGENCE_GUARD x the
+    # free evolution's before anything overflows
+    config = SolverConfig(horizon=0.5, steps=16, regime="thm1.2", lambda_=1.0, eta=1.0,
+                          max_iterations=6)
+    grid = Grid(2, 16)
+    _, _, report = picard_solve(taylor_green(grid, 30.0), single_mode(grid, (1, 1), 30.0),
+                                config)
+    assert report.diverged and report.divergence == "growth"
+    pair_norms = [it["velocity_norm"] + report.certificate.c_star * it["scalar_norm"]
+                  for it in report.iterations]
+    assert np.all(np.isfinite(pair_norms))
+    assert pair_norms[-1] > DIVERGENCE_GUARD * report.certificate.lhs
+    assert report.to_dict()["divergence"] == "growth"
+
+
+def test_converged_report_carries_no_divergence_key(grid32, constants):
+    config = SolverConfig(
+        horizon=0.5, steps=16, regime="thm1.2",
+        lambda_=constants["lambda"], eta=constants["eta"],
+    )
+    u0, th0 = scaled_data(grid32, config, constants, 0.5)
+    _, _, report = picard_solve(u0, th0, config)
+    assert report.converged and report.divergence is None
+    assert "divergence" not in report.to_dict()
+
+
 def test_picard_preserves_taylor_green_lattice_symmetry(grid32, constants):
     # the data is invariant under the half-period shift x -> x + (pi, pi):
     # only modes with k1 + k2 even are populated, and products and
@@ -482,6 +550,58 @@ def test_oracle_non_finite_state_is_reported():
     u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="unstable"):
         exponential_euler(u0, th0, config, refine=1)
+
+
+@pytest.mark.parametrize("refine", [0, -1])
+def test_oracle_rejects_refine_below_one(refine):
+    config = SolverConfig(horizon=0.25, steps=4, regime="thm1.2", lambda_=1.0, eta=1.0)
+    grid = Grid(2, 16)
+    with pytest.raises(ValueError, match="refine must be >= 1"):
+        exponential_euler(taylor_green(grid, 0.01), single_mode(grid, (1, 1), 0.01),
+                          config, refine=refine)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_half_spectrum_oracle_matches_a_full_spectrum_loop(dim):
+    # the same exponential-Euler steps on full spectra, with every product
+    # dealiased by 2N zero padding and complex transforms
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    n, npts, n2 = dim, grid.points, 2 * grid.points
+    axes = tuple(range(-n, 0))
+    buoyancy = (0.0,) * (n - 1) + (1.0,)
+    config = SolverConfig(horizon=0.1, steps=3, regime="thm1.2", buoyancy=buoyancy,
+                          lambda_=1.0, eta=1.0, oracle_refine=2)
+    rng = np.random.default_rng(11)
+    # white noise: every mode populated, Nyquist planes included
+    u0 = Field(grid, 0.2 * rng.standard_normal((n,) + grid.shape))
+    th0 = Field(grid, 0.2 * rng.standard_normal(grid.shape))
+
+    def padded(spec):
+        return np.fft.ifftn(embed_spectrum(spec, n, npts, n2) * n2**n, axes=axes).real
+
+    def truncated(phys):
+        return restrict_spectrum(np.fft.fftn(phys, axes=axes) / n2**n, n, npts)
+
+    ik = 1j * grid.k_mesh_deriv
+    a = np.asarray(buoyancy).reshape((n,) + (1,) * n)
+    nsteps = config.steps * config.oracle_refine
+    dt = config.horizon / nsteps
+    x = grid.k_sq * dt
+    decay = np.exp(-x)
+    weight = dt * np.where(x > 0, -np.expm1(-x) / np.where(x > 0, x, 1.0), 1.0)
+    u = project_divergence_free(u0.spectral, grid)
+    th = th0.spectral
+    for _ in range(nsteps):
+        up, tp = padded(u), padded(th)
+        flux_u = -sum(ik[j] * truncated(up * up[j]) for j in range(n))
+        flux_th = -sum(ik[j] * truncated(tp * up[j]) for j in range(n))
+        u = decay * u + weight * project_divergence_free(flux_u + a * th, grid)
+        th = decay * th + weight * flux_th
+
+    u_T, th_T = exponential_euler(u0, th0, config)
+    for got, spec in ((u_T, u), (th_T, th)):
+        want = np.fft.ifftn(spec * npts**n, axes=axes).real
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_oracle_matches_heat_flow_in_linear_regime(grid32):

@@ -22,6 +22,9 @@ from lptorus.besov import INF, lp_norm
 from lptorus.ensembles import random_field
 from lptorus.spectral import (
     dealias_multiply,
+    dealiased_half_products,
+    dealiased_products,
+    hermitian_half,
     spectral_l2_norm,
     to_physical,
     to_spectral,
@@ -259,13 +262,13 @@ def padded_product_2n(spec_a, spec_b, grid):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    dim=st.sampled_from([2, 3]),
+    dim=st.sampled_from([1, 2, 3]),
     components=st.sampled_from([(1, 1), (3, 3), (1, 3), (3, 1)]),
     leading=st.sampled_from([((), ()), ((4,), (4,)), ((4,), (1,)), ((1,), (2, 4))]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dealias_multiply_matches_2n_padding(dim, components, leading, seed):
-    grid = Grid(dim, 16 if dim == 2 else 8)
+    grid = Grid(dim, 8 if dim == 3 else 16)
     rng = np.random.default_rng(seed)
 
     def full_lattice(lead, m):  # every mode, Nyquist planes included
@@ -277,6 +280,75 @@ def test_dealias_multiply_matches_2n_padding(dim, components, leading, seed):
     got = dealias_multiply(a, b, grid)
     expected = padded_product_2n(a, b, grid)
     assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def real_spectrum_with_nyquist_rows(grid, rng, components):
+    """A random_field's spectrum plus a real field's content on every Nyquist plane."""
+    axes = tuple(range(-grid.dim, 0))
+    noise = np.fft.fftn(
+        rng.standard_normal((components,) + grid.shape), axes=axes, norm="forward"
+    )
+    ks = np.meshgrid(*([np.arange(grid.points)] * grid.dim), indexing="ij")
+    on_nyquist = np.logical_or.reduce([k == grid.points // 2 for k in ks])
+    if grid.points > 2:  # a 2-point random_field is the zero field
+        noise[..., ~on_nyquist] = 0.0
+        noise += random_field(grid, rng, components=components).spectral
+    return noise
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 2), (1, 16), (2, 2), (2, 16), (2, 32), (3, 8), (3, 16)]),
+    components=st.sampled_from([(3, 3), (2, 3)]),
+    same=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_spectrum_products_match_the_full_layout(shape, components, same, seed):
+    # the oracle's half-spectrum entry against the full-layout kernel on real
+    # fields; N >= 16 needs exact 3N/2 wavenumbers, at N = 2, N/2 + 1 = N,
+    # and in 1-D the first spatial axis is the halved one
+    grid = Grid(*shape)
+    rng = np.random.default_rng(seed)
+    a = real_spectrum_with_nyquist_rows(grid, rng, components[0])
+    b = a if same else real_spectrum_with_nyquist_rows(grid, rng, components[1])
+    pairs = [(0, 0), (0, 1), (1, 1), (1, 0)] + [(1, 2)] * (b.shape[-grid.dim - 1] > 2)
+    cols = grid.points // 2 + 1
+    half_a = a[..., :cols]
+    half_b = half_a if same else b[..., :cols]
+    full = dealiased_products(a, b, pairs, grid)
+    half = dealiased_half_products(half_a, half_b, pairs, grid)
+    assert half.shape == full.shape[:-1] + (cols,)
+    scale = max(np.max(np.abs(full)), 1e-300)
+    assert np.max(np.abs(half - full[..., :cols])) <= 1e-13 * scale
+    # the full layout's other columns are the conjugate mirror of the half
+    axes = tuple(range(-grid.dim, 0))
+    values = np.fft.irfftn(half, s=grid.shape, axes=axes)
+    assert np.max(np.abs(np.fft.ifftn(full, axes=axes) - values)) <= 1e-13 * scale
+    # and both are the products of the 2N-padding reference
+    cax = -grid.dim - 1
+    expected = np.concatenate(
+        [
+            padded_product_2n(np.take(a, [i], axis=cax), np.take(b, [j], axis=cax), grid)
+            for i, j in pairs
+        ],
+        axis=cax,
+    )
+    assert np.max(np.abs(full - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
+def test_hermitian_half_inverts_to_the_real_part(shape, rng):
+    # any complex full spectrum, Nyquist planes included
+    grid = Grid(*shape)
+    axes = tuple(range(-grid.dim, 0))
+    coeffs = rng.standard_normal((2, 3) + grid.shape) + 1j * rng.standard_normal(
+        (2, 3) + grid.shape
+    )
+    half = hermitian_half(coeffs, grid.dim)
+    assert half.shape == (2, 3) + grid.shape[:-1] + (grid.points // 2 + 1,)
+    got = np.fft.irfftn(half, s=grid.shape, axes=axes)
+    expected = np.fft.ifftn(coeffs, axes=axes).real
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
