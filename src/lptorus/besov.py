@@ -100,19 +100,18 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
 
 
 def _block_table(
-    stack: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None
+    half: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None
 ) -> np.ndarray:
     """||block_q f||_p for q = -1..shell_max and each sample of a stack.
 
-    ``stack`` is spectral, (..., m, N, ..., N); the result is (shells, ...).
-    The Hermitian half of the stack is taken once; the block weights are
-    even in k, so each shell is one ``irfftn`` of the half times the weights'
-    half.  Looping over shells keeps the working set to one shell.
+    ``half`` is a half-spectrum stack (..., m, N, ..., N/2+1); the result is
+    (shells, ...).  The block weights are even in k, so each shell is one
+    ``irfftn`` of the half times the weights' half.  Looping over shells
+    keeps the working set to one shell.
     """
     cut = cutoffs or build_cutoffs()
     qm = shell_max(grid, cut)
-    out = np.empty((qm + 2,) + stack.shape[: -grid.dim - 1])
-    half = hermitian_half(stack, grid.dim)
+    out = np.empty((qm + 2,) + half.shape[: -grid.dim - 1])
     cols = half.shape[-1]
     for q in range(-1, qm + 1):
         block = values_from_half(half * block_weights(grid, q, cut)[..., :cols], grid)
@@ -124,7 +123,7 @@ def block_lp_norms(
     f: Field, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
     """||block_q f||_p for q = -1..shell_max, as one vector."""
-    return _block_table(f.spectral, f.grid, p, cutoffs)
+    return _block_table(f.half, f.grid, p, cutoffs)
 
 
 def besov_norm(
@@ -151,12 +150,13 @@ def mixed_norm(per_block: np.ndarray, s: float = 0.0) -> float:
 
 
 class FieldTrajectory:
-    """Time-sampled field on one grid; times increase within [0, T].
+    """Time-sampled real field on one grid; times increase within [0, T].
 
-    The data is one spectral stack ``stack`` of shape (samples, m, N, ...,
-    N) in the amplitude convention of :class:`~lptorus.spectral.Field`.
-    Build a trajectory from ``Field`` samples with ``FieldTrajectory(times,
-    fields)`` or from a stack with :meth:`from_stack`; ``fields`` builds the
+    The data is one stack ``half`` of shape (samples, m, N, ..., N/2+1): the
+    ``rfftn`` half spectra of the samples, in the amplitude convention of
+    :class:`~lptorus.spectral.Field`.  ``FieldTrajectory(times, fields)``
+    and :meth:`from_stack` (full spectra) take ``hermitian_half`` once;
+    :meth:`from_half` keeps a half stack as it is.  ``fields`` builds the
     per-sample ``Field`` objects on first use only.
 
     The initial sample t = 0 is allowed (the Duhamel quadrature needs it);
@@ -164,7 +164,7 @@ class FieldTrajectory:
     it.
     """
 
-    __slots__ = ("grid", "times", "stack", "T", "_fields")
+    __slots__ = ("grid", "times", "half", "T", "_fields")
 
     def __init__(self, times, fields, T: float = 0.0):
         self._fields = tuple(fields)
@@ -173,26 +173,38 @@ class FieldTrajectory:
         grid = self._fields[0].grid
         if any(f.grid != grid for f in self._fields):
             raise ValueError("all fields must share one grid")
-        self._init(grid, times, np.stack([f.spectral for f in self._fields]), T)
+        stack = np.stack([f.spectral for f in self._fields])
+        self._init(grid, times, hermitian_half(stack, grid.dim), T)
 
     @classmethod
     def from_stack(
         cls, grid: Grid, times, stack: np.ndarray, T: float = 0.0
     ) -> "FieldTrajectory":
-        """Trajectory whose sample i has the spectral coefficients stack[i]."""
+        """Trajectory whose sample i is the real field of the spectrum stack[i]."""
+        stack = np.asarray(stack, dtype=np.complex128)
+        if stack.shape[-grid.dim :] != grid.shape:
+            raise ValueError(f"stack shape {stack.shape} does not match grid")
+        return cls.from_half(grid, times, hermitian_half(stack, grid.dim), T)
+
+    @classmethod
+    def from_half(
+        cls, grid: Grid, times, half: np.ndarray, T: float = 0.0
+    ) -> "FieldTrajectory":
+        """Trajectory whose sample i has the half spectrum half[i]."""
         traj = cls.__new__(cls)
         traj._fields = None
-        traj._init(grid, times, stack, T)
+        traj._init(grid, times, half, T)
         return traj
 
-    def _init(self, grid: Grid, times, stack: np.ndarray, T: float) -> None:
+    def _init(self, grid: Grid, times, half: np.ndarray, T: float) -> None:
         times = np.asarray(times, dtype=float)
-        stack = np.asarray(stack, dtype=np.complex128).view()
-        stack.setflags(write=False)
-        if times.ndim != 1 or times.size == 0 or stack.shape[:1] != times.shape:
+        half = np.asarray(half, dtype=np.complex128).view()
+        half.setflags(write=False)
+        if times.ndim != 1 or times.size == 0 or half.shape[:1] != times.shape:
             raise ValueError("need one field per time and at least one sample")
-        if stack.ndim != grid.dim + 2 or stack.shape[2:] != grid.shape:
-            raise ValueError(f"stack shape {stack.shape} does not match grid")
+        cols = grid.points // 2 + 1
+        if half.ndim != grid.dim + 2 or half.shape[2:] != grid.shape[:-1] + (cols,):
+            raise ValueError(f"half-spectrum shape {half.shape} does not match grid")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if times[0] < 0:
@@ -200,17 +212,17 @@ class FieldTrajectory:
         horizon = float(T) if T else float(times[-1])
         if times[-1] > horizon * (1 + 1e-12):
             raise ValueError("times exceed the horizon T")
-        self.grid, self.times, self.stack, self.T = grid, times, stack, horizon
+        self.grid, self.times, self.half, self.T = grid, times, half, horizon
 
     @property
     def fields(self) -> tuple[Field, ...]:
         if self._fields is None:
-            self._fields = tuple(Field.from_spectral(self.grid, c) for c in self.stack)
+            self._fields = tuple(Field.from_half(self.grid, h) for h in self.half)
         return self._fields
 
     @property
     def components(self) -> int:
-        return self.stack.shape[1]
+        return self.half.shape[1]
 
     def field_at(self, t: float) -> Field:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -223,15 +235,14 @@ class FieldTrajectory:
             return self
         if self.times.size == 1:
             raise ValueError("trajectory has no positive sample times")
-        return FieldTrajectory.from_stack(
-            self.grid, self.times[1:], self.stack[1:], self.T
+        return FieldTrajectory.from_half(
+            self.grid, self.times[1:], self.half[1:], self.T
         )
 
 
 def heat_trajectory(f: Field, times) -> FieldTrajectory:
     """Free heat evolution of ``f`` sampled at ``times``."""
-    stack = heat_stack(f.spectral, f.grid, times)
-    return FieldTrajectory.from_stack(f.grid, times, stack)
+    return FieldTrajectory.from_half(f.grid, times, heat_stack(f.half, f.grid, times))
 
 
 def _trapezoid(values: np.ndarray, xs: np.ndarray) -> float:
@@ -252,10 +263,10 @@ def block_time_lp(
 ) -> np.ndarray:
     """Matrix ||block_q f(t_i)||_p with shape (shells, samples).
 
-    Reads the trajectory's spectral stack, one inverse FFT per shell batched
-    over all samples; no ``Field`` is built.
+    Reads the trajectory's half stack, one ``irfftn`` per shell batched over
+    all samples; no ``Field`` is built.
     """
-    return _block_table(traj.stack, traj.grid, p, cutoffs)
+    return _block_table(traj.half, traj.grid, p, cutoffs)
 
 
 def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
@@ -334,8 +345,7 @@ def kato_weighted_norm(
         raise ValueError(f"weighted norm requires T <= 1, got T = {traj.T}")
     t = traj.times
     weights = np.sqrt(t) * log_weight(t, sigma)
-    half = hermitian_half(traj.stack, traj.grid.dim)
-    norms = _lp_norms(values_from_half(half, traj.grid), traj.grid, p)
+    norms = _lp_norms(values_from_half(traj.half, traj.grid), traj.grid, p)
     return float(np.max(weights * norms))
 
 
@@ -369,9 +379,8 @@ def heat_characterization_norm(
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(times > 1):
         raise ValueError("time grid must lie inside (0, 1]")
-    stack = heat_stack(f.spectral, f.grid, times)
-    half = hermitian_half(stack, f.grid.dim)
-    norms = _lp_norms(values_from_half(half, f.grid), f.grid, p)
+    stack = heat_stack(f.half, f.grid, times)
+    norms = _lp_norms(values_from_half(stack, f.grid), f.grid, p)
     values = times ** (abs(s) / 2.0) * log_weight(times, sigma) * norms
     if r == INF:
         return float(np.max(values))

@@ -57,21 +57,21 @@ def _parse_exponent(text: str) -> float:
 
 
 def _sanitize(obj):
-    """JSON-ready copy: numpy scalars to Python, infinities to 'inf'."""
+    """JSON-ready copy: numpy scalars to Python, non-finite floats to 'inf', 'nan'."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_sanitize(obj), indent=2) + "\n")
+    path.write_text(json.dumps(_sanitize(obj), indent=2, allow_nan=False) + "\n")
 
 
 def _write_manifest(path: Path, command: str, params: dict, outputs: list, seed) -> None:

@@ -64,7 +64,6 @@ from .spectral import (
     Field,
     Grid,
     dealiased_half_products,
-    dealiased_products,
     heat_stack,
     project_divergence_free,
     values_from_half,
@@ -161,17 +160,19 @@ def _panel_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:
     """int_0^{t_j} e^{(t_j - s) Lap} source(s) ds on every sample time.
 
-    ``source`` is a spectral stack (len(times), m, N, ..., N); the source is
-    taken piecewise linear between samples and the per-panel multiplier
-    integrals are evaluated in closed form.
+    ``source`` is a full or a half spectral stack (len(times), m, N, ...);
+    the heat multiplier is sliced to its last axis, as in ``heat_stack``.
+    The source is taken piecewise linear between samples and the per-panel
+    multiplier integrals are evaluated in closed form.
     """
     out = np.zeros_like(source)
     acc = np.zeros_like(source[0])
+    ksq = grid.k_sq[..., : source.shape[-1]]
     weights = {}  # keyed on the exact panel width; uniform grids have few
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
         if dt not in weights:
-            x = grid.k_sq * dt
+            x = ksq * dt
             g1, g2 = _panel_weights(x)
             weights[dt] = (np.exp(-x), g1 - g2, g2)
         decay, w_new, w_old = weights[dt]
@@ -191,9 +192,9 @@ def duhamel_integral(
     times = source.times
     if times[0] != 0.0:
         raise ValueError("the Duhamel integral needs the source sampled from t = 0")
-    stack = _duhamel_stack(times, source.stack, source.grid)
+    stack = _duhamel_stack(times, source.half, source.grid)
     if t_grid is None:
-        return FieldTrajectory.from_stack(source.grid, times, stack)
+        return FieldTrajectory.from_half(source.grid, times, stack)
     t_grid = np.asarray(t_grid, dtype=float)
     idx = []
     for t in t_grid:
@@ -201,7 +202,7 @@ def duhamel_integral(
         if abs(times[j] - t) > 1e-12 * max(1.0, times[-1]):
             raise ValueError(f"t = {t} is not contained in the source sampling")
         idx.append(j)
-    return FieldTrajectory.from_stack(source.grid, times[idx], stack[idx])
+    return FieldTrajectory.from_half(source.grid, times[idx], stack[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +230,22 @@ def _flux_plan(n: int, self_flux: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flux_divergences(
-    u_hat: np.ndarray,
-    v_hat: np.ndarray,
-    th_hat: np.ndarray,
-    grid: Grid,
-    products=dealiased_products,
+    u_hat: np.ndarray, v_hat: np.ndarray, th_hat: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral flux divergences (-div(u x v), -div(u theta)), unprojected.
 
-    Row i of the first result is -sum_j d_j(u_i v_j).  Inputs carry arbitrary
-    leading axes before the component axis; with ``v_hat is u_hat`` the
-    velocity is transformed once and only the distinct products are formed.
-    All products go through one ``products`` batch: ``dealiased_products``
-    for full spectra, ``dealiased_half_products`` for half spectra.
+    Inputs and results are half spectra (..., m, N, ..., N/2+1) of real
+    fields with arbitrary leading axes before the component axis.  Row i of
+    the first result is -sum_j d_j(u_i v_j).  All products go through one
+    ``dealiased_half_products`` batch; with ``v_hat is u_hat`` the velocity
+    is transformed once and only the distinct products are formed.
     """
     n = grid.dim
     ax = -n - 1
     b = np.concatenate([v_hat, th_hat], axis=ax)
     a = b if v_hat is u_hat else u_hat
     pairs, rows = _flux_plan(n, v_hat is u_hat)
-    prod = np.take(products(a, b, pairs, grid), rows, axis=ax)
+    prod = np.take(dealiased_half_products(a, b, pairs, grid), rows, axis=ax)
     prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
     k = grid.k_mesh_deriv[..., : prod.shape[-1]]
     div = -1j * np.sum(k * prod, axis=ax)
@@ -256,19 +253,15 @@ def _flux_divergences(
 
 
 def _nonlinear_sources(
-    u_hat: np.ndarray,
-    th_hat: np.ndarray,
-    grid: Grid,
-    buoyancy: np.ndarray,
-    products=dealiased_products,
+    u_hat: np.ndarray, th_hat: np.ndarray, grid: Grid, buoyancy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral sources (-P div(u x u) + P(theta a), -div(u theta)).
 
-    Inputs carry arbitrary leading axes before the component axis; the
-    products are dealiased by the 3/2 rule in one ``products`` batch.
+    Half spectra in and out, with arbitrary leading axes before the
+    component axis; the products are dealiased in one batch.
     """
     n = grid.dim
-    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid, products)
+    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid)
     nl_u = flux_u + buoyancy.reshape((n,) + (1,) * n) * th_hat
     return project_divergence_free(nl_u, grid), flux_th
 
@@ -311,12 +304,10 @@ def boussinesq_rhs(
             "u0 is not divergence-free; apply the Helmholtz projection first"
         )
     a = np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(
-        u.times, u.stack, theta.stack, u0.spectral, theta0.spectral, grid, a
-    )
+    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.half, theta0.half, grid, a)
     return (
-        FieldTrajectory.from_stack(grid, u.times, j1),
-        FieldTrajectory.from_stack(grid, u.times, j2),
+        FieldTrajectory.from_half(grid, u.times, j1),
+        FieldTrajectory.from_half(grid, u.times, j2),
     )
 
 
@@ -383,21 +374,17 @@ def measure_operator_constants(
     config.validate_grid(grid)
     times = time_grid(config)
 
-    def traj(stack):
-        return FieldTrajectory.from_stack(grid, times, stack)
+    def traj(half):
+        return FieldTrajectory.from_half(grid, times, half)
 
     rng = np.random.default_rng(config.constant_seed)
     a = np.asarray(config.buoyancy, dtype=float)
     n = grid.dim
     b1 = b2 = lin = 0.0
     for _ in range(CONSTANT_TRIALS):
-        x1 = project_divergence_free(
-            random_field(grid, rng, components=n).spectral, grid
-        )
-        x2 = project_divergence_free(
-            random_field(grid, rng, components=n).spectral, grid
-        )
-        y = random_field(grid, rng).spectral
+        x1 = project_divergence_free(random_field(grid, rng, components=n).half, grid)
+        x2 = project_divergence_free(random_field(grid, rng, components=n).half, grid)
+        y = random_field(grid, rng).half
         x1_t = heat_stack(x1, grid, times)
         x2_t = heat_stack(x2, grid, times)
         y_t = heat_stack(y, grid, times)
@@ -558,6 +545,8 @@ def picard_solve(
     """
     cut = cutoffs or build_cutoffs()
     grid = u0.grid
+    if theta0.grid != grid:
+        raise ValueError("u0 and theta0 must share one grid")
     config.validate_grid(grid)
     if theta0.components != 1:
         raise ValueError("theta0 must be a scalar field")
@@ -568,12 +557,13 @@ def picard_solve(
     a = np.asarray(config.buoyancy, dtype=float)
     times = time_grid(config)
 
-    def traj(stack):
-        return FieldTrajectory.from_stack(grid, times, stack)
+    def traj(half):
+        return FieldTrajectory.from_half(grid, times, half)
 
     # iteration 0 is the free evolution, whose norms the certificate holds
-    u_hat = heat_stack(u0.spectral, grid, times)
-    th_hat = heat_stack(theta0.spectral, grid, times)
+    u0_hat, th0_hat = u0.half, theta0.half
+    u_hat = heat_stack(u0_hat, grid, times)
+    th_hat = heat_stack(th0_hat, grid, times)
     u_norm, th_norm = cert.free_velocity_norm, cert.free_scalar_norm
     pair0 = cert.lhs
 
@@ -592,9 +582,7 @@ def picard_solve(
 
     prev_diff = None
     for k in range(1, config.max_iterations + 1):
-        new_u, new_th = _fixed_point_map(
-            times, u_hat, th_hat, u0.spectral, theta0.spectral, grid, a
-        )
+        new_u, new_th = _fixed_point_map(times, u_hat, th_hat, u0_hat, th0_hat, grid, a)
         du = velocity_norm(traj(new_u - u_hat), config, cut)
         dth = scalar_norm(traj(new_th - th_hat), config, cut)
         u_hat, th_hat = new_u, new_th
@@ -663,14 +651,12 @@ def residual_check(
     cut = cutoffs or build_cutoffs()
     grid = u0.grid
     a = np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(
-        u.times, u.stack, theta.stack, u0.spectral, theta0.spectral, grid, a
-    )
+    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.half, theta0.half, grid, a)
     ru = velocity_norm(
-        FieldTrajectory.from_stack(grid, u.times, u.stack - j1), config, cut
+        FieldTrajectory.from_half(grid, u.times, u.half - j1), config, cut
     )
     rth = scalar_norm(
-        FieldTrajectory.from_stack(grid, u.times, theta.stack - j2), config, cut
+        FieldTrajectory.from_half(grid, u.times, theta.half - j2), config, cut
     )
     u_scale = max(velocity_norm(u, config, cut), 1e-300)
     th_scale = max(scalar_norm(theta, config, cut), 1e-300)
@@ -709,20 +695,17 @@ def exponential_euler(
     a = np.asarray(config.buoyancy, dtype=float)
     nsteps = config.steps * refine
     dt = config.horizon / nsteps
-    cols = grid.points // 2 + 1
-    x = grid.k_sq[..., :cols] * dt
+    u_hat = project_divergence_free(u0.half, grid)
+    th_hat = theta0.half
+    x = grid.k_sq[..., : u_hat.shape[-1]] * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
     weight = dt * g1
-    u_hat = project_divergence_free(u0.spectral[..., :cols], grid)
-    th_hat = theta0.spectral[..., :cols]
     guard = 1e3 * max(
         np.max(np.abs(u_hat)) + np.max(np.abs(th_hat)), 1e-300
     )
     for _ in range(nsteps):
-        nl_u, nl_th = _nonlinear_sources(
-            u_hat, th_hat, grid, a, dealiased_half_products
-        )
+        nl_u, nl_th = _nonlinear_sources(u_hat, th_hat, grid, a)
         u_hat = decay * u_hat + weight * nl_u
         th_hat = decay * th_hat + weight * nl_th
         size = np.max(np.abs(u_hat)) + np.max(np.abs(th_hat))
@@ -747,8 +730,8 @@ def oracle_compare(
     integrator."""
     u_traj, th_traj = solution
     u_ref, th_ref = exponential_euler(u0, theta0, config)
-    u_end = Field.from_spectral(u_traj.grid, u_traj.stack[-1])
-    th_end = Field.from_spectral(th_traj.grid, th_traj.stack[-1])
+    u_end = Field.from_half(u_traj.grid, u_traj.half[-1])
+    th_end = Field.from_half(th_traj.grid, th_traj.half[-1])
 
     def rel(a: Field, b: Field) -> float:
         diff = lp_norm(a - b, 2.0)

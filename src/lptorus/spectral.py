@@ -236,7 +236,8 @@ class Field:
     """Immutable real m-component field on a :class:`Grid`.
 
     ``values`` has shape (m, N, ..., N).  The spectral representation (same
-    shape, complex, Hermitian-symmetric) is computed on first use and cached.
+    shape, complex, Hermitian-symmetric) is computed on first use and cached;
+    ``half`` is its ``rfftn`` half, the layout of every trajectory.
     """
 
     __slots__ = ("grid", "values", "_spectral")
@@ -269,23 +270,28 @@ class Field:
             self._spectral = c
         return self._spectral
 
+    @property
+    def half(self) -> np.ndarray:
+        """``hermitian_half`` of ``spectral``, shape (m, N, ..., N/2+1)."""
+        return hermitian_half(self.spectral, self.grid.dim)
+
     @classmethod
     def from_spectral(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
+        """The field ``ifftn(coeffs).real`` of a full spectrum (m, N, ..., N)."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
         if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.shape:
-            raise ValueError(
-                f"spectral shape {coeffs.shape} does not match grid"
-            )
-        coeffs = hermitian_symmetrize(coeffs, grid.dim)
-        values = np.fft.ifftn(
-            coeffs * grid.points**grid.dim, axes=_spatial_axes(grid.dim)
-        ).real
-        out = cls(grid, values)
-        coeffs = np.ascontiguousarray(coeffs)
-        coeffs.setflags(write=False)
-        out._spectral = coeffs
+            raise ValueError(f"spectral shape {coeffs.shape} does not match grid")
+        return cls.from_half(grid, hermitian_half(coeffs, grid.dim))
+
+    @classmethod
+    def from_half(cls, grid: Grid, half: np.ndarray) -> "Field":
+        """The field of a half spectrum (m, N, ..., N/2+1) of a real field."""
+        out = cls(grid, values_from_half(half, grid))
+        spectral = _unfold(half, grid.points, grid.dim)
+        spectral.setflags(write=False)
+        out._spectral = spectral
         return out
 
     @classmethod
@@ -420,12 +426,14 @@ def heat_propagate(field: Field, t: float) -> Field:
 
 
 def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
-    """exp(-|k|^2 t) * coeffs for each t; output shape (len(times), *coeffs)."""
+    """exp(-|k|^2 t) * coeffs for each t; output shape (len(times), *coeffs).
+
+    On a half spectrum the multiplier, even in k, is sliced to the last axis.
+    """
     times = np.asarray(times, dtype=float)
-    expo = np.exp(
-        -grid.k_sq * times.reshape(times.shape + (1,) * grid.dim)
-    )
-    shape = times.shape + (1,) * (coeffs.ndim - grid.dim) + grid.shape
+    ksq = grid.k_sq[..., : coeffs.shape[-1]]
+    expo = np.exp(-ksq * times.reshape(times.shape + (1,) * grid.dim))
+    shape = times.shape + (1,) * (coeffs.ndim - grid.dim) + ksq.shape
     return expo.reshape(shape) * coeffs
 
 

@@ -270,6 +270,14 @@ def test_trajectory_from_stack_validation(grid32):
         FieldTrajectory.from_stack(grid32, times[::-1], np.zeros((3, 1, 32, 32)))
 
 
+def test_trajectory_from_half_validation(grid32):
+    times = np.linspace(0.0, 1.0, 3)
+    FieldTrajectory.from_half(grid32, times, np.zeros((3, 1, 32, 17)))
+    for wrong in ((2, 1, 32, 17), (3, 1, 32, 32), (3, 1, 17, 32), (3, 32, 17)):
+        with pytest.raises(ValueError):
+            FieldTrajectory.from_half(grid32, times, np.zeros(wrong))
+
+
 @pytest.mark.parametrize("s", [0.0, -1.0])
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_mixed_norm_equals_the_two_member_norms_bit_for_bit(grid32, rng, s, p):

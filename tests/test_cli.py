@@ -184,12 +184,28 @@ def test_solve_report_says_why_it_diverged(tmp_path, amplitude, reason):
         code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.5",
                      "--M", "8", "--report", str(report_path)])
     assert code == 1
-    report = json.loads(report_path.read_text())
+
+    def reject(token):  # strict JSON: no bare NaN or Infinity tokens
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
     assert report["diverged"] and report["divergence"] == reason
     schema = load_schema("solve.schema.json")
     assert reason in schema["properties"]["divergence"]["enum"]
-    if reason == "growth":  # all finite, so the whole report validates
-        jsonschema.validate(report, schema)
+    jsonschema.validate(report, schema)
+
+
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
+def test_solve_data_on_two_grids_exits_2(tmp_path, capsys, theta_grid):
+    u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"
+    write_field(u0, taylor_green(Grid(2, 16), 0.004))
+    write_field(th0, single_mode(theta_grid, (1, 1), 0.003))
+    report = tmp_path / "r.json"
+    code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.25",
+                 "--M", "4", "--report", str(report)])
+    assert code == 2
+    assert "error: u0 and theta0 must share one grid" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("refine", ["0", "-1"])

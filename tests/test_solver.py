@@ -18,6 +18,7 @@ from lptorus.solver import (
     DIVERGENCE_GUARD,
     SmallnessCertificate,
     SolverConfig,
+    _duhamel_stack,
     _flux_divergences,
     _nonlinear_sources,
     boussinesq_rhs,
@@ -32,8 +33,8 @@ from lptorus.solver import (
 )
 from lptorus.spectral import (
     dealiased_half_products,
-    dealiased_products,
     embed_spectrum,
+    hermitian_symmetrize,
     project_divergence_free,
     restrict_spectrum,
 )
@@ -109,6 +110,18 @@ def test_duhamel_second_order_convergence(grid32):
     errs = [run(m) for m in (16, 32, 64)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_duhamel_stack_on_a_half_spectrum_is_the_half_of_the_full_result(dim):
+    grid = Grid(dim, 8)
+    rng = np.random.default_rng(dim)
+    times = np.array([0.0, 0.05, 0.1, 0.3])
+    shape = (times.size, 2) + grid.shape
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cols = grid.points // 2 + 1
+    half = _duhamel_stack(times, full[..., :cols], grid)
+    assert np.array_equal(half, _duhamel_stack(times, full, grid)[..., :cols])
 
 
 def test_duhamel_requires_zero_start(grid32):
@@ -188,19 +201,20 @@ def test_rhs_rejects_divergent_data(grid32):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_flux_kernel_matches_2n_padded_formulas(dim):
     # the tensor, scalar-flux and source formulas the kernel replaced, each
-    # with its own products dealiased by 2N zero padding
+    # with its own products dealiased by 2N zero padding, on full spectra;
+    # the kernel reads and returns the half spectra of the same real fields
     grid = Grid(dim, 16 if dim == 2 else 8)
     n, ax, axes = dim, -dim - 1, tuple(range(-dim, 0))
     n2, ik = 2 * grid.points, 1j * grid.k_mesh_deriv
     rng = np.random.default_rng(dim)
 
-    def full_lattice(m):  # three samples, every mode, Nyquist planes included
-        shape = (3, m) + grid.shape
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def real_field(m):  # three samples of white noise: Nyquist planes included
+        values = rng.standard_normal((3, m) + grid.shape)
+        return hermitian_symmetrize(np.fft.fftn(values, axes=axes, norm="forward"), n)
 
-    u = project_divergence_free(full_lattice(n), grid)
-    v = project_divergence_free(full_lattice(n), grid)
-    th = full_lattice(1)
+    u = project_divergence_free(real_field(n), grid)
+    v = project_divergence_free(real_field(n), grid)
+    th = real_field(1)
     a = np.arange(1.0, n + 1)
 
     def padded(spec):
@@ -233,19 +247,22 @@ def test_flux_kernel_matches_2n_padded_formulas(dim):
     )
 
     def close(got, expected):
+        expected = expected[..., : grid.points // 2 + 1]
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    flux_uv, flux_th = _flux_divergences(u, v, th, grid)
+    def half(spec):
+        return spec[..., : grid.points // 2 + 1]
+
+    flux_uv, flux_th = _flux_divergences(half(u), half(v), half(th), grid)
     close(project_divergence_free(flux_uv, grid), tensor)
     close(flux_th, scalar)
-    for got, expected in zip(_nonlinear_sources(u, th, grid, a), sources):
+    for got, expected in zip(_nonlinear_sources(half(u), half(th), grid, a), sources):
         close(got, expected)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("half", [False, True])
-def test_self_flux_distinct_products_are_bit_identical(dim, half):
+def test_self_flux_distinct_products_are_bit_identical(dim):
     # the kernel forms n(n + 1)/2 distinct u_i u_j for a self flux; the
     # parent's batch formed all n^2 of them in this order
     grid = Grid(dim, 16 if dim == 2 else 8)
@@ -253,17 +270,15 @@ def test_self_flux_distinct_products_are_bit_identical(dim, half):
     rng = np.random.default_rng(dim)
     values = rng.standard_normal((3, n + 1) + grid.shape)
     spec = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
-    products = dealiased_products
-    if half:
-        spec, products = spec[..., : grid.points // 2 + 1], dealiased_half_products
+    spec = spec[..., : grid.points // 2 + 1]
     u, th = spec[:, :n], spec[:, n:]
     b = np.concatenate([u, th], axis=ax)
     pairs = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
-    prod = products(b, b, pairs, grid)
+    prod = dealiased_half_products(b, b, pairs, grid)
     prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
     div = -1j * np.sum(grid.k_mesh_deriv[..., : spec.shape[-1]] * prod, axis=ax)
     expected = np.split(div, [n], axis=ax)
-    for got, want in zip(_flux_divergences(u, u, th, grid, products), expected):
+    for got, want in zip(_flux_divergences(u, u, th, grid), expected):
         assert np.array_equal(got, want)
 
 
@@ -346,6 +361,14 @@ def test_picard_rejects_velocity_with_wrong_component_count(grid32):
     th0 = single_mode(grid32, (1, 1), 1e-3)
     with pytest.raises(ValueError, match="u0 must have 2 components"):
         picard_solve(single_mode(grid32, (1, 0), 1e-3), th0, config)
+
+
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
+def test_picard_rejects_data_on_two_grids(theta_grid):
+    config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0)
+    u0 = taylor_green(Grid(2, 16), 1e-3)
+    with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
+        picard_solve(u0, single_mode(theta_grid, (1, 1), 1e-3), config)
 
 
 def test_time_grid_log_prefix_for_weighted_regime():

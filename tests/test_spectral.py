@@ -1,9 +1,13 @@
 """Transforms, differential operators, projection, heat flow, dealiasing, IO."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lptorus
 from lptorus import (
     Field,
     FieldFormatError,
@@ -24,6 +28,7 @@ from lptorus.spectral import (
     dealias_multiply,
     dealiased_half_products,
     dealiased_products,
+    heat_stack,
     hermitian_half,
     spectral_l2_norm,
     to_physical,
@@ -209,6 +214,16 @@ def test_heat_sup_contracts_on_smooth_fields(grid32, rng):
     sup0 = lp_norm(f, INF)
     for t in (1e-3, 1e-2, 0.1, 1.0):
         assert lp_norm(heat_propagate(f, t), INF) <= sup0 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_heat_stack_on_a_half_spectrum_is_the_half_of_the_full_result(dim, rng):
+    grid = Grid(dim, 8)
+    shape = (2,) + grid.shape
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    times = np.array([0.0, 0.1, 0.35])
+    half = heat_stack(full[..., : grid.points // 2 + 1], grid, times)
+    assert np.array_equal(half, heat_stack(full, grid, times)[..., : grid.points // 2 + 1])
 
 
 # -- dealiased products -------------------------------------------------------
@@ -413,3 +428,13 @@ def test_field_file_non_finite_payload_rejected(tmp_path, grid32, bad):
     with pytest.raises(FieldFormatError) as err:
         read_field(path)
     assert err.value.field == "payload"
+
+
+def test_only_the_spectral_module_calls_numpy_fft():
+    package = Path(lptorus.__file__).parent
+    callers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spectral.py" and re.search(r"\b(np|numpy)\.fft\b", path.read_text())
+    ]
+    assert callers == []
