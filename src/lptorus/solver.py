@@ -229,27 +229,44 @@ def _flux_plan(n: int, self_flux: bool) -> tuple[np.ndarray, np.ndarray]:
     return pairs, rows
 
 
-def _flux_divergences(
-    u_hat: np.ndarray, v_hat: np.ndarray, th_hat: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral flux divergences (-div(u x v), -div(u theta)), unprojected.
+@lru_cache(maxsize=None)
+def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray:
+    """Per-mode map from one flux batch and theta to the projected sources.
 
-    Inputs and results are half spectra (..., m, N, ..., N/2+1) of real
-    fields with arbitrary leading axes before the component axis.  Row i of
-    the first result is -sum_j d_j(u_i v_j).  All products go through one
-    ``dealiased_half_products`` batch; with ``v_hat is u_hat`` the velocity
-    is transformed once and only the distinct products are formed.
+    Column d < D reads the d-th distinct product of ``_flux_plan``, column D
+    theta; row i < n gives (P(-div(u x v) + theta a))_i, row n -div(u theta).
+    It folds -i k_j, the Leray projector P and a into one multiplier, shape
+    (n + 1, D + 1, N^(n-1) (N/2+1)) on the flat half lattice.
     """
+    n, cols = grid.dim, grid.points // 2 + 1
+    k = grid.k_mesh_deriv[..., :cols].reshape(n, -1)
+    inv = grid.inv_k_sq_deriv[..., :cols].ravel()
+    lift = np.zeros((n + 1, n + 1, k.shape[1]))  # P on u, the identity on theta
+    lift[:n, :n] = np.eye(n)[..., None] - k[:, None] * k * inv
+    lift[n, n] = 1.0
+    pairs, rows = _flux_plan(n, self_flux)
+    op = np.zeros((n + 1, len(pairs) + 1, k.shape[1]), dtype=np.complex128)
+    for entry, d in enumerate(rows):
+        r, j = divmod(entry, n)  # u_r v_j of row r, or u_j theta for r = n
+        op[:, d] -= 1j * k[j] * lift[:, r]
+    op[:, -1] = np.tensordot(buoyancy, lift[:, :n], axes=(0, 1))
+    op.setflags(write=False)
+    return op
+
+
+def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.ndarray:
+    """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of
+    u = a and (v, theta) = b, half spectra (..., n + 1, N, ..., N/2+1) in and
+    out; ``b is a`` (the stacked (u, theta)) forms a self flux's distinct
+    products from one transform."""
     n = grid.dim
-    ax = -n - 1
-    b = np.concatenate([v_hat, th_hat], axis=ax)
-    a = b if v_hat is u_hat else u_hat
-    pairs, rows = _flux_plan(n, v_hat is u_hat)
-    prod = np.take(dealiased_half_products(a, b, pairs, grid), rows, axis=ax)
-    prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
-    k = grid.k_mesh_deriv[..., : prod.shape[-1]]
-    div = -1j * np.sum(k * prod, axis=ax)
-    return tuple(np.split(div, [n], axis=ax))
+    pairs, _ = _flux_plan(n, b is a)
+    prod = dealiased_half_products(a, b, pairs, grid)
+    prod = prod.reshape(prod.shape[:-n] + (-1,))
+    out = op[:, -1] * b.reshape(b.shape[:-n] + (-1,))[..., n:, :]
+    for d in range(len(pairs)):
+        out += op[:, d] * prod[..., d : d + 1, :]
+    return out.reshape(b.shape)
 
 
 def _nonlinear_sources(
@@ -258,12 +275,18 @@ def _nonlinear_sources(
     """Spectral sources (-P div(u x u) + P(theta a), -div(u theta)).
 
     Half spectra in and out, with arbitrary leading axes before the
-    component axis; the products are dealiased in one batch.
+    component axis; one ``_sources`` batch through the cached operator.
     """
     n = grid.dim
-    flux_u, flux_th = _flux_divergences(u_hat, u_hat, th_hat, grid)
-    nl_u = flux_u + buoyancy.reshape((n,) + (1,) * n) * th_hat
-    return project_divergence_free(nl_u, grid), flux_th
+    state = np.concatenate([u_hat, th_hat], axis=-n - 1)
+    op = _source_operator(grid, tuple(buoyancy), True)
+    return tuple(np.split(_sources(state, state, op, grid), [n], axis=-n - 1))
+
+
+def _data_grid(u0: Field, theta0: Field) -> Grid:
+    if theta0.grid != u0.grid:
+        raise ValueError("u0 and theta0 must share one grid")
+    return u0.grid
 
 
 def _fixed_point_map(
@@ -293,7 +316,7 @@ def boussinesq_rhs(
 
     ``u0`` must be spectrally divergence-free (project it first).
     """
-    grid = u0.grid
+    grid = _data_grid(u0, theta0)
     config.validate_grid(grid)
     div_mag = float(
         np.max(np.abs(np.sum(grid.k_mesh_deriv * u0.spectral, axis=0)))
@@ -368,7 +391,8 @@ def measure_operator_constants(
     Ratios ||B(x, y)|| / (||x|| ||y||) are measured over heat-evolved random
     trajectory pairs in the regime norms; lambda and eta are twice the
     largest observed ratio, following the convention that sampled constants
-    get a factor-2 safety margin.
+    get a factor-2 safety margin.  B1 and B2 are the rows of one flux batch
+    through the zero-buoyancy ``_source_operator``.
     """
     cut = cutoffs or build_cutoffs()
     config.validate_grid(grid)
@@ -380,6 +404,7 @@ def measure_operator_constants(
     rng = np.random.default_rng(config.constant_seed)
     a = np.asarray(config.buoyancy, dtype=float)
     n = grid.dim
+    flux_op = _source_operator(grid, (0.0,) * n, False)
     b1 = b2 = lin = 0.0
     for _ in range(CONSTANT_TRIALS):
         x1 = project_divergence_free(random_field(grid, rng, components=n).half, grid)
@@ -392,13 +417,12 @@ def measure_operator_constants(
         nx2 = velocity_norm(traj(x2_t), config, cut)
         ny = scalar_norm(traj(y_t), config, cut)
 
-        nl12, nl_th = _flux_divergences(x1_t, x2_t, y_t, grid)
-        # B1(x1, x2): -P div(x1 (x) x2)
-        nl12 = project_divergence_free(nl12, grid)
+        # B1(x1, x2) = -P div(x1 (x) x2) and B2(x1, y) = -div(x1 y)
+        xy = np.concatenate([x2_t, y_t], axis=-n - 1)
+        nl12, nl_th = np.split(_sources(x1_t, xy, flux_op, grid), [n], axis=-n - 1)
         b1_val = velocity_norm(traj(_duhamel_stack(times, nl12, grid)), config, cut)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
-        # B2(x1, y): -div(x1 y)
         b2_val = scalar_norm(traj(_duhamel_stack(times, nl_th, grid)), config, cut)
         if nx1 * ny > 0:
             b2 = max(b2, b2_val / (nx1 * ny))
@@ -504,6 +528,7 @@ class IterationReport:
     converged: bool = False
     diverged: bool = False
     divergence: str | None = None  # why a diverged run stopped: "growth" or "non-finite"
+    stopped: str | None = None  # "max_iterations" when neither converged nor diverged
     bounds: dict = dataclass_field(default_factory=dict)
     residuals: dict = dataclass_field(default_factory=dict)
     final: dict = dataclass_field(default_factory=dict)
@@ -527,6 +552,8 @@ class IterationReport:
         }
         if self.diverged:
             out["divergence"] = self.divergence
+        if self.stopped:
+            out["stopped"] = self.stopped
         return out
 
 
@@ -544,9 +571,7 @@ def picard_solve(
     difference is not finite ("non-finite").
     """
     cut = cutoffs or build_cutoffs()
-    grid = u0.grid
-    if theta0.grid != grid:
-        raise ValueError("u0 and theta0 must share one grid")
+    grid = _data_grid(u0, theta0)
     config.validate_grid(grid)
     if theta0.components != 1:
         raise ValueError("theta0 must be a scalar field")
@@ -613,6 +638,8 @@ def picard_solve(
             report.converged = True
             break
         prev_diff = pair_diff
+    else:
+        report.stopped = "max_iterations"
 
     mu1, mu2 = cert.mu1, cert.mu2
     pair_limit = 4.0 * cert.lhs
@@ -681,41 +708,41 @@ def exponential_euler(
     """Integrate to t = T with exact per-step heat multiplier and explicit
     (frozen) nonlinearity; first order in the step size.
 
-    The state is carried as rfftn half spectra (..., N, ..., N/2+1) of the
-    real fields, so every step runs ``dealiased_half_products`` and the
-    multipliers are sliced to the half lattice.  Raises OracleInstabilityError
-    when the state grows past 1e3 times its initial size or stops being
-    finite.
+    The state is one stack (n + 1, N, ..., N/2+1) of the rfftn half spectra
+    of (u, theta).  A step is one ``_sources`` batch through the cached
+    ``_source_operator`` with the step weight folded into a copy of it, plus
+    the heat decay.  Raises OracleInstabilityError when the state grows past
+    1e3 times its initial size or stops being finite.
     """
-    grid = u0.grid
+    grid = _data_grid(u0, theta0)
     config.validate_grid(grid)
     refine = config.oracle_refine if refine is None else refine
     if refine < 1:
         raise ValueError(f"oracle refine must be >= 1, got {refine}")
-    a = np.asarray(config.buoyancy, dtype=float)
+    n = grid.dim
     nsteps = config.steps * refine
     dt = config.horizon / nsteps
-    u_hat = project_divergence_free(u0.half, grid)
-    th_hat = theta0.half
-    x = grid.k_sq[..., : u_hat.shape[-1]] * dt
+    state = np.concatenate([project_divergence_free(u0.half, grid), theta0.half])
+    x = grid.k_sq[..., : state.shape[-1]] * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
-    weight = dt * g1
-    guard = 1e3 * max(
-        np.max(np.abs(u_hat)) + np.max(np.abs(th_hat)), 1e-300
-    )
+    op = dt * g1.ravel() * _source_operator(grid, tuple(config.buoyancy), True)
+
+    def size(state):  # max |u| + max |theta|, from one np.abs
+        peaks = np.abs(state).reshape(n + 1, -1).max(axis=1)
+        return float(peaks[:n].max() + peaks[n])
+
+    guard = 1e3 * max(size(state), 1e-300)
     for _ in range(nsteps):
-        nl_u, nl_th = _nonlinear_sources(u_hat, th_hat, grid, a)
-        u_hat = decay * u_hat + weight * nl_u
-        th_hat = decay * th_hat + weight * nl_th
-        size = np.max(np.abs(u_hat)) + np.max(np.abs(th_hat))
-        if not np.isfinite(size) or size > guard:
+        state = decay * state + _sources(state, state, op, grid)
+        now = size(state)
+        if not np.isfinite(now) or now > guard:
             raise OracleInstabilityError(
                 "oracle integrator is unstable for this data/step combination"
             )
     return (
-        Field(grid, values_from_half(u_hat, grid)),
-        Field(grid, values_from_half(th_hat, grid)),
+        Field(grid, values_from_half(state[:n], grid)),
+        Field(grid, values_from_half(state[n:], grid)),
     )
 
 

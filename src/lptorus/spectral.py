@@ -13,18 +13,21 @@ Operators provided here are exact Fourier multipliers:
     helmholtz_project       delta_ij - k_i k_j / |k|^2   (identity at k = 0)
 
 Quadratic nonlinearities go through one 3/2-rule body (Orszag): each factor
-is placed on the M = 3N/2 lattice as the Hermitian half spectrum (the
-``rfftn`` layout (..., M, ..., M/2+1)) of its real padded field, brought to
-the grid by ``irfftn``, multiplied there, and brought back by ``rfftn``;
-the band of the N lattice is kept, with its Nyquist planes zeroed, and the
-retained coefficients are the exact convolution of the inputs.  The padded
-Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in [-N/2, N/2]
-per axis (an N-lattice Nyquist mode splits between +-N/2), so pair sums lie
-in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which
-meets the N lattice only on the Nyquist plane +-N/2, and that plane is
-zeroed.  ``dealiased_products`` takes full spectra of any complex content
-and returns full spectra rebuilt by conjugate symmetry;
-``dealiased_half_products`` takes and returns half spectra of real fields.
+is placed on the M = 3N/2 lattice as the Hermitian half spectrum of its real
+padded field, brought to the grid by a c2r transform, multiplied there, and
+brought back by an r2c transform; the band of the N lattice is kept, with
+its Nyquist planes zeroed, and the retained coefficients are the exact
+convolution of the inputs.  Both transforms are pruned to the first N/2+1 of
+the M/2+1 last-axis columns, the only ones a padded factor or a kept mode
+occupies: the c2r runs its leading-axis ``ifft``s on them and ``irfft(n=M)``
+zero-fills the rest; the r2c cuts its ``rfft`` to them before the leading
+``fft``s.  Bit for bit ``irfftn``/``rfftn``.  The padded Hermitian part
+0.5 (c_p + conj c_{-p}) carries input modes in [-N/2, N/2] per axis (an
+N-lattice Nyquist mode splits between +-N/2), so pair sums lie in [-N, N]; a
+sum aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N
+lattice only on the Nyquist plane +-N/2, and that plane is zeroed.
+``dealiased_products`` takes full spectra of any complex content and returns
+full spectra; ``dealiased_half_products`` works on half spectra of real fields.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -164,11 +167,10 @@ def _mesh(m: int, dim: int, last) -> list[np.ndarray]:
     return np.meshgrid(*([_wavenumbers(m)] * (dim - 1) + [last]), indexing="ij")
 
 
-def _flat(ks, m: int, half: bool, keep=True) -> np.ndarray:
-    """Flat index of wavevectors ``ks`` (mod m) in the full (m, ..., m) or the
-    half (m, ..., m, m/2+1) lattice, or that lattice's size (a zero
-    sentinel) where not ``keep``."""
-    shape = (m,) * (len(ks) - 1) + ((m // 2 + 1) if half else m,)
+def _flat(ks, m: int, cols: int, keep=True) -> np.ndarray:
+    """Flat index of wavevectors ``ks`` (mod m) in the lattice (m, ..., m,
+    cols), or that lattice's size (a zero sentinel) where not ``keep``."""
+    shape = (m,) * (len(ks) - 1) + (cols,)
     idx = np.ravel_multi_index([np.where(keep, k % m, 0) for k in ks], shape)
     idx = np.where(keep, idx, int(np.prod(shape)))
     idx.setflags(write=False)
@@ -187,14 +189,14 @@ def _gather(coeffs: np.ndarray, dim: int, idx: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _mirror_index(n: int, dim: int) -> np.ndarray:
     """Full-lattice flat index of -k for each k of the N half lattice."""
-    return _flat([-k for k in _mesh(n, dim, np.arange(n // 2 + 1))], n, half=False)
+    return _flat([-k for k in _mesh(n, dim, np.arange(n // 2 + 1))], n, n)
 
 
 @lru_cache(maxsize=None)
 def _unfold_index(n: int, dim: int) -> np.ndarray:
     """Half-lattice flat index of -k for each k with N/2 < k_last mod N."""
     ks = _mesh(n, dim, np.arange(n // 2 + 1, n) - n)
-    return _flat([-k for k in ks], n, half=True)
+    return _flat([-k for k in ks], n, n // 2 + 1)
 
 
 def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -480,28 +482,29 @@ def _inside(ks, lo: int, hi: int) -> np.ndarray:
 def _pad_index(n: int, dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """Flat N-lattice indices of the two terms of the padded Hermitian part.
 
-    At each p of the 3N/2 half lattice that part is 0.5 (c_p [p in B-] +
-    conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
+    At each p of the pruned 3N/2 half lattice that part is 0.5 (c_p [p in B-]
+    + conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
     lattice; the zero sentinel stands in outside it.  The first index reads
     c_p.  On the full layout the second reads c_{-p}, to be conjugated; on
     the half layout of a real field conj c_{-p} = c_p, and [-p in B-] =
     [p in B+], B+ = [-N/2 + 1, N/2]^n, so it reads c_p again.
     """
     m, h = 3 * n // 2, n // 2
-    ks = _mesh(m, dim, np.arange(m // 2 + 1))
+    ks = _mesh(m, dim, np.arange(h + 1))
     low, high = _inside(ks, -h, h - 1), _inside(ks, -h + 1, h)
     other = ks if half else [-k for k in ks]
-    return _flat(ks, n, half, keep=low), _flat(other, n, half, keep=high)
+    cols = h + 1 if half else n
+    return _flat(ks, n, cols, keep=low), _flat(other, n, cols, keep=high)
 
 
 @lru_cache(maxsize=None)
 def _band_index(n: int, dim: int) -> np.ndarray:
-    """3N/2-half-lattice flat index of each k of the N half lattice."""
-    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), 3 * n // 2, half=True)
+    """Flat index of each k of the N half lattice in the pruned 3N/2 one."""
+    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), 3 * n // 2, n // 2 + 1)
 
 
 def _padded(coeffs: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
-    """The 3N/2 half spectrum of a factor given on the N lattice (``_pad_index``)."""
+    """The pruned 3N/2 half spectrum of a factor given on the N lattice."""
     flat = coeffs.reshape(coeffs.shape[: -grid.dim] + (-1,))
     flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
     ilow, ihigh = _pad_index(grid.points, grid.dim, half)
@@ -512,21 +515,31 @@ def _padded(coeffs: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
 def _padded_products(spec_a, spec_b, pairs, grid: Grid, half: bool) -> np.ndarray:
     """Half spectra of the products a_i * b_j, (i, j) in ``pairs``.
 
-    The one transform body of the 3/2 rule: pad both factors onto the 3N/2
-    half lattice, ``irfftn`` them onto the padded grid (``spec_b is spec_a``
-    pads and transforms once), multiply the requested pairs there,
-    ``rfftn`` them back and keep the band of the N lattice with its Nyquist
-    planes zeroed.
+    The one transform body of the 3/2 rule: pad both factors onto the
+    pruned 3N/2 half lattice, transform them onto the padded grid
+    (``spec_b is spec_a`` pads and transforms once), multiply the requested
+    pairs there, transform them back and keep the band of the N lattice
+    with its Nyquist planes zeroed.
     """
     dim, n = grid.dim, grid.points
-    shape, axes = (3 * n // 2,) * dim, _spatial_axes(dim)
-    pa = np.fft.irfftn(_padded(spec_a, grid, half), s=shape, axes=axes, norm="forward")
-    pb = pa
-    if spec_b is not spec_a:
-        pb = np.fft.irfftn(_padded(spec_b, grid, half), s=shape, axes=axes, norm="forward")
-    ia, ib = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    prod = np.take(pa, ia, axis=-dim - 1) * np.take(pb, ib, axis=-dim - 1)
-    spec = np.fft.rfftn(prod, axes=axes, norm="forward")
+    m, cols = 3 * n // 2, n // 2 + 1
+
+    def to_grid(spec):
+        spec = _padded(spec, grid, half)
+        for ax in range(-dim, -1):
+            spec = np.fft.ifft(spec, axis=ax, norm="forward")
+        return np.fft.irfft(spec, n=m, axis=-1, norm="forward")
+
+    pa = to_grid(spec_a)
+    pb = pa if spec_b is spec_a else to_grid(spec_b)
+    lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
+    prod = np.empty(lead + (len(pairs),) + pa.shape[-dim:])
+    comp = (slice(None),) * dim
+    for p, (i, j) in enumerate(pairs):  # one at a time: no gathered copies
+        np.multiply(pa[(..., i) + comp], pb[(..., j) + comp], out=prod[(..., p) + comp])
+    spec = np.fft.rfft(prod, axis=-1, norm="forward")[..., :cols]
+    for ax in range(-2, -dim - 1, -1):
+        spec = np.fft.fft(spec, axis=ax, norm="forward")
     return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
 
 

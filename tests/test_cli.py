@@ -195,6 +195,21 @@ def test_solve_report_says_why_it_diverged(tmp_path, amplitude, reason):
     jsonschema.validate(report, schema)
 
 
+def test_solve_report_says_it_stopped_at_max_iterations(tmp_path):
+    grid = Grid(2, 16)
+    u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"
+    write_field(u0, taylor_green(grid, 0.004))
+    write_field(th0, single_mode(grid, (1, 1), 0.003))
+    report_path = tmp_path / "r.json"
+    code = main(["solve", "--u0", str(u0), "--theta0", str(th0), "--T", "0.25",
+                 "--M", "4", "--max-iterations", "1", "--report", str(report_path)])
+    assert code == 1
+    report = json.loads(report_path.read_text())
+    assert not report["converged"] and not report["diverged"]
+    assert report["stopped"] == "max_iterations" and "divergence" not in report
+    jsonschema.validate(report, load_schema("solve.schema.json"))
+
+
 @pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
 def test_solve_data_on_two_grids_exits_2(tmp_path, capsys, theta_grid):
     u0, th0 = tmp_path / "u0.lpfld", tmp_path / "th0.lpfld"

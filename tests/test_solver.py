@@ -19,8 +19,10 @@ from lptorus.solver import (
     SmallnessCertificate,
     SolverConfig,
     _duhamel_stack,
-    _flux_divergences,
+    _flux_plan,
     _nonlinear_sources,
+    _source_operator,
+    _sources,
     boussinesq_rhs,
     duhamel_integral,
     exponential_euler,
@@ -254,32 +256,64 @@ def test_flux_kernel_matches_2n_padded_formulas(dim):
     def half(spec):
         return spec[..., : grid.points // 2 + 1]
 
-    flux_uv, flux_th = _flux_divergences(half(u), half(v), half(th), grid)
-    close(project_divergence_free(flux_uv, grid), tensor)
-    close(flux_th, scalar)
+    zero = _source_operator(grid, (0.0,) * n, False)
+    vth = np.concatenate([half(v), half(th)], axis=ax)
+    flux = _sources(half(u), vth, zero, grid)
+    close(np.take(flux, range(n), axis=ax), tensor)
+    close(np.take(flux, [n], axis=ax), scalar)
     for got, expected in zip(_nonlinear_sources(half(u), half(th), grid, a), sources):
         close(got, expected)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_self_flux_distinct_products_are_bit_identical(dim):
-    # the kernel forms n(n + 1)/2 distinct u_i u_j for a self flux; the
-    # parent's batch formed all n^2 of them in this order
+    # a self flux forms only the n(n + 1)/2 distinct u_i u_j; read back
+    # through the plan's rows they are the batch of all n^2 entries, bit for bit
     grid = Grid(dim, 16 if dim == 2 else 8)
     n, ax = dim, -dim - 1
     rng = np.random.default_rng(dim)
     values = rng.standard_normal((3, n + 1) + grid.shape)
     spec = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
-    spec = spec[..., : grid.points // 2 + 1]
-    u, th = spec[:, :n], spec[:, n:]
+    b = spec[..., : grid.points // 2 + 1]
+    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    pairs, rows = _flux_plan(n, True)
+    assert len(pairs) == n * (n + 1) // 2 + n
+    got = np.take(dealiased_half_products(b, b, pairs, grid), rows, axis=ax)
+    assert np.array_equal(got, dealiased_half_products(b, b, entries, grid))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("generic", [False, True])
+def test_source_operator_matches_the_flux_projection_composition(dim, generic):
+    # flux by explicit divergence, then + a theta, then project_divergence_free
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    n, ax, cols = dim, -dim - 1, grid.points // 2 + 1
+    rng = np.random.default_rng(dim)
+    # two samples of white noise: Nyquist planes included
+    values = rng.standard_normal((2, n + 1) + grid.shape)
+    spec = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")[..., :cols]
+    u = project_divergence_free(spec[:, :n], grid)
+    th = spec[:, n:]
+    a = rng.standard_normal(n) if generic else np.eye(n)[-1]
     b = np.concatenate([u, th], axis=ax)
-    pairs = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
-    prod = dealiased_half_products(b, b, pairs, grid)
+    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    prod = dealiased_half_products(b, b, entries, grid)
     prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
-    div = -1j * np.sum(grid.k_mesh_deriv[..., : spec.shape[-1]] * prod, axis=ax)
-    expected = np.split(div, [n], axis=ax)
-    for got, want in zip(_flux_divergences(u, u, th, grid), expected):
-        assert np.array_equal(got, want)
+    flux = -1j * np.sum(grid.k_mesh_deriv[..., :cols] * prod, axis=ax)
+    flux_u, flux_th = np.split(flux, [n], axis=ax)
+    expected = (
+        project_divergence_free(flux_u + a.reshape((n,) + (1,) * n) * th, grid),
+        flux_th,
+    )
+    for got, want in zip(_nonlinear_sources(u, th, grid, a), expected):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_source_operator_is_cached_read_only():
+    op = _source_operator(Grid(2, 16), (0.0, 1.0), True)
+    assert op is _source_operator(Grid(2, 16), (0.0, 1.0), True)
+    assert op.shape == (3, 6, 16 * 9) and not op.flags.writeable
 
 
 # -- certificate ----------------------------------------------------------------
@@ -369,6 +403,23 @@ def test_picard_rejects_data_on_two_grids(theta_grid):
     u0 = taylor_green(Grid(2, 16), 1e-3)
     with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
         picard_solve(u0, single_mode(theta_grid, (1, 1), 1e-3), config)
+
+
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
+def test_rhs_rejects_data_on_two_grids(theta_grid):
+    u0, th0 = taylor_green(Grid(2, 16), 1e-3), single_mode(theta_grid, (1, 1), 1e-3)
+    u, _ = make_free_trajectories(u0.grid, u0, Field.zeros(u0.grid), CONFIG)
+    _, th = make_free_trajectories(theta_grid, th0, th0, CONFIG)
+    with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
+        boussinesq_rhs(u, th, u0, th0, CONFIG)
+
+
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
+def test_oracle_rejects_data_on_two_grids(theta_grid):
+    config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0, oracle_refine=1)
+    u0 = taylor_green(Grid(2, 16), 1e-3)
+    with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
+        exponential_euler(u0, single_mode(theta_grid, (1, 1), 1e-3), config)
 
 
 def test_time_grid_log_prefix_for_weighted_regime():
@@ -482,6 +533,17 @@ def test_converged_report_carries_no_divergence_key(grid32, constants):
     _, _, report = picard_solve(u0, th0, config)
     assert report.converged and report.divergence is None
     assert "divergence" not in report.to_dict()
+
+
+def test_only_a_run_cut_at_max_iterations_says_stopped():
+    grid = Grid(2, 16)
+    u0, th0 = taylor_green(grid, 1e-3), single_mode(grid, (1, 1), 1e-3)
+    for cap, stopped in ((1, "max_iterations"), (25, None)):
+        config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0,
+                              max_iterations=cap)
+        _, _, report = picard_solve(u0, th0, config)
+        assert report.converged is (stopped is None) and report.stopped == stopped
+        assert report.to_dict().get("stopped") == stopped
 
 
 def test_picard_preserves_taylor_green_lattice_symmetry(grid32, constants):
@@ -625,6 +687,31 @@ def test_half_spectrum_oracle_matches_a_full_spectrum_loop(dim):
     for got, spec in ((u_T, u), (th_T, th)):
         want = np.fft.ifftn(spec * npts**n, axes=axes).real
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
+    # per step one c2r and one r2c batch (plus the leading-axis complex
+    # passes of the pruned transforms); two c2r at the end for u and theta
+    grid = Grid(dim, 8)
+    steps = 3
+    config = SolverConfig(horizon=0.1, steps=steps, buoyancy=(0.0,) * (dim - 1) + (1.0,),
+                          lambda_=1.0, eta=1.0, oracle_refine=1)
+    rng = np.random.default_rng(dim)
+    u0 = Field(grid, 0.01 * rng.standard_normal((dim,) + grid.shape))
+    th0 = Field(grid, 0.01 * rng.standard_normal(grid.shape))
+    u0.spectral, th0.spectral  # the data's own transforms, before counting
+    counts = {}
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    exponential_euler(u0, th0, config)
+    passes = steps * (dim - 1)
+    assert counts == {"irfft": steps, "ifft": passes, "rfft": steps, "fft": passes,
+                      "irfftn": 2}
 
 
 def test_oracle_matches_heat_flow_in_linear_regime(grid32):

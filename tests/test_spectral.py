@@ -25,6 +25,12 @@ from lptorus import (
 from lptorus.besov import INF, lp_norm
 from lptorus.ensembles import random_field
 from lptorus.spectral import (
+    _flat,
+    _gather,
+    _mesh,
+    _padded,
+    _padded_products,
+    _zero_nyquist,
     dealias_multiply,
     dealiased_half_products,
     dealiased_products,
@@ -350,6 +356,40 @@ def test_half_spectrum_products_match_the_full_layout(shape, components, same, s
         axis=cax,
     )
     assert np.max(np.abs(full - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("points", [2, 4, 16])
+@pytest.mark.parametrize("half", [True, False])
+def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, points, half):
+    # the body's transforms run over the N/2+1 columns a factor or the band
+    # touches; the reference zero-extends the padding to all 3N/4+1 columns,
+    # runs irfftn and rfftn, and gathers the band from the full 3N/2 half
+    # lattice (nothing to prune at N = 2, no leading-axis pass in 1-D)
+    grid = Grid(dim, points)
+    m, cols = 3 * points // 2, points // 2 + 1
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(points + dim)
+    # white noise, Nyquist planes included: real fields' half spectra on the
+    # half layout, any complex content on the full one
+    shape = (2, 3) + grid.shape
+    spec = np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward")[..., :cols]
+    if not half:
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
+
+    def to_grid(coeffs):
+        pad = _padded(coeffs, grid, half)
+        wide = np.zeros(pad.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        wide[..., :cols] = pad
+        return np.fft.irfftn(wide, s=(m,) * dim, axes=axes, norm="forward")
+
+    values = to_grid(spec)
+    prod = np.stack([values[:, i] * values[:, j] for i, j in pairs], axis=1)
+    wide = np.fft.rfftn(prod, axes=axes, norm="forward")
+    band = _flat(_mesh(points, dim, np.arange(cols)), m, m // 2 + 1)
+    expected = _zero_nyquist(_gather(wide, dim, band), dim, points)
+    assert np.array_equal(_padded_products(spec, spec, pairs, grid, half), expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
