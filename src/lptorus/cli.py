@@ -15,21 +15,27 @@ files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
-output paths), which is the only place timestamps appear.  The sweep solves
-its rows on one worker thread per usable CPU; its output does not depend on
-the worker count.
+output paths, and for solve its stage times), which is the only place
+timestamps and timings appear.  With ``--oracle`` and more than one usable
+CPU, solve runs the oracle in one worker process beside the Picard solve
+(the oracle reads only the data); on one CPU it runs it after Picard.  The
+sweep solves its rows on one worker thread per usable CPU.  Neither output
+depends on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -43,8 +49,9 @@ from .solver import (
     CONSTANT_TRIALS,
     OracleInstabilityError,
     SolverConfig,
+    exponential_euler,
     measure_operator_constants,
-    oracle_compare,
+    oracle_error,
     picard_solve,
 )
 from .spectral import Field, FieldFormatError, Grid, read_field, write_field
@@ -74,7 +81,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_sanitize(obj), indent=2, allow_nan=False) + "\n")
 
 
-def _write_manifest(path: Path, command: str, params: dict, outputs: list, seed) -> None:
+def _write_manifest(
+    path: Path, command: str, params: dict, outputs: list, seed, **extra
+) -> None:
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -83,8 +92,17 @@ def _write_manifest(path: Path, command: str, params: dict, outputs: list, seed)
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "params": params,
         "outputs": [str(p) for p in outputs],
+        **extra,
     }
     _write_json(path, manifest)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _load_field(path: str) -> Field:
@@ -253,20 +271,43 @@ def _config_echo(config: SolverConfig) -> dict:
     }
 
 
+def _timed_oracle(u0: Field, theta0: Field, config: SolverConfig):
+    """The oracle's end state and its run time on this process's clock."""
+    start = time.perf_counter()
+    reference = exponential_euler(u0, theta0, config)
+    return reference, time.perf_counter() - start
+
+
 def cmd_solve(args) -> int:
     u0 = _load_field(args.u0)
     theta0 = _load_field(args.theta0)
     config = _solve_config(args, oracle_refine=args.oracle_refine)
-    u, theta, report = picard_solve(u0, theta0, config)
-    payload = {"config": _config_echo(config)}
-    payload.update(report.to_dict())
-    if args.oracle:
-        payload["oracle_error"] = oracle_compare(u0, theta0, config, solution=(u, theta))
+    with contextlib.ExitStack() as stack:
+        if args.oracle and _usable_cpus() > 1:
+            # the oracle reads only the data, so it runs beside Picard; in a
+            # process, since a thread would share the GIL with Picard.  The
+            # default start method forks on Linux: the worker inherits the
+            # imported modules instead of importing them again (~0.3 s)
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            oracle = pool.submit(_timed_oracle, u0, theta0, config).result
+        else:
+            oracle = functools.partial(_timed_oracle, u0, theta0, config)
+        start = time.perf_counter()
+        u, theta, report = picard_solve(u0, theta0, config)
+        stages = {"picard_s": time.perf_counter() - start}
+        payload = {"config": _config_echo(config)}
+        payload.update(report.to_dict())
+        if args.oracle:
+            reference, stages["oracle_s"] = oracle()  # a worker's error re-raises here
+            stages["oracle_wait_s"] = time.perf_counter() - start - stages["picard_s"]
+            payload["oracle_error"] = oracle_error((u, theta), reference)
     report_path = Path(args.report)
     _write_json(report_path, payload)
     _write_manifest(
         Path(str(report_path) + ".manifest.json"), "solve",
-        _config_echo(config), [report_path], args.seed,
+        _config_echo(config), [report_path], args.seed, stages=stages,
     )
     ok = report.converged and not report.diverged and all(
         v for k, v in report.bounds.items() if isinstance(v, bool)
@@ -307,12 +348,8 @@ def cmd_sweep(args) -> int:
         config, lambda_=constants["lambda"], eta=constants["eta"]
     )
     tasks = [(amp_u, amp_th) for amp_u in amps_u for amp_th in amps_th]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
     # map returns rows in task order, so the CSV is in (amp_u, amp_theta) order
-    with ThreadPoolExecutor(max_workers=min(len(tasks), cpus)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(tasks), _usable_cpus())) as pool:
         rows = list(pool.map(lambda t: _sweep_row(*t, grid, config), tasks))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

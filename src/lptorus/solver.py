@@ -261,12 +261,13 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
     products from one transform."""
     n = grid.dim
     pairs, _ = _flux_plan(n, b is a)
+
+    def flat(x):
+        return x.reshape(x.shape[:-n] + (-1,))
+
     prod = dealiased_half_products(a, b, pairs, grid)
-    prod = prod.reshape(prod.shape[:-n] + (-1,))
-    out = op[:, -1] * b.reshape(b.shape[:-n] + (-1,))[..., n:, :]
-    for d in range(len(pairs)):
-        out += op[:, d] * prod[..., d : d + 1, :]
-    return out.reshape(b.shape)
+    cols = np.concatenate([flat(prod), flat(b)[..., n:, :]], axis=-2)
+    return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
 
 
 def _nonlinear_sources(
@@ -496,7 +497,7 @@ def smallness_certificate(
     are measured (or taken from the config override).
     """
     cut = cutoffs or build_cutoffs()
-    grid = u0.grid
+    grid = _data_grid(u0, theta0)
     config.validate_grid(grid)
     if constants is None:
         if config.lambda_ is not None and config.eta is not None:
@@ -676,7 +677,7 @@ def residual_check(
 ) -> dict:
     """Regime-norm distance of (u, theta) from one more Duhamel application."""
     cut = cutoffs or build_cutoffs()
-    grid = u0.grid
+    grid = _data_grid(u0, theta0)
     a = np.asarray(config.buoyancy, dtype=float)
     j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.half, theta0.half, grid, a)
     ru = velocity_norm(
@@ -752,11 +753,18 @@ def oracle_compare(
     config: SolverConfig,
     solution: tuple[FieldTrajectory, FieldTrajectory],
 ) -> dict:
-    """Relative L2 distance at t = T between the Picard mild solution
-    ``solution`` = (u, theta) and the independent fine-step exponential
-    integrator."""
+    """``oracle_error`` of the Picard mild solution ``solution`` = (u, theta)
+    against the independent fine-step exponential integrator from the data."""
+    return oracle_error(solution, exponential_euler(u0, theta0, config))
+
+
+def oracle_error(
+    solution: tuple[FieldTrajectory, FieldTrajectory], reference: tuple[Field, Field]
+) -> dict:
+    """Relative L2 distance at t = T between the trajectories ``solution`` =
+    (u, theta) and the oracle's end state ``reference`` = (u, theta)."""
     u_traj, th_traj = solution
-    u_ref, th_ref = exponential_euler(u0, theta0, config)
+    u_ref, th_ref = reference
     u_end = Field.from_half(u_traj.grid, u_traj.half[-1])
     th_end = Field.from_half(th_traj.grid, th_traj.half[-1])
 

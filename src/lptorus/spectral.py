@@ -480,21 +480,25 @@ def _inside(ks, lo: int, hi: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pad_index(n: int, dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Flat N-lattice indices of the two terms of the padded Hermitian part.
+    """How the padded Hermitian part is read from the N lattice.
 
     At each p of the pruned 3N/2 half lattice that part is 0.5 (c_p [p in B-]
     + conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
-    lattice; the zero sentinel stands in outside it.  The first index reads
-    c_p.  On the full layout the second reads c_{-p}, to be conjugated; on
-    the half layout of a real field conj c_{-p} = c_p, and [-p in B-] =
-    [p in B+], B+ = [-N/2 + 1, N/2]^n, so it reads c_p again.
+    lattice.  On the full layout this returns two flat indices, of c_p and
+    of c_{-p} (to be conjugated), with the zero sentinel outside B-.  On the
+    half layout of a real field conj c_{-p} = c_p and [-p in B-] = [p in B+],
+    B+ = [-N/2 + 1, N/2]^n, so it returns one index of c_p and its weight
+    0.5 ([p in B-] + [p in B+]), which is 0, 1/2 or 1.
     """
     m, h = 3 * n // 2, n // 2
     ks = _mesh(m, dim, np.arange(h + 1))
     low, high = _inside(ks, -h, h - 1), _inside(ks, -h + 1, h)
-    other = ks if half else [-k for k in ks]
-    cols = h + 1 if half else n
-    return _flat(ks, n, cols, keep=low), _flat(other, n, cols, keep=high)
+    if half:
+        weight = (0.5 * low + 0.5 * high).astype(np.complex128)
+        weight.setflags(write=False)
+        return _flat(ks, n, h + 1), weight
+    minus = [-k for k in ks]
+    return _flat(ks, n, n, keep=low), _flat(minus, n, n, keep=high)
 
 
 @lru_cache(maxsize=None)
@@ -505,11 +509,13 @@ def _band_index(n: int, dim: int) -> np.ndarray:
 
 def _padded(coeffs: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
     """The pruned 3N/2 half spectrum of a factor given on the N lattice."""
+    if half:  # one weighted read: 0.5 (c_p + c_p) is c_p bit for bit
+        index, weight = _pad_index(grid.points, grid.dim, True)
+        return _gather(coeffs, grid.dim, index) * weight
     flat = coeffs.reshape(coeffs.shape[: -grid.dim] + (-1,))
     flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
-    ilow, ihigh = _pad_index(grid.points, grid.dim, half)
-    other = _gather(flat, 1, ihigh)
-    return 0.5 * (_gather(flat, 1, ilow) + (other if half else np.conj(other)))
+    ilow, ihigh = _pad_index(grid.points, grid.dim, False)
+    return 0.5 * (_gather(flat, 1, ilow) + np.conj(_gather(flat, 1, ihigh)))
 
 
 def _padded_products(spec_a, spec_b, pairs, grid: Grid, half: bool) -> np.ndarray:

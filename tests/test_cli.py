@@ -8,9 +8,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+import lptorus.cli
 from lptorus import Grid, read_field, single_mode, taylor_green, write_field
-from lptorus.cli import main, parse_regime
+from lptorus.cli import _config_echo, _write_json, main, parse_regime
 from lptorus.ensembles import random_field
+from lptorus.solver import SolverConfig, oracle_compare, picard_solve
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "lptorus" / "schemas"
 
@@ -99,6 +101,41 @@ def test_solve_report_validates(field_files, tmp_path):
     assert report["certificate"]["passed"] is True
     manifest = json.loads((tmp_path / "solve.json.manifest.json").read_text())
     jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+
+
+def test_solve_oracle_report_is_the_serial_report_on_any_cpu_count(
+    field_files, tmp_path, monkeypatch
+):
+    # the report of picard_solve followed by oracle_compare, in one process
+    u0, th0 = read_field(field_files["u0"]), read_field(field_files["theta0"])
+    config = SolverConfig(horizon=0.25, steps=8, oracle_refine=2)
+    u, th, report = picard_solve(u0, th0, config)
+    payload = {"config": _config_echo(config), **report.to_dict(),
+               "oracle_error": oracle_compare(u0, th0, config, solution=(u, th))}
+    _write_json(tmp_path / "serial.json", payload)
+    expected = (tmp_path / "serial.json").read_bytes()
+
+    real_oracle = lptorus.cli.exponential_euler
+    parent_calls = []
+
+    def spy(*args):  # called in this process only when the oracle is not overlapped
+        parent_calls.append(args)
+        return real_oracle(*args)
+
+    monkeypatch.setattr(lptorus.cli, "exponential_euler", spy)
+    for cpus, in_parent in (({0, 1}, 0), ({0}, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        parent_calls.clear()
+        path = tmp_path / f"solve-{len(cpus)}.json"
+        assert main(["solve", "--u0", field_files["u0"], "--theta0",
+                     field_files["theta0"], "--T", "0.25", "--M", "8", "--oracle",
+                     "--oracle-refine", "2", "--report", str(path)]) == 0
+        assert path.read_bytes() == expected
+        assert len(parent_calls) == in_parent
+        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert set(manifest["stages"]) == {"picard_s", "oracle_s", "oracle_wait_s"}
+        assert all(v >= 0 for v in manifest["stages"].values())
 
 
 def test_solve_regime_parsing():

@@ -422,6 +422,22 @@ def test_oracle_rejects_data_on_two_grids(theta_grid):
         exponential_euler(u0, single_mode(theta_grid, (1, 1), 1e-3), config)
 
 
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 8)])
+def test_certificate_rejects_data_on_two_grids(theta_grid):
+    config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0)
+    u0 = taylor_green(Grid(2, 16), 1e-3)
+    with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
+        smallness_certificate(u0, single_mode(theta_grid, (1, 1), 1e-3), config)
+
+
+@pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 8)])
+def test_residual_check_rejects_data_on_two_grids(theta_grid):
+    u0, th0 = taylor_green(Grid(2, 16), 1e-3), single_mode(theta_grid, (1, 1), 1e-3)
+    u, th = make_free_trajectories(u0.grid, u0, single_mode(u0.grid, (1, 1), 1e-3), CONFIG)
+    with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
+        residual_check(u, th, u0, th0, CONFIG)
+
+
 def test_time_grid_log_prefix_for_weighted_regime():
     cfg = SolverConfig(horizon=0.5, steps=8, regime="thm1.4", p=2.0, eps=0.5)
     times = time_grid(cfg)

@@ -27,6 +27,7 @@ from lptorus.ensembles import random_field
 from lptorus.spectral import (
     _flat,
     _gather,
+    _inside,
     _mesh,
     _padded,
     _padded_products,
@@ -390,6 +391,25 @@ def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, point
     band = _flat(_mesh(points, dim, np.arange(cols)), m, m // 2 + 1)
     expected = _zero_nyquist(_gather(wide, dim, band), dim, points)
     assert np.array_equal(_padded_products(spec, spec, pairs, grid, half), expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("points", [2, 4, 16])
+def test_half_layout_padding_is_bit_identical_to_the_two_gather_form(dim, points):
+    # the reference reads c_p twice behind a zero sentinel, once where p lies
+    # in the band [-N/2, N/2 - 1]^n and once where -p does, adds and halves
+    grid = Grid(dim, points)
+    h, cols = points // 2, points // 2 + 1
+    rng = np.random.default_rng(points + dim)
+    shape = (2, 3) + grid.shape
+    axes = tuple(range(-dim, 0))
+    half = np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward")[..., :cols]
+    ks = _mesh(3 * points // 2, dim, np.arange(cols))
+    flat = half.reshape(half.shape[:-dim] + (-1,))
+    flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
+    low = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h, h - 1)))
+    high = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h + 1, h)))
+    assert np.array_equal(_padded(half, grid, True), 0.5 * (low + high))
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
