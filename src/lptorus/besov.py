@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,12 +70,13 @@ class BesovSpec:
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N)."""
     p = _check_exponent("p", p)
-    cax = -grid.dim - 1
+    cax, axes = -grid.dim - 1, tuple(range(-grid.dim, 0))
     if values.shape[cax] == 1:
         mag = np.squeeze(np.abs(values), axis=cax)
+    elif p == INF:  # sqrt is monotone and correctly rounded: one per sample
+        return np.sqrt(np.max(np.sum(values**2, axis=cax), axis=axes))
     else:
         mag = np.sqrt(np.sum(values**2, axis=cax))
-    axes = tuple(range(-grid.dim, 0))
     if p == INF:
         return np.max(mag, axis=axes)
     return (grid.cell_volume * np.sum(mag**p, axis=axes)) ** (1.0 / p)
@@ -99,6 +101,17 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
+@lru_cache(maxsize=None)
+def _shell_weights(grid: Grid, q: int, cut: CutoffPair) -> np.ndarray:
+    """Block q's weights on the half lattice, cut after the last column
+    holding a nonzero weight (at least one column kept); read-only."""
+    w = block_weights(grid, q, cut)[..., : grid.points // 2 + 1]
+    used = np.flatnonzero(np.any(w != 0, axis=tuple(range(grid.dim - 1))))
+    w = np.ascontiguousarray(w[..., : used[-1] + 1 if used.size else 1])
+    w.setflags(write=False)
+    return w
+
+
 def _block_table(
     half: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None
 ) -> np.ndarray:
@@ -106,16 +119,20 @@ def _block_table(
 
     ``half`` is a half-spectrum stack (..., m, N, ..., N/2+1); the result is
     (shells, ...).  The block weights are even in k, so each shell is one
-    ``irfftn`` of the half times the weights' half.  Looping over shells
-    keeps the working set to one shell.
+    pruned c2r of the half times the weights' half, both cut to the columns
+    the shell occupies; a sample with a non-finite entry in a dropped column
+    reads NaN there, as 0 * nan and 0 * inf would make it.
     """
     cut = cutoffs or build_cutoffs()
     qm = shell_max(grid, cut)
     out = np.empty((qm + 2,) + half.shape[: -grid.dim - 1])
-    cols = half.shape[-1]
+    # the last column holding a non-finite entry, per sample (-1: none)
+    bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
+    last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
     for q in range(-1, qm + 1):
-        block = values_from_half(half * block_weights(grid, q, cut)[..., :cols], grid)
-        out[q + 1] = _lp_norms(block, grid, p)
+        w = _shell_weights(grid, q, cut)
+        norms = _lp_norms(values_from_half(half[..., : w.shape[-1]] * w, grid), grid, p)
+        out[q + 1] = np.where(last < w.shape[-1], norms, np.nan)
     return out
 
 
@@ -263,8 +280,8 @@ def block_time_lp(
 ) -> np.ndarray:
     """Matrix ||block_q f(t_i)||_p with shape (shells, samples).
 
-    Reads the trajectory's half stack, one ``irfftn`` per shell batched over
-    all samples; no ``Field`` is built.
+    Reads the trajectory's half stack, one pruned c2r per shell (on the
+    columns the shell occupies) batched over all samples; no ``Field``.
     """
     return _block_table(traj.half, traj.grid, p, cutoffs)
 

@@ -12,6 +12,11 @@ Operators provided here are exact Fourier multipliers:
     heat_propagate          exp(-|k|^2 t)
     helmholtz_project       delta_ij - k_i k_j / |k|^2   (identity at k = 0)
 
+One pruned c2r, ``_c2r``, serves the 3/2-rule products and the block-norm
+table: it reads a half spectrum cut to its first C last-axis columns (the
+rest zero), runs the leading-axis ``ifft``s on those C columns and lets
+``irfft`` zero-fill the rest; with all columns it is ``irfftn`` bit for bit.
+
 Quadratic nonlinearities go through one 3/2-rule body (Orszag): each factor
 is placed on the M = 3N/2 lattice as the Hermitian half spectrum of its real
 padded field, brought to the grid by a c2r transform, multiplied there, and
@@ -19,15 +24,15 @@ brought back by an r2c transform; the band of the N lattice is kept, with
 its Nyquist planes zeroed, and the retained coefficients are the exact
 convolution of the inputs.  Both transforms are pruned to the first N/2+1 of
 the M/2+1 last-axis columns, the only ones a padded factor or a kept mode
-occupies: the c2r runs its leading-axis ``ifft``s on them and ``irfft(n=M)``
-zero-fills the rest; the r2c cuts its ``rfft`` to them before the leading
-``fft``s.  Bit for bit ``irfftn``/``rfftn``.  The padded Hermitian part
-0.5 (c_p + conj c_{-p}) carries input modes in [-N/2, N/2] per axis (an
-N-lattice Nyquist mode splits between +-N/2), so pair sums lie in [-N, N]; a
-sum aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N
-lattice only on the Nyquist plane +-N/2, and that plane is zeroed.
-``dealiased_products`` takes full spectra of any complex content and returns
-full spectra; ``dealiased_half_products`` works on half spectra of real fields.
+occupies: the c2r is ``_c2r`` at m = M, and the r2c cuts its ``rfft`` to
+them before the leading ``fft``s.  Bit for bit ``irfftn``/``rfftn``.  The
+padded Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in
+[-N/2, N/2] per axis (an N-lattice Nyquist mode splits between +-N/2), so
+pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u
+[N/2, N], which meets the N lattice only on the Nyquist plane +-N/2, and that
+plane is zeroed.  ``dealiased_products`` takes full spectra of any complex
+content and returns full spectra; ``dealiased_half_products`` works on half
+spectra of real fields.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -149,10 +154,6 @@ class Grid:
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
 
-def _spatial_axes(dim: int) -> tuple[int, ...]:
-    return tuple(range(-dim, 0))
-
-
 @lru_cache(maxsize=None)
 def _wavenumbers(m: int) -> np.ndarray:
     """Signed integer wavenumber of each index of an m-point FFT axis."""
@@ -211,14 +212,18 @@ def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs[..., : n // 2 + 1] + np.conj(mirror))
 
 
-def values_from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid values of a half spectrum (..., m, N, ..., N/2+1) by ``irfftn``.
+def _c2r(half: np.ndarray, dim: int, m: int) -> np.ndarray:
+    """m^dim grid values of a half spectrum cut to C <= m/2+1 last-axis
+    columns (the rest zero); with all columns the 1-D calls of ``irfftn``."""
+    for ax in range(-dim, -1):
+        half = np.fft.ifft(half, axis=ax, norm="forward")
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
 
-    Of ``hermitian_half`` of a full spectral stack, these are the values
-    ``ifftn(stack).real``, Nyquist planes included.
-    """
-    axes = _spatial_axes(grid.dim)
-    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+
+def values_from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid values of a half spectrum (..., m, N, ..., C), C <= N/2+1, by
+    ``_c2r``; of ``hermitian_half(stack)`` they are ``ifftn(stack).real``."""
+    return _c2r(half, grid.dim, grid.points)
 
 
 def _unfold(half: np.ndarray, n: int, dim: int) -> np.ndarray:
@@ -266,7 +271,7 @@ class Field:
     @property
     def spectral(self) -> np.ndarray:
         if self._spectral is None:
-            c = np.fft.fftn(self.values, axes=_spatial_axes(self.grid.dim))
+            c = np.fft.fftn(self.values, axes=tuple(range(-self.grid.dim, 0)))
             c /= self.grid.points**self.grid.dim
             c.setflags(write=False)
             self._spectral = c
@@ -529,15 +534,8 @@ def _padded_products(spec_a, spec_b, pairs, grid: Grid, half: bool) -> np.ndarra
     """
     dim, n = grid.dim, grid.points
     m, cols = 3 * n // 2, n // 2 + 1
-
-    def to_grid(spec):
-        spec = _padded(spec, grid, half)
-        for ax in range(-dim, -1):
-            spec = np.fft.ifft(spec, axis=ax, norm="forward")
-        return np.fft.irfft(spec, n=m, axis=-1, norm="forward")
-
-    pa = to_grid(spec_a)
-    pb = pa if spec_b is spec_a else to_grid(spec_b)
+    pa = _c2r(_padded(spec_a, grid, half), dim, m)
+    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid, half), dim, m)
     lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
     prod = np.empty(lead + (len(pairs),) + pa.shape[-dim:])
     comp = (slice(None),) * dim

@@ -27,6 +27,8 @@ from lptorus import (
 )
 from lptorus.besov import (
     INF,
+    _lp_norms,
+    _shell_weights,
     block_lp_norms,
     block_time_lp,
     characterization_ratio,
@@ -37,8 +39,10 @@ from lptorus.besov import (
     mixed_norm,
     time_block_norms,
 )
-from lptorus.dyadic import block_weights
+from lptorus.cutoffs import build_cutoffs
+from lptorus.dyadic import block_weights, shell_max
 from lptorus.ensembles import random_field
+from lptorus.spectral import hermitian_half
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +238,82 @@ def test_block_table_matches_per_sample_fields(dim, vector, p, samples, seed):
     np.testing.assert_allclose(table, reference, rtol=1e-13, atol=0.0)
     single = block_lp_norms(Field.from_spectral(grid, stack[0]), p)
     np.testing.assert_allclose(single, reference[:, 0], rtol=1e-13, atol=0.0)
+
+
+def _unpruned_table(half, grid, p):
+    """One irfftn of the whole half times each shell's weights, then the
+    rectangle-rule L^p norm of the pointwise magnitude."""
+    axes = tuple(range(-grid.dim, 0))
+    rows = []
+    for q in range(-1, shell_max(grid) + 1):
+        w = block_weights(grid, q)[..., : half.shape[-1]]
+        block = np.fft.irfftn(half * w, s=grid.shape, axes=axes, norm="forward")
+        if block.shape[-grid.dim - 1] == 1:
+            mag = np.abs(np.squeeze(block, axis=-grid.dim - 1))
+        else:
+            mag = np.sqrt(np.sum(block**2, axis=-grid.dim - 1))
+        if p == INF:
+            rows.append(np.max(mag, axis=axes))
+        else:
+            rows.append((grid.cell_volume * np.sum(mag**p, axis=axes)) ** (1.0 / p))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "dim,points",
+    [(d, n) for d in (1, 2, 3) for n in (2, 4, 8, 16, 32, 64) if d * n <= 128],
+)
+def test_pruned_block_table_is_bit_identical_to_the_unpruned_one(dim, points):
+    # full-lattice complex stacks, Nyquist planes included, then a NaN or
+    # +-inf in one sample: in column 0 (kept by every shell), in a middle
+    # column (kept by some shells, dropped by others) and in the last column
+    # (above every shell once N >= 4, where a prune that ignores the dropped
+    # columns would read a finite norm); 3-D stops at N = 32 for time
+    grid = Grid(dim, points)
+    cols = points // 2 + 1
+    rng = np.random.default_rng(10 * points + dim)
+    for m in sorted({1, dim}):
+        half = hermitian_half(_full_lattice_stack(rng, 3, m, grid), dim)
+        cases = [half]
+        for col, bad in ((0, np.nan), (cols // 2, np.inf), (cols - 1, -np.inf)):
+            spoilt = half.copy()
+            spoilt[(1, m - 1) + (points // 2,) * (dim - 1) + (col,)] = bad
+            cases.append(spoilt)
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            for case in cases:
+                traj = FieldTrajectory.from_half(grid, [0.25, 0.5, 1.0], case)
+                with np.errstate(invalid="ignore"):  # 0 * inf
+                    expected = _unpruned_table(case, grid, p)
+                    table = block_time_lp(traj, p)
+                assert np.array_equal(table, expected, equal_nan=True)
+            assert not np.any(np.isfinite(expected[:, 1]))
+            assert np.all(np.isfinite(expected[:, ::2]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shell_weights_are_cut_after_their_last_nonzero_column(dim):
+    for points in [2, 4, 8, 16, 32, 64, 128][: 6 if dim == 3 else 7]:
+        grid = Grid(dim, points)
+        for q in range(-1, shell_max(grid) + 1):
+            w = _shell_weights(grid, q, build_cutoffs())
+            full = block_weights(grid, q)[..., : points // 2 + 1]
+            c = w.shape[-1]
+            assert 1 <= c <= points // 2 + 1 and np.array_equal(w, full[..., :c])
+            assert np.all(full[..., c:] == 0) and np.any(w[..., -1] != 0)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[...] = 0.0
+
+
+@pytest.mark.parametrize("components", [2, 3])
+def test_sup_norm_takes_one_sqrt_of_the_largest_square(grid32, components, rng):
+    values = rng.standard_normal((5, components) + grid32.shape)
+    values[1, 0, 3, 4] = np.nan
+    values[2, components - 1, 0, 0] = np.inf
+    values[3, 1, 7, 7], values[3, 0, 9, 9] = -np.inf, np.nan
+    values[4] *= 1e-160  # squares in the subnormal range
+    old = np.max(np.sqrt(np.sum(values**2, axis=-3)), axis=(-2, -1))
+    assert np.array_equal(_lp_norms(values, grid32, INF), old, equal_nan=True)
 
 
 def test_trajectory_from_fields_and_from_stack_agree(grid32, rng):

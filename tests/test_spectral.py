@@ -40,6 +40,7 @@ from lptorus.spectral import (
     spectral_l2_norm,
     to_physical,
     to_spectral,
+    values_from_half,
 )
 
 
@@ -410,6 +411,26 @@ def test_half_layout_padding_is_bit_identical_to_the_two_gather_form(dim, points
     low = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h, h - 1)))
     high = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h + 1, h)))
     assert np.array_equal(_padded(half, grid, True), 0.5 * (low + high))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("points", [2, 4, 8, 16])
+def test_pruned_c2r_is_bit_identical_to_irfftn_of_the_zero_filled_half(dim, points):
+    # any complex half spectrum, non-Hermitian k = 0 and Nyquist columns
+    # included; cut to its first C columns it means the zero-filled half
+    grid = Grid(dim, points)
+    cols = points // 2 + 1
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(points + dim)
+    shape = (2, 3) + grid.shape[:-1] + (cols,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+    assert np.array_equal(values_from_half(half, grid), full)
+    for c in range(1, cols + 1):
+        filled = np.zeros_like(half)
+        filled[..., :c] = half[..., :c]
+        expected = np.fft.irfftn(filled, s=grid.shape, axes=axes, norm="forward")
+        assert np.array_equal(values_from_half(half[..., :c], grid), expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
