@@ -46,8 +46,6 @@ from .spectral import (
     heat_propagate,
     helmholtz_project,
     read_field,
-    to_physical,
-    to_spectral,
     write_field,
 )
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import Field, Grid, heat_stack, hermitian_half, values_from_half
+from .spectral import Field, Grid, heat_stack, values_from_half
 
 INF = float("inf")
 
@@ -102,14 +102,12 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _shell_weights(grid: Grid, q: int, cut: CutoffPair) -> np.ndarray:
-    """Block q's weights on the half lattice, cut after the last column
-    holding a nonzero weight (at least one column kept); read-only."""
-    w = block_weights(grid, q, cut)[..., : grid.points // 2 + 1]
+def _shell_columns(grid: Grid, q: int, cut: CutoffPair) -> int:
+    """Half-lattice columns of block q up to the last one holding a nonzero
+    weight (at least one)."""
+    w = block_weights(grid, q, cut)
     used = np.flatnonzero(np.any(w != 0, axis=tuple(range(grid.dim - 1))))
-    w = np.ascontiguousarray(w[..., : used[-1] + 1 if used.size else 1])
-    w.setflags(write=False)
-    return w
+    return int(used[-1]) + 1 if used.size else 1
 
 
 def _block_table(
@@ -130,9 +128,10 @@ def _block_table(
     bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
     last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
     for q in range(-1, qm + 1):
-        w = _shell_weights(grid, q, cut)
-        norms = _lp_norms(values_from_half(half[..., : w.shape[-1]] * w, grid), grid, p)
-        out[q + 1] = np.where(last < w.shape[-1], norms, np.nan)
+        c = _shell_columns(grid, q, cut)
+        w = block_weights(grid, q, cut)[..., :c]
+        norms = _lp_norms(values_from_half(half[..., :c] * w, grid), grid, p)
+        out[q + 1] = np.where(last < c, norms, np.nan)
     return out
 
 
@@ -140,7 +139,7 @@ def block_lp_norms(
     f: Field, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
     """||block_q f||_p for q = -1..shell_max, as one vector."""
-    return _block_table(f.half, f.grid, p, cutoffs)
+    return _block_table(f.spectral, f.grid, p, cutoffs)
 
 
 def besov_norm(
@@ -170,11 +169,10 @@ class FieldTrajectory:
     """Time-sampled real field on one grid; times increase within [0, T].
 
     The data is one stack ``half`` of shape (samples, m, N, ..., N/2+1): the
-    ``rfftn`` half spectra of the samples, in the amplitude convention of
-    :class:`~lptorus.spectral.Field`.  ``FieldTrajectory(times, fields)``
-    and :meth:`from_stack` (full spectra) take ``hermitian_half`` once;
-    :meth:`from_half` keeps a half stack as it is.  ``fields`` builds the
-    per-sample ``Field`` objects on first use only.
+    ``spectral`` half spectra of the samples (:class:`~lptorus.spectral.Field`).
+    ``FieldTrajectory(times, fields)`` stacks them; :meth:`from_half` wraps
+    a stack as it is.  ``fields`` builds the per-sample ``Field`` objects on
+    first use only.
 
     The initial sample t = 0 is allowed (the Duhamel quadrature needs it);
     norms that weight by negative powers of t reject trajectories containing
@@ -190,18 +188,7 @@ class FieldTrajectory:
         grid = self._fields[0].grid
         if any(f.grid != grid for f in self._fields):
             raise ValueError("all fields must share one grid")
-        stack = np.stack([f.spectral for f in self._fields])
-        self._init(grid, times, hermitian_half(stack, grid.dim), T)
-
-    @classmethod
-    def from_stack(
-        cls, grid: Grid, times, stack: np.ndarray, T: float = 0.0
-    ) -> "FieldTrajectory":
-        """Trajectory whose sample i is the real field of the spectrum stack[i]."""
-        stack = np.asarray(stack, dtype=np.complex128)
-        if stack.shape[-grid.dim :] != grid.shape:
-            raise ValueError(f"stack shape {stack.shape} does not match grid")
-        return cls.from_half(grid, times, hermitian_half(stack, grid.dim), T)
+        self._init(grid, times, np.stack([f.spectral for f in self._fields]), T)
 
     @classmethod
     def from_half(
@@ -219,8 +206,7 @@ class FieldTrajectory:
         half.setflags(write=False)
         if times.ndim != 1 or times.size == 0 or half.shape[:1] != times.shape:
             raise ValueError("need one field per time and at least one sample")
-        cols = grid.points // 2 + 1
-        if half.ndim != grid.dim + 2 or half.shape[2:] != grid.shape[:-1] + (cols,):
+        if half.ndim != grid.dim + 2 or half.shape[2:] != grid.half_shape:
             raise ValueError(f"half-spectrum shape {half.shape} does not match grid")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
@@ -234,18 +220,12 @@ class FieldTrajectory:
     @property
     def fields(self) -> tuple[Field, ...]:
         if self._fields is None:
-            self._fields = tuple(Field.from_half(self.grid, h) for h in self.half)
+            self._fields = tuple(Field.from_spectral(self.grid, h) for h in self.half)
         return self._fields
 
     @property
     def components(self) -> int:
         return self.half.shape[1]
-
-    def field_at(self, t: float) -> Field:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, self.T):
-            raise ValueError(f"t = {t} is not a sample time")
-        return self.fields[idx]
 
     def restrict_positive(self) -> "FieldTrajectory":
         if self.times[0] > 0:
@@ -259,7 +239,8 @@ class FieldTrajectory:
 
 def heat_trajectory(f: Field, times) -> FieldTrajectory:
     """Free heat evolution of ``f`` sampled at ``times``."""
-    return FieldTrajectory.from_half(f.grid, times, heat_stack(f.half, f.grid, times))
+    half = heat_stack(f.spectral, f.grid, times)
+    return FieldTrajectory.from_half(f.grid, times, half)
 
 
 def _trapezoid(values: np.ndarray, xs: np.ndarray) -> float:
@@ -396,7 +377,7 @@ def heat_characterization_norm(
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(times > 1):
         raise ValueError("time grid must lie inside (0, 1]")
-    stack = heat_stack(f.half, f.grid, times)
+    stack = heat_stack(f.spectral, f.grid, times)
     norms = _lp_norms(values_from_half(stack, f.grid), f.grid, p)
     values = times ** (abs(s) / 2.0) * log_weight(times, sigma) * norms
     if r == INF:
@@ -437,7 +418,7 @@ def _multi_indices(dim: int, order: int):
 
 def _derivative(f: Field, alpha: tuple[int, ...]) -> Field:
     grid = f.grid
-    mult = np.ones(grid.shape, dtype=complex)
+    mult = np.ones(grid.half_shape, dtype=complex)
     for axis, power in enumerate(alpha):
         if power:
             mult = mult * (1j * grid.k_mesh_deriv[axis]) ** power

@@ -341,6 +341,8 @@ def _sweep_row(amp_u, amp_th, grid, config):
 def cmd_sweep(args) -> int:
     amps_u = [float(x) for x in args.amps_u.split(",")]
     amps_th = [float(x) for x in args.amps_theta.split(",")]
+    if not all(0.0 <= a < INF for a in amps_u + amps_th):
+        raise ValueError("amplitudes must be finite and non-negative")
     grid = Grid(2, args.N)
     config = _solve_config(args)
     constants = measure_operator_constants(grid, config)

@@ -57,48 +57,41 @@ def shell_bounds(q: int, cutoffs: CutoffPair | None = None) -> tuple[float, floa
 
 
 @lru_cache(maxsize=None)
-def _block_weights(grid: Grid, q: int, cutoffs: CutoffPair) -> np.ndarray:
-    if q <= -2:
-        w = np.zeros(grid.shape)
-    elif q == -1:
-        w = cutoffs.chi(grid.k_abs)
-    else:
-        w = cutoffs.phi(grid.k_abs / 2.0**q)
-    w = np.asarray(w)
+def _lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair) -> np.ndarray:
+    w = np.zeros(grid.k_abs.shape) if q <= -1 else cutoffs.chi(grid.k_abs / 2.0**q)
     w.setflags(write=False)
     return w
 
 
 @lru_cache(maxsize=None)
-def _lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair) -> np.ndarray:
-    w = cutoffs.chi(grid.k_abs / 2.0**q)
-    w = np.asarray(w)
+def _block_weights(grid: Grid, q: int, cutoffs: CutoffPair) -> np.ndarray:
+    # phi(x) = chi(x/2) - chi(x), and halving 2^-q |k| is exact: bit for bit
+    # phi(2^-q |k|) for q >= 0, chi(|k|) for q = -1 and zero below
+    w = _lowpass_weights(grid, q + 1, cutoffs) - _lowpass_weights(grid, q, cutoffs)
     w.setflags(write=False)
     return w
 
 
 def block_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
+    """Multiplier of block q on the half lattice (N, ..., N/2+1); cached and
+    read-only."""
     return _block_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
 def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
-    """Multiplier of the partial sum below 2^q (zero for q <= -1)."""
-    if q <= -1:
-        return np.zeros(grid.shape)
+    """Multiplier of the partial sum below 2^q (zero for q <= -1) on the half
+    lattice; cached and read-only."""
     return _lowpass_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:
     """Frequency block of ``f`` around |k| ~ 2^q (zero field for q <= -2)."""
-    if q <= -2:
-        return Field.zeros(f.grid, f.components)
     return Field.from_spectral(f.grid, f.spectral * block_weights(f.grid, q, cutoffs))
 
 
 def partial_sum(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:
-    """Sum of blocks strictly below q, i.e. the low-pass chi(2^-q D) f."""
-    if q <= -1:
-        return Field.zeros(f.grid, f.components)
+    """Sum of blocks strictly below q, i.e. the low-pass chi(2^-q D) f (zero
+    for q <= -1)."""
     return Field.from_spectral(
         f.grid, f.spectral * lowpass_weights(f.grid, q, cutoffs)
     )
@@ -135,7 +128,7 @@ def decompose(f: Field, cutoffs: CutoffPair | None = None) -> DyadicDecompositio
 
 
 def _max_outside(spec: np.ndarray, grid: Grid, lo: float, hi: float) -> float:
-    """Largest |coefficient| outside the annulus lo <= |k| <= hi."""
+    """Largest |coefficient| of a half spectrum outside lo <= |k| <= hi."""
     outside = (grid.k_abs < lo - 1e-12) | (grid.k_abs > hi + 1e-12)
     if not np.any(outside):
         return 0.0
@@ -183,9 +176,8 @@ def support_report(
 
     para = 0.0
     for q in range(1, qm + 1):
-        low = Field.from_spectral(grid, f.spectral * lowpass_weights(grid, q - 1, cut))
-        high = dyadic_block(g, q, cut)
-        prod = dealias_multiply(low.spectral, high.spectral, grid)
+        low = f.spectral * lowpass_weights(grid, q - 1, cut)
+        prod = dealias_multiply(low, g.spectral * block_weights(grid, q, cut), grid)
         lo = 2.0**q / gamma - gamma * 2.0 ** (q - 1)
         hi = 2.0 * gamma * 2.0**q + gamma * 2.0 ** (q - 1)
         para = max(para, _max_outside(prod, grid, lo, hi))
@@ -198,12 +190,12 @@ def support_report(
 
     rem = 0.0
     for q in range(-1, qm + 1):
-        bq = dyadic_block(f, q, cut)
+        bq = f.spectral * block_weights(grid, q, cut)
         for l in (-1, 0, 1):
             if q + l < -1 or q + l > qm:
                 continue
-            bl = dyadic_block(g, q + l, cut)
-            prod = dealias_multiply(bq.spectral, bl.spectral, grid)
+            bl = g.spectral * block_weights(grid, q + l, cut)
+            prod = dealias_multiply(bq, bl, grid)
             hi = shell_bounds(q, cut)[1] + shell_bounds(q + l, cut)[1]
             rem = max(rem, _max_outside(prod, grid, 0.0, hi))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import reconstruction_cap
-from .spectral import Field, Grid, embed_spectrum, hermitian_symmetrize
+from .spectral import Field, Grid, embed_spectrum, hermitian_half
 
 
 def random_spectrum(
@@ -27,18 +27,21 @@ def random_spectrum(
     band: float | None = None,
     slope: float | None = None,
 ) -> np.ndarray:
-    """Spectral coefficients of one random field on the reference lattice."""
+    """Half spectrum of one random field on the reference lattice: the
+    Hermitian part of complex Gaussian coefficients drawn on the full one."""
     n = ref_grid.dim
     if slope is None:
         slope = n / 2.0 + 1.0
     if band is None:
         band = reconstruction_cap(ref_grid)
-    kabs = ref_grid.k_abs
+    # |k| on the full lattice of the draw, as Grid.k_abs forms it on the half
+    k = np.stack(np.meshgrid(*([ref_grid.k_axis] * n), indexing="ij"))
+    kabs = np.sqrt(np.sum(k**2, axis=0))
     amp = np.where(kabs > 0, kabs, np.inf) ** (-slope)
     amp[kabs > band] = 0.0
     shape = (components,) + ref_grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return hermitian_symmetrize(amp * raw, n)
+    return hermitian_half(amp * raw, n)
 
 
 def random_field(
@@ -53,11 +56,15 @@ def random_field(
 
     When ``ref_grid`` is given the coefficients are drawn on that (coarser)
     lattice and embedded, so with a shared generator state the same field is
-    reproduced across resolutions.
+    reproduced across resolutions.  The band must then stay below the
+    reference Nyquist frequency, whose modes have no single image on the
+    finer lattice.
     """
     ref = ref_grid or grid
     coeffs = random_spectrum(ref, rng, components, band, slope)
     if ref.points != grid.points:
+        if not (reconstruction_cap(ref) if band is None else band) < ref.nyquist:
+            raise ValueError("the band must stay below the ref_grid Nyquist")
         coeffs = embed_spectrum(coeffs, grid.dim, ref.points, grid.points)
     field = Field.from_spectral(grid, coeffs)
     peak = float(np.max(field.magnitude()))

@@ -48,7 +48,7 @@ from .besov import (
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, lowpass_weights, shell_max
 from .ensembles import random_field
-from .spectral import Field, Grid, dealias_multiply, dealiased_half_products
+from .spectral import Field, Grid, dealias_multiply, dealiased_products
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def _time_ratio(
     # one sample at a time: the whole padded stack costs memory and no time;
     # the trajectories are scalar, so each sample is the one product (0, 0)
     halves = zip(u.half, v.half)
-    prod = np.stack([dealiased_half_products(a, b, [(0, 0)], u.grid) for a, b in halves])
+    prod = np.stack([dealiased_products(a, b, [(0, 0)], u.grid) for a, b in halves])
     prod = FieldTrajectory.from_half(u.grid, u.times, prod, u.T)
     u_mixed = chemin_lerner_mixed_norm(u, spec.rho1, spec.p1, cut)
     if spec.estimate == "2.6":

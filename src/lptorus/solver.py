@@ -63,7 +63,7 @@ from .ensembles import random_field
 from .spectral import (
     Field,
     Grid,
-    dealiased_half_products,
+    dealiased_products,
     heat_stack,
     project_divergence_free,
     values_from_half,
@@ -103,6 +103,8 @@ class SolverConfig:
             raise ValueError("horizon must be positive")
         if self.steps < 1 or self.oracle_refine < 1:
             raise ValueError("steps and oracle_refine must be >= 1")
+        if not 0.0 < self.tol < INF:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         a = np.asarray(self.buoyancy, dtype=float)
@@ -160,14 +162,13 @@ def _panel_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:
     """int_0^{t_j} e^{(t_j - s) Lap} source(s) ds on every sample time.
 
-    ``source`` is a full or a half spectral stack (len(times), m, N, ...);
-    the heat multiplier is sliced to its last axis, as in ``heat_stack``.
+    ``source`` is a half spectral stack (len(times), m, N, ..., N/2+1).
     The source is taken piecewise linear between samples and the per-panel
     multiplier integrals are evaluated in closed form.
     """
     out = np.zeros_like(source)
     acc = np.zeros_like(source[0])
-    ksq = grid.k_sq[..., : source.shape[-1]]
+    ksq = grid.k_sq
     weights = {}  # keyed on the exact panel width; uniform grids have few
     for j in range(1, len(times)):
         dt = times[j] - times[j - 1]
@@ -238,9 +239,9 @@ def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray
     It folds -i k_j, the Leray projector P and a into one multiplier, shape
     (n + 1, D + 1, N^(n-1) (N/2+1)) on the flat half lattice.
     """
-    n, cols = grid.dim, grid.points // 2 + 1
-    k = grid.k_mesh_deriv[..., :cols].reshape(n, -1)
-    inv = grid.inv_k_sq_deriv[..., :cols].ravel()
+    n = grid.dim
+    k = grid.k_mesh_deriv.reshape(n, -1)
+    inv = grid.inv_k_sq_deriv.ravel()
     lift = np.zeros((n + 1, n + 1, k.shape[1]))  # P on u, the identity on theta
     lift[:n, :n] = np.eye(n)[..., None] - k[:, None] * k * inv
     lift[n, n] = 1.0
@@ -265,7 +266,7 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
     def flat(x):
         return x.reshape(x.shape[:-n] + (-1,))
 
-    prod = dealiased_half_products(a, b, pairs, grid)
+    prod = dealiased_products(a, b, pairs, grid)
     cols = np.concatenate([flat(prod), flat(b)[..., n:, :]], axis=-2)
     return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
 
@@ -328,7 +329,7 @@ def boussinesq_rhs(
             "u0 is not divergence-free; apply the Helmholtz projection first"
         )
     a = np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.half, theta0.half, grid, a)
+    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.spectral, theta0.spectral, grid, a)
     return (
         FieldTrajectory.from_half(grid, u.times, j1),
         FieldTrajectory.from_half(grid, u.times, j2),
@@ -408,9 +409,9 @@ def measure_operator_constants(
     flux_op = _source_operator(grid, (0.0,) * n, False)
     b1 = b2 = lin = 0.0
     for _ in range(CONSTANT_TRIALS):
-        x1 = project_divergence_free(random_field(grid, rng, components=n).half, grid)
-        x2 = project_divergence_free(random_field(grid, rng, components=n).half, grid)
-        y = random_field(grid, rng).half
+        x1 = project_divergence_free(random_field(grid, rng, components=n).spectral, grid)
+        x2 = project_divergence_free(random_field(grid, rng, components=n).spectral, grid)
+        y = random_field(grid, rng).spectral
         x1_t = heat_stack(x1, grid, times)
         x2_t = heat_stack(x2, grid, times)
         y_t = heat_stack(y, grid, times)
@@ -587,7 +588,7 @@ def picard_solve(
         return FieldTrajectory.from_half(grid, times, half)
 
     # iteration 0 is the free evolution, whose norms the certificate holds
-    u0_hat, th0_hat = u0.half, theta0.half
+    u0_hat, th0_hat = u0.spectral, theta0.spectral
     u_hat = heat_stack(u0_hat, grid, times)
     th_hat = heat_stack(th0_hat, grid, times)
     u_norm, th_norm = cert.free_velocity_norm, cert.free_scalar_norm
@@ -679,7 +680,7 @@ def residual_check(
     cut = cutoffs or build_cutoffs()
     grid = _data_grid(u0, theta0)
     a = np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.half, theta0.half, grid, a)
+    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.spectral, theta0.spectral, grid, a)
     ru = velocity_norm(
         FieldTrajectory.from_half(grid, u.times, u.half - j1), config, cut
     )
@@ -723,8 +724,9 @@ def exponential_euler(
     n = grid.dim
     nsteps = config.steps * refine
     dt = config.horizon / nsteps
-    state = np.concatenate([project_divergence_free(u0.half, grid), theta0.half])
-    x = grid.k_sq[..., : state.shape[-1]] * dt
+    u_hat = project_divergence_free(u0.spectral, grid)
+    state = np.concatenate([u_hat, theta0.spectral])
+    x = grid.k_sq * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
     op = dt * g1.ravel() * _source_operator(grid, tuple(config.buoyancy), True)
@@ -765,8 +767,8 @@ def oracle_error(
     (u, theta) and the oracle's end state ``reference`` = (u, theta)."""
     u_traj, th_traj = solution
     u_ref, th_ref = reference
-    u_end = Field.from_half(u_traj.grid, u_traj.half[-1])
-    th_end = Field.from_half(th_traj.grid, th_traj.half[-1])
+    u_end = Field.from_spectral(u_traj.grid, u_traj.half[-1])
+    th_end = Field.from_spectral(th_traj.grid, th_traj.half[-1])
 
     def rel(a: Field, b: Field) -> float:
         diff = lp_norm(a - b, 2.0)

@@ -1,10 +1,14 @@
 """Real fields on the periodic torus and their spectral calculus.
 
 Fields live on a uniform N^n grid over [0, L)^n and are stored in physical
-space with a lazily cached Fourier representation.  Transforms use the
-amplitude convention: the coefficient stored for wavevector k is the complex
-amplitude of exp(i k.x), so a constant field c carries c in its k = 0 slot and
-Parseval reads ||f||_2^2 = L^n * sum_k |c_k|^2.
+space with a lazily cached Fourier representation.  That representation,
+and every spectrum in this package, is the ``rfftn`` half spectrum
+(..., N, ..., N/2+1) of a real field, the r2c layout of Frigo and Johnson
+(FFTW3): the last axis keeps the wavenumbers 0..N/2, and c_{-k} = conj c_k
+stands for the modes it drops.  Transforms use the amplitude convention:
+the coefficient stored for wavevector k is the complex amplitude of
+exp(i k.x), so a constant field c carries c in its k = 0 slot and Parseval
+reads ||f||_2^2 = L^n * sum over the full lattice of |c_k|^2.
 
 Operators provided here are exact Fourier multipliers:
 
@@ -12,27 +16,27 @@ Operators provided here are exact Fourier multipliers:
     heat_propagate          exp(-|k|^2 t)
     helmholtz_project       delta_ij - k_i k_j / |k|^2   (identity at k = 0)
 
-One pruned c2r, ``_c2r``, serves the 3/2-rule products and the block-norm
-table: it reads a half spectrum cut to its first C last-axis columns (the
-rest zero), runs the leading-axis ``ifft``s on those C columns and lets
-``irfft`` zero-fill the rest; with all columns it is ``irfftn`` bit for bit.
+Their symbols, even or odd in k, are held on the half lattice as well.
 
-Quadratic nonlinearities go through one 3/2-rule body (Orszag): each factor
-is placed on the M = 3N/2 lattice as the Hermitian half spectrum of its real
-padded field, brought to the grid by a c2r transform, multiplied there, and
-brought back by an r2c transform; the band of the N lattice is kept, with
-its Nyquist planes zeroed, and the retained coefficients are the exact
-convolution of the inputs.  Both transforms are pruned to the first N/2+1 of
-the M/2+1 last-axis columns, the only ones a padded factor or a kept mode
-occupies: the c2r is ``_c2r`` at m = M, and the r2c cuts its ``rfft`` to
-them before the leading ``fft``s.  Bit for bit ``irfftn``/``rfftn``.  The
-padded Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in
-[-N/2, N/2] per axis (an N-lattice Nyquist mode splits between +-N/2), so
-pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u
-[N/2, N], which meets the N lattice only on the Nyquist plane +-N/2, and that
-plane is zeroed.  ``dealiased_products`` takes full spectra of any complex
-content and returns full spectra; ``dealiased_half_products`` works on half
-spectra of real fields.
+One r2c, ``_r2c``, and one c2r, ``_c2r``, make every transform.  ``_c2r``
+reads a half spectrum cut to its first C last-axis columns (the rest zero),
+runs the leading-axis ``ifft``s on those C columns and lets ``irfft``
+zero-fill the rest; ``_r2c`` runs ``rfft`` on the last axis, cuts it to C
+columns and runs the leading-axis ``fft``s.  With all columns they are
+``irfftn`` and ``rfftn`` bit for bit.
+
+Quadratic nonlinearities go through one 3/2-rule body (Orszag),
+``dealiased_products``: each factor is placed on the M = 3N/2 lattice as
+the half spectrum of its real padded field, brought to the grid by a c2r
+transform, multiplied there, and brought back by an r2c transform; the band
+of the N lattice is kept, with its Nyquist planes zeroed, and the retained
+coefficients are the exact convolution of the inputs.  Both transforms are
+pruned to the first N/2+1 of the M/2+1 last-axis columns, the only ones a
+padded factor or a kept mode occupies.  The padded Hermitian part 0.5 (c_p +
+conj c_{-p}) carries input modes in [-N/2, N/2] per axis (an N-lattice
+Nyquist mode splits between +-N/2), so pair sums lie in [-N, N]; a sum
+aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N lattice
+only on the Nyquist plane +-N/2, and that plane is zeroed.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -68,6 +72,8 @@ class Grid:
 
     ``points`` is the sample count per axis and must be a power of two; the
     angular frequency lattice is (2*pi/period) * Z^dim capped at Nyquist.
+    The wavevector meshes and multipliers live on the half lattice
+    ``half_shape`` of the spectra they multiply.
     """
 
     dim: int
@@ -100,6 +106,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return (self.points,) * self.dim
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Spatial shape of a half spectrum, (N, ..., N, N/2+1)."""
+        return self.shape[:-1] + (self.points // 2 + 1,)
+
     @cached_property
     def k_axis(self) -> np.ndarray:
         k = TWO_PI * np.fft.fftfreq(self.points, d=self.spacing)
@@ -114,23 +125,20 @@ class Grid:
         k.setflags(write=False)
         return k
 
-    @cached_property
-    def k_mesh(self) -> np.ndarray:
-        mesh = np.stack(np.meshgrid(*([self.k_axis] * self.dim), indexing="ij"))
+    def _half_mesh(self, axis: np.ndarray) -> np.ndarray:
+        """Wavevectors from a 1-D ``axis`` on the half lattice, (dim, *half_shape)."""
+        axes = [axis] * (self.dim - 1) + [axis[: self.points // 2 + 1]]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"))
         mesh.setflags(write=False)
         return mesh
 
     @cached_property
     def k_mesh_deriv(self) -> np.ndarray:
-        mesh = np.stack(
-            np.meshgrid(*([self.k_axis_deriv] * self.dim), indexing="ij")
-        )
-        mesh.setflags(write=False)
-        return mesh
+        return self._half_mesh(self.k_axis_deriv)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        ksq = np.sum(self.k_mesh**2, axis=0)
+        ksq = np.sum(self._half_mesh(self.k_axis) ** 2, axis=0)
         ksq.setflags(write=False)
         return ksq
 
@@ -168,12 +176,10 @@ def _mesh(m: int, dim: int, last) -> list[np.ndarray]:
     return np.meshgrid(*([_wavenumbers(m)] * (dim - 1) + [last]), indexing="ij")
 
 
-def _flat(ks, m: int, cols: int, keep=True) -> np.ndarray:
-    """Flat index of wavevectors ``ks`` (mod m) in the lattice (m, ..., m,
-    cols), or that lattice's size (a zero sentinel) where not ``keep``."""
+def _flat(ks, m: int, cols: int) -> np.ndarray:
+    """Flat index of wavevectors ``ks`` (mod m) in the lattice (m, ..., m, cols)."""
     shape = (m,) * (len(ks) - 1) + (cols,)
-    idx = np.ravel_multi_index([np.where(keep, k % m, 0) for k in ks], shape)
-    idx = np.where(keep, idx, int(np.prod(shape)))
+    idx = np.ravel_multi_index([k % m for k in ks], shape)
     idx.setflags(write=False)
     return idx
 
@@ -193,19 +199,13 @@ def _mirror_index(n: int, dim: int) -> np.ndarray:
     return _flat([-k for k in _mesh(n, dim, np.arange(n // 2 + 1))], n, n)
 
 
-@lru_cache(maxsize=None)
-def _unfold_index(n: int, dim: int) -> np.ndarray:
-    """Half-lattice flat index of -k for each k with N/2 < k_last mod N."""
-    ks = _mesh(n, dim, np.arange(n // 2 + 1, n) - n)
-    return _flat([-k for k in ks], n, n // 2 + 1)
-
-
 def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian part 0.5 (c_k + conj c_{-k}) of a full spectrum (..., N, ...,
     N), on the rfftn half lattice (..., N, ..., N/2+1).
 
-    It is the half spectrum of the real field ``ifftn(coeffs).real``, Nyquist
-    content included, so ``irfftn`` of it gives that field.
+    It is the half spectrum of the real part of the field whose full spectrum
+    is ``coeffs``, Nyquist content included, so ``irfftn`` of it gives that
+    real part.
     """
     n = coeffs.shape[-1]
     mirror = _gather(coeffs, dim, _mirror_index(n, dim))
@@ -220,31 +220,27 @@ def _c2r(half: np.ndarray, dim: int, m: int) -> np.ndarray:
     return np.fft.irfft(half, n=m, axis=-1, norm="forward")
 
 
+def _r2c(values: np.ndarray, dim: int, cols: int) -> np.ndarray:
+    """Half spectrum of real grid values cut to its first ``cols`` last-axis
+    columns; with all columns the 1-D calls of ``rfftn``."""
+    spec = np.fft.rfft(values, axis=-1, norm="forward")[..., :cols]
+    for ax in range(-2, -dim - 1, -1):
+        spec = np.fft.fft(spec, axis=ax, norm="forward")
+    return spec
+
+
 def values_from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid values of a half spectrum (..., m, N, ..., C), C <= N/2+1, by
-    ``_c2r``; of ``hermitian_half(stack)`` they are ``ifftn(stack).real``."""
+    ``_c2r``; of ``hermitian_half(stack)`` they are the real part of the
+    field of the full spectra ``stack``."""
     return _c2r(half, grid.dim, grid.points)
-
-
-def _unfold(half: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """Full spectrum of a real field from its half spectrum: c_{-k} = conj c_k."""
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    full[..., n // 2 + 1 :] = np.conj(_gather(half, dim, _unfold_index(n, dim)))
-    return full
-
-
-def hermitian_symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Project spectral coefficients onto the Hermitian (real-field) part."""
-    return _unfold(hermitian_half(coeffs, dim), coeffs.shape[-1], dim)
 
 
 class Field:
     """Immutable real m-component field on a :class:`Grid`.
 
-    ``values`` has shape (m, N, ..., N).  The spectral representation (same
-    shape, complex, Hermitian-symmetric) is computed on first use and cached;
-    ``half`` is its ``rfftn`` half, the layout of every trajectory.
+    ``values`` has shape (m, N, ..., N).  ``spectral`` is its ``rfftn`` half
+    spectrum (m, N, ..., N/2+1), computed on first use and cached.
     """
 
     __slots__ = ("grid", "values", "_spectral")
@@ -271,34 +267,23 @@ class Field:
     @property
     def spectral(self) -> np.ndarray:
         if self._spectral is None:
-            c = np.fft.fftn(self.values, axes=tuple(range(-self.grid.dim, 0)))
-            c /= self.grid.points**self.grid.dim
+            c = _r2c(self.values, self.grid.dim, self.grid.points // 2 + 1)
             c.setflags(write=False)
             self._spectral = c
         return self._spectral
 
-    @property
-    def half(self) -> np.ndarray:
-        """``hermitian_half`` of ``spectral``, shape (m, N, ..., N/2+1)."""
-        return hermitian_half(self.spectral, self.grid.dim)
-
     @classmethod
     def from_spectral(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
-        """The field ``ifftn(coeffs).real`` of a full spectrum (m, N, ..., N)."""
+        """The field of a half spectrum (m, N, ..., N/2+1) of a real field,
+        ``irfftn`` of it; ``coeffs`` is kept as its ``spectral``."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.shape:
+        if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.half_shape:
             raise ValueError(f"spectral shape {coeffs.shape} does not match grid")
-        return cls.from_half(grid, hermitian_half(coeffs, grid.dim))
-
-    @classmethod
-    def from_half(cls, grid: Grid, half: np.ndarray) -> "Field":
-        """The field of a half spectrum (m, N, ..., N/2+1) of a real field."""
-        out = cls(grid, values_from_half(half, grid))
-        spectral = _unfold(half, grid.points, grid.dim)
-        spectral.setflags(write=False)
-        out._spectral = spectral
+        out = cls(grid, values_from_half(coeffs, grid))
+        out._spectral = coeffs.view()
+        out._spectral.setflags(write=False)
         return out
 
     @classmethod
@@ -349,28 +334,6 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# transforms
-
-
-def to_spectral(field: Field) -> np.ndarray:
-    """Amplitude-convention spectral coefficients of ``field``."""
-    return field.spectral
-
-
-def to_physical(grid: Grid, coeffs: np.ndarray) -> Field:
-    """Field with the given spectral coefficients (Hermitian part is taken)."""
-    return Field.from_spectral(grid, coeffs)
-
-
-def spectral_l2_norm(field: Field) -> float:
-    """l2 norm of the spectrum scaled to match the grid L2 norm (Parseval)."""
-    c = field.spectral
-    return float(
-        np.sqrt(field.grid.period**field.grid.dim * np.sum(np.abs(c) ** 2))
-    )
-
-
-# ---------------------------------------------------------------------------
 # differential operators and propagators
 
 
@@ -409,16 +372,11 @@ def helmholtz_project(field: Field) -> Field:
 
 
 def project_divergence_free(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply the Leray projector to a spectral stack (..., dim, N, ..., N).
-
-    A half spectrum (..., dim, N, ..., N/2+1) is projected the same way: the
-    projector's symbol is even in k, so its factors are sliced to match.
-    """
-    cols = coeffs.shape[-1]
-    k = grid.k_mesh_deriv[..., :cols]
-    ax = -grid.dim - 1
+    """Apply the Leray projector to a half spectral stack (..., dim, N, ...,
+    N/2+1); the projector's symbol is even in k."""
+    k, ax = grid.k_mesh_deriv, -grid.dim - 1
     kdotu = np.sum(k * coeffs, axis=ax)
-    return coeffs - np.expand_dims(kdotu * grid.inv_k_sq_deriv[..., :cols], ax) * k
+    return coeffs - np.expand_dims(kdotu * grid.inv_k_sq_deriv, ax) * k
 
 
 def heat_propagate(field: Field, t: float) -> Field:
@@ -427,18 +385,14 @@ def heat_propagate(field: Field, t: float) -> Field:
         raise ValueError(f"heat propagation requires t >= 0, got {t}")
     if t == 0:
         return field
-    return Field.from_spectral(
-        field.grid, field.spectral * np.exp(-field.grid.k_sq * t)
-    )
+    grid = field.grid
+    return Field.from_spectral(grid, heat_stack(field.spectral, grid, [t])[0])
 
 
 def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
-    """exp(-|k|^2 t) * coeffs for each t; output shape (len(times), *coeffs).
-
-    On a half spectrum the multiplier, even in k, is sliced to the last axis.
-    """
+    """exp(-|k|^2 t) * coeffs for each t; output shape (len(times), *coeffs)."""
     times = np.asarray(times, dtype=float)
-    ksq = grid.k_sq[..., : coeffs.shape[-1]]
+    ksq = grid.k_sq
     expo = np.exp(-ksq * times.reshape(times.shape + (1,) * grid.dim))
     shape = times.shape + (1,) * (coeffs.ndim - grid.dim) + ksq.shape
     return expo.reshape(shape) * coeffs
@@ -448,35 +402,26 @@ def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
 # dealiased products
 
 
-@lru_cache(maxsize=None)
-def _embed_indices(n_src: int, n_dst: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Open-mesh index of the n_src modes inside the n_dst lattice."""
+def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.ndarray:
+    """Copy a half spectrum onto a finer half lattice (same integer
+    wavevectors).  The source's Nyquist planes must be empty: a coarse
+    Nyquist mode stands for two modes of the finer lattice."""
     if n_dst < n_src:
         raise ValueError("target lattice must be at least as fine")
-    return np.ix_(*([_wavenumbers(n_src) % n_dst] * dim))
-
-
-def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.ndarray:
-    """Copy spectral modes onto a finer lattice (same integer wavevectors)."""
-    out = np.zeros(coeffs.shape[:-dim] + (n_dst,) * dim, dtype=np.complex128)
-    out[(Ellipsis,) + _embed_indices(n_src, n_dst, dim)] = coeffs
+    shape = coeffs.shape[:-dim] + (n_dst,) * (dim - 1) + (n_dst // 2 + 1,)
+    out = np.zeros(shape, dtype=np.complex128)
+    lead = [_wavenumbers(n_src) % n_dst] * (dim - 1)
+    out[(Ellipsis,) + np.ix_(*(lead + [np.arange(n_src // 2 + 1)]))] = coeffs
     return out
 
 
 def _zero_nyquist(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
-    """Zero the Nyquist plane (index N/2) of every spatial axis of a full or
-    half N-lattice spectrum in place."""
+    """Zero the Nyquist plane (index N/2) of every spatial axis of a half
+    N-lattice spectrum in place."""
     nyq = n // 2
     for after in range(dim):
         coeffs[(Ellipsis, nyq) + (slice(None),) * after] = 0.0
     return coeffs
-
-
-def restrict_spectrum(coeffs: np.ndarray, dim: int, n_dst: int) -> np.ndarray:
-    """Keep modes representable on the coarser lattice; Nyquist plane zeroed."""
-    n_src = coeffs.shape[-1]
-    out = coeffs[(Ellipsis,) + _embed_indices(n_dst, n_src, dim)]
-    return _zero_nyquist(np.ascontiguousarray(out), dim, n_dst)
 
 
 def _inside(ks, lo: int, hi: int) -> np.ndarray:
@@ -484,26 +429,21 @@ def _inside(ks, lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pad_index(n: int, dim: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """How the padded Hermitian part is read from the N lattice.
+def _pad_index(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """How the padded Hermitian part is read from the N half lattice.
 
     At each p of the pruned 3N/2 half lattice that part is 0.5 (c_p [p in B-]
     + conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
-    lattice.  On the full layout this returns two flat indices, of c_p and
-    of c_{-p} (to be conjugated), with the zero sentinel outside B-.  On the
-    half layout of a real field conj c_{-p} = c_p and [-p in B-] = [p in B+],
-    B+ = [-N/2 + 1, N/2]^n, so it returns one index of c_p and its weight
-    0.5 ([p in B-] + [p in B+]), which is 0, 1/2 or 1.
+    lattice.  For a real field conj c_{-p} = c_p and [-p in B-] = [p in B+],
+    B+ = [-N/2 + 1, N/2]^n, so this returns one flat index of c_p and its
+    weight 0.5 ([p in B-] + [p in B+]), which is 0, 1/2 or 1.
     """
     m, h = 3 * n // 2, n // 2
     ks = _mesh(m, dim, np.arange(h + 1))
     low, high = _inside(ks, -h, h - 1), _inside(ks, -h + 1, h)
-    if half:
-        weight = (0.5 * low + 0.5 * high).astype(np.complex128)
-        weight.setflags(write=False)
-        return _flat(ks, n, h + 1), weight
-    minus = [-k for k in ks]
-    return _flat(ks, n, n, keep=low), _flat(minus, n, n, keep=high)
+    weight = (0.5 * low + 0.5 * high).astype(np.complex128)
+    weight.setflags(write=False)
+    return _flat(ks, n, h + 1), weight
 
 
 @lru_cache(maxsize=None)
@@ -512,82 +452,49 @@ def _band_index(n: int, dim: int) -> np.ndarray:
     return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), 3 * n // 2, n // 2 + 1)
 
 
-def _padded(coeffs: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
-    """The pruned 3N/2 half spectrum of a factor given on the N lattice."""
-    if half:  # one weighted read: 0.5 (c_p + c_p) is c_p bit for bit
-        index, weight = _pad_index(grid.points, grid.dim, True)
-        return _gather(coeffs, grid.dim, index) * weight
-    flat = coeffs.reshape(coeffs.shape[: -grid.dim] + (-1,))
-    flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
-    ilow, ihigh = _pad_index(grid.points, grid.dim, False)
-    return 0.5 * (_gather(flat, 1, ilow) + np.conj(_gather(flat, 1, ihigh)))
+def _padded(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The pruned 3N/2 half spectrum of a factor given on the N half lattice:
+    one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
+    index, weight = _pad_index(grid.points, grid.dim)
+    return _gather(coeffs, grid.dim, index) * weight
 
 
-def _padded_products(spec_a, spec_b, pairs, grid: Grid, half: bool) -> np.ndarray:
-    """Half spectra of the products a_i * b_j, (i, j) in ``pairs``.
+def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
+    """Exact half spectra of the pointwise products a_i * b_j, (i, j) in ``pairs``.
 
-    The one transform body of the 3/2 rule: pad both factors onto the
+    ``spec_a`` and ``spec_b`` are half spectra (..., m, N, ..., N/2+1) of
+    real fields whose leading axes broadcast; i and j index their component
+    axes.  The one transform body of the 3/2 rule: pad both factors onto the
     pruned 3N/2 half lattice, transform them onto the padded grid
     (``spec_b is spec_a`` pads and transforms once), multiply the requested
-    pairs there, transform them back and keep the band of the N lattice
-    with its Nyquist planes zeroed.
+    pairs there, transform them back and keep the band of the N lattice with
+    its Nyquist planes zeroed.  Returns (..., len(pairs), N, ..., N/2+1);
+    within that band each product is the exact linear convolution of its
+    factors.
     """
     dim, n = grid.dim, grid.points
     m, cols = 3 * n // 2, n // 2 + 1
-    pa = _c2r(_padded(spec_a, grid, half), dim, m)
-    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid, half), dim, m)
+    pa = _c2r(_padded(spec_a, grid), dim, m)
+    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid), dim, m)
     lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
     prod = np.empty(lead + (len(pairs),) + pa.shape[-dim:])
     comp = (slice(None),) * dim
     for p, (i, j) in enumerate(pairs):  # one at a time: no gathered copies
         np.multiply(pa[(..., i) + comp], pb[(..., j) + comp], out=prod[(..., p) + comp])
-    spec = np.fft.rfft(prod, axis=-1, norm="forward")[..., :cols]
-    for ax in range(-2, -dim - 1, -1):
-        spec = np.fft.fft(spec, axis=ax, norm="forward")
+    spec = _r2c(prod, dim, cols)
     return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
-
-
-def dealiased_products(
-    spec_a: np.ndarray, spec_b: np.ndarray, pairs, grid: Grid
-) -> np.ndarray:
-    """Exact spectra of the pointwise products a_i * b_j for (i, j) in ``pairs``.
-
-    ``spec_a`` and ``spec_b`` are full spectral stacks (..., m, N, ..., N)
-    whose leading axes broadcast; i and j index their component axes.  Each
-    factor means the real part of its zero padding, ``ifftn(...).real`` on
-    the 3N/2 grid, for any complex content, Nyquist planes included: the
-    Hermitian part 0.5 (c_p + conj c_{-p}) of that padding is gathered
-    straight onto the 3N/2 half lattice, the products go through
-    ``_padded_products``, and their full spectra are rebuilt by conjugate
-    symmetry.  Returns (..., len(pairs), N, ..., N); within the retained
-    band each product is the exact linear convolution of its factors.
-    """
-    half = _padded_products(spec_a, spec_b, pairs, grid, half=False)
-    return _unfold(half, grid.points, grid.dim)
-
-
-def dealiased_half_products(
-    half_a: np.ndarray, half_b: np.ndarray, pairs, grid: Grid
-) -> np.ndarray:
-    """``dealiased_products`` for real fields held as half spectra.
-
-    Inputs and result have the ``rfftn`` layout (..., m, N, ..., N/2+1),
-    and the inputs must be half spectra of real fields; the padding reads
-    them through the half-layout ``_pad_index`` into the same
-    ``_padded_products`` body.
-    """
-    return _padded_products(half_a, half_b, pairs, grid, half=True)
 
 
 def dealias_multiply(
     spec_a: np.ndarray, spec_b: np.ndarray, grid: Grid
 ) -> np.ndarray:
-    """Exact (3/2-rule dealiased) product of two spectral stacks.
+    """Exact (3/2-rule dealiased) product of two half spectral stacks.
 
     The inputs may carry arbitrary leading axes, which broadcast against each
     other, and a one-component factor broadcasts over a multi-component one.
-    Returns the spectrum of the pointwise product restricted to the original
-    lattice, the exact linear convolution of the inputs within that band.
+    Returns the half spectrum of the pointwise product restricted to the
+    original lattice, the exact linear convolution of the inputs within that
+    band.
     """
     ax = -grid.dim - 1
     ma, mb = spec_a.shape[ax], spec_b.shape[ax]

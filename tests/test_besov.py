@@ -28,7 +28,7 @@ from lptorus import (
 from lptorus.besov import (
     INF,
     _lp_norms,
-    _shell_weights,
+    _shell_columns,
     block_lp_norms,
     block_time_lp,
     characterization_ratio,
@@ -223,20 +223,20 @@ def _full_lattice_stack(rng, samples, components, grid):
 def test_block_table_matches_per_sample_fields(dim, vector, p, samples, seed):
     grid = Grid(dim, 16 if dim == 2 else 8)
     rng = np.random.default_rng(seed)
-    stack = _full_lattice_stack(rng, samples, dim if vector else 1, grid)
-    traj = FieldTrajectory.from_stack(grid, np.linspace(0.1, 1.0, samples), stack)
+    half = hermitian_half(_full_lattice_stack(rng, samples, dim if vector else 1, grid), dim)
+    traj = FieldTrajectory.from_half(grid, np.linspace(0.1, 1.0, samples), half)
     table = block_time_lp(traj, p)
     reference = np.array(
         [
             [
-                lp_norm(Field.from_spectral(grid, stack[i] * block_weights(grid, q)), p)
+                lp_norm(Field.from_spectral(grid, half[i] * block_weights(grid, q)), p)
                 for i in range(samples)
             ]
             for q in range(-1, table.shape[0] - 1)
         ]
     )
     np.testing.assert_allclose(table, reference, rtol=1e-13, atol=0.0)
-    single = block_lp_norms(Field.from_spectral(grid, stack[0]), p)
+    single = block_lp_norms(Field.from_spectral(grid, half[0]), p)
     np.testing.assert_allclose(single, reference[:, 0], rtol=1e-13, atol=0.0)
 
 
@@ -246,7 +246,7 @@ def _unpruned_table(half, grid, p):
     axes = tuple(range(-grid.dim, 0))
     rows = []
     for q in range(-1, shell_max(grid) + 1):
-        w = block_weights(grid, q)[..., : half.shape[-1]]
+        w = block_weights(grid, q)
         block = np.fft.irfftn(half * w, s=grid.shape, axes=axes, norm="forward")
         if block.shape[-grid.dim - 1] == 1:
             mag = np.abs(np.squeeze(block, axis=-grid.dim - 1))
@@ -292,14 +292,16 @@ def test_pruned_block_table_is_bit_identical_to_the_unpruned_one(dim, points):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_shell_weights_are_cut_after_their_last_nonzero_column(dim):
+    # the weights live on the half lattice; the table's cut keeps the
+    # columns up to the last one holding a nonzero weight
     for points in [2, 4, 8, 16, 32, 64, 128][: 6 if dim == 3 else 7]:
         grid = Grid(dim, points)
         for q in range(-1, shell_max(grid) + 1):
-            w = _shell_weights(grid, q, build_cutoffs())
-            full = block_weights(grid, q)[..., : points // 2 + 1]
-            c = w.shape[-1]
-            assert 1 <= c <= points // 2 + 1 and np.array_equal(w, full[..., :c])
-            assert np.all(full[..., c:] == 0) and np.any(w[..., -1] != 0)
+            w = block_weights(grid, q)
+            c = _shell_columns(grid, q, build_cutoffs())
+            assert w.shape == grid.shape[:-1] + (points // 2 + 1,)
+            assert 1 <= c <= points // 2 + 1
+            assert np.all(w[..., c:] == 0) and np.any(w[..., c - 1] != 0)
             assert not w.flags.writeable
             with pytest.raises(ValueError):
                 w[...] = 0.0
@@ -316,46 +318,39 @@ def test_sup_norm_takes_one_sqrt_of_the_largest_square(grid32, components, rng):
     assert np.array_equal(_lp_norms(values, grid32, INF), old, equal_nan=True)
 
 
-def test_trajectory_from_fields_and_from_stack_agree(grid32, rng):
+def test_trajectory_from_fields_and_from_half_agree(grid32, rng):
     times = np.geomspace(0.1, 1.0, 5)
     fields = [
         Field.from_spectral(grid32, c)
-        for c in _full_lattice_stack(rng, times.size, 2, grid32)
+        for c in hermitian_half(_full_lattice_stack(rng, times.size, 2, grid32), 2)
     ]
     by_fields = FieldTrajectory(times, fields)
-    by_stack = FieldTrajectory.from_stack(
+    by_half = FieldTrajectory.from_half(
         grid32, times, np.stack([f.spectral for f in fields])
     )
     for p in (1.0, 2.0, INF):
-        assert np.array_equal(block_time_lp(by_fields, p), block_time_lp(by_stack, p))
+        assert np.array_equal(block_time_lp(by_fields, p), block_time_lp(by_half, p))
         spec = BesovSpec(-1.0, p, 2.0, 1.0)
         assert chemin_lerner_norm(by_fields, 2.0, spec) == chemin_lerner_norm(
-            by_stack, 2.0, spec
+            by_half, 2.0, spec
         )
         assert kato_weighted_norm(by_fields, 1.0, p) == kato_weighted_norm(
-            by_stack, 1.0, p
+            by_half, 1.0, p
         )
-    assert by_stack.components == by_fields.components == 2
-    for a, b in zip(by_fields.fields, by_stack.fields):
+    assert by_half.components == by_fields.components == 2
+    for a, b in zip(by_fields.fields, by_half.fields):
         assert np.array_equal(a.values, b.values)
-
-
-def test_trajectory_from_stack_validation(grid32):
-    times = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        FieldTrajectory.from_stack(grid32, times, np.zeros((2, 1, 32, 32)))
-    with pytest.raises(ValueError):
-        FieldTrajectory.from_stack(grid32, times, np.zeros((3, 1, 16, 16)))
-    with pytest.raises(ValueError):
-        FieldTrajectory.from_stack(grid32, times[::-1], np.zeros((3, 1, 32, 32)))
 
 
 def test_trajectory_from_half_validation(grid32):
     times = np.linspace(0.0, 1.0, 3)
     FieldTrajectory.from_half(grid32, times, np.zeros((3, 1, 32, 17)))
-    for wrong in ((2, 1, 32, 17), (3, 1, 32, 32), (3, 1, 17, 32), (3, 32, 17)):
+    for wrong in ((2, 1, 32, 17), (3, 1, 32, 32), (3, 1, 17, 32), (3, 32, 17),
+                  (3, 1, 16, 9)):
         with pytest.raises(ValueError):
             FieldTrajectory.from_half(grid32, times, np.zeros(wrong))
+    with pytest.raises(ValueError):
+        FieldTrajectory.from_half(grid32, times[::-1], np.zeros((3, 1, 32, 17)))
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0])
@@ -433,7 +428,7 @@ def test_kato_gaussian_bump_sup_at_smallest_time(grid32):
     # t^{1/2} |ln(t/e^2)| * t^{-1} decreases, so over times where the grid
     # resolves the heat kernel (sqrt(t) above the spacing) the sup sits at
     # the smallest sampled t
-    coeffs = np.ones((1, 32, 32), dtype=complex) / 32**2
+    coeffs = np.ones((1, 32, 17), dtype=complex) / 32**2
     bump = Field.from_spectral(grid32, coeffs)
     times = np.geomspace(0.05, 1.0, 60)
     traj = heat_trajectory(bump, times)

@@ -287,6 +287,32 @@ def test_solve_velocity_file_with_wrong_component_count_exits_2(
     assert not report.exists()
 
 
+# the domain-guard table: each cell is an out-of-domain input that must end
+# in exit 2 with one ``error:`` line, and no report
+DOMAIN_GUARD_CELLS = {
+    "lp-grid-without-shell": ["verify", "lp", "--n", "2", "--N", "2"],
+    "besov-grid-without-shell": ["verify", "besov", "--n", "4", "--N", "4"],
+    "bernstein-no-shell-fits": ["verify", "bernstein", "--n", "2", "--N", "4"],
+    "solve-tol-nan": ["solve", "--u0", "{u0}", "--theta0", "{theta0}", "--tol", "nan"],
+    "sweep-amplitude-nan": ["sweep", "--amps-u", "0.001,nan", "--amps-theta", "0.001"],
+    "sweep-tol-inf": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
+                      "--tol", "inf", "--N", "16", "--M", "4"],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(DOMAIN_GUARD_CELLS))
+def test_out_of_domain_input_exits_2_with_one_error_line(
+    cell, field_files, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    argv = [arg.format(**field_files) for arg in DOMAIN_GUARD_CELLS[cell]]
+    argv += ["--out" if argv[0] == "sweep" else "--report", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("error:")]) == 1
+    assert not out.exists()
+
+
 def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     outputs = []
     for cpus in ({0}, {0, 1, 2, 3}):

@@ -30,16 +30,11 @@ from lptorus.spectral import (
     _inside,
     _mesh,
     _padded,
-    _padded_products,
     _zero_nyquist,
     dealias_multiply,
-    dealiased_half_products,
     dealiased_products,
     heat_stack,
     hermitian_half,
-    spectral_l2_norm,
-    to_physical,
-    to_spectral,
     values_from_half,
 )
 
@@ -51,14 +46,14 @@ def test_round_trip(dim, points, rng):
         points = 16
     grid = Grid(dim, points)
     f = random_field(grid, rng)
-    back = to_physical(grid, to_spectral(f))
+    back = Field.from_spectral(grid, f.spectral)
     assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
 
 def test_round_trip_n64(rng):
     grid = Grid(2, 64)
     f = random_field(grid, rng)
-    back = to_physical(grid, to_spectral(f))
+    back = Field.from_spectral(grid, f.spectral)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
@@ -71,29 +66,77 @@ def test_constant_field_is_pure_dc(grid32):
 
 
 def test_single_cosine_two_conjugate_coefficients(grid32):
-    f = single_mode(grid32, (3, 5))
-    c = f.spectral[0]
-    assert abs(c[3, 5] - 0.5) < 1e-13
-    assert abs(c[-3, -5] - 0.5) < 1e-13
-    c = c.copy()
-    c[3, 5] = c[-3, -5] = 0.0
-    assert np.max(np.abs(c)) < 1e-13
+    # the half lattice holds both conjugates of a mode with k_2 = 0, and one
+    # of any other: c_(-3,-5) = conj c_(3,5) is implied
+    assert Field(grid32, np.zeros((1, 32, 32))).spectral.shape == (1, 32, 17)
+    for k, slots in (((3, 0), [(3, 0), (-3, 0)]), ((3, 5), [(3, 5)])):
+        c = single_mode(grid32, k).spectral[0].copy()
+        for slot in slots:
+            assert abs(c[slot] - 0.5) < 1e-13
+            c[slot] = 0.0
+        assert np.max(np.abs(c)) < 1e-13
 
 
 def test_hermitian_symmetry(grid32, rng):
+    # k and -k share a half-lattice column only when k_2 is 0 or Nyquist
     f = random_field(grid32, rng)
-    c = f.spectral[0]
-    flipped = np.roll(np.flip(c, axis=0), 1, axis=0)
-    flipped = np.roll(np.flip(flipped, axis=1), 1, axis=1)
-    assert np.max(np.abs(c - np.conj(flipped))) < 1e-14
+    for col in (0, 16):
+        c = f.spectral[0][:, col]
+        flipped = np.roll(np.flip(c), 1)
+        assert np.max(np.abs(c - np.conj(flipped))) < 1e-14
 
 
 @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
 def test_parseval(dim, points, rng):
+    # interior half-lattice columns stand for k and -k, so they count twice
     grid = Grid(dim, points)
     f = random_field(grid, rng)
     grid_norm = lp_norm(f, 2.0)
-    assert abs(grid_norm - spectral_l2_norm(f)) < 1e-12 * grid_norm
+    twice = np.full(points // 2 + 1, 2.0)
+    twice[[0, -1]] = 1.0
+    power = np.sum(twice * np.abs(f.spectral) ** 2)
+    assert abs(grid_norm - np.sqrt(grid.period**dim * power)) < 1e-12 * grid_norm
+
+
+@pytest.mark.parametrize(
+    "dim,points,ref_points,components",
+    [(1, 64, 16, 1), (2, 32, 32, 2), (2, 64, 16, 1), (3, 16, 8, 3), (3, 16, 16, 1)],
+)
+def test_random_field_values_are_the_draw_of_the_full_spectrum_pipeline(
+    dim, points, ref_points, components
+):
+    # numpy only: draw the full complex spectrum, take its Hermitian part,
+    # embed it on the full finer lattice, take that lattice's Hermitian part
+    # and irfftn it; the half-lattice pipeline must give the same bits
+    grid, ref = Grid(dim, points), Grid(dim, ref_points)
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(points + ref_points + dim)
+    state = rng.bit_generator.state
+
+    def hermitian(c):
+        return 0.5 * (c + np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes)))
+
+    kabs = np.sqrt(sum(k**2 for k in np.meshgrid(*([ref.k_axis] * dim), indexing="ij")))
+    amp = np.where(kabs > 0, kabs, np.inf) ** (-(dim / 2.0 + 1.0))
+    amp[kabs > lptorus.reconstruction_cap(ref)] = 0.0
+    shape = (components,) + ref.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ints = np.rint(np.fft.fftfreq(ref_points) * ref_points).astype(int)
+    full = np.zeros((components,) + grid.shape, dtype=complex)
+    full[(Ellipsis,) + np.ix_(*([ints % points] * dim))] = hermitian(amp * raw)
+    half = hermitian(full)[..., : points // 2 + 1]
+    values = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+    values = values * float(1.0 / np.max(np.sqrt(np.sum(values**2, axis=0))))
+    rng.bit_generator.state = state
+    got = random_field(grid, rng, components=components, ref_grid=ref).values
+    assert np.array_equal(got, values)
+
+
+def test_random_field_embedding_needs_empty_reference_nyquist_planes(rng):
+    with pytest.raises(ValueError):
+        random_field(Grid(2, 16), rng, band=1.0, ref_grid=Grid(2, 2))
+    with pytest.raises(ValueError):
+        random_field(Grid(2, 32), rng, band=8.0, ref_grid=Grid(2, 16))
 
 
 def test_grid_validation():
@@ -108,6 +151,8 @@ def test_grid_validation():
 def test_field_shape_validation(grid32):
     with pytest.raises(ValueError):
         Field(grid32, np.zeros((1, 16, 16)))
+    with pytest.raises(ValueError):  # a full-lattice spectrum
+        Field.from_spectral(grid32, np.zeros((1, 32, 32)))
 
 
 # -- differential operators -------------------------------------------------
@@ -226,12 +271,16 @@ def test_heat_sup_contracts_on_smooth_fields(grid32, rng):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_heat_stack_on_a_half_spectrum_is_the_half_of_the_full_result(dim, rng):
+    # the full result: exp(-|k|^2 t) formed by hand on the full lattice
     grid = Grid(dim, 8)
     shape = (2,) + grid.shape
     full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     times = np.array([0.0, 0.1, 0.35])
     half = heat_stack(full[..., : grid.points // 2 + 1], grid, times)
-    assert np.array_equal(half, heat_stack(full, grid, times)[..., : grid.points // 2 + 1])
+    ksq = sum(k**2 for k in np.meshgrid(*([grid.k_axis] * dim), indexing="ij"))
+    expo = np.exp(-ksq * times.reshape((-1,) + (1,) * dim))
+    expected = expo.reshape((3, 1) + grid.shape) * full
+    assert np.array_equal(half, expected[..., : grid.points // 2 + 1])
 
 
 # -- dealiased products -------------------------------------------------------
@@ -291,23 +340,28 @@ def padded_product_2n(spec_a, spec_b, grid):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dealias_multiply_matches_2n_padding(dim, components, leading, seed):
+    # real fields, every mode populated (Nyquist planes included); the
+    # reference runs on their full spectra
     grid = Grid(dim, 8 if dim == 3 else 16)
     rng = np.random.default_rng(seed)
+    axes = tuple(range(-dim, 0))
 
-    def full_lattice(lead, m):  # every mode, Nyquist planes included
-        shape = lead + (m,) + grid.shape
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def full_lattice(lead, m):
+        values = rng.standard_normal(lead + (m,) + grid.shape)
+        return np.fft.fftn(values, axes=axes, norm="forward")
 
     a = full_lattice(leading[0], components[0])
     b = full_lattice(leading[1], components[1])
-    got = dealias_multiply(a, b, grid)
+    cols = grid.points // 2 + 1
+    got = dealias_multiply(a[..., :cols], b[..., :cols], grid)
     expected = padded_product_2n(a, b, grid)
-    assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert got.shape == expected.shape[:-1] + (cols,)
+    assert np.max(np.abs(got - expected[..., :cols])) <= 1e-13 * np.max(np.abs(expected))
 
 
 def real_spectrum_with_nyquist_rows(grid, rng, components):
-    """A random_field's spectrum plus a real field's content on every Nyquist plane."""
+    """A random_field's full spectrum plus a real field's content on every
+    Nyquist plane."""
     axes = tuple(range(-grid.dim, 0))
     noise = np.fft.fftn(
         rng.standard_normal((components,) + grid.shape), axes=axes, norm="forward"
@@ -316,7 +370,8 @@ def real_spectrum_with_nyquist_rows(grid, rng, components):
     on_nyquist = np.logical_or.reduce([k == grid.points // 2 for k in ks])
     if grid.points > 2:  # a 2-point random_field is the zero field
         noise[..., ~on_nyquist] = 0.0
-        noise += random_field(grid, rng, components=components).spectral
+        values = random_field(grid, rng, components=components).values
+        noise += np.fft.fftn(values, axes=axes, norm="forward")
     return noise
 
 
@@ -327,10 +382,10 @@ def real_spectrum_with_nyquist_rows(grid, rng, components):
     same=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_half_spectrum_products_match_the_full_layout(shape, components, same, seed):
-    # the oracle's half-spectrum entry against the full-layout kernel on real
-    # fields; N >= 16 needs exact 3N/2 wavenumbers, at N = 2, N/2 + 1 = N,
-    # and in 1-D the first spatial axis is the halved one
+def test_dealiased_products_match_2n_padding_on_real_fields(shape, components, same, seed):
+    # the pairs of one batch, one factor or two, against the 2N-padding
+    # reference on full spectra; N >= 16 needs exact 3N/2 wavenumbers, at
+    # N = 2, N/2 + 1 = N, and in 1-D the first spatial axis is the halved one
     grid = Grid(*shape)
     rng = np.random.default_rng(seed)
     a = real_spectrum_with_nyquist_rows(grid, rng, components[0])
@@ -339,16 +394,7 @@ def test_half_spectrum_products_match_the_full_layout(shape, components, same, s
     cols = grid.points // 2 + 1
     half_a = a[..., :cols]
     half_b = half_a if same else b[..., :cols]
-    full = dealiased_products(a, b, pairs, grid)
-    half = dealiased_half_products(half_a, half_b, pairs, grid)
-    assert half.shape == full.shape[:-1] + (cols,)
-    scale = max(np.max(np.abs(full)), 1e-300)
-    assert np.max(np.abs(half - full[..., :cols])) <= 1e-13 * scale
-    # the full layout's other columns are the conjugate mirror of the half
-    axes = tuple(range(-grid.dim, 0))
-    values = np.fft.irfftn(half, s=grid.shape, axes=axes)
-    assert np.max(np.abs(np.fft.ifftn(full, axes=axes) - values)) <= 1e-13 * scale
-    # and both are the products of the 2N-padding reference
+    half = dealiased_products(half_a, half_b, pairs, grid)
     cax = -grid.dim - 1
     expected = np.concatenate(
         [
@@ -357,41 +403,51 @@ def test_half_spectrum_products_match_the_full_layout(shape, components, same, s
         ],
         axis=cax,
     )
-    assert np.max(np.abs(full - expected)) <= 1e-13 * scale
+    assert half.shape == expected.shape[:-1] + (cols,)
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(half - expected[..., :cols])) <= 1e-13 * scale
+    # and the half spectra are those of the real products
+    axes = tuple(range(-grid.dim, 0))
+    values = np.fft.irfftn(half, s=grid.shape, axes=axes)
+    assert np.max(np.abs(np.fft.ifftn(expected, axes=axes) - values)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("points", [2, 4, 16])
-@pytest.mark.parametrize("half", [True, False])
-def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, points, half):
+@pytest.mark.parametrize("same", [True, False])
+def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, points, same):
     # the body's transforms run over the N/2+1 columns a factor or the band
     # touches; the reference zero-extends the padding to all 3N/4+1 columns,
     # runs irfftn and rfftn, and gathers the band from the full 3N/2 half
-    # lattice (nothing to prune at N = 2, no leading-axis pass in 1-D)
+    # lattice (nothing to prune at N = 2, no leading-axis pass in 1-D).  One
+    # factor (``spec_b is spec_a``) or two, half spectra of white noise with
+    # the Nyquist planes included
     grid = Grid(dim, points)
     m, cols = 3 * points // 2, points // 2 + 1
     axes = tuple(range(-dim, 0))
     rng = np.random.default_rng(points + dim)
-    # white noise, Nyquist planes included: real fields' half spectra on the
-    # half layout, any complex content on the full one
     shape = (2, 3) + grid.shape
-    spec = np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward")[..., :cols]
-    if not half:
-        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def white_noise():
+        spec = np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward")
+        return spec[..., :cols]
+
+    spec_a = white_noise()
+    spec_b = spec_a if same else white_noise()
     pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
 
     def to_grid(coeffs):
-        pad = _padded(coeffs, grid, half)
+        pad = _padded(coeffs, grid)
         wide = np.zeros(pad.shape[:-1] + (m // 2 + 1,), dtype=complex)
         wide[..., :cols] = pad
         return np.fft.irfftn(wide, s=(m,) * dim, axes=axes, norm="forward")
 
-    values = to_grid(spec)
-    prod = np.stack([values[:, i] * values[:, j] for i, j in pairs], axis=1)
+    va, vb = to_grid(spec_a), to_grid(spec_b)
+    prod = np.stack([va[:, i] * vb[:, j] for i, j in pairs], axis=1)
     wide = np.fft.rfftn(prod, axes=axes, norm="forward")
     band = _flat(_mesh(points, dim, np.arange(cols)), m, m // 2 + 1)
     expected = _zero_nyquist(_gather(wide, dim, band), dim, points)
-    assert np.array_equal(_padded_products(spec, spec, pairs, grid, half), expected)
+    assert np.array_equal(dealiased_products(spec_a, spec_b, pairs, grid), expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -408,9 +464,11 @@ def test_half_layout_padding_is_bit_identical_to_the_two_gather_form(dim, points
     ks = _mesh(3 * points // 2, dim, np.arange(cols))
     flat = half.reshape(half.shape[:-dim] + (-1,))
     flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
-    low = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h, h - 1)))
-    high = _gather(flat, 1, _flat(ks, points, cols, keep=_inside(ks, -h + 1, h)))
-    assert np.array_equal(_padded(half, grid, True), 0.5 * (low + high))
+    index = _flat(ks, points, cols)
+    sentinel = flat.shape[-1] - 1
+    low = _gather(flat, 1, np.where(_inside(ks, -h, h - 1), index, sentinel))
+    high = _gather(flat, 1, np.where(_inside(ks, -h + 1, h), index, sentinel))
+    assert np.array_equal(_padded(half, grid), 0.5 * (low + high))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -519,3 +577,8 @@ def test_only_the_spectral_module_calls_numpy_fft():
         if path.name != "spectral.py" and re.search(r"\b(np|numpy)\.fft\b", path.read_text())
     ]
     assert callers == []
+    # and spectral.py itself runs real-to-complex transforms and 1-D passes
+    # only: no fftn/ifftn of a whole lattice
+    source = (package / "spectral.py").read_text()
+    called = set(re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", source))
+    assert called <= {"rfftn", "rfft", "irfft", "fft", "ifft", "fftfreq"}
