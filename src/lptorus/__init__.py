@@ -7,6 +7,7 @@ from .besov import (
     INF,
     BesovSpec,
     FieldTrajectory,
+    MixedSpec,
     besov_norm,
     block_lp_norms,
     chemin_lerner_norm,

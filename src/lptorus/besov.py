@@ -10,11 +10,12 @@ takes the L^rho(0, T; L^p) norm of each block *before* summing over shells;
 the plain Lebesgue-in-time variant integrates the full Besov norm instead,
 and the two are ordered by Minkowski's inequality according to r vs rho.
 
-Weighted heat norms t^{1/2} |ln(t/e^2)|^sigma ||.||_p realize the Kato-style
-smallness quantities, and ``heat_characterization_norm`` evaluates the
-L^r((0,1), dt/t) trace of t^{|s|/2} |ln(t/e^2)|^sigma ||e^{tD}f||_p, which is
-equivalent (within a fixed constant) to the Besov norm of index (s, sigma)
-for s < 0.
+The weighted Kato norm sup_t t^{1/2} |ln(t/e^2)|^sigma ||.||_p is the
+smallness quantity of the log-modified regime, and of the free heat
+evolution e^{tD}f over (0, 1] (``heat_characterization_norm``) it is
+equivalent, within a fixed constant, to the norm of f in B^{-1,sigma}_{p,inf}.
+``MixedSpec`` is the intersection B^s_{p,1} ^ B^{s,1}_{p,inf}; every norm
+taking a ``BesovSpec`` takes one too.
 
 Lebesgue exponents live in [1, inf]; pass ``float("inf")`` (or ``math.inf``)
 for the sup variants.  All quadratures are trapezoidal on the trajectory's
@@ -43,6 +44,11 @@ def _check_exponent(name: str, value: float) -> float:
     return value
 
 
+def _check_regularity(s: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+
+
 @dataclass(frozen=True)
 class BesovSpec:
     """Norm parameters (s, p, r, alpha); alpha is the log-weight exponent."""
@@ -53,10 +59,11 @@ class BesovSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
+        _check_regularity(self.s)
         _check_exponent("p", self.p)
         _check_exponent("r", self.r)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < INF:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def weights(self, qs: np.ndarray) -> np.ndarray:
         return 2.0 ** (qs * self.s) * (3.0 + qs) ** self.alpha
@@ -65,6 +72,25 @@ class BesovSpec:
         """The norm from block norms q = -1, 0, ... (``block_lp_norms`` of a field)."""
         qs = np.arange(-1, per_block.shape[0] - 1)
         return sequence_norm(self.weights(qs) * per_block, self.r)
+
+
+@dataclass(frozen=True)
+class MixedSpec:
+    """The intersection B^s_{p,1} ^ B^{s,1}_{p,inf}, normed by the sum."""
+
+    s: float
+    p: float
+
+    def __post_init__(self):
+        _check_regularity(self.s)
+        _check_exponent("p", self.p)
+
+    def reduce(self, per_block: np.ndarray) -> float:
+        """The norm from block norms q = -1, 0, ...; bit for bit the sum of
+        the two member norms."""
+        qs = np.arange(-1, per_block.shape[0] - 1)
+        lift = 2.0 ** (qs * self.s)
+        return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
 
 
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
@@ -143,22 +169,10 @@ def block_lp_norms(
 
 
 def besov_norm(
-    f: Field, spec: BesovSpec, cutoffs: CutoffPair | None = None
+    f: Field, spec: BesovSpec | MixedSpec, cutoffs: CutoffPair | None = None
 ) -> float:
     """Besov norm of a band-limited field (shells -1..shell_max)."""
     return spec.reduce(block_lp_norms(f, spec.p, cutoffs))
-
-
-def mixed_norm(per_block: np.ndarray, s: float = 0.0) -> float:
-    """||.||_{B^s_{p,1}} + ||.||_{B^{s,1}_{p,inf}} from block norms q = -1, ...
-
-    Pass ``block_lp_norms`` of a field, or ``time_block_norms`` of a
-    trajectory for the L~rho_T intersection norm.  Bit for bit the sum of
-    the two member norms.
-    """
-    qs = np.arange(-1, per_block.shape[0] - 1)
-    lift = 2.0 ** (qs * s)
-    return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +287,7 @@ def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.nd
 
 
 def chemin_lerner_reduce(
-    matrix: np.ndarray, times: np.ndarray, rho: float, spec: BesovSpec
+    matrix: np.ndarray, times: np.ndarray, rho: float, spec: BesovSpec | MixedSpec
 ) -> float:
     """``chemin_lerner_norm`` from its ``block_time_lp`` matrix at p = spec.p."""
     return spec.reduce(time_block_norms(matrix, times, rho))
@@ -290,24 +304,13 @@ def lebesgue_besov_reduce(
 def chemin_lerner_norm(
     traj: FieldTrajectory,
     rho: float,
-    spec: BesovSpec,
+    spec: BesovSpec | MixedSpec,
     cutoffs: CutoffPair | None = None,
 ) -> float:
-    """Time-inside-shells norm: l^r over q of ||block_q||_{L^rho_T L^p}."""
+    """Time-inside-shells norm: the spec's reduction of ||block_q||_{L^rho_T L^p}."""
     return chemin_lerner_reduce(
         block_time_lp(traj, spec.p, cutoffs), traj.times, rho, spec
     )
-
-
-def chemin_lerner_mixed_norm(
-    traj: FieldTrajectory,
-    rho: float,
-    p: float,
-    cutoffs: CutoffPair | None = None,
-) -> float:
-    """||.||_{L~rho_T(B^0_{p,1})} + ||.||_{L~rho_T(B^{0,1}_{p,inf})}, from one table."""
-    per_block = time_block_norms(block_time_lp(traj, p, cutoffs), traj.times, rho)
-    return mixed_norm(per_block)
 
 
 def lebesgue_besov_norm(
@@ -357,47 +360,26 @@ def log_time_grid(
 
 
 def heat_characterization_norm(
-    f: Field,
-    s: float,
-    sigma: float,
-    p: float,
-    r: float,
-    times: np.ndarray | None = None,
+    f: Field, sigma: float, p: float, times: np.ndarray | None = None
 ) -> float:
-    """L^r((0,1), dt/t) norm of t^{|s|/2} |ln(t/e^2)|^sigma ||e^{tD}f||_p.
-
-    Only negative regularity s is characterized by the heat flow this way.
-    """
-    if s >= 0:
-        raise ValueError(f"heat characterization requires s < 0, got s = {s}")
-    _check_exponent("p", p)
-    _check_exponent("r", r)
-    if times is None:
-        times = log_time_grid()
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0) or np.any(times > 1):
-        raise ValueError("time grid must lie inside (0, 1]")
-    stack = heat_stack(f.spectral, f.grid, times)
-    norms = _lp_norms(values_from_half(stack, f.grid), f.grid, p)
-    values = times ** (abs(s) / 2.0) * log_weight(times, sigma) * norms
-    if r == INF:
-        return float(np.max(values))
-    # dt/t = d(ln t): trapezoid in log time
-    return float(_trapezoid(values**r, np.log(times)) ** (1.0 / r))
+    """``kato_weighted_norm`` of the heat evolution of ``f`` on ``times``
+    (default ``log_time_grid()``) inside (0, 1]: the heat trace of the
+    B^{-1,sigma}_{p,inf} norm."""
+    times = log_time_grid() if times is None else np.asarray(times, dtype=float)
+    return kato_weighted_norm(heat_trajectory(f, times), sigma, p)
 
 
 def characterization_ratio(
     f: Field,
-    s: float,
     sigma: float,
     p: float,
-    r: float,
     times: np.ndarray | None = None,
     cutoffs: CutoffPair | None = None,
 ) -> float:
-    """heat-trace norm / Besov norm for one field (the equivalence ratio)."""
-    num = heat_characterization_norm(f, s, sigma, p, r, times)
-    den = besov_norm(f, BesovSpec(s, p, r, sigma), cutoffs)
+    """heat-trace norm / B^{-1,sigma}_{p,inf} norm of one field (the
+    equivalence ratio)."""
+    num = heat_characterization_norm(f, sigma, p, times)
+    den = besov_norm(f, BesovSpec(-1, p, INF, sigma), cutoffs)
     if den == 0:
         return 0.0 if num == 0 else INF
     return num / den

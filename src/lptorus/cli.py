@@ -182,6 +182,8 @@ def _resolutions(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     ns = _resolutions(args.N)
     if args.suite == "lp":
         report = suites.littlewood_paley_suite(

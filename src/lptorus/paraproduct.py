@@ -38,12 +38,10 @@ from .besov import (
     INF,
     BesovSpec,
     FieldTrajectory,
+    MixedSpec,
     besov_norm,
-    block_lp_norms,
-    chemin_lerner_mixed_norm,
     chemin_lerner_norm,
     heat_trajectory,
-    mixed_norm,
 )
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, lowpass_weights, shell_max
@@ -153,16 +151,23 @@ class BilinearEstimateSpec:
     def time_dependent(self) -> bool:
         return self.estimate in ("2.6", "2.7")
 
+    @property
+    def spaces(self) -> tuple:
+        """The spaces of u, v and uv, at s = 0: u in the intersection
+        B^0_{p1,1} ^ B^{0,1}_{p1,inf}; v and uv in B^0_{.,r} (2.4, 2.6) or in
+        the intersection too (2.5, 2.7)."""
+        if self.estimate in ("2.4", "2.6"):
+            v, uv = BesovSpec(0, self.p2, self.r), BesovSpec(0, self.p, self.r)
+        else:
+            v, uv = MixedSpec(0, self.p2), MixedSpec(0, self.p)
+        return MixedSpec(0, self.p1), v, uv
+
 
 def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field, cut) -> float:
     prod = Field.from_spectral(u.grid, dealias_multiply(u.spectral, v.spectral, u.grid))
-    u_mixed = mixed_norm(block_lp_norms(u, spec.p1, cut))
-    if spec.estimate == "2.4":
-        lhs = besov_norm(prod, BesovSpec(0, spec.p, spec.r), cut)
-        rhs = u_mixed * besov_norm(v, BesovSpec(0, spec.p2, spec.r), cut)
-    else:  # 2.5
-        lhs = mixed_norm(block_lp_norms(prod, spec.p, cut))
-        rhs = u_mixed * mixed_norm(block_lp_norms(v, spec.p2, cut))
+    u_space, v_space, uv_space = spec.spaces
+    rhs = besov_norm(u, u_space, cut) * besov_norm(v, v_space, cut)
+    lhs = besov_norm(prod, uv_space, cut)
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -177,15 +182,11 @@ def _time_ratio(
     halves = zip(u.half, v.half)
     prod = np.stack([dealiased_products(a, b, [(0, 0)], u.grid) for a, b in halves])
     prod = FieldTrajectory.from_half(u.grid, u.times, prod, u.T)
-    u_mixed = chemin_lerner_mixed_norm(u, spec.rho1, spec.p1, cut)
-    if spec.estimate == "2.6":
-        lhs = chemin_lerner_norm(prod, spec.rho, BesovSpec(0, spec.p, spec.r), cut)
-        rhs = u_mixed * chemin_lerner_norm(
-            v, spec.rho2, BesovSpec(0, spec.p2, spec.r), cut
-        )
-    else:  # 2.7
-        lhs = chemin_lerner_mixed_norm(prod, spec.rho, spec.p, cut)
-        rhs = u_mixed * chemin_lerner_mixed_norm(v, spec.rho2, spec.p2, cut)
+    u_space, v_space, uv_space = spec.spaces
+    rhs = chemin_lerner_norm(u, spec.rho1, u_space, cut) * chemin_lerner_norm(
+        v, spec.rho2, v_space, cut
+    )
+    lhs = chemin_lerner_norm(prod, spec.rho, uv_space, cut)
     return lhs / rhs if rhs > 0 else 0.0
 
 

@@ -214,7 +214,7 @@ def heat_characterization_suite(
             for g in grids:
                 rng.bit_generator.state = state
                 f = random_field(g, rng, ref_grid=ref)
-                ratio = characterization_ratio(f, -1.0, sigma, p, INF)
+                ratio = characterization_ratio(f, sigma, p)
                 per_res.append(ratio)
                 cstar = max(cstar, ratio, 1.0 / ratio)
             base = per_res[0]

@@ -16,6 +16,7 @@ from lptorus import (
     Field,
     FieldTrajectory,
     Grid,
+    MixedSpec,
     besov_norm,
     chemin_lerner_norm,
     heat_characterization_norm,
@@ -32,11 +33,9 @@ from lptorus.besov import (
     block_lp_norms,
     block_time_lp,
     characterization_ratio,
-    chemin_lerner_mixed_norm,
     chemin_lerner_reduce,
     embedding_report,
     lebesgue_besov_reduce,
-    mixed_norm,
     time_block_norms,
 )
 from lptorus.cutoffs import build_cutoffs
@@ -360,13 +359,32 @@ def test_mixed_norm_equals_the_two_member_norms_bit_for_bit(grid32, rng, s, p):
     two_calls = besov_norm(f, BesovSpec(s, p, 1)) + besov_norm(
         f, BesovSpec(s, p, INF, 1.0)
     )
-    assert mixed_norm(block_lp_norms(f, p), s) == two_calls
+    assert besov_norm(f, MixedSpec(s, p)) == two_calls
     traj = heat_trajectory(f, np.linspace(0.0, 1.0, 9))
     two_calls = chemin_lerner_norm(traj, 2.0, BesovSpec(0, p, 1)) + chemin_lerner_norm(
         traj, 2.0, BesovSpec(0, p, INF, 1.0)
     )
     per_block = time_block_norms(block_time_lp(traj, p), traj.times, 2.0)
-    assert mixed_norm(per_block) == two_calls
+    assert MixedSpec(0, p).reduce(per_block) == two_calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BesovSpec(math.nan, 2.0, 2.0),
+        lambda: BesovSpec(math.inf, 2.0, 2.0),
+        lambda: BesovSpec(-1.0, 2.0, INF, math.nan),
+        lambda: BesovSpec(-1.0, 2.0, INF, math.inf),
+        lambda: BesovSpec(-1.0, 2.0, INF, -0.5),
+        lambda: BesovSpec(-1.0, 0.5, INF),
+        lambda: MixedSpec(math.nan, 2.0),
+        lambda: MixedSpec(-1.0, math.nan),
+        lambda: MixedSpec(-1.0, 0.5),
+    ],
+)
+def test_specs_reject_out_of_domain_parameters(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 @pytest.mark.parametrize("rho", [2.0, 3.0, INF])
@@ -378,7 +396,7 @@ def test_chemin_lerner_mixed_norm_equals_the_two_member_norms_bit_for_bit(
     two_calls = chemin_lerner_norm(traj, rho, BesovSpec(0, p, 1)) + chemin_lerner_norm(
         traj, rho, BesovSpec(0, p, INF, 1.0)
     )
-    assert chemin_lerner_mixed_norm(traj, rho, p) == two_calls
+    assert chemin_lerner_norm(traj, rho, MixedSpec(0, p)) == two_calls
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0, INF])
@@ -445,12 +463,14 @@ def test_kato_gaussian_bump_sup_at_smallest_time(grid32):
 
 
 def test_heat_characterization_zero(grid32):
-    assert heat_characterization_norm(Field.zeros(grid32), -1.0, 0.0, 2.0, INF) == 0.0
+    assert heat_characterization_norm(Field.zeros(grid32), 0.0, 2.0) == 0.0
 
 
-def test_heat_characterization_rejects_nonnegative_s(grid32, rng):
+def test_heat_characterization_rejects_times_past_one(grid32, rng):
     with pytest.raises(ValueError):
-        heat_characterization_norm(random_field(grid32, rng), 0.5, 0.0, 2.0, INF)
+        heat_characterization_norm(
+            random_field(grid32, rng), 0.0, 2.0, np.geomspace(1e-3, 2.0, 10)
+        )
 
 
 def test_heat_characterization_single_mode_matches_analytic_sup(grid32):
@@ -459,7 +479,7 @@ def test_heat_characterization_single_mode_matches_analytic_sup(grid32):
     # closed form
     f = single_mode(grid32, (3, 4))
     times = np.geomspace(1e-6, 1.0, 600)
-    got = heat_characterization_norm(f, -1.0, 1.0, 2.0, INF, times)
+    got = heat_characterization_norm(f, 1.0, 2.0, times)
     tt = np.geomspace(1e-8, 1.0, 200001)
     profile = np.sqrt(tt) * (2.0 - np.log(tt)) * np.exp(-25.0 * tt)
     expected = float(np.max(profile)) * math.pi * math.sqrt(2.0)
@@ -471,7 +491,7 @@ def test_characterization_ratio_bounded_family(grid32, rng):
         for p in (2.0, INF):
             for _ in range(3):
                 f = random_field(grid32, rng)
-                ratio = characterization_ratio(f, -1.0, sigma, p, INF)
+                ratio = characterization_ratio(f, sigma, p)
                 assert 1.0 / 20.0 < ratio < 20.0
 
 
@@ -481,8 +501,8 @@ def test_characterization_ratio_stable_across_resolution(rng):
     f32 = random_field(coarse, rng, ref_grid=coarse)
     rng.bit_generator.state = state
     f64 = random_field(fine, rng, ref_grid=coarse)
-    r32 = characterization_ratio(f32, -1.0, 1.0, 2.0, INF)
-    r64 = characterization_ratio(f64, -1.0, 1.0, 2.0, INF)
+    r32 = characterization_ratio(f32, 1.0, 2.0)
+    r64 = characterization_ratio(f64, 1.0, 2.0)
     assert max(r32 / r64, r64 / r32) < 1.2
 
 

@@ -297,6 +297,20 @@ DOMAIN_GUARD_CELLS = {
     "sweep-amplitude-nan": ["sweep", "--amps-u", "0.001,nan", "--amps-theta", "0.001"],
     "sweep-tol-inf": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
                       "--tol", "inf", "--N", "16", "--M", "4"],
+    "norm-s-nan": ["norm", "{scalar}", "--s", "nan", "--p", "2", "--r", "2"],
+    "norm-s-inf": ["norm", "{scalar}", "--s", "inf", "--p", "2", "--r", "2"],
+    "norm-alpha-nan": ["norm", "{scalar}", "--s", "-1", "--p", "2", "--r", "inf",
+                       "--alpha", "nan"],
+    "solve-horizon-inf": ["solve", "--u0", "{u0}", "--theta0", "{theta0}", "--T", "inf"],
+    "solve-buoyancy-inf": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                           "--buoyancy", "inf,1", "--M", "4"],
+    "solve-eps-nan": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                      "--regime", "thm1.4:3,nan", "--M", "4"],
+    "solve-eps-inf": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                      "--regime", "thm1.4:3,inf", "--M", "4"],
+    "verify-lp-trials-0": ["verify", "lp", "--trials", "0"],
+    "verify-bony-trials-negative": ["verify", "bony", "--trials", "-3"],
+    "verify-besov-trials-0": ["verify", "besov", "--trials", "0"],
 }
 
 
@@ -306,7 +320,8 @@ def test_out_of_domain_input_exits_2_with_one_error_line(
 ):
     out = tmp_path / "out"
     argv = [arg.format(**field_files) for arg in DOMAIN_GUARD_CELLS[cell]]
-    argv += ["--out" if argv[0] == "sweep" else "--report", str(out)]
+    flag = {"sweep": "--out", "norm": "--manifest"}.get(argv[0], "--report")
+    argv += [flag, str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("error:")]) == 1

@@ -14,26 +14,36 @@ from lptorus import (
     single_mode,
     taylor_green,
 )
-from lptorus.besov import lp_norm
+from lptorus.besov import (
+    INF,
+    block_lp_norms,
+    block_time_lp,
+    heat_trajectory,
+    kato_weighted_norm,
+    lp_norm,
+    time_block_norms,
+)
+from lptorus.ensembles import random_field
 from lptorus.solver import (
     DIVERGENCE_GUARD,
     SmallnessCertificate,
     SolverConfig,
     _duhamel_stack,
+    _fixed_point_map,
     _flux_plan,
     _nonlinear_sources,
     _panel_weights,
     _source_operator,
     _sources,
-    boussinesq_rhs,
-    duhamel_integral,
     exponential_euler,
     measure_operator_constants,
     oracle_compare,
     picard_solve,
     residual_check,
+    scalar_norm,
     smallness_certificate,
     time_grid,
+    velocity_norm,
 )
 from lptorus.spectral import dealiased_products, project_divergence_free
 
@@ -96,10 +106,16 @@ def truncated_2n(phys, grid):
 # -- Duhamel integral ----------------------------------------------------------
 
 
+def duhamel(times, fields):
+    """``_duhamel_stack`` of the fields' half spectra, as a trajectory."""
+    grid = fields[0].grid
+    half = _duhamel_stack(times, np.stack([f.spectral for f in fields]), grid)
+    return FieldTrajectory.from_half(grid, times, half)
+
+
 def test_duhamel_zero_source(grid32):
     times = np.linspace(0.0, 1.0, 9)
-    src = FieldTrajectory(times, tuple(Field.zeros(grid32) for _ in times))
-    out = duhamel_integral(src)
+    out = duhamel(times, [Field.zeros(grid32)] * times.size)
     assert all(np.max(np.abs(f.values)) == 0.0 for f in out.fields)
 
 
@@ -108,8 +124,7 @@ def test_duhamel_constant_mode_closed_form(grid32):
     mode = single_mode(grid32, (3, 2))
     k2 = 13.0
     times = np.linspace(0.0, 0.5, 65)
-    src = FieldTrajectory(times, tuple(mode for _ in times))
-    out = duhamel_integral(src)
+    out = duhamel(times, [mode] * times.size)
     for i in (16, 64):
         expected = (1.0 - math.exp(-k2 * times[i])) / k2
         assert np.max(np.abs(out.fields[i].values - expected * mode.values)) < 1e-10
@@ -118,8 +133,7 @@ def test_duhamel_constant_mode_closed_form(grid32):
 def test_duhamel_mean_mode_is_plain_integral(grid32):
     const = Field(grid32, np.full((1, 32, 32), 2.5))
     times = np.linspace(0.0, 0.5, 65)
-    src = FieldTrajectory(times, tuple(const for _ in times))
-    out = duhamel_integral(src)
+    out = duhamel(times, [const] * times.size)
     assert np.max(np.abs(out.fields[-1].values - 2.5 * times[-1])) < 1e-14
 
 
@@ -127,7 +141,7 @@ def test_duhamel_exact_for_linear_sources(grid32):
     # source cos(x) * s: exact integral of e^{-(t-s)} s ds
     times = np.linspace(0.0, 0.5, 9)
     fields = tuple(single_mode(grid32, (1, 0), float(s)) for s in times)
-    out = duhamel_integral(FieldTrajectory(times, fields))
+    out = duhamel(times, fields)
     t = times[-1]
     expected = t - 1.0 + math.exp(-t)  # int_0^t e^{-(t-s)} s ds
     mode = single_mode(grid32, (1, 0))
@@ -139,7 +153,7 @@ def test_duhamel_second_order_convergence(grid32):
     def run(panels):
         times = np.linspace(0.0, 0.5, panels + 1)
         fields = tuple(single_mode(grid32, (1, 0), float(s * s)) for s in times)
-        out = duhamel_integral(FieldTrajectory(times, fields))
+        out = duhamel(times, fields)
         t = times[-1]
         exact = t * t - 2.0 * t + 2.0 - 2.0 * math.exp(-t)
         mode = single_mode(grid32, (1, 0))
@@ -171,20 +185,6 @@ def test_duhamel_stack_on_a_half_spectrum_is_the_half_of_the_full_result(dim):
     assert np.array_equal(half, expected[..., :cols])
 
 
-def test_duhamel_requires_zero_start(grid32):
-    times = np.linspace(0.1, 0.5, 5)
-    src = FieldTrajectory(times, tuple(Field.zeros(grid32) for _ in times))
-    with pytest.raises(ValueError):
-        duhamel_integral(src)
-
-
-def test_duhamel_output_grid_must_be_sampled(grid32):
-    times = np.linspace(0.0, 0.5, 5)
-    src = FieldTrajectory(times, tuple(Field.zeros(grid32) for _ in times))
-    with pytest.raises(ValueError):
-        duhamel_integral(src, t_grid=np.array([0.33]))
-
-
 # -- fixed-point map -----------------------------------------------------------
 
 
@@ -195,11 +195,21 @@ def make_free_trajectories(grid, u0, th0, config):
     return heat_trajectory(u0, times), heat_trajectory(th0, times)
 
 
+def fixed_point(u, th, u0, th0, config):
+    """One application of the Duhamel map (``_fixed_point_map``) to trajectories."""
+    grid, a = u0.grid, np.asarray(config.buoyancy, dtype=float)
+    j1, j2 = _fixed_point_map(
+        u.times, u.half, th.half, u0.spectral, th0.spectral, grid, a
+    )
+    return (FieldTrajectory.from_half(grid, u.times, j1),
+            FieldTrajectory.from_half(grid, u.times, j2))
+
+
 def test_rhs_zero_data(grid32):
     u0 = Field.zeros(grid32, 2)
     th0 = Field.zeros(grid32)
     u, th = make_free_trajectories(grid32, u0, th0, CONFIG)
-    j1, j2 = boussinesq_rhs(u, th, u0, th0, CONFIG)
+    j1, j2 = fixed_point(u, th, u0, th0, CONFIG)
     assert all(np.max(np.abs(f.values)) == 0.0 for f in j1.fields)
     assert all(np.max(np.abs(f.values)) == 0.0 for f in j2.fields)
 
@@ -210,7 +220,7 @@ def test_rhs_decouples_without_scalar(grid32):
     u0 = taylor_green(grid32, 0.01)
     th0 = Field.zeros(grid32)
     u, th = make_free_trajectories(grid32, u0, th0, CONFIG)
-    j1, j2 = boussinesq_rhs(u, th, u0, th0, CONFIG)
+    j1, j2 = fixed_point(u, th, u0, th0, CONFIG)
     assert all(np.max(np.abs(f.values)) == 0.0 for f in j2.fields)
     assert np.max(np.abs(j1.fields[0].values - u0.values)) < 1e-12
 
@@ -227,22 +237,12 @@ def test_rhs_linear_in_scalar_when_velocity_frozen_zero(grid32, rng):
 
     def j1_of(theta0):
         th = heat_trajectory(theta0, times)
-        j1, _ = boussinesq_rhs(zero_u, th, u0, theta0, config)
+        j1, _ = fixed_point(zero_u, th, u0, theta0, config)
         return j1
 
     ja, jb, jab = j1_of(th_a), j1_of(th_b), j1_of(th_a + th_b)
     for fa, fb, fab in zip(ja.fields, jb.fields, jab.fields):
         assert np.max(np.abs(fab.values - fa.values - fb.values)) < 1e-12
-
-
-def test_rhs_rejects_divergent_data(grid32):
-    u0 = Field(grid32, np.stack([single_mode(grid32, (1, 0)).values[0],
-                                 single_mode(grid32, (0, 1)).values[0]]))
-    assert np.max(np.abs(divergence(u0).values)) > 0.1
-    th0 = Field.zeros(grid32)
-    u, th = make_free_trajectories(grid32, u0, th0, CONFIG)
-    with pytest.raises(ValueError):
-        boussinesq_rhs(u, th, u0, th0, CONFIG)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -423,6 +423,21 @@ def test_config_validation():
         cfg.validate_grid(Grid(2, 32))  # p = 1 <= n/2
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"horizon": math.inf},
+        {"horizon": 0.5, "buoyancy": (math.inf, 1.0)},
+        {"horizon": 0.5, "buoyancy": (0.0, math.nan)},
+        {"horizon": 0.5, "regime": "thm1.4", "p": 3.0, "eps": math.nan},
+        {"horizon": 0.5, "regime": "thm1.4", "p": 3.0, "eps": math.inf},
+    ],
+)
+def test_config_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**kwargs)
+
+
 @pytest.mark.parametrize("refine", [0, -1])
 def test_config_rejects_oracle_refine_below_one(refine):
     with pytest.raises(ValueError, match="oracle_refine"):
@@ -450,7 +465,7 @@ def test_rhs_rejects_data_on_two_grids(theta_grid):
     u, _ = make_free_trajectories(u0.grid, u0, Field.zeros(u0.grid), CONFIG)
     _, th = make_free_trajectories(theta_grid, th0, th0, CONFIG)
     with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
-        boussinesq_rhs(u, th, u0, th0, CONFIG)
+        residual_check(u, th, u0, th0, CONFIG)
 
 
 @pytest.mark.parametrize("theta_grid", [Grid(2, 16, 1.0), Grid(2, 32)])
@@ -787,3 +802,65 @@ def test_oracle_agreement_with_picard(grid32, constants):
     u, th, _ = picard_solve(u0, th0, config)
     err = oracle_compare(u0, th0, config, solution=(u, th))
     assert err["max"] <= 1e-4
+
+
+# -- regime norms ----------------------------------------------------------------
+
+REGIME_EXPONENTS = {
+    "thm1.2": {},
+    "thm1.3": {"p": 3.0, "r": 2.0},
+    "thm1.4": {"p": 3.0, "eps": 0.5},
+}
+
+
+def mixed_reference(per_block, s):
+    """||.||_{B^s_{p,1}} + ||.||_{B^{s,1}_{p,inf}} from block norms q = -1, ..."""
+    qs = np.arange(-1, per_block.shape[0] - 1)
+    lift = 2.0 ** (qs * s)
+    return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
+
+
+def besov_reference(per_block, s, r, alpha=0.0):
+    qs = np.arange(-1, per_block.shape[0] - 1)
+    terms = 2.0 ** (qs * s) * (3.0 + qs) ** alpha * per_block
+    return float(np.max(terms)) if r == INF else float(np.sum(terms**r) ** (1.0 / r))
+
+
+@pytest.mark.parametrize("regime", sorted(REGIME_EXPONENTS))
+def test_regime_norms_equal_the_per_regime_formulas_bit_for_bit(regime):
+    # each regime's solution norms and data norms mu1, mu2, written out by hand
+    config = SolverConfig(
+        horizon=0.5, steps=8, regime=regime, **REGIME_EXPONENTS[regime]
+    )
+    grid = Grid(2, 16)
+    rng = np.random.default_rng(7)
+    u0 = random_field(grid, rng, components=2)
+    u0 = Field.from_spectral(grid, project_divergence_free(u0.spectral, grid))
+    th0 = random_field(grid, rng)
+    times = time_grid(config)
+    u, th = heat_trajectory(u0, times), heat_trajectory(th0, times)
+
+    def l2_blocks(traj, p):  # ||block_q||_{L^2_T L^p}
+        return time_block_norms(block_time_lp(traj, p), times, 2.0)
+
+    if regime == "thm1.4":
+        expected = (
+            kato_weighted_norm(u.restrict_positive(), 1.0, INF),
+            kato_weighted_norm(th.restrict_positive(), 0.5, 3.0),
+            besov_reference(block_lp_norms(u0, INF), -1.0, INF, 1.0),
+            besov_reference(block_lp_norms(th0, 3.0), -1.0, INF, 0.5),
+        )
+    else:
+        u_free = mixed_reference(l2_blocks(u, INF), 0.0)
+        mu1 = mixed_reference(block_lp_norms(u0, INF), -1.0)
+        if regime == "thm1.2":
+            th_free = mixed_reference(l2_blocks(th, 1.0), 0.0)
+            mu2 = mixed_reference(block_lp_norms(th0, 1.0), -1.0)
+        else:
+            th_free = besov_reference(l2_blocks(th, 3.0), 0.0, 2.0)
+            mu2 = besov_reference(block_lp_norms(th0, 3.0), -1.0, 2.0)
+        expected = (u_free, th_free, mu1, mu2)
+    cert = smallness_certificate(u0, th0, config, constants={"lambda": 1.0, "eta": 1.0})
+    got = (velocity_norm(u, config), scalar_norm(th, config), cert.mu1, cert.mu2)
+    assert got == expected
+    assert (cert.free_velocity_norm, cert.free_scalar_norm) == expected[:2]
