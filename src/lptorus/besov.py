@@ -93,9 +93,27 @@ class MixedSpec:
         return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
 
 
+def _power_of_two_above(x):
+    """The least power of two above x > 0: dividing by it is exact."""
+    return np.ldexp(1.0, np.frexp(x)[1])
+
+
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
-    """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N)."""
+    """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N); a
+    finite sample whose sums overflow is measured again, scaled to sup <= 1."""
     p = _check_exponent("p", p)
+    with np.errstate(over="ignore"):
+        out = np.asarray(_unscaled_lp_norms(values, grid, p))
+    if np.isinf(out).any():
+        sample = tuple(range(-grid.dim - 1, 0))
+        redo = np.isinf(out) & np.all(np.isfinite(values), axis=sample)
+        big = values[redo]
+        scale = _power_of_two_above(np.max(np.abs(big), axis=sample, keepdims=True))
+        out[redo] = scale.ravel() * _unscaled_lp_norms(big / scale, grid, p)
+    return out
+
+
+def _unscaled_lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     cax, axes = -grid.dim - 1, tuple(range(-grid.dim, 0))
     if values.shape[cax] == 1:
         mag = np.squeeze(np.abs(values), axis=cax)
@@ -124,7 +142,12 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
         return 0.0
     if r == INF:
         return float(np.max(values))
-    return float(np.sum(values**r) ** (1.0 / r))
+    with np.errstate(over="ignore"):
+        out = float(np.sum(values**r) ** (1.0 / r))
+    if out == INF and np.all(np.isfinite(values)):  # the sum overflowed: rescale
+        scale = _power_of_two_above(np.max(values))
+        out = float(scale * np.sum((values / scale) ** r) ** (1.0 / r))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -185,24 +208,23 @@ class FieldTrajectory:
     The data is one stack ``half`` of shape (samples, m, N, ..., N/2+1): the
     ``spectral`` half spectra of the samples (:class:`~lptorus.spectral.Field`).
     ``FieldTrajectory(times, fields)`` stacks them; :meth:`from_half` wraps
-    a stack as it is.  ``fields`` builds the per-sample ``Field`` objects on
-    first use only.
+    a stack as it is.
 
     The initial sample t = 0 is allowed (the Duhamel quadrature needs it);
     norms that weight by negative powers of t reject trajectories containing
     it.
     """
 
-    __slots__ = ("grid", "times", "half", "T", "_fields")
+    __slots__ = ("grid", "times", "half", "T")
 
     def __init__(self, times, fields, T: float = 0.0):
-        self._fields = tuple(fields)
-        if not self._fields:
+        fields = tuple(fields)
+        if not fields:
             raise ValueError("need one field per time and at least one sample")
-        grid = self._fields[0].grid
-        if any(f.grid != grid for f in self._fields):
+        grid = fields[0].grid
+        if any(f.grid != grid for f in fields):
             raise ValueError("all fields must share one grid")
-        self._init(grid, times, np.stack([f.spectral for f in self._fields]), T)
+        self._init(grid, times, np.stack([f.spectral for f in fields]), T)
 
     @classmethod
     def from_half(
@@ -210,7 +232,6 @@ class FieldTrajectory:
     ) -> "FieldTrajectory":
         """Trajectory whose sample i has the half spectrum half[i]."""
         traj = cls.__new__(cls)
-        traj._fields = None
         traj._init(grid, times, half, T)
         return traj
 
@@ -230,12 +251,6 @@ class FieldTrajectory:
         if times[-1] > horizon * (1 + 1e-12):
             raise ValueError("times exceed the horizon T")
         self.grid, self.times, self.half, self.T = grid, times, half, horizon
-
-    @property
-    def fields(self) -> tuple[Field, ...]:
-        if self._fields is None:
-            self._fields = tuple(Field.from_spectral(self.grid, h) for h in self.half)
-        return self._fields
 
     @property
     def components(self) -> int:

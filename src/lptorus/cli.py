@@ -182,36 +182,40 @@ def _resolutions(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials is not None and args.suite == "comb":
+        raise ValueError("verify comb takes no --trials: its grid of cases is fixed")
+    trials = 50 if args.trials is None else args.trials  # heatchar: its suite's default
     ns = _resolutions(args.N)
     if args.suite == "lp":
         report = suites.littlewood_paley_suite(
-            dim=args.n, points=ns[0], trials=args.trials, seed=args.seed
+            dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
     elif args.suite == "besov":
         report = suites.besov_suite(
-            dim=args.n, points=ns[0], trials=args.trials, seed=args.seed
+            dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
     elif args.suite == "bilinear":
         report = suites.bilinear_suite(
             args.lemma, dim=args.n, resolutions=ns if len(ns) > 1 else (ns[0], 2 * ns[0]),
-            trials=args.trials, seed=args.seed,
+            trials=trials, seed=args.seed,
         )
     elif args.suite == "heatchar":
+        per_case = {} if args.trials is None else {"fields_per_case": args.trials}
         report = suites.heat_characterization_suite(
             dim=args.n, resolutions=ns if len(ns) > 1 else (ns[0], 2 * ns[0]),
-            seed=args.seed,
+            seed=args.seed, **per_case,
         )
     elif args.suite == "comb":
         report = suites.comb_suite(seed=args.seed)
     elif args.suite == "bernstein":
         report = suites.bernstein_suite(
-            dim=args.n, points=ns[0], trials=args.trials, seed=args.seed
+            dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
     else:  # bony identity rides along with the paraproduct machinery
         report = suites.bony_suite(
-            dim=args.n, points=ns[0], trials=args.trials, seed=args.seed
+            dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
     report_path = Path(args.report or f"verify-{args.suite}.json")
     _write_json(report_path, report)
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--n", type=int, default=2)
     p_ver.add_argument("--N", default="32", help="resolution, or comma list")
-    p_ver.add_argument("--trials", type=int, default=50)
+    p_ver.add_argument("--trials", type=int, help="default 50; heatchar: fields per case")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--lemma", default="2.5", choices=["2.4", "2.5", "2.6", "2.7"])
     p_ver.add_argument("--report")

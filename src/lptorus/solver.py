@@ -55,7 +55,6 @@ from .besov import (
     besov_norm,
     block_time_lp,  # noqa: F401  perfbench's tracer tests read it from this module
     chemin_lerner_norm,
-    heat_trajectory,
     kato_weighted_norm,
     lp_norm,
 )
@@ -250,39 +249,28 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
     return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
 
 
-def _nonlinear_sources(
-    u_hat: np.ndarray, th_hat: np.ndarray, grid: Grid, buoyancy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral sources (-P div(u x u) + P(theta a), -div(u theta)).
-
-    Half spectra in and out, with arbitrary leading axes before the
-    component axis; one ``_sources`` batch through the cached operator.
-    """
-    n = grid.dim
-    state = np.concatenate([u_hat, th_hat], axis=-n - 1)
-    op = _source_operator(grid, tuple(buoyancy), True)
-    return tuple(np.split(_sources(state, state, op, grid), [n], axis=-n - 1))
-
-
-def _data_grid(u0: Field, theta0: Field) -> Grid:
+def _data_state(u0: Field, theta0: Field, config: SolverConfig) -> tuple[Grid, np.ndarray]:
+    """The data's grid and its stacked (u0, theta0) half spectra, shape
+    (n + 1, N, ..., N/2+1), after the checks every solver entry point makes."""
     if theta0.grid != u0.grid:
         raise ValueError("u0 and theta0 must share one grid")
-    return u0.grid
+    grid = u0.grid
+    config.validate_grid(grid)
+    if theta0.components != 1:
+        raise ValueError("theta0 must be a scalar field")
+    if u0.components != grid.dim:
+        raise ValueError(f"u0 must have {grid.dim} components, got {u0.components}")
+    return grid, np.concatenate([u0.spectral, theta0.spectral])
 
 
 def _fixed_point_map(
-    times: np.ndarray,
-    u_hat: np.ndarray,
-    th_hat: np.ndarray,
-    u0_hat: np.ndarray,
-    th0_hat: np.ndarray,
-    grid: Grid,
-    buoyancy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    nl_u, nl_th = _nonlinear_sources(u_hat, th_hat, grid, buoyancy)
-    j1 = heat_stack(u0_hat, grid, times) + _duhamel_stack(times, nl_u, grid)
-    j2 = heat_stack(th0_hat, grid, times) + _duhamel_stack(times, nl_th, grid)
-    return j1, j2
+    times: np.ndarray, state: np.ndarray, state0: np.ndarray, op: np.ndarray, grid: Grid
+) -> np.ndarray:
+    """The Duhamel map of a stacked (u, theta) trajectory (samples, n + 1,
+    N, ..., N/2+1) with data ``state0`` and the self-flux ``_source_operator``
+    ``op``: the free evolution plus the Duhamel integral of the sources."""
+    sources = _sources(state, state, op, grid)
+    return heat_stack(state0, grid, times) + _duhamel_stack(times, sources, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +310,18 @@ def scalar_norm(
     return _solution_norm(traj, data_spaces(config, traj.grid.dim)[1], config, cutoffs)
 
 
+def _pair_norms(
+    grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig,
+    cutoffs: CutoffPair | None,
+) -> tuple[float, float]:
+    """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory."""
+    n = grid.dim
+    return (
+        velocity_norm(FieldTrajectory.from_half(grid, times, stack[:, :n]), config, cutoffs),
+        scalar_norm(FieldTrajectory.from_half(grid, times, stack[:, n:]), config, cutoffs),
+    )
+
+
 # ---------------------------------------------------------------------------
 # operator constants and the smallness certificate
 
@@ -339,10 +339,6 @@ def measure_operator_constants(
     """
     config.validate_grid(grid)
     times = time_grid(config)
-
-    def traj(half):
-        return FieldTrajectory.from_half(grid, times, half)
-
     rng = np.random.default_rng(config.constant_seed)
     a = np.asarray(config.buoyancy, dtype=float)
     n = grid.dim
@@ -353,26 +349,23 @@ def measure_operator_constants(
         x2 = project_divergence_free(random_field(grid, rng, components=n).spectral, grid)
         y = random_field(grid, rng).spectral
         x1_t = heat_stack(x1, grid, times)
-        x2_t = heat_stack(x2, grid, times)
-        y_t = heat_stack(y, grid, times)
-        nx1 = velocity_norm(traj(x1_t), config, cutoffs)
-        nx2 = velocity_norm(traj(x2_t), config, cutoffs)
-        ny = scalar_norm(traj(y_t), config, cutoffs)
+        xy_t = heat_stack(np.concatenate([x2, y]), grid, times)  # the stack (x2, y)
+        nx1 = velocity_norm(FieldTrajectory.from_half(grid, times, x1_t), config, cutoffs)
+        nx2, ny = _pair_norms(grid, times, xy_t, config, cutoffs)
 
         # B1(x1, x2) = -P div(x1 (x) x2) and B2(x1, y) = -div(x1 y)
-        xy = np.concatenate([x2_t, y_t], axis=-n - 1)
-        nl12, nl_th = np.split(_sources(x1_t, xy, flux_op, grid), [n], axis=-n - 1)
-        b1_val = velocity_norm(traj(_duhamel_stack(times, nl12, grid)), config, cutoffs)
+        duhamel = _duhamel_stack(times, _sources(x1_t, xy_t, flux_op, grid), grid)
+        b1_val, b2_val = _pair_norms(grid, times, duhamel, config, cutoffs)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
-        b2_val = scalar_norm(traj(_duhamel_stack(times, nl_th, grid)), config, cutoffs)
         if nx1 * ny > 0:
             b2 = max(b2, b2_val / (nx1 * ny))
         # L(y): +P(a y)
-        buoy = project_divergence_free(
-            a.reshape((n,) + (1,) * n) * y_t, grid
+        buoy = project_divergence_free(a.reshape((n,) + (1,) * n) * xy_t[:, n:], grid)
+        lin_val = velocity_norm(
+            FieldTrajectory.from_half(grid, times, _duhamel_stack(times, buoy, grid)),
+            config, cutoffs,
         )
-        lin_val = velocity_norm(traj(_duhamel_stack(times, buoy, grid)), config, cutoffs)
         if ny > 0:
             lin = max(lin, lin_val / ny)
     return {
@@ -437,8 +430,7 @@ def smallness_certificate(
     ``constants`` may carry pre-measured {"lambda", "eta"}; otherwise they
     are measured (or taken from the config override).
     """
-    grid = _data_grid(u0, theta0)
-    config.validate_grid(grid)
+    grid, state0 = _data_state(u0, theta0, config)
     if constants is None:
         if config.lambda_ is not None and config.eta is not None:
             constants = {"lambda": config.lambda_, "eta": config.eta}
@@ -449,8 +441,7 @@ def smallness_certificate(
     return SmallnessCertificate.evaluate(
         constants["lambda"],
         constants["eta"],
-        velocity_norm(heat_trajectory(u0, times), config, cutoffs),
-        scalar_norm(heat_trajectory(theta0, times), config, cutoffs),
+        *_pair_norms(grid, times, heat_stack(state0, grid, times), config, cutoffs),
         besov_norm(u0, u_space, cutoffs),
         besov_norm(theta0, th_space, cutoffs),
         config.regime,
@@ -512,24 +503,16 @@ def picard_solve(
     its initial value (``divergence`` "growth") or the pair norm or
     difference is not finite ("non-finite").
     """
-    grid = _data_grid(u0, theta0)
-    config.validate_grid(grid)
-    if theta0.components != 1:
-        raise ValueError("theta0 must be a scalar field")
-    if u0.components != grid.dim:
-        raise ValueError(f"u0 must have {grid.dim} components, got {u0.components}")
-    u0 = Field.from_spectral(grid, project_divergence_free(u0.spectral, grid))
+    grid, state0 = _data_state(u0, theta0, config)
+    n = grid.dim
+    state0[:n] = project_divergence_free(state0[:n], grid)
+    u0 = Field.from_spectral(grid, state0[:n])
     cert = smallness_certificate(u0, theta0, config, cutoffs=cutoffs)
-    a = np.asarray(config.buoyancy, dtype=float)
+    op = _source_operator(grid, tuple(config.buoyancy), True)
     times = time_grid(config)
 
-    def traj(half):
-        return FieldTrajectory.from_half(grid, times, half)
-
     # iteration 0 is the free evolution, whose norms the certificate holds
-    u0_hat, th0_hat = u0.spectral, theta0.spectral
-    u_hat = heat_stack(u0_hat, grid, times)
-    th_hat = heat_stack(th0_hat, grid, times)
+    state = heat_stack(state0, grid, times)
     u_norm, th_norm = cert.free_velocity_norm, cert.free_scalar_norm
     pair0 = cert.lhs
 
@@ -548,12 +531,10 @@ def picard_solve(
 
     prev_diff = None
     for k in range(1, config.max_iterations + 1):
-        new_u, new_th = _fixed_point_map(times, u_hat, th_hat, u0_hat, th0_hat, grid, a)
-        du = velocity_norm(traj(new_u - u_hat), config, cutoffs)
-        dth = scalar_norm(traj(new_th - th_hat), config, cutoffs)
-        u_hat, th_hat = new_u, new_th
-        u_norm = velocity_norm(traj(u_hat), config, cutoffs)
-        th_norm = scalar_norm(traj(th_hat), config, cutoffs)
+        new = _fixed_point_map(times, state, state0, op, grid)
+        du, dth = _pair_norms(grid, times, new - state, config, cutoffs)
+        state = new
+        u_norm, th_norm = _pair_norms(grid, times, state, config, cutoffs)
         pair_diff = du + cert.c_star * dth
         contraction = None if prev_diff in (None, 0.0) else pair_diff / prev_diff
         report.iterations.append(
@@ -602,7 +583,8 @@ def picard_solve(
         "pair_norm": pair_final,
         "pair_limit": pair_limit,
     }
-    u_traj, th_traj = traj(u_hat), traj(th_hat)
+    u_traj = FieldTrajectory.from_half(grid, times, state[:, :n])
+    th_traj = FieldTrajectory.from_half(grid, times, state[:, n:])
     report.residuals = residual_check(u_traj, th_traj, u0, theta0, config, cutoffs)
     return u_traj, th_traj, report
 
@@ -616,17 +598,13 @@ def residual_check(
     cutoffs: CutoffPair | None = None,
 ) -> dict:
     """Regime-norm distance of (u, theta) from one more Duhamel application."""
-    grid = _data_grid(u0, theta0)
-    a = np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(u.times, u.half, theta.half, u0.spectral, theta0.spectral, grid, a)
-    ru = velocity_norm(
-        FieldTrajectory.from_half(grid, u.times, u.half - j1), config, cutoffs
-    )
-    rth = scalar_norm(
-        FieldTrajectory.from_half(grid, u.times, theta.half - j2), config, cutoffs
-    )
-    u_scale = max(velocity_norm(u, config, cutoffs), 1e-300)
-    th_scale = max(scalar_norm(theta, config, cutoffs), 1e-300)
+    grid, state0 = _data_state(u0, theta0, config)
+    state = np.concatenate([u.half, theta.half], axis=1)
+    op = _source_operator(grid, tuple(config.buoyancy), True)
+    residual = state - _fixed_point_map(u.times, state, state0, op, grid)
+    ru, rth = _pair_norms(grid, u.times, residual, config, cutoffs)
+    u_norm, th_norm = _pair_norms(grid, u.times, state, config, cutoffs)
+    u_scale, th_scale = max(u_norm, 1e-300), max(th_norm, 1e-300)
     return {
         "velocity_residual": ru,
         "scalar_residual": rth,
@@ -643,7 +621,6 @@ def exponential_euler(
     u0: Field,
     theta0: Field,
     config: SolverConfig,
-    refine: int | None = None,
 ) -> tuple[Field, Field]:
     """Integrate to t = T with exact per-step heat multiplier and explicit
     (frozen) nonlinearity; first order in the step size.
@@ -654,16 +631,11 @@ def exponential_euler(
     the heat decay.  Raises OracleInstabilityError when the state grows past
     1e3 times its initial size or stops being finite.
     """
-    grid = _data_grid(u0, theta0)
-    config.validate_grid(grid)
-    refine = config.oracle_refine if refine is None else refine
-    if refine < 1:
-        raise ValueError(f"oracle refine must be >= 1, got {refine}")
+    grid, state = _data_state(u0, theta0, config)
     n = grid.dim
-    nsteps = config.steps * refine
+    state[:n] = project_divergence_free(state[:n], grid)
+    nsteps = config.steps * config.oracle_refine
     dt = config.horizon / nsteps
-    u_hat = project_divergence_free(u0.spectral, grid)
-    state = np.concatenate([u_hat, theta0.spectral])
     x = grid.k_sq * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)

@@ -41,7 +41,7 @@ from lptorus.besov import (
 from lptorus.cutoffs import build_cutoffs
 from lptorus.dyadic import block_weights, shell_max
 from lptorus.ensembles import random_field
-from lptorus.spectral import hermitian_half
+from lptorus.spectral import hermitian_half, values_from_half
 
 TWO_PI = 2.0 * math.pi
 
@@ -317,6 +317,37 @@ def test_sup_norm_takes_one_sqrt_of_the_largest_square(grid32, components, rng):
     assert np.array_equal(_lp_norms(values, grid32, INF), old, equal_nan=True)
 
 
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+def test_norms_of_a_finite_field_near_overflow_are_finite(grid32, components, p, rng):
+    # the sums of squares and p-th powers of a field of sup 1e200 overflow;
+    # the norms are 1e200 times those of the unscaled field all the same
+    f = Field(grid32, rng.standard_normal((components,) + grid32.shape))
+    big = Field(grid32, 1e200 * f.values)
+    assert lp_norm(big, p) == pytest.approx(1e200 * lp_norm(f, p), rel=1e-15, abs=0)
+    blocks = block_lp_norms(big, p)
+    assert np.all(np.isfinite(blocks))
+    np.testing.assert_allclose(blocks, 1e200 * block_lp_norms(f, p), rtol=1e-15, atol=0)
+    spec = BesovSpec(-1.0, p, 2.0)
+    assert besov_norm(big, spec) == pytest.approx(1e200 * besov_norm(f, spec), rel=1e-15)
+
+
+def test_only_the_overflowing_sample_is_rescaled(grid32, rng):
+    # samples whose sums stay finite keep the unscaled bits; a sample with a
+    # non-finite entry stays non-finite
+    values = rng.standard_normal((4, 2) + grid32.shape)
+    values[1] *= 1e200
+    values[2, 0, 3, 3] = np.inf
+    values[3, 1, 5, 5] = np.nan
+    got = _lp_norms(values, grid32, 2.0)
+    mag = np.sqrt(np.sum(values[0] ** 2, axis=0))
+    old = (grid32.cell_volume * np.sum(mag**2)) ** 0.5
+    assert got[0] == old and np.isfinite(got[1])
+    assert got[2] == INF and np.isnan(got[3])
+    unscaled = _lp_norms(values[1] / 1e200, grid32, 2.0)
+    assert got[1] == pytest.approx(1e200 * unscaled, rel=1e-15)
+
+
 def test_trajectory_from_fields_and_from_half_agree(grid32, rng):
     times = np.geomspace(0.1, 1.0, 5)
     fields = [
@@ -337,8 +368,8 @@ def test_trajectory_from_fields_and_from_half_agree(grid32, rng):
             by_half, 1.0, p
         )
     assert by_half.components == by_fields.components == 2
-    for a, b in zip(by_fields.fields, by_half.fields):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(values_from_half(by_fields.half, grid32),
+                          values_from_half(by_half.half, grid32))
 
 
 def test_trajectory_from_half_validation(grid32):
@@ -436,7 +467,8 @@ def test_kato_sigma_zero_is_plain_kato(grid32, rng):
     times = np.geomspace(1e-4, 1.0, 40)
     traj = heat_trajectory(f, times)
     plain = max(
-        math.sqrt(t) * lp_norm(g, 2.0) for t, g in zip(times, traj.fields)
+        math.sqrt(t) * lp_norm(Field(grid32, g), 2.0)
+        for t, g in zip(times, values_from_half(traj.half, grid32))
     )
     assert kato_weighted_norm(traj, 0.0, 2.0) == pytest.approx(plain, rel=1e-12)
 
@@ -453,8 +485,8 @@ def test_kato_gaussian_bump_sup_at_smallest_time(grid32):
     value = kato_weighted_norm(traj, 1.0, INF)
     assert np.isfinite(value) and value > 0
     weighted = [
-        math.sqrt(t) * abs(math.log(t) - 2.0) * lp_norm(f, INF)
-        for t, f in zip(times, traj.fields)
+        math.sqrt(t) * abs(math.log(t) - 2.0) * lp_norm(Field(grid32, g), INF)
+        for t, g in zip(times, values_from_half(traj.half, grid32))
     ]
     assert int(np.argmax(weighted)) == 0
 

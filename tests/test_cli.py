@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report shapes, schema validation, determinism."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import lptorus.cli
-from lptorus import Grid, read_field, single_mode, taylor_green, write_field
+from lptorus import Field, Grid, read_field, single_mode, taylor_green, write_field
 from lptorus.cli import _config_echo, _write_json, main, parse_regime
 from lptorus.ensembles import random_field
 from lptorus.solver import SolverConfig, oracle_compare, picard_solve
@@ -42,6 +43,27 @@ def test_norm_prints_one_number(field_files, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert float(out) > 0
+
+
+def test_norm_of_a_field_near_overflow_prints_a_finite_value(tmp_path, capsys):
+    # squares and powers of sup-1e200 samples overflow; the norm does not
+    grid = Grid(2, 32)
+    path = tmp_path / "big.lpfld"
+    field = random_field(grid, np.random.default_rng(5), components=2)
+    write_field(path, Field(grid, 1e200 * field.values))
+    for p, r in (("2", "2"), ("3", "inf"), ("inf", "1")):
+        assert main(["norm", str(path), "--s", "-1", "--p", p, "--r", r]) == 0
+        value = float(capsys.readouterr().out.strip())
+        assert math.isfinite(value) and value > 1e199
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_verify_heatchar_family_follows_trials(tmp_path, trials):
+    # heatchar draws --trials fields per (sigma, p) case: 4 cases
+    report = tmp_path / "heatchar.json"
+    assert main(["verify", "heatchar", "--N", "16", "--trials", str(trials),
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["params"]["family_size"] == 4 * trials
 
 
 def test_decompose_writes_blocks_and_manifest(field_files, tmp_path, capsys):
@@ -311,6 +333,8 @@ DOMAIN_GUARD_CELLS = {
     "verify-lp-trials-0": ["verify", "lp", "--trials", "0"],
     "verify-bony-trials-negative": ["verify", "bony", "--trials", "-3"],
     "verify-besov-trials-0": ["verify", "besov", "--trials", "0"],
+    "verify-comb-trials": ["verify", "comb", "--trials", "5"],
+    "verify-comb-trials-0": ["verify", "comb", "--trials", "0"],
 }
 
 

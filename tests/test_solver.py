@@ -1,5 +1,6 @@
 """Duhamel quadrature, fixed-point map, certificates, Picard runs, oracle."""
 
+import dataclasses
 import functools
 import math
 
@@ -31,7 +32,6 @@ from lptorus.solver import (
     _duhamel_stack,
     _fixed_point_map,
     _flux_plan,
-    _nonlinear_sources,
     _panel_weights,
     _source_operator,
     _sources,
@@ -45,7 +45,12 @@ from lptorus.solver import (
     time_grid,
     velocity_norm,
 )
-from lptorus.spectral import dealiased_products, project_divergence_free
+from lptorus.spectral import (
+    dealiased_products,
+    heat_stack,
+    project_divergence_free,
+    values_from_half,
+)
 
 CONFIG = SolverConfig(horizon=0.5, steps=32, regime="thm1.2")
 
@@ -107,16 +112,16 @@ def truncated_2n(phys, grid):
 
 
 def duhamel(times, fields):
-    """``_duhamel_stack`` of the fields' half spectra, as a trajectory."""
+    """Grid values of ``_duhamel_stack`` of the fields' half spectra, per sample."""
     grid = fields[0].grid
     half = _duhamel_stack(times, np.stack([f.spectral for f in fields]), grid)
-    return FieldTrajectory.from_half(grid, times, half)
+    return values_from_half(half, grid)
 
 
 def test_duhamel_zero_source(grid32):
     times = np.linspace(0.0, 1.0, 9)
     out = duhamel(times, [Field.zeros(grid32)] * times.size)
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in out.fields)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_duhamel_constant_mode_closed_form(grid32):
@@ -127,14 +132,14 @@ def test_duhamel_constant_mode_closed_form(grid32):
     out = duhamel(times, [mode] * times.size)
     for i in (16, 64):
         expected = (1.0 - math.exp(-k2 * times[i])) / k2
-        assert np.max(np.abs(out.fields[i].values - expected * mode.values)) < 1e-10
+        assert np.max(np.abs(out[i] - expected * mode.values)) < 1e-10
 
 
 def test_duhamel_mean_mode_is_plain_integral(grid32):
     const = Field(grid32, np.full((1, 32, 32), 2.5))
     times = np.linspace(0.0, 0.5, 65)
     out = duhamel(times, [const] * times.size)
-    assert np.max(np.abs(out.fields[-1].values - 2.5 * times[-1])) < 1e-14
+    assert np.max(np.abs(out[-1] - 2.5 * times[-1])) < 1e-14
 
 
 def test_duhamel_exact_for_linear_sources(grid32):
@@ -145,7 +150,7 @@ def test_duhamel_exact_for_linear_sources(grid32):
     t = times[-1]
     expected = t - 1.0 + math.exp(-t)  # int_0^t e^{-(t-s)} s ds
     mode = single_mode(grid32, (1, 0))
-    assert np.max(np.abs(out.fields[-1].values - expected * mode.values)) < 1e-12
+    assert np.max(np.abs(out[-1] - expected * mode.values)) < 1e-12
 
 
 def test_duhamel_second_order_convergence(grid32):
@@ -157,7 +162,7 @@ def test_duhamel_second_order_convergence(grid32):
         t = times[-1]
         exact = t * t - 2.0 * t + 2.0 - 2.0 * math.exp(-t)
         mode = single_mode(grid32, (1, 0))
-        return np.max(np.abs(out.fields[-1].values - exact * mode.values))
+        return np.max(np.abs(out[-1] - exact * mode.values))
 
     errs = [run(m) for m in (16, 32, 64)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -196,13 +201,14 @@ def make_free_trajectories(grid, u0, th0, config):
 
 
 def fixed_point(u, th, u0, th0, config):
-    """One application of the Duhamel map (``_fixed_point_map``) to trajectories."""
-    grid, a = u0.grid, np.asarray(config.buoyancy, dtype=float)
-    j1, j2 = _fixed_point_map(
-        u.times, u.half, th.half, u0.spectral, th0.spectral, grid, a
-    )
-    return (FieldTrajectory.from_half(grid, u.times, j1),
-            FieldTrajectory.from_half(grid, u.times, j2))
+    """One application of the Duhamel map (``_fixed_point_map``) to the
+    stacked trajectories; the grid values of (u, theta), per sample."""
+    grid, n = u0.grid, u0.grid.dim
+    state = np.concatenate([u.half, th.half], axis=1)
+    state0 = np.concatenate([u0.spectral, th0.spectral])
+    op = _source_operator(grid, tuple(config.buoyancy), True)
+    values = values_from_half(_fixed_point_map(u.times, state, state0, op, grid), grid)
+    return values[:, :n], values[:, n:]
 
 
 def test_rhs_zero_data(grid32):
@@ -210,8 +216,8 @@ def test_rhs_zero_data(grid32):
     th0 = Field.zeros(grid32)
     u, th = make_free_trajectories(grid32, u0, th0, CONFIG)
     j1, j2 = fixed_point(u, th, u0, th0, CONFIG)
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in j1.fields)
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in j2.fields)
+    assert np.max(np.abs(j1)) == 0.0
+    assert np.max(np.abs(j2)) == 0.0
 
 
 def test_rhs_decouples_without_scalar(grid32):
@@ -221,8 +227,8 @@ def test_rhs_decouples_without_scalar(grid32):
     th0 = Field.zeros(grid32)
     u, th = make_free_trajectories(grid32, u0, th0, CONFIG)
     j1, j2 = fixed_point(u, th, u0, th0, CONFIG)
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in j2.fields)
-    assert np.max(np.abs(j1.fields[0].values - u0.values)) < 1e-12
+    assert np.max(np.abs(j2)) == 0.0
+    assert np.max(np.abs(j1[0] - u0.values)) < 1e-12
 
 
 def test_rhs_linear_in_scalar_when_velocity_frozen_zero(grid32, rng):
@@ -241,8 +247,31 @@ def test_rhs_linear_in_scalar_when_velocity_frozen_zero(grid32, rng):
         return j1
 
     ja, jb, jab = j1_of(th_a), j1_of(th_b), j1_of(th_a + th_b)
-    for fa, fb, fab in zip(ja.fields, jb.fields, jab.fields):
-        assert np.max(np.abs(fab.values - fa.values - fb.values)) < 1e-12
+    assert np.max(np.abs(jab - ja - jb)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fixed_point_map_on_the_stack_equals_the_split_formulation(dim):
+    # the map as two heat_stacks, one _sources batch of the concatenated
+    # pair split back into (u, theta), and two _duhamel_stacks, bit for bit
+    grid = Grid(dim, 16 if dim == 2 else 8)
+    n, cols = dim, grid.points // 2 + 1
+    config = SolverConfig(horizon=0.25, steps=4, buoyancy=(0.3,) * (dim - 1) + (1.0,))
+    times = time_grid(config)
+    rng = np.random.default_rng(dim)
+    spec = np.fft.fftn(0.1 * rng.standard_normal((n + 1,) + grid.shape),
+                       axes=tuple(range(-n, 0)), norm="forward")[..., :cols]
+    u0_hat, th0_hat = project_divergence_free(spec[:n], grid), spec[n:]
+    u_hat = 1.5 * heat_stack(u0_hat, grid, times)
+    th_hat = 0.5 * heat_stack(th0_hat, grid, times)
+    op = _source_operator(grid, config.buoyancy, True)
+
+    state = np.concatenate([u_hat, th_hat], axis=1)
+    nl_u, nl_th = np.split(_sources(state, state, op, grid), [n], axis=1)
+    j1 = heat_stack(u0_hat, grid, times) + _duhamel_stack(times, nl_u, grid)
+    j2 = heat_stack(th0_hat, grid, times) + _duhamel_stack(times, nl_th, grid)
+    got = _fixed_point_map(times, state, np.concatenate([u0_hat, th0_hat]), op, grid)
+    assert np.array_equal(got, np.concatenate([j1, j2], axis=1))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -300,8 +329,9 @@ def test_flux_kernel_matches_2n_padded_formulas(dim):
     flux = _sources(half(u), vth, zero, grid)
     close(np.take(flux, range(n), axis=ax), tensor)
     close(np.take(flux, [n], axis=ax), scalar)
-    for got, expected in zip(_nonlinear_sources(half(u), half(th), grid, a), sources):
-        close(got, expected)
+    state = np.concatenate([half(u), half(th)], axis=ax)
+    got = _sources(state, state, _source_operator(grid, tuple(a), True), grid)
+    close(got, np.concatenate(sources, axis=ax))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -340,13 +370,13 @@ def test_source_operator_matches_the_flux_projection_composition(dim, generic):
     prod = prod.reshape(prod.shape[:ax] + (n + 1, n) + prod.shape[ax + 1 :])
     flux = -1j * np.sum(grid.k_mesh_deriv[..., :cols] * prod, axis=ax)
     flux_u, flux_th = np.split(flux, [n], axis=ax)
-    expected = (
-        project_divergence_free(flux_u + a.reshape((n,) + (1,) * n) * th, grid),
-        flux_th,
+    want = np.concatenate(
+        [project_divergence_free(flux_u + a.reshape((n,) + (1,) * n) * th, grid), flux_th],
+        axis=ax,
     )
-    for got, want in zip(_nonlinear_sources(u, th, grid, a), expected):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got = _sources(b, b, _source_operator(grid, tuple(a), True), grid)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_source_operator_is_cached_read_only():
@@ -492,6 +522,43 @@ def test_residual_check_rejects_data_on_two_grids(theta_grid):
         residual_check(u, th, u0, th0, CONFIG)
 
 
+def _free(f, config):
+    return heat_trajectory(f, time_grid(config))
+
+
+DATA_ENTRY_POINTS = {
+    "picard_solve": picard_solve,
+    "smallness_certificate": smallness_certificate,
+    "exponential_euler": exponential_euler,
+    "oracle_compare": lambda u0, th0, config: oracle_compare(
+        u0, th0, config, solution=(_free(u0, config), _free(th0, config))
+    ),
+    "residual_check": lambda u0, th0, config: residual_check(
+        _free(u0, config), _free(th0, config), u0, th0, config
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DATA_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "u_components, th_components, message",
+    [(1, 1, "u0 must have 2 components, got 1"), (2, 2, "theta0 must be a scalar field")],
+    ids=["one-component-velocity", "two-component-scalar"],
+)
+def test_every_entry_point_rejects_data_of_the_wrong_shape(
+    entry, u_components, th_components, message
+):
+    # unchecked, the oracle widens a 1-component velocity by broadcasting
+    # and fails inside numpy on a 2-component scalar
+    config = SolverConfig(horizon=0.25, steps=4, lambda_=1.0, eta=1.0, oracle_refine=1)
+    grid = Grid(2, 16)
+    rng = np.random.default_rng(3)
+    u0 = Field(grid, 1e-3 * rng.standard_normal((u_components,) + grid.shape))
+    th0 = Field(grid, 1e-3 * rng.standard_normal((th_components,) + grid.shape))
+    with pytest.raises(ValueError, match=message):
+        DATA_ENTRY_POINTS[entry](u0, th0, config)
+
+
 def test_time_grid_log_prefix_for_weighted_regime():
     cfg = SolverConfig(horizon=0.5, steps=8, regime="thm1.4", p=2.0, eps=0.5)
     times = time_grid(cfg)
@@ -511,7 +578,7 @@ def test_picard_zero_data_immediate(grid32, constants):
     u, th, report = picard_solve(Field.zeros(grid32, 2), Field.zeros(grid32), config)
     assert report.converged
     assert report.final["iterations"] == 1
-    assert all(np.max(np.abs(f.values)) == 0.0 for f in u.fields)
+    assert np.max(np.abs(values_from_half(u.half, u.grid))) == 0.0
 
 
 def test_picard_taylor_green_contracts(grid32, constants):
@@ -539,7 +606,8 @@ def test_picard_iterates_stay_divergence_free(grid32, constants):
     )
     u0, th0 = scaled_data(grid32, config, constants, 0.5)
     u, _, _ = picard_solve(u0, th0, config)
-    for f in u.fields:
+    for values in values_from_half(u.half, u.grid):
+        f = Field(u.grid, values)
         div = np.max(np.abs(divergence(f).values))
         assert div < 1e-10 * max(lp_norm(f, 2.0), 1e-30)
 
@@ -633,9 +701,9 @@ def test_picard_preserves_taylor_green_lattice_symmetry(grid32, constants):
     assert np.max(np.abs(u0.spectral[..., odd])) < 1e-14
 
     for traj in (u, th):
-        for f in traj.fields[:: len(traj.fields) // 4]:
-            scale = max(np.max(np.abs(f.spectral)), 1e-30)
-            assert np.max(np.abs(f.spectral[..., odd])) < 1e-10 * scale
+        for half in traj.half[:: len(traj.half) // 4]:
+            scale = max(np.max(np.abs(half)), 1e-30)
+            assert np.max(np.abs(half[..., odd])) < 1e-10 * scale
 
 
 def test_residual_of_exact_zero_solution(grid32):
@@ -695,7 +763,7 @@ def test_oracle_instability_is_reported(grid32):
     with pytest.raises(RuntimeError, match="unstable"):
         exponential_euler(
             taylor_green(grid32, 1e4), single_mode(grid32, (1, 1), 1e4),
-            config, refine=1,
+            dataclasses.replace(config, oracle_refine=1),
         )
 
 
@@ -704,16 +772,7 @@ def test_oracle_non_finite_state_is_reported():
     grid = Grid(2, 16)
     u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="unstable"):
-        exponential_euler(u0, th0, config, refine=1)
-
-
-@pytest.mark.parametrize("refine", [0, -1])
-def test_oracle_rejects_refine_below_one(refine):
-    config = SolverConfig(horizon=0.25, steps=4, regime="thm1.2", lambda_=1.0, eta=1.0)
-    grid = Grid(2, 16)
-    with pytest.raises(ValueError, match="refine must be >= 1"):
-        exponential_euler(taylor_green(grid, 0.01), single_mode(grid, (1, 1), 0.01),
-                          config, refine=refine)
+        exponential_euler(u0, th0, dataclasses.replace(config, oracle_refine=1))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
