@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import Field, Grid, heat_stack, values_from_half
+from .spectral import Field, Grid, _c2r, heat_stack, values_from_half
 
 INF = float("inf")
 
@@ -176,10 +176,12 @@ def _block_table(
     # the last column holding a non-finite entry, per sample (-1: none)
     bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
     last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
+    # one values buffer for all shells: per-shell ones made glibc trim and re-fault the heap
+    values = np.empty(half.shape[:-1] + (grid.points,))
     for q in range(-1, qm + 1):
         c = _shell_columns(grid, q, cut)
         w = block_weights(grid, q, cut)[..., :c]
-        norms = _lp_norms(values_from_half(half[..., :c] * w, grid), grid, p)
+        norms = _lp_norms(_c2r(half[..., :c] * w, grid.dim, grid.points, values), grid, p)
         out[q + 1] = np.where(last < c, norms, np.nan)
     return out
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import CHI_FLAT_RADIUS, CutoffPair, build_cutoffs
-from .spectral import Field, Grid, dealias_multiply
+from .spectral import Field, Grid, _band_spectrum, _c2r, _padded
 
 
 def shell_max(grid: Grid, cutoffs: CutoffPair | None = None) -> int:
@@ -39,6 +39,13 @@ def shell_max(grid: Grid, cutoffs: CutoffPair | None = None) -> int:
     while 2.0 * cut.gamma * 2.0 ** (q + 1) <= grid.nyquist * (1 + 1e-12):
         q += 1
     return q
+
+
+def require_shell(grid: Grid) -> Grid:
+    """``grid``; with no full dyadic shell every block check is vacuous."""
+    if shell_max(grid) < 0:
+        raise ValueError(f"no full dyadic shell fits a grid of N = {grid.points} points")
+    return grid
 
 
 def reconstruction_cap(grid: Grid, cutoffs: CutoffPair | None = None) -> float:
@@ -84,6 +91,15 @@ def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np
     return _lowpass_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
+def _padded_blocks(f: Field, cutoffs: CutoffPair) -> np.ndarray:
+    """Blocks -1..shell_max of ``f`` as values on the 3N/2 grid of the 3/2
+    rule, (shell_max + 2, m, 3N/2, ..., 3N/2), by one batched c2r: sums of
+    their products, brought back by ``_band_spectrum``, are exact on the band."""
+    grid, qs = f.grid, range(-1, shell_max(f.grid, cutoffs) + 1)
+    blocks = np.stack([block_weights(grid, q, cutoffs) for q in qs])[:, None] * f.spectral
+    return _c2r(_padded(blocks, grid), grid.dim, 3 * grid.points // 2)
+
+
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:
     """Frequency block of ``f`` around |k| ~ 2^q (zero field for q <= -2)."""
     return Field.from_spectral(f.grid, f.spectral * block_weights(f.grid, q, cutoffs))
@@ -111,10 +127,7 @@ class DyadicDecomposition:
         return self.blocks[q + 1]
 
     def reconstruction(self) -> Field:
-        total = self.blocks[0]
-        for b in self.blocks[1:]:
-            total = total + b
-        return total
+        return sum(self.blocks[1:], self.blocks[0])
 
 
 def decompose(f: Field, cutoffs: CutoffPair | None = None) -> DyadicDecomposition:
@@ -130,9 +143,7 @@ def decompose(f: Field, cutoffs: CutoffPair | None = None) -> DyadicDecompositio
 def _max_outside(spec: np.ndarray, grid: Grid, lo: float, hi: float) -> float:
     """Largest |coefficient| of a half spectrum outside lo <= |k| <= hi."""
     outside = (grid.k_abs < lo - 1e-12) | (grid.k_abs > hi + 1e-12)
-    if not np.any(outside):
-        return 0.0
-    return float(np.max(np.abs(spec[..., outside])))
+    return float(np.max(np.abs(spec[..., outside]), initial=0.0))
 
 
 def support_report(
@@ -165,39 +176,39 @@ def support_report(
     scale = float(np.max(f.magnitude()) * np.max(g.magnitude()))
     scale_f = float(np.max(f.magnitude()))
 
-    ortho = 0.0
-    for q in range(-1, qm + 1):
-        wq = block_weights(grid, q, cut)
-        for k in range(-1, qm + 1):
-            if abs(k - q) < 2:
-                continue
-            wk = block_weights(grid, k, cut)
-            ortho = max(ortho, float(np.max(np.abs(wk * wq * f.spectral))))
+    shells = range(-1, qm + 1)
+    w = {q: block_weights(grid, q, cut) for q in shells}
+    ortho = max(
+        (float(np.max(np.abs(w[k] * w[q] * f.spectral))) for q in shells for k in shells
+         if abs(k - q) >= 2),
+        default=0.0,
+    )
+
+    # S_{q-1} f * Delta_q g for q = 1..qm, then Delta_q f * Delta_k g for
+    # |k - q| <= 1: products of padded block values, one r2c for all
+    fb, gb = _padded_blocks(f, cut), _padded_blocks(g, cut)
+    low = np.cumsum(fb, axis=0)  # low[q] = S_q f
+    near = [(q, k) for q in shells for k in (q - 1, q, q + 1) if -1 <= k <= qm]
+    factors = [(low[q - 1], gb[q + 1]) for q in range(1, qm + 1)]
+    factors += [(fb[q + 1], gb[k + 1]) for q, k in near]
+    prods = np.empty((len(factors),) + np.broadcast_shapes(fb.shape[1:], gb.shape[1:]))
+    for out, (a, b) in zip(prods, factors):
+        np.multiply(a, b, out=out)
+    spectra = iter(_band_spectrum(prods, grid))
 
     para = 0.0
     for q in range(1, qm + 1):
-        low = f.spectral * lowpass_weights(grid, q - 1, cut)
-        prod = dealias_multiply(low, g.spectral * block_weights(grid, q, cut), grid)
+        prod = next(spectra)
         lo = 2.0**q / gamma - gamma * 2.0 ** (q - 1)
         hi = 2.0 * gamma * 2.0**q + gamma * 2.0 ** (q - 1)
-        para = max(para, _max_outside(prod, grid, lo, hi))
-        # explicit far blocks, where any exist on this lattice
-        for k in range(-1, qm + 1):
-            if abs(k - q) < 5:
-                continue
-            wk = block_weights(grid, k, cut)
-            para = max(para, float(np.max(np.abs(wk * prod))))
+        # the annulus, and explicit far blocks where any exist on this lattice
+        far = [float(np.max(np.abs(w[k] * prod))) for k in shells if abs(k - q) >= 5]
+        para = max([para, _max_outside(prod, grid, lo, hi)] + far)
 
     rem = 0.0
-    for q in range(-1, qm + 1):
-        bq = f.spectral * block_weights(grid, q, cut)
-        for l in (-1, 0, 1):
-            if q + l < -1 or q + l > qm:
-                continue
-            bl = g.spectral * block_weights(grid, q + l, cut)
-            prod = dealias_multiply(bq, bl, grid)
-            hi = shell_bounds(q, cut)[1] + shell_bounds(q + l, cut)[1]
-            rem = max(rem, _max_outside(prod, grid, 0.0, hi))
+    for q, k in near:
+        hi = shell_bounds(q, cut)[1] + shell_bounds(k, cut)[1]
+        rem = max(rem, _max_outside(next(spectra), grid, 0.0, hi))
 
     checks = {
         "block_orthogonality": ortho / max(scale_f, 1e-300),

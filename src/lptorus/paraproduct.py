@@ -11,6 +11,10 @@ with every partial product dealiased, so the identity holds to roundoff on
 the retained band.  T(u, v) collects interactions where u sits at strictly
 lower frequency than v; R collects the comparable-frequency diagonal.
 
+The 3/2 rule is linear, so no part is made one product per shell: each
+factor's blocks go to the 3N/2 grid in one batched c2r, S_{q-1} is a running
+sum of block values there, and one r2c of the summed parts gives them all.
+
 ``bilinear_constant_estimate`` samples the boundedness constants of the
 product estimates that the fixed-point argument consumes.  The estimates are
 identified by the ids "2.4", "2.5", "2.6", "2.7":
@@ -44,9 +48,9 @@ from .besov import (
     heat_trajectory,
 )
 from .cutoffs import CutoffPair, build_cutoffs
-from .dyadic import block_weights, lowpass_weights, shell_max
+from .dyadic import _padded_blocks
 from .ensembles import random_field
-from .spectral import Field, Grid, dealias_multiply, dealiased_products
+from .spectral import Field, Grid, _band_spectrum, dealiased_product, dealiased_products
 
 
 @dataclass(frozen=True)
@@ -61,49 +65,49 @@ class BonyParts:
         return self.Tuv + self.Tvu + self.Ruv
 
 
+def _low_high(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out += sum_{q >= 1} S_{q-1} a * block_q b, from padded block values."""
+    low = np.zeros_like(a[0])
+    for q in range(1, len(b) - 1):  # S_{q-1} vanishes for q <= 0
+        low += a[q - 1]  # block q - 2: low is S_{q-1} a
+        out += np.multiply(low, b[q + 1], out=tmp)
+
+
+def _diagonal(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out += sum_q block_q a * (block_{q-1} + block_q + block_{q+1}) b."""
+    near = np.empty_like(b[0])
+    for i in range(len(a)):  # the shells -1..shell_max only
+        np.sum(b[max(i - 1, 0) : i + 2], axis=0, out=near)
+        out += np.multiply(a[i], near, out=tmp)
+
+
+def _bony_parts(u: Field, v: Field, cutoffs, names: tuple[str, ...]) -> list[Field]:
+    """The parts ``names`` of u v ("Tuv", "Tvu", "Ruv"), summed in place on
+    the 3N/2 grid from both factors' block values, with one r2c for all."""
+    if v.grid != u.grid:
+        raise ValueError("fields live on different grids")
+    cut = cutoffs or build_cutoffs()
+    bu, bv = _padded_blocks(u, cut), _padded_blocks(v, cut)
+    tmp = np.empty(np.broadcast_shapes(bu.shape[1:], bv.shape[1:]))
+    sums = np.zeros((len(names),) + tmp.shape)
+    terms = {"Tuv": (_low_high, bu, bv), "Tvu": (_low_high, bv, bu), "Ruv": (_diagonal, bu, bv)}
+    for out, (accumulate, a, b) in zip(sums, (terms[name] for name in names)):
+        accumulate(a, b, out, tmp)
+    return [Field.from_spectral(u.grid, spec) for spec in _band_spectrum(sums, u.grid)]
+
+
 def paraproduct_T(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> Field:
     """Low-high paraproduct sum_q S_{q-1} u * block_q v (dealiased)."""
-    cut = cutoffs or build_cutoffs()
-    grid = u.grid
-    if v.grid != grid:
-        raise ValueError("fields live on different grids")
-    qm = shell_max(grid, cut)
-    total = None
-    for q in range(1, qm + 1):  # S_{q-1} vanishes for q <= 0
-        low = u.spectral * lowpass_weights(grid, q - 1, cut)
-        high = v.spectral * block_weights(grid, q, cut)
-        term = dealias_multiply(low, high, grid)
-        total = term if total is None else total + term
-    if total is None:
-        return Field.zeros(grid, max(u.components, v.components))
-    return Field.from_spectral(grid, total)
+    return _bony_parts(u, v, cutoffs, ("Tuv",))[0]
 
 
 def remainder_R(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> Field:
     """Diagonal remainder sum_q block_q u * (block_{q-1} + block_q + block_{q+1}) v."""
-    cut = cutoffs or build_cutoffs()
-    grid = u.grid
-    if v.grid != grid:
-        raise ValueError("fields live on different grids")
-    qs = range(-1, shell_max(grid, cut) + 1)
-    bv = np.stack([v.spectral * block_weights(grid, q, cut) for q in qs])
-    near = bv.copy()  # block_{q-1} + block_q + block_{q+1} v, shells in qs only
-    near[1:] += bv[:-1]
-    near[:-1] += bv[1:]
-    # one product per shell: one call on the stack of all shells ran slower
-    terms = (
-        dealias_multiply(u.spectral * block_weights(grid, q, cut), b, grid)
-        for q, b in zip(qs, near)
-    )
-    return Field.from_spectral(grid, sum(terms))
+    return _bony_parts(u, v, cutoffs, ("Ruv",))[0]
 
 
 def bony_decompose(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> BonyParts:
-    return BonyParts(
-        paraproduct_T(u, v, cutoffs),
-        paraproduct_T(v, u, cutoffs),
-        remainder_R(u, v, cutoffs),
-    )
+    return BonyParts(*_bony_parts(u, v, cutoffs, ("Tuv", "Tvu", "Ruv")))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +168,7 @@ class BilinearEstimateSpec:
 
 
 def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field, cut) -> float:
-    prod = Field.from_spectral(u.grid, dealias_multiply(u.spectral, v.spectral, u.grid))
+    prod = dealiased_product(u, v)
     u_space, v_space, uv_space = spec.spaces
     rhs = besov_norm(u, u_space, cut) * besov_norm(v, v_space, cut)
     lhs = besov_norm(prod, uv_space, cut)

@@ -59,6 +59,7 @@ from .besov import (
     lp_norm,
 )
 from .cutoffs import CutoffPair
+from .dyadic import require_shell
 from .ensembles import random_field
 from .spectral import (
     Field,
@@ -124,6 +125,7 @@ class SolverConfig:
                 raise ValueError("the weighted-norm regime requires T <= 1")
 
     def validate_grid(self, grid: Grid) -> None:
+        require_shell(grid)  # else lambda is 0 and the certificate 1 / (16 lambda)
         if len(self.buoyancy) != grid.dim:
             raise ValueError("buoyancy direction has the wrong dimension")
         if self.regime in ("thm1.3", "thm1.4"):

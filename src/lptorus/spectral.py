@@ -212,12 +212,13 @@ def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs[..., : n // 2 + 1] + np.conj(mirror))
 
 
-def _c2r(half: np.ndarray, dim: int, m: int) -> np.ndarray:
+def _c2r(half: np.ndarray, dim: int, m: int, out=None) -> np.ndarray:
     """m^dim grid values of a half spectrum cut to C <= m/2+1 last-axis
-    columns (the rest zero); with all columns the 1-D calls of ``irfftn``."""
+    columns (the rest zero), written to ``out`` if given; with all columns
+    the 1-D calls of ``irfftn``."""
     for ax in range(-dim, -1):
         half = np.fft.ifft(half, axis=ax, norm="forward")
-    return np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    return np.fft.irfft(half, n=m, axis=-1, norm="forward", out=out)
 
 
 def _r2c(values: np.ndarray, dim: int, cols: int) -> np.ndarray:
@@ -459,6 +460,14 @@ def _padded(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return _gather(coeffs, grid.dim, index) * weight
 
 
+def _band_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum on the N band, Nyquist planes zeroed, of real values on
+    the 3N/2 grid: one pruned r2c and the band gather."""
+    dim, n = grid.dim, grid.points
+    spec = _r2c(values, dim, n // 2 + 1)
+    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
+
+
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
     """Exact half spectra of the pointwise products a_i * b_j, (i, j) in ``pairs``.
 
@@ -472,8 +481,7 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
     within that band each product is the exact linear convolution of its
     factors.
     """
-    dim, n = grid.dim, grid.points
-    m, cols = 3 * n // 2, n // 2 + 1
+    dim, m = grid.dim, 3 * grid.points // 2
     pa = _c2r(_padded(spec_a, grid), dim, m)
     pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid), dim, m)
     lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
@@ -481,27 +489,19 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
     comp = (slice(None),) * dim
     for p, (i, j) in enumerate(pairs):  # one at a time: no gathered copies
         np.multiply(pa[(..., i) + comp], pb[(..., j) + comp], out=prod[(..., p) + comp])
-    spec = _r2c(prod, dim, cols)
-    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
+    return _band_spectrum(prod, grid)
 
 
 def dealias_multiply(
     spec_a: np.ndarray, spec_b: np.ndarray, grid: Grid
 ) -> np.ndarray:
-    """Exact (3/2-rule dealiased) product of two half spectral stacks.
-
-    The inputs may carry arbitrary leading axes, which broadcast against each
-    other, and a one-component factor broadcasts over a multi-component one.
-    Returns the half spectrum of the pointwise product restricted to the
-    original lattice, the exact linear convolution of the inputs within that
-    band.
-    """
+    """Exact (3/2-rule dealiased) product of two half spectral stacks: the
+    ``dealiased_products`` of matching components, a one-component factor
+    broadcast over a multi-component one; leading axes broadcast too."""
     ax = -grid.dim - 1
     ma, mb = spec_a.shape[ax], spec_b.shape[ax]
     (m,) = np.broadcast_shapes((ma,), (mb,))
-    return dealiased_products(
-        spec_a, spec_b, [(i % ma, i % mb) for i in range(m)], grid
-    )
+    return dealiased_products(spec_a, spec_b, [(i % ma, i % mb) for i in range(m)], grid)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:

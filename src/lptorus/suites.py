@@ -30,7 +30,7 @@ from .besov import (
 )
 from .comb import DiracCombSpec, dirac_comb_norms
 from .cutoffs import build_cutoffs, default_test_radii, partition_defect
-from .dyadic import decompose, shell_max, support_report
+from .dyadic import decompose, require_shell, support_report
 from .ensembles import random_field, random_spectrum
 from .paraproduct import (
     BilinearEstimateSpec,
@@ -50,14 +50,6 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
     }
 
 
-def _shell_grid(dim: int, points: int) -> Grid:
-    """Grid(dim, points); with no full dyadic shell every check is vacuous."""
-    grid = Grid(dim, points)
-    if shell_max(grid) < 0:
-        raise ValueError(f"no full dyadic shell fits a grid of N = {points} points")
-    return grid
-
-
 def _finish(suite: str, params: dict, checks: list) -> dict:
     return {
         "suite": suite,
@@ -71,31 +63,20 @@ def littlewood_paley_suite(
     dim: int = 2, points: int = 64, trials: int = 50, seed: int = 0
 ) -> dict:
     """Partition of unity, reconstruction and the support identities."""
-    grid = _shell_grid(dim, points)
+    grid = require_shell(Grid(dim, points))
     cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     checks = [
-        _check(
-            "partition_of_unity",
-            partition_defect(default_test_radii(), cut),
-            1e-12,
-        ),
-        _check(
-            "partition_on_lattice",
-            partition_defect(np.unique(grid.k_abs), cut),
-            1e-12,
-        ),
+        _check("partition_of_unity", partition_defect(default_test_radii(), cut), 1e-12),
+        _check("partition_on_lattice", partition_defect(np.unique(grid.k_abs), cut), 1e-12),
     ]
     recon = ortho = para = rem = 0.0
     for _ in range(trials):
         f = random_field(grid, rng)
         g = random_field(grid, rng)
         total = decompose(f, cut).reconstruction()
-        recon = max(
-            recon,
-            float(np.max(np.abs(total.values - f.values)))
-            / float(np.max(np.abs(f.values))),
-        )
+        err = float(np.max(np.abs(total.values - f.values)))
+        recon = max(recon, err / float(np.max(np.abs(f.values))))
         rep = support_report(f, g, cut)["checks"]
         ortho = max(ortho, rep["block_orthogonality"])
         para = max(para, rep["paraproduct_localization"])
@@ -117,7 +98,7 @@ def bony_suite(
     dim: int = 2, points: int = 64, trials: int = 100, seed: int = 0
 ) -> dict:
     """Decomposition identity uv = T(u,v) + T(v,u) + R(u,v) on random pairs."""
-    grid = _shell_grid(dim, points)
+    grid = require_shell(Grid(dim, points))
     cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -153,7 +134,7 @@ def bilinear_suite(
     exponents: dict | None = None,
 ) -> dict:
     """Resolution stability of one sampled product-estimate constant."""
-    _shell_grid(dim, min(resolutions))
+    require_shell(Grid(dim, min(resolutions)))
     kwargs = dict(DEFAULT_EXPONENTS[estimate])
     if exponents:
         kwargs.update(exponents)
@@ -200,7 +181,7 @@ def heat_characterization_suite(
     inverse) and the cross-resolution drift.
     """
     resolutions = tuple(sorted(resolutions))
-    ref = _shell_grid(dim, resolutions[0])
+    ref = require_shell(Grid(dim, resolutions[0]))
     grids = [Grid(dim, n) for n in resolutions]
     rng = np.random.default_rng(seed)
     cases = [(sigma, p) for sigma in (0.0, 1.0) for p in (2.0, INF)]
@@ -367,7 +348,7 @@ def besov_suite(
     dim: int = 2, points: int = 32, trials: int = 25, seed: int = 0
 ) -> dict:
     """Norm-inequality battery: monotonicities, Minkowski relations, embeddings."""
-    grid = _shell_grid(dim, points)
+    grid = require_shell(Grid(dim, points))
     cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     fields = [random_field(grid, rng) for _ in range(trials)]

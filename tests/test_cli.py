@@ -30,6 +30,13 @@ def field_files(tmp_path):
         ("u0", taylor_green(grid, 0.004)),
         ("theta0", single_mode(grid, (1, 1), 0.003)),
         ("scalar", random_field(grid, np.random.default_rng(5))),
+    ) + tuple(  # grids with no full dyadic shell
+        (f"{name}_n{n}", field)
+        for n in (2, 4)
+        for name, field in (
+            ("u0", taylor_green(Grid(2, n), 0.004)),
+            ("theta0", single_mode(Grid(2, n), (1, 0), 0.003)),
+        )
     ):
         path = tmp_path / f"{name}.lpfld"
         write_field(path, field)
@@ -335,6 +342,14 @@ DOMAIN_GUARD_CELLS = {
     "verify-besov-trials-0": ["verify", "besov", "--trials", "0"],
     "verify-comb-trials": ["verify", "comb", "--trials", "5"],
     "verify-comb-trials-0": ["verify", "comb", "--trials", "0"],
+    "solve-grid-without-shell-N2": ["solve", "--u0", "{u0_n2}", "--theta0", "{theta0_n2}",
+                                    "--M", "4", "--oracle"],
+    "solve-grid-without-shell-N4": ["solve", "--u0", "{u0_n4}", "--theta0", "{theta0_n4}",
+                                    "--M", "4"],
+    "sweep-grid-without-shell-N2": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
+                                    "--N", "2", "--M", "4"],
+    "sweep-grid-without-shell-N4": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
+                                    "--N", "4", "--M", "4"],
 }
 
 

@@ -15,10 +15,12 @@ from lptorus import (
     shell_max,
     single_mode,
 )
+from lptorus import dyadic
 from lptorus.besov import INF
-from lptorus.dyadic import shell_bounds
+from lptorus.dyadic import block_weights, lowpass_weights, shell_bounds, support_report
 from lptorus.ensembles import random_field
 from lptorus.paraproduct import _harmonic_conjugate
+from lptorus.spectral import Grid, dealias_multiply
 
 
 def test_paraproduct_of_zero(grid32, rng):
@@ -116,6 +118,94 @@ def test_R_summand_localization(grid64, rng):
         outside = grid64.k_abs > hi + 1e-9
         if np.any(outside):
             assert np.max(np.abs(prod.spectral[0][outside])) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the parts against the per-shell products they replace, written out here:
+# one 3/2-rule product per shell, each factor cut by its multiplier on the N
+# half lattice
+
+
+def _per_shell_T(u, v):
+    grid, total = u.grid, 0.0
+    for q in range(1, shell_max(grid) + 1):
+        low = u.spectral * lowpass_weights(grid, q - 1)
+        total = total + dealias_multiply(low, v.spectral * block_weights(grid, q), grid)
+    return total
+
+
+def _per_shell_R(u, v):
+    grid, total = u.grid, 0.0
+    qs = range(-1, shell_max(grid) + 1)
+    bv = [v.spectral * block_weights(grid, q) for q in qs]
+    for i, q in enumerate(qs):
+        near = sum(bv[max(i - 1, 0) : i + 2])
+        total = total + dealias_multiply(u.spectral * block_weights(grid, q), near, grid)
+    return total
+
+
+def _assert_matches(got, expected, scale):
+    expected = np.broadcast_to(expected, got.shape)  # 0.0 when no shell contributes
+    assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+
+EQUIVALENCE_CASES = [
+    # (dim, N, components of u, components of v); N = 4 and 8 have
+    # shell_max -1 and 0, where both paraproducts vanish
+    (2, 32, 1, 1), (2, 32, 2, 2), (2, 32, 1, 2), (2, 32, 2, 1), (2, 64, 1, 1),
+    (3, 16, 1, 1), (3, 16, 2, 2), (3, 16, 1, 2), (2, 4, 1, 1), (2, 8, 1, 2),
+]
+
+
+@pytest.mark.parametrize("dim, n, cu, cv", EQUIVALENCE_CASES)
+def test_parts_match_per_shell_products(dim, n, cu, cv):
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(100 * dim + n + 10 * cu + cv)
+    # every mode of the lattice: partial shells and Nyquist planes too
+    u = random_field(grid, rng, components=cu, band=np.inf)
+    v = random_field(grid, rng, components=cv, band=np.inf)
+    parts = bony_decompose(u, v)
+    scale = np.max(np.abs(dealiased_product(u, v).spectral))
+    for got, expected in (
+        (parts.Tuv, _per_shell_T(u, v)),
+        (parts.Tvu, _per_shell_T(v, u)),
+        (parts.Ruv, _per_shell_R(u, v)),
+        (paraproduct_T(u, v), _per_shell_T(u, v)),
+        (remainder_R(u, v), _per_shell_R(u, v)),
+    ):
+        assert got.components == max(cu, cv)
+        _assert_matches(got.spectral, expected, scale)
+    assert (shell_max(grid) >= 1) == bool(np.any(parts.Tuv.values))
+
+
+@pytest.mark.parametrize("dim, n, cu, cv", EQUIVALENCE_CASES)
+def test_support_report_matches_per_shell_products(dim, n, cu, cv, monkeypatch):
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(100 * dim + n + 10 * cu + cv)
+    f = random_field(grid, rng, components=cu, band=np.inf)
+    g = random_field(grid, rng, components=cv, band=np.inf)
+    batches = []
+    band_spectrum = dyadic._band_spectrum
+    monkeypatch.setattr(
+        dyadic, "_band_spectrum", lambda *a: batches.append(band_spectrum(*a)) or batches[-1]
+    )
+    report = support_report(f, g)
+    (got,) = batches  # one r2c batch for every checked product
+    qm, fs, gs = shell_max(grid), f.spectral, g.spectral
+    expected = [
+        dealias_multiply(fs * lowpass_weights(grid, q - 1), gs * block_weights(grid, q), grid)
+        for q in range(1, qm + 1)
+    ] + [
+        dealias_multiply(fs * block_weights(grid, q), gs * block_weights(grid, k), grid)
+        for q in range(-1, qm + 1)
+        for k in (q - 1, q, q + 1)
+        if -1 <= k <= qm
+    ]
+    assert len(got) == len(expected)
+    scale = np.max(np.abs(dealiased_product(f, g).spectral))
+    for prod, ref in zip(got, expected):
+        _assert_matches(prod, ref, scale)
+    assert report["pass"], report
 
 
 def test_exponent_arithmetic():
