@@ -22,11 +22,14 @@ with cos(rho y) = cos(rho Y_b) cos(rho y_t) - sin(rho Y_b) sin(rho y_t).  Block
 q weighs the mode at radius omega by the cosine transform of the kernel at
 omega / 2^q, cached, inside the cutoff's support (far below the band pi/dy of
 the samples, so no comb frequency aliases) and by the exact 0.0 outside it.
-Block sup norms are taken over a dense sample of one period of the lowest mode.
+Block sup norms are taken over a dense sample of one period of the lowest mode,
+summing read-only rows cos(2^d theta) cached per offset d from that mode (the
+comb's blocks meet d = 0 and 1 only).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +54,8 @@ class DiracCombSpec:
         object.__setattr__(
             self, "coefficients", tuple(float(a) for a in self.coefficients)
         )
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError("comb coefficients must be finite")
         if self.J < 0:
             raise ValueError("need coefficients for at least j = -1 and j = 0")
 
@@ -109,8 +114,10 @@ def kernel_multiplier(
     For q >= 0 this is the cosine transform of 2^q h(2^q .) at omega, i.e.
     the numerically recovered phi(2^-q omega); for q = -1 it is the recovered
     chi(omega).  Outside the cutoff's support (and for q <= -2) it is the
-    exact 0.0 at any omega, with no quadrature.
+    exact 0.0 at any omega, with no quadrature; a nan omega is rejected.
     """
+    if math.isnan(omega):
+        raise ValueError("omega must not be nan")
     if q <= -2:
         return 0.0
     cut = cutoffs or build_cutoffs()
@@ -124,15 +131,23 @@ def kernel_multiplier(
     return _cosine_transform(kernel, arg, cut)
 
 
+@lru_cache(maxsize=16)
+def _sup_row(d: int) -> np.ndarray:
+    """cos(2^d theta) on SUP_SAMPLES points of [0, 2 pi), read-only."""
+    theta = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
+    row = np.cos(2.0**d * theta)
+    row.setflags(write=False)
+    return row
+
+
 def _block_sup(amps: list[float], exponents: list[int]) -> float:
     """sup_x |sum_i amps[i] cos(2^{e_i} x)| over one period of the lowest mode."""
     if not amps:
         return 0.0
     base = min(exponents)
-    theta = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
-    total = np.zeros_like(theta)
+    total = np.zeros(SUP_SAMPLES)
     for amp, e in zip(amps, exponents):
-        total += amp * np.cos(2.0 ** (e - base) * theta)
+        total += amp * _sup_row(e - base)
     return float(np.max(np.abs(total)))
 
 

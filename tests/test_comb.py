@@ -11,7 +11,10 @@ from lptorus.comb import (
     KERNEL_POINTS,
     PROFILE_POINTS,
     SPLIT,
+    SUP_SAMPLES,
+    _block_sup,
     _kernel_table,
+    _sup_row,
     kernel_multiplier,
 )
 
@@ -83,6 +86,58 @@ def test_arguments_outside_the_support_give_exact_zero():
     assert kernel_multiplier(0.5, 0) == 0.0
     assert kernel_multiplier(2.0, -1) == 0.0
     assert kernel_multiplier(-1.0, 0) == kernel_multiplier(1.0, 0)
+
+
+def test_non_finite_coefficients_are_rejected():
+    # a nan coefficient would give a nan partial sum beside a finite
+    # weighted sup, since max(x, nan) keeps x
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiracCombSpec((bad, 1.0, 0.5))
+
+
+def test_nan_frequency_is_rejected():
+    # lo <= nan <= hi is False, so a nan omega would read as the exact 0.0
+    # of a mode outside the support; an infinite omega is such a mode
+    for q in (-2, -1, 0, 3):
+        with pytest.raises(ValueError, match="nan"):
+            kernel_multiplier(math.nan, q)
+    for q in (-1, 0, 3):
+        assert kernel_multiplier(math.inf, q) == 0.0
+        assert kernel_multiplier(-math.inf, q) == 0.0
+
+
+def _block_sup_per_call(amps, exponents):
+    # the sup grid and one cosine per term, built on every call
+    if not amps:
+        return 0.0
+    base = min(exponents)
+    theta = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
+    total = np.zeros_like(theta)
+    for amp, e in zip(amps, exponents):
+        total += amp * np.cos(2.0 ** (e - base) * theta)
+    return float(np.max(np.abs(total)))
+
+
+@pytest.mark.parametrize(
+    "amps, exponents",
+    [
+        ([], []),
+        ([0.3581659549520068], [4]),
+        ([0.41, -0.27, 0.125], [0, 1, 2]),
+        ([0.3, 0.6, -0.2], [5, 3, 4]),
+        ([0.5, 0.6418340450479966 / 3.0], [-1, 0]),
+    ],
+)
+def test_block_sup_from_cached_rows_matches_per_call_cosines(amps, exponents):
+    assert _block_sup(amps, exponents) == _block_sup_per_call(amps, exponents)
+
+
+def test_cached_sup_rows_are_read_only():
+    row = _sup_row(1)
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+    assert _sup_row(1) is row
 
 
 def test_long_kronecker_comb_matches_short_one():
