@@ -15,28 +15,24 @@ files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
-output paths, and for solve its stage times), which is the only place
-timestamps and timings appear.  With ``--oracle`` and more than one usable
-CPU, solve runs the oracle in one worker process beside the Picard solve
-(the oracle reads only the data); on one CPU it runs it after Picard.  The
-sweep solves its rows on one worker thread per usable CPU.  Neither output
-depends on the worker count.
+output paths, worker count, and for solve its stage times), which is the
+only place timestamps and timings appear.  ``verify bilinear``'s trials,
+``sweep``'s rows and solve's ``--oracle`` (beside Picard) fork onto one
+process per usable CPU through ``parallel.fork_map``; they run serially on
+one CPU, off Linux, or while other Python threads live.  No output depends
+on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import datetime
-import functools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +41,7 @@ from . import __version__, suites
 from .besov import INF, BesovSpec, besov_norm, lp_norm
 from .dyadic import decompose, shell_bounds
 from .ensembles import single_mode, taylor_green
+from .parallel import fork_map
 from .solver import (
     CONSTANT_TRIALS,
     OracleInstabilityError,
@@ -95,14 +92,6 @@ def _write_manifest(
         **extra,
     }
     _write_json(path, manifest)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def _load_field(path: str) -> Field:
@@ -217,11 +206,12 @@ def cmd_verify(args) -> int:
         report = suites.bony_suite(
             dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
+    workers = report.pop("workers", 1)  # only the suites that fork report it
     report_path = Path(args.report or f"verify-{args.suite}.json")
     _write_json(report_path, report)
     _write_manifest(
         Path(str(report_path) + ".manifest.json"), f"verify {args.suite}",
-        report["params"], [report_path], args.seed,
+        report["params"], [report_path], args.seed, workers=workers,
     )
     status = "PASS" if report["pass"] else "FAIL"
     for check in report["checks"]:
@@ -277,38 +267,31 @@ def _config_echo(config: SolverConfig) -> dict:
     }
 
 
-def _timed_oracle(u0: Field, theta0: Field, config: SolverConfig):
-    """The oracle's end state and its run time on this process's clock."""
+def _timed(fn, *args):
+    """``fn(*args)`` and its run time on this process's clock."""
     start = time.perf_counter()
-    reference = exponential_euler(u0, theta0, config)
-    return reference, time.perf_counter() - start
+    return fn(*args), time.perf_counter() - start
 
 
 def cmd_solve(args) -> int:
     u0 = _load_field(args.u0)
     theta0 = _load_field(args.theta0)
     config = _solve_config(args, oracle_refine=args.oracle_refine)
-    with contextlib.ExitStack() as stack:
-        if args.oracle and _usable_cpus() > 1:
-            # the oracle reads only the data, so it runs beside Picard; in a
-            # process, since a thread would share the GIL with Picard.  The
-            # default start method forks on Linux: the worker inherits the
-            # imported modules instead of importing them again (~0.3 s)
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
-            oracle = pool.submit(_timed_oracle, u0, theta0, config).result
-        else:
-            oracle = functools.partial(_timed_oracle, u0, theta0, config)
-        start = time.perf_counter()
-        u, theta, report = picard_solve(u0, theta0, config)
-        stages = {"picard_s": time.perf_counter() - start}
-        payload = {"config": _config_echo(config)}
-        payload.update(report.to_dict())
-        if args.oracle:
-            reference, stages["oracle_s"] = oracle()  # a worker's error re-raises here
-            stages["oracle_wait_s"] = time.perf_counter() - start - stages["picard_s"]
-            payload["oracle_error"] = oracle_error((u, theta), reference)
+    # the oracle reads only the data, so it runs beside Picard on a forked
+    # worker when there is a second CPU (a thread would share the GIL)
+    tasks = [lambda: _timed(picard_solve, u0, theta0, config)]
+    if args.oracle:
+        tasks.append(lambda: _timed(exponential_euler, u0, theta0, config))
+    start = time.perf_counter()
+    results, _ = fork_map(lambda task: task(), tasks)
+    ((u, theta, report), picard_s), *oracle = results
+    stages = {"picard_s": picard_s}
+    payload = {"config": _config_echo(config)}
+    payload.update(report.to_dict())
+    if args.oracle:
+        reference, stages["oracle_s"] = oracle[0]  # a worker's error re-raised above
+        stages["oracle_wait_s"] = time.perf_counter() - start - picard_s
+        payload["oracle_error"] = oracle_error((u, theta), reference)
     report_path = Path(args.report)
     _write_json(report_path, payload)
     _write_manifest(
@@ -356,9 +339,8 @@ def cmd_sweep(args) -> int:
         config, lambda_=constants["lambda"], eta=constants["eta"]
     )
     tasks = [(amp_u, amp_th) for amp_u in amps_u for amp_th in amps_th]
-    # map returns rows in task order, so the CSV is in (amp_u, amp_theta) order
-    with ThreadPoolExecutor(max_workers=min(len(tasks), _usable_cpus())) as pool:
-        rows = list(pool.map(lambda t: _sweep_row(*t, grid, config), tasks))
+    # rows come back in task order, so the CSV is in (amp_u, amp_theta) order
+    rows, workers = fork_map(lambda t: _sweep_row(*t, grid, config), tasks)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fieldnames = [
@@ -376,7 +358,7 @@ def cmd_sweep(args) -> int:
         {"amps_u": amps_u, "amps_theta": amps_th, "N": args.N,
          "config": _config_echo(config), "lambda": constants["lambda"],
          "eta": constants["eta"]},
-        [out_path], args.seed,
+        [out_path], args.seed, workers=workers,
     )
     print(f"sweep: {len(rows)} rows ({out_path})")
     return 0

@@ -61,7 +61,12 @@ def random_field(
     finer lattice.
     """
     ref = ref_grid or grid
-    coeffs = random_spectrum(ref, rng, components, band, slope)
+    return embedded_field(grid, random_spectrum(ref, rng, components, band, slope), ref, band)
+
+
+def embedded_field(grid: Grid, coeffs: np.ndarray, ref: Grid, band: float | None = None) -> Field:
+    """The field of a half spectrum drawn on ``ref`` (by ``random_spectrum``,
+    with this ``band``), embedded into ``grid`` and scaled to sup norm 1."""
     if ref.points != grid.points:
         if not (reconstruction_cap(ref) if band is None else band) < ref.nyquist:
             raise ValueError("the band must stay below the ref_grid Nyquist")

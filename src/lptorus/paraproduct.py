@@ -49,7 +49,8 @@ from .besov import (
 )
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import _padded_blocks
-from .ensembles import random_field
+from .ensembles import embedded_field, random_spectrum
+from .parallel import fork_map
 from .spectral import Field, Grid, _band_spectrum, dealiased_product, dealiased_products
 
 
@@ -207,7 +208,8 @@ def bilinear_constant_estimate(
     Fields are drawn on the coarsest lattice and embedded into each finer
     grid; trajectories (for the time-integrated estimates) are free heat
     evolutions of those fields on [0, 1].  Passing requires the max ratio at
-    each finer resolution to stay within 1.2x of the coarsest one.
+    each finer resolution to stay within 1.2x of the coarsest one.  The
+    trials run through ``fork_map``; ``workers`` is the processes it used.
     """
     cut = cutoffs or build_cutoffs()
     resolutions = tuple(sorted(resolutions))
@@ -215,18 +217,21 @@ def bilinear_constant_estimate(
     grids = [Grid(dim, n, period) for n in resolutions]
     times = np.linspace(0.0, 1.0, time_samples)
     rng = np.random.default_rng(spec.seed)
+    # both draws of every trial here, on the coarsest lattice in rng order;
+    # the trials then run on forked workers and come back in trial order
+    draws = [(random_spectrum(ref, rng), random_spectrum(ref, rng)) for _ in range(spec.trials)]
+
+    def trial(draw) -> list[float]:  # its ratio at each resolution
+        fields = [[embedded_field(g, coeffs, ref) for coeffs in draw] for g in grids]
+        if spec.time_dependent:
+            fields = [[heat_trajectory(f, times) for f in uv] for uv in fields]
+            return [_time_ratio(spec, *uv, cut) for uv in fields]
+        return [_static_ratio(spec, *uv, cut) for uv in fields]
+
+    per_trial, workers = fork_map(trial, draws)
     ratios = {g.points: [] for g in grids}
-    for _ in range(spec.trials):
-        state = rng.bit_generator.state
-        for g in grids:
-            rng.bit_generator.state = state  # same draw on every lattice
-            u = random_field(g, rng, ref_grid=ref)
-            v = random_field(g, rng, ref_grid=ref)
-            if spec.time_dependent:
-                utraj, vtraj = heat_trajectory(u, times), heat_trajectory(v, times)
-                ratio = _time_ratio(spec, utraj, vtraj, cut)
-            else:
-                ratio = _static_ratio(spec, u, v, cut)
+    for trial_ratios in per_trial:
+        for g, ratio in zip(grids, trial_ratios):
             if ratio > 0:
                 ratios[g.points].append(ratio)
     stats = {
@@ -257,4 +262,5 @@ def bilinear_constant_estimate(
         "resolutions": list(resolutions),
         "stats": stats,
         "pass": stable,
+        "workers": workers,
     }

@@ -381,6 +381,37 @@ def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
                     ["0.01", "0.003"], ["0.01", "0.3"]]
 
 
+@pytest.mark.parametrize("lemma", ["2.4", "2.7"])  # the static and the time path
+def test_verify_bilinear_report_does_not_depend_on_the_worker_count(
+    lemma, tmp_path, monkeypatch
+):
+    reports = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        path = tmp_path / f"bilinear-{len(cpus)}.json"
+        assert main(["verify", "bilinear", "--lemma", lemma, "--N", "16,32",
+                     "--trials", "5", "--seed", "3", "--report", str(path)]) == 0
+        reports.append(path.read_bytes())
+        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["workers"] == len(cpus)
+    assert reports[0] == reports[1]
+
+
+def test_sweep_and_serial_verify_manifests_record_the_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--amps-u", "0.002,0.01", "--amps-theta", "0.003",
+                 "--N", "16", "--M", "4", "--out", str(out)]) == 0
+    report = tmp_path / "bony.json"
+    assert main(["verify", "bony", "--N", "16", "--trials", "2",
+                 "--report", str(report)]) == 0
+    for path, count in ((out, 2), (report, 1)):  # two rows; bony stays serial
+        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["workers"] == count
+
+
 def test_verify_comb_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "comb", "--seed", "9", "--report", str(a)]) == 0

@@ -133,6 +133,24 @@ def test_block_sup_from_cached_rows_matches_per_call_cosines(amps, exponents):
     assert _block_sup(amps, exponents) == _block_sup_per_call(amps, exponents)
 
 
+def test_block_sup_attained_away_from_the_origin_and_half_grid():
+    # a comb block of three lacunary modes (a cutoff spanning a ratio of 4
+    # would give one) peaks at theta0 = 2 pi 901 / 2^13: away from x = 0, and
+    # 4e-6 above the best sample of a sup grid of 2^12 points
+    theta0 = 2.0 * np.pi * 901 / 2**13
+    c = -0.9
+    b = -(np.sin(theta0) + 4.0 * c * np.sin(4.0 * theta0)) / (2.0 * np.sin(2.0 * theta0))
+
+    def f(theta):  # f'(theta0) = 0 by the choice of b
+        return np.cos(theta) + b * np.cos(2.0 * theta) + c * np.cos(4.0 * theta)
+
+    peak = abs(f(theta0))
+    dense = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+    assert np.max(np.abs(f(dense))) <= peak * (1.0 + 1e-14)  # the global sup
+    assert abs(f(0.0)) < 0.3 * peak
+    assert _block_sup([1.0, b, c], [3, 4, 5]) == pytest.approx(peak, rel=1e-12)
+
+
 def test_cached_sup_rows_are_read_only():
     row = _sup_row(1)
     with pytest.raises(ValueError):

@@ -242,3 +242,13 @@ def test_degenerate_zero_inputs_are_skipped(grid32):
     spec = BilinearEstimateSpec("2.4", trials=3, seed=0)
     report = bilinear_constant_estimate(spec, resolutions=(16, 32))
     assert all(stats["count"] == 3 for stats in report["stats"].values())
+
+
+def test_a_repeated_resolution_pools_its_ratios():
+    # each lattice's ratios go into the list of its point count, so a grid
+    # named twice holds every trial twice, the same ratios both times
+    spec = BilinearEstimateSpec("2.4", p1=INF, p2=2.0, r=2.0, trials=4, seed=2)
+    once = bilinear_constant_estimate(spec, resolutions=(16,))["stats"][16]
+    twice = bilinear_constant_estimate(spec, resolutions=(16, 16))["stats"][16]
+    assert twice["count"] == 2 * once["count"] == 8
+    assert twice["max"] == once["max"] and twice["median"] == once["median"]
