@@ -93,37 +93,61 @@ class MixedSpec:
         return float(np.sum(lift * per_block) + np.max(lift * (3.0 + qs) * per_block))
 
 
-def _power_of_two_above(x):
-    """The least power of two above x > 0: dividing by it is exact."""
-    return np.ldexp(1.0, np.frexp(x)[1])
+# the least positive normal double
+_NORMAL = np.finfo(float).tiny
 
 
-def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
-    """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N); a
-    finite sample whose sums overflow is measured again, scaled to sup <= 1."""
-    p = _check_exponent("p", p)
+def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
+    """``total(m**p, axis=axes) ** (1/p)`` of each sample of a stack, its
+    max over ``axes`` when p = inf, where m is ``magnitude(values)`` (the
+    values themselves by default, then nonnegative, or of any sign at p = 2).
+    The sample's axes are the trailing ones; ``total`` may weight the sum
+    and ``magnitude`` must scale with the values.
+
+    One unscaled pass.  A sample whose result is inf or below the normal
+    range lost its power sum to overflow or underflow: it is measured again
+    divided by the power of two above its largest |value|, which is exact.
+    Every other result keeps the bits of the unscaled pass.
+    """
+
+    def power(v):
+        mag = v if magnitude is None else magnitude(v)
+        return np.max(mag, axis=axes) if p == INF else total(mag**p, axis=axes)
+
+    if p == INF:  # a max neither overflows nor underflows
+        return power(values)
     with np.errstate(over="ignore"):
-        out = np.asarray(_unscaled_lp_norms(values, grid, p))
-    if np.isinf(out).any():
-        sample = tuple(range(-grid.dim - 1, 0))
-        redo = np.isinf(out) & np.all(np.isfinite(values), axis=sample)
-        big = values[redo]
-        scale = _power_of_two_above(np.max(np.abs(big), axis=sample, keepdims=True))
-        out[redo] = scale.ravel() * _unscaled_lp_norms(big / scale, grid, p)
+        out = power(values) ** (1.0 / p)
+    redo = (out < _NORMAL) | (out == INF)
+    if not redo.any():
+        return out
+    out, samples = np.array(out), values[redo]
+    peak = np.max(np.abs(samples).reshape(len(samples), -1), axis=1)
+    scale = np.ldexp(1.0, np.frexp(peak)[1])  # the least power of two above
+    shape = (-1,) + (1,) * (samples.ndim - 1)
+    out[redo] = scale * power(samples / scale.reshape(shape)) ** (1.0 / p)  # terms <= 1
     return out
 
 
-def _unscaled_lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N)."""
+    p = _check_exponent("p", p)
     cax, axes = -grid.dim - 1, tuple(range(-grid.dim, 0))
+
+    def total(terms, axis):
+        return grid.cell_volume * np.sum(terms, axis=axis)
+
+    def largest_square(terms, axis):  # an array, whose ** 0.5 is np.sqrt
+        return np.asarray(np.max(np.sum(terms, axis=cax), axis=axes))
+
+    def euclidean(v):
+        return np.sqrt(np.sum(v**2, axis=cax))
+
     if values.shape[cax] == 1:
-        mag = np.squeeze(np.abs(values), axis=cax)
-    elif p == INF:  # sqrt is monotone and correctly rounded: one per sample
-        return np.sqrt(np.max(np.sum(values**2, axis=cax), axis=axes))
-    else:
-        mag = np.sqrt(np.sum(values**2, axis=cax))
-    if p == INF:
-        return np.max(mag, axis=axes)
-    return (grid.cell_volume * np.sum(mag**p, axis=axes)) ** (1.0 / p)
+        return _power_mean(np.squeeze(np.abs(values), axis=cax), p, axes, total)
+    if p == INF:  # sqrt is monotone and correctly rounded: one per sample
+        return _power_mean(values, 2.0, (cax,) + axes, largest_square)
+    return _power_mean(values, p, axes, total, euclidean)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -140,14 +164,7 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return 0.0
-    if r == INF:
-        return float(np.max(values))
-    with np.errstate(over="ignore"):
-        out = float(np.sum(values**r) ** (1.0 / r))
-    if out == INF and np.all(np.isfinite(values)):  # the sum overflowed: rescale
-        scale = _power_of_two_above(np.max(values))
-        out = float(scale * np.sum((values / scale) ** r) ** (1.0 / r))
-    return out
+    return float(_power_mean(values, r, (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -274,17 +291,14 @@ def heat_trajectory(f: Field, times) -> FieldTrajectory:
     return FieldTrajectory.from_half(f.grid, times, half)
 
 
-def _trapezoid(values: np.ndarray, xs: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(xs)))
-
-
 def time_norm(values: np.ndarray, times: np.ndarray, rho: float) -> float:
     """L^rho norm over the sampled interval (trapezoid; max when rho = inf)."""
     rho = _check_exponent("rho", rho)
-    values = np.asarray(values, dtype=float)
-    if rho == INF:
-        return float(np.max(values))
-    return float(_trapezoid(values**rho, times) ** (1.0 / rho))
+
+    def trapezoid(terms, axis):
+        return np.sum(0.5 * (terms[..., 1:] + terms[..., :-1]) * np.diff(times), axis=axis)
+
+    return float(_power_mean(np.asarray(values, dtype=float), rho, (-1,), trapezoid))
 
 
 def block_time_lp(

@@ -75,6 +75,8 @@ REGIMES = ("thm1.2", "thm1.3", "thm1.4")
 CONSTANT_TRIALS = 6
 # Picard stops as diverged past this multiple of the initial pair norm
 DIVERGENCE_GUARD = 10.0
+# bytes of padded products one block of samples of a source batch may hold
+SOURCE_BLOCK_BYTES = 2**20
 
 
 class OracleInstabilityError(RuntimeError):
@@ -237,18 +239,33 @@ def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray
 
 def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.ndarray:
     """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of
-    u = a and (v, theta) = b, half spectra (..., n + 1, N, ..., N/2+1) in and
-    out; ``b is a`` (the stacked (u, theta)) forms a self flux's distinct
-    products from one transform."""
+    u = a and (v, theta) = b, half spectra (samples, n + 1, N, ..., N/2+1) or
+    one state (n + 1, N, ..., N/2+1) in and out; ``b is a`` (the stacked
+    (u, theta)) forms a self flux's distinct products from one transform.
+
+    The samples run in blocks whose padded products fit SOURCE_BLOCK_BYTES,
+    each written into one output stack; every transform, product and
+    contraction acts per sample, so the blocks change no bit.
+    """
     n = grid.dim
     pairs, _ = _flux_plan(n, b is a)
 
     def flat(x):
         return x.reshape(x.shape[:-n] + (-1,))
 
-    prod = dealiased_products(a, b, pairs, grid)
-    cols = np.concatenate([flat(prod), flat(b)[..., n:, :]], axis=-2)
-    return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
+    def block(x, y):  # y is x for a self flux
+        prod = dealiased_products(x, y, pairs, grid)
+        cols = np.concatenate([flat(prod), flat(y)[..., n:, :]], axis=-2)
+        return np.einsum("idk,...dk->...ik", op, cols).reshape(y.shape)
+
+    if b.ndim == n + 1:
+        return block(a, b)
+    out = np.empty(b.shape, dtype=np.complex128)
+    step = max(1, SOURCE_BLOCK_BYTES // (8 * len(pairs) * (3 * grid.points // 2) ** n))
+    for s in range(0, len(b), step):
+        x = a[s : s + step]
+        out[s : s + step] = block(x, x if b is a else b[s : s + step])
+    return out
 
 
 def _data_state(u0: Field, theta0: Field, config: SolverConfig) -> tuple[Grid, np.ndarray]:

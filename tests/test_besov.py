@@ -6,6 +6,7 @@ from the implementation under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ from lptorus.besov import (
     chemin_lerner_reduce,
     embedding_report,
     lebesgue_besov_reduce,
+    sequence_norm,
     time_block_norms,
+    time_norm,
 )
 from lptorus.cutoffs import build_cutoffs
 from lptorus.dyadic import block_weights, shell_max
@@ -346,6 +349,73 @@ def test_only_the_overflowing_sample_is_rescaled(grid32, rng):
     assert got[2] == INF and np.isnan(got[3])
     unscaled = _lp_norms(values[1] / 1e200, grid32, 2.0)
     assert got[1] == pytest.approx(1e200 * unscaled, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+def test_in_range_reductions_keep_the_unscaled_bits(grid32, p, rng):
+    # the L^p, l^r and L^rho_T reductions as they were before any rescaling,
+    # on stacks and on single samples (whose root is a scalar power)
+    vol, axes = grid32.cell_volume, (-2, -1)
+
+    def lp(values):
+        if values.shape[-3] == 1:
+            mag = np.squeeze(np.abs(values), axis=-3)
+        elif p == INF:
+            return np.sqrt(np.max(np.sum(values**2, axis=-3), axis=axes))
+        else:
+            mag = np.sqrt(np.sum(values**2, axis=-3))
+        return np.max(mag, axis=axes) if p == INF else (vol * np.sum(mag**p, axis=axes)) ** (1 / p)
+
+    for m in (1, 2, 3):
+        scales = 10.0 ** rng.uniform(-9, 9, (4, 1, 1, 1))
+        values = rng.standard_normal((4, m) + grid32.shape) * scales
+        assert np.array_equal(_lp_norms(values, grid32, p), lp(values))
+        assert lp_norm(Field(grid32, values[0]), p) == lp(values[0])
+    seq = np.abs(rng.standard_normal(9)) * 1e-3
+    expected = np.max(seq) if p == INF else np.sum(seq**p) ** (1 / p)
+    assert sequence_norm(seq, p) == expected
+    times = np.sort(rng.uniform(0, 1, 9))
+    trapezoid = float(np.sum(0.5 * (seq[1:] ** p + seq[:-1] ** p) * np.diff(times)))
+    expected = np.max(seq) if p == INF else trapezoid ** (1 / p)
+    assert time_norm(seq, times, p) == expected
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+def test_norms_of_a_field_near_underflow_are_not_zero(grid32, components, p, rng):
+    # the squares and p-th powers of a field of sup 1e-200 underflow to 0;
+    # the norms are 1e-200 times those of the unscaled field all the same
+    f = Field(grid32, rng.standard_normal((components,) + grid32.shape))
+    tiny = Field(grid32, 1e-200 * f.values)
+    assert lp_norm(tiny, p) == pytest.approx(1e-200 * lp_norm(f, p), rel=1e-14, abs=0)
+    np.testing.assert_allclose(
+        block_lp_norms(tiny, p), 1e-200 * block_lp_norms(f, p), rtol=1e-14, atol=0
+    )
+    spec = BesovSpec(-1.0, p, 2.0)
+    assert besov_norm(tiny, spec) == pytest.approx(1e-200 * besov_norm(f, spec), rel=1e-14)
+
+
+def test_sequence_and_time_norms_rescale_only_what_left_the_range():
+    assert sequence_norm([1e-200, 2e-200], 2.0) == pytest.approx(math.sqrt(5) * 1e-200)
+    assert sequence_norm([1e200, 2e200], 2.0) == pytest.approx(math.sqrt(5) * 1e200)
+    assert sequence_norm([0.0, 0.0], 2.0) == 0.0
+    times = np.array([0.0, 0.5, 1.0])
+    assert time_norm([3e-200, 3e-200, 3e-200], times, 2.0) == pytest.approx(3e-200)
+    assert time_norm([3e200, 3e200, 3e200], times, 3.0) == pytest.approx(3e200)
+    assert math.isnan(time_norm([1.0, np.nan, 1.0], times, 2.0))
+    assert time_norm([1.0, np.inf, 1.0], times, 2.0) == INF
+
+
+def test_chemin_lerner_norm_of_a_trajectory_near_overflow_is_finite(grid32, rng):
+    # every block norm of the sup-1e200 field is finite; their squares are not
+    f = random_field(grid32, rng)
+    times = np.linspace(0.0, 0.5, 5)
+    spec = BesovSpec(0.0, 2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = chemin_lerner_norm(heat_trajectory(f * 1e200, times), 2.0, spec)
+    unscaled = chemin_lerner_norm(heat_trajectory(f, times), 2.0, spec)
+    assert big == pytest.approx(1e200 * unscaled, rel=1e-14)
 
 
 def test_trajectory_from_fields_and_from_half_agree(grid32, rng):

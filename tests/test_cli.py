@@ -64,6 +64,17 @@ def test_norm_of_a_field_near_overflow_prints_a_finite_value(tmp_path, capsys):
         assert math.isfinite(value) and value > 1e199
 
 
+def test_norm_of_a_field_near_underflow_prints_a_nonzero_value(tmp_path, capsys):
+    # squares of sup-1e-200 samples underflow to 0; the norm does not
+    grid = Grid(2, 32)
+    path = tmp_path / "tiny.lpfld"
+    field = random_field(grid, np.random.default_rng(5))
+    write_field(path, Field(grid, field.values * (1e-200 / np.max(np.abs(field.values)))))
+    assert main(["norm", str(path), "--s", "-1", "--p", "2", "--r", "2"]) == 0
+    value = float(capsys.readouterr().out.strip())
+    assert 1e-202 < value < 1e-198
+
+
 @pytest.mark.parametrize("trials", [1, 2])
 def test_verify_heatchar_family_follows_trials(tmp_path, trials):
     # heatchar draws --trials fields per (sigma, p) case: 4 cases

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lptorus import (
     FieldTrajectory,
     Grid,
     divergence,
+    helmholtz_project,
     single_mode,
     taylor_green,
 )
@@ -27,6 +29,7 @@ from lptorus.besov import (
 from lptorus.ensembles import random_field
 from lptorus.solver import (
     DIVERGENCE_GUARD,
+    SOURCE_BLOCK_BYTES,
     SmallnessCertificate,
     SolverConfig,
     _duhamel_stack,
@@ -377,6 +380,78 @@ def test_source_operator_matches_the_flux_projection_composition(dim, generic):
     got = _sources(b, b, _source_operator(grid, tuple(a), True), grid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _unblocked_sources(a, b, op, grid):
+    # the whole sample axis in one batch: one product stack, one contraction
+    n = grid.dim
+    pairs, _ = _flux_plan(n, b is a)
+
+    def flat(x):
+        return x.reshape(x.shape[:-n] + (-1,))
+
+    prod = dealiased_products(a, b, pairs, grid)
+    cols = np.concatenate([flat(prod), flat(b)[..., n:, :]], axis=-2)
+    return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
+
+
+@pytest.mark.parametrize("dim, points", [(2, 32), (3, 16)])
+def test_blocked_sources_equal_one_unblocked_batch(dim, points):
+    # sample counts around the block size B and the solver's 65 samples, for
+    # the self flux (one stack passed twice) and the constants' flux of u
+    # and (v, theta); every bit agrees
+    grid, n = Grid(dim, points), dim
+    rng = np.random.default_rng(dim)
+    axes = tuple(range(-n, 0))
+    state = np.fft.rfftn(rng.standard_normal((65, n + 1) + grid.shape), axes=axes, norm="forward")
+    u = np.fft.rfftn(rng.standard_normal((65, n) + grid.shape), axes=axes, norm="forward")
+    fluxes = [
+        (True, _source_operator(grid, (0.0,) * (n - 1) + (1.0,), True)),
+        (False, _source_operator(grid, (0.0,) * n, False)),
+    ]
+    for self_flux, op in fluxes:
+        per_sample = 8 * len(_flux_plan(n, self_flux)[0]) * (3 * points // 2) ** n
+        block = max(1, SOURCE_BLOCK_BYTES // per_sample)
+        assert block < 65
+        for count in sorted({1, block - 1, block, block + 1, 65} - {0}):
+            b = state[:count]
+            a = b if self_flux else u[:count]
+            got = _sources(a, b, op, grid)
+            assert got.shape == b.shape
+            assert np.array_equal(got, _unblocked_sources(a, b, op, grid))
+
+
+def test_three_dimensional_constants_are_unchanged():
+    # lambda and eta at n = 3, N = 16, M = 16, as measured with one
+    # unblocked source batch per trial
+    config = SolverConfig(horizon=0.5, steps=16, buoyancy=(0.0, 0.0, 1.0))
+    constants = measure_operator_constants(Grid(3, 16), config)
+    assert constants["lambda"] == pytest.approx(0.12054559285280332, rel=1e-12)
+    assert constants["eta"] == pytest.approx(0.03145262891008653, rel=1e-12)
+
+
+def test_solver_peak_memory_stays_bounded():
+    # tracemalloc peaks at N = 32, M = 64 with the source batches in sample
+    # blocks: about 10 and 8 MiB, against 30 and 22 MiB for one batch of
+    # all 65 samples
+    grid = Grid(2, 32)
+    config = SolverConfig(horizon=0.5, steps=64, constant_seed=0)
+    rng = np.random.default_rng(0)
+    u0 = helmholtz_project(random_field(grid, rng, components=2))
+    u0 = u0 * (0.01 / float(np.max(u0.magnitude())))
+    th0 = random_field(grid, rng) * 0.01
+    tracemalloc.start()
+    try:
+        constants = measure_operator_constants(grid, config)
+        constants_peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.reset_peak()
+        config = dataclasses.replace(config, lambda_=constants["lambda"], eta=constants["eta"])
+        picard_solve(u0, th0, config)
+        picard_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert constants_peak < 15.0
+    assert picard_peak < 12.0
 
 
 def test_source_operator_is_cached_read_only():
