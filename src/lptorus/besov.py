@@ -104,10 +104,13 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
     The sample's axes are the trailing ones; ``total`` may weight the sum
     and ``magnitude`` must scale with the values.
 
-    One unscaled pass.  A sample whose result is inf or below the normal
-    range lost its power sum to overflow or underflow: it is measured again
-    divided by the power of two above its largest |value|, which is exact.
-    Every other result keeps the bits of the unscaled pass.
+    One unscaled pass.  A sample whose result is inf lost its power sum to
+    overflow.  One whose result lies less than 2^64 above the e-th root of
+    the normal range, e = p (max(p, 2) when ``magnitude`` squares), may have
+    lost its p-th powers or squares to subnormal underflow, though the
+    result itself is normal.  Either is measured again divided by the power
+    of two above its largest |value|, which is exact.  Every other result
+    keeps the bits of the unscaled pass.
     """
 
     def power(v):
@@ -118,7 +121,8 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
         return power(values)
     with np.errstate(over="ignore"):
         out = power(values) ** (1.0 / p)
-    redo = (out < _NORMAL) | (out == INF)
+    floor = _NORMAL ** (1.0 / (p if magnitude is None else max(p, 2.0))) * 2.0**64
+    redo = (out < floor) | (out == INF)
     if not redo.any():
         return out
     out, samples = np.array(out), values[redo]
@@ -177,7 +181,7 @@ def _shell_columns(grid: Grid, q: int, cut: CutoffPair) -> int:
 
 
 def _block_table(
-    half: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None
+    half: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
     """||block_q f||_p for q = -1..shell_max and each sample of a stack.
 
@@ -188,7 +192,7 @@ def _block_table(
     reads NaN there, as 0 * nan and 0 * inf would make it.
     """
     cut = cutoffs or build_cutoffs()
-    qm = shell_max(grid, cut)
+    qm = shell_max(grid)
     out = np.empty((qm + 2,) + half.shape[: -grid.dim - 1])
     # the last column holding a non-finite entry, per sample (-1: none)
     bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
@@ -222,7 +226,7 @@ def besov_norm(
 
 
 class FieldTrajectory:
-    """Time-sampled real field on one grid; times increase within [0, T].
+    """Time-sampled real field on one grid; times increase from t >= 0.
 
     The data is one stack ``half`` of shape (samples, m, N, ..., N/2+1): the
     ``spectral`` half spectra of the samples (:class:`~lptorus.spectral.Field`).
@@ -234,27 +238,25 @@ class FieldTrajectory:
     it.
     """
 
-    __slots__ = ("grid", "times", "half", "T")
+    __slots__ = ("grid", "times", "half")
 
-    def __init__(self, times, fields, T: float = 0.0):
+    def __init__(self, times, fields):
         fields = tuple(fields)
         if not fields:
             raise ValueError("need one field per time and at least one sample")
         grid = fields[0].grid
         if any(f.grid != grid for f in fields):
             raise ValueError("all fields must share one grid")
-        self._init(grid, times, np.stack([f.spectral for f in fields]), T)
+        self._init(grid, times, np.stack([f.spectral for f in fields]))
 
     @classmethod
-    def from_half(
-        cls, grid: Grid, times, half: np.ndarray, T: float = 0.0
-    ) -> "FieldTrajectory":
+    def from_half(cls, grid: Grid, times, half: np.ndarray) -> "FieldTrajectory":
         """Trajectory whose sample i has the half spectrum half[i]."""
         traj = cls.__new__(cls)
-        traj._init(grid, times, half, T)
+        traj._init(grid, times, half)
         return traj
 
-    def _init(self, grid: Grid, times, half: np.ndarray, T: float) -> None:
+    def _init(self, grid: Grid, times, half: np.ndarray) -> None:
         times = np.asarray(times, dtype=float)
         half = np.asarray(half, dtype=np.complex128).view()
         half.setflags(write=False)
@@ -266,10 +268,7 @@ class FieldTrajectory:
             raise ValueError("times must be strictly increasing")
         if times[0] < 0:
             raise ValueError("times must be >= 0")
-        horizon = float(T) if T else float(times[-1])
-        if times[-1] > horizon * (1 + 1e-12):
-            raise ValueError("times exceed the horizon T")
-        self.grid, self.times, self.half, self.T = grid, times, half, horizon
+        self.grid, self.times, self.half = grid, times, half
 
     @property
     def components(self) -> int:
@@ -280,9 +279,7 @@ class FieldTrajectory:
             return self
         if self.times.size == 1:
             raise ValueError("trajectory has no positive sample times")
-        return FieldTrajectory.from_half(
-            self.grid, self.times[1:], self.half[1:], self.T
-        )
+        return FieldTrajectory.from_half(self.grid, self.times[1:], self.half[1:])
 
 
 def heat_trajectory(f: Field, times) -> FieldTrajectory:
@@ -301,15 +298,13 @@ def time_norm(values: np.ndarray, times: np.ndarray, rho: float) -> float:
     return float(_power_mean(np.asarray(values, dtype=float), rho, (-1,), trapezoid))
 
 
-def block_time_lp(
-    traj: FieldTrajectory, p: float, cutoffs: CutoffPair | None = None
-) -> np.ndarray:
+def block_time_lp(traj: FieldTrajectory, p: float) -> np.ndarray:
     """Matrix ||block_q f(t_i)||_p with shape (shells, samples).
 
     Reads the trajectory's half stack, one pruned c2r per shell (on the
     columns the shell occupies) batched over all samples; no ``Field``.
     """
-    return _block_table(traj.half, traj.grid, p, cutoffs)
+    return _block_table(traj.half, traj.grid, p)
 
 
 def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
@@ -333,27 +328,15 @@ def lebesgue_besov_reduce(
 
 
 def chemin_lerner_norm(
-    traj: FieldTrajectory,
-    rho: float,
-    spec: BesovSpec | MixedSpec,
-    cutoffs: CutoffPair | None = None,
+    traj: FieldTrajectory, rho: float, spec: BesovSpec | MixedSpec
 ) -> float:
     """Time-inside-shells norm: the spec's reduction of ||block_q||_{L^rho_T L^p}."""
-    return chemin_lerner_reduce(
-        block_time_lp(traj, spec.p, cutoffs), traj.times, rho, spec
-    )
+    return chemin_lerner_reduce(block_time_lp(traj, spec.p), traj.times, rho, spec)
 
 
-def lebesgue_besov_norm(
-    traj: FieldTrajectory,
-    rho: float,
-    spec: BesovSpec,
-    cutoffs: CutoffPair | None = None,
-) -> float:
+def lebesgue_besov_norm(traj: FieldTrajectory, rho: float, spec: BesovSpec) -> float:
     """Shells-inside-time norm: L^rho_T of the pointwise-in-time Besov norm."""
-    return lebesgue_besov_reduce(
-        block_time_lp(traj, spec.p, cutoffs), traj.times, rho, spec
-    )
+    return lebesgue_besov_reduce(block_time_lp(traj, spec.p), traj.times, rho, spec)
 
 
 def log_weight(t, sigma: float):
@@ -366,51 +349,37 @@ def kato_weighted_norm(
 ) -> float:
     """sup over samples of t^{1/2} |ln(t/e^2)|^sigma ||f(t)||_p.
 
-    Requires every sample time in (0, T] with T <= 1; a t = 0 sample is
-    rejected because the weight is only defined there by a limit.
+    Requires every sample time in (0, T] with T <= 1, T the last sample
+    time; a t = 0 sample is rejected because the weight is only defined there
+    by a limit.
     """
+    t = traj.times
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if traj.times[0] <= 0:
+    if t[0] <= 0:
         raise ValueError("weighted norm requires all sample times > 0")
-    if traj.T > 1 + 1e-12:
-        raise ValueError(f"weighted norm requires T <= 1, got T = {traj.T}")
-    t = traj.times
+    if t[-1] > 1 + 1e-12:
+        raise ValueError(f"weighted norm requires T <= 1, got T = {t[-1]}")
     weights = np.sqrt(t) * log_weight(t, sigma)
     norms = _lp_norms(values_from_half(traj.half, traj.grid), traj.grid, p)
     return float(np.max(weights * norms))
-
-
-def log_time_grid(
-    t_min: float = 1e-6, t_max: float = 1.0, per_decade: int = 64
-) -> np.ndarray:
-    """Log-uniform grid on [t_min, t_max], ``per_decade`` points per decade."""
-    decades = math.log10(t_max / t_min)
-    count = max(2, int(round(decades * per_decade)) + 1)
-    return np.geomspace(t_min, t_max, count)
 
 
 def heat_characterization_norm(
     f: Field, sigma: float, p: float, times: np.ndarray | None = None
 ) -> float:
     """``kato_weighted_norm`` of the heat evolution of ``f`` on ``times``
-    (default ``log_time_grid()``) inside (0, 1]: the heat trace of the
-    B^{-1,sigma}_{p,inf} norm."""
-    times = log_time_grid() if times is None else np.asarray(times, dtype=float)
+    (default log-uniform on [1e-6, 1], 64 per decade) inside (0, 1]: the
+    heat trace of the B^{-1,sigma}_{p,inf} norm."""
+    times = np.geomspace(1e-6, 1.0, 385) if times is None else np.asarray(times, dtype=float)
     return kato_weighted_norm(heat_trajectory(f, times), sigma, p)
 
 
-def characterization_ratio(
-    f: Field,
-    sigma: float,
-    p: float,
-    times: np.ndarray | None = None,
-    cutoffs: CutoffPair | None = None,
-) -> float:
+def characterization_ratio(f: Field, sigma: float, p: float) -> float:
     """heat-trace norm / B^{-1,sigma}_{p,inf} norm of one field (the
     equivalence ratio)."""
-    num = heat_characterization_norm(f, sigma, p, times)
-    den = besov_norm(f, BesovSpec(-1, p, INF, sigma), cutoffs)
+    num = heat_characterization_norm(f, sigma, p)
+    den = besov_norm(f, BesovSpec(-1, p, INF, sigma))
     if den == 0:
         return 0.0 if num == 0 else INF
     return num / den
@@ -438,6 +407,9 @@ def _derivative(f: Field, alpha: tuple[int, ...]) -> Field:
     return Field.from_spectral(grid, f.spectral * mult)
 
 
+BERNSTEIN_RADII = (0.75, 8.0 / 3.0)  # the annulus holding phi's support
+
+
 def bernstein_check(
     f: Field,
     a: float,
@@ -445,22 +417,21 @@ def bernstein_check(
     order: int,
     scale: float,
     support: str = "ball",
-    radii: tuple[float, float] = (0.75, 8.0 / 3.0),
 ) -> dict:
     """Ratio of sup_{|alpha| = order} ||d^alpha f||_b to its band-limited bound.
 
     ``support`` declares where the spectrum of ``f`` is supposed to live:
-    the ball |k| <= radii[0] * scale or the shell radii[0] * scale <= |k| <=
-    radii[1] * scale.  The input is validated against that region.  For the
-    ball the bound is scale^{order + n(1/a - 1/b)} ||f||_a; for the shell the
-    same quantity with a = b is two-sided.
+    the ball |k| <= r1 * scale or the shell r1 * scale <= |k| <= r2 * scale,
+    with (r1, r2) = ``BERNSTEIN_RADII``.  The input is validated against that
+    region.  For the ball the bound is scale^{order + n(1/a - 1/b)} ||f||_a;
+    for the shell the same quantity with a = b is two-sided.
     """
     a = _check_exponent("a", a)
     b = _check_exponent("b", b)
     if b < a:
         raise ValueError("need a <= b")
     grid = f.grid
-    r1, r2 = radii
+    r1, r2 = BERNSTEIN_RADII
     if support == "ball":
         bad = grid.k_abs > r1 * scale * (1 + 1e-9)
     elif support == "shell":
@@ -495,7 +466,6 @@ def embedding_report(
     eps: float = 0.5,
     p: float = 2.0,
     r_tilde: float = 2.0,
-    cutoffs: CutoffPair | None = None,
 ) -> dict:
     """Empirical constants for the sup-norm sandwich and the shift chain.
 
@@ -511,8 +481,8 @@ def embedding_report(
     )
     for f in fields:
         sup = lp_norm(f, INF)
-        sup_blocks = block_lp_norms(f, INF, cutoffs)
-        p_blocks = sup_blocks if p == INF else block_lp_norms(f, p, cutoffs)
+        sup_blocks = block_lp_norms(f, INF)
+        p_blocks = sup_blocks if p == INF else block_lp_norms(f, p)
         log_p = BesovSpec(s, p, INF, 1.0).reduce(p_blocks)
         for key, num, den in (
             ("weak_vs_sup", BesovSpec(0, INF, INF).reduce(sup_blocks), sup),

@@ -151,9 +151,7 @@ def _block_sup(amps: list[float], exponents: list[int]) -> float:
     return float(np.max(np.abs(total)))
 
 
-def dirac_comb_norms(
-    spec: DiracCombSpec, cutoffs: CutoffPair | None = None, dim: int = 1
-) -> tuple[float, float]:
+def dirac_comb_norms(spec: DiracCombSpec, dim: int = 1) -> tuple[float, float]:
     """(partial sum_q ||block_q f||_inf for q <= J, sup_q (q+3) ||block_q f||_inf).
 
     Comparable within fixed constants to sum_j |a_j| and sup_j (j+3) |a_j|.
@@ -161,7 +159,6 @@ def dirac_comb_norms(
     """
     if dim != 1:
         raise ValueError("the comb norms are computed in one dimension only")
-    cut = cutoffs or build_cutoffs()
     J = spec.J
     partial = 0.0
     weighted_sup = 0.0
@@ -171,7 +168,7 @@ def dirac_comb_norms(
             a = spec.coefficients[j + 1]
             if a == 0.0:
                 continue
-            w = kernel_multiplier(2.0**j, q, cut)
+            w = kernel_multiplier(2.0**j, q)
             if abs(w) < 1e-9:
                 continue
             amps.append(a * w)

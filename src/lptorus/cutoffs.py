@@ -12,7 +12,9 @@ phi(rho) = chi(rho/2) - chi(rho) is then supported in {3/4 <= rho <= 8/3} and
 
 for every rho, with the sum telescoping to finitely many terms.  A second
 variant with b(t) = exp(-1/t^2) exists to spot-check that norms built from
-different admissible cutoffs are equivalent.
+different admissible cutoffs are equivalent; only the block multipliers,
+``besov_norm`` and the comb kernel take a pair, and everything built on them
+uses the default one.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ def partition_defect(radii, cutoffs: CutoffPair | None = None) -> float:
     return float(np.max(np.abs(1.0 - total)))
 
 
-def default_test_radii(count: int = 20000, rho_max: float = 512.0) -> np.ndarray:
+def default_test_radii() -> np.ndarray:
     """Dense radial lattice used to certify the partition of unity."""
-    lin = np.linspace(0.0, 8.0, count // 2)
-    log = np.geomspace(1e-3, rho_max, count - count // 2)
-    return np.concatenate([lin, log])
+    return np.concatenate([np.linspace(0.0, 8.0, 10000), np.geomspace(1e-3, 512.0, 10000)])

@@ -28,15 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cutoffs import CHI_FLAT_RADIUS, CutoffPair, build_cutoffs
+from .cutoffs import CHI_FLAT_RADIUS, GAMMA, CutoffPair, build_cutoffs
 from .spectral import Field, Grid, _band_spectrum, _c2r, _padded
 
 
-def shell_max(grid: Grid, cutoffs: CutoffPair | None = None) -> int:
+def shell_max(grid: Grid) -> int:
     """Largest q with 2 * gamma * 2^q <= Nyquist; -1 if no full shell fits."""
-    cut = cutoffs or build_cutoffs()
     q = -1
-    while 2.0 * cut.gamma * 2.0 ** (q + 1) <= grid.nyquist * (1 + 1e-12):
+    while 2.0 * GAMMA * 2.0 ** (q + 1) <= grid.nyquist * (1 + 1e-12):
         q += 1
     return q
 
@@ -48,19 +47,18 @@ def require_shell(grid: Grid) -> Grid:
     return grid
 
 
-def reconstruction_cap(grid: Grid, cutoffs: CutoffPair | None = None) -> float:
+def reconstruction_cap(grid: Grid) -> float:
     """Spectral radius below which blocks -1..shell_max reproduce the field."""
-    return CHI_FLAT_RADIUS * 2.0 ** (shell_max(grid, cutoffs) + 1)
+    return CHI_FLAT_RADIUS * 2.0 ** (shell_max(grid) + 1)
 
 
-def shell_bounds(q: int, cutoffs: CutoffPair | None = None) -> tuple[float, float]:
+def shell_bounds(q: int) -> tuple[float, float]:
     """Support radii (lo, hi) of block q's multiplier."""
-    cut = cutoffs or build_cutoffs()
     if q <= -2:
         return (0.0, 0.0)
     if q == -1:
-        return (0.0, cut.gamma)
-    return (2.0**q / cut.gamma, 2.0 * cut.gamma * 2.0**q)
+        return (0.0, GAMMA)
+    return (2.0**q / GAMMA, 2.0 * GAMMA * 2.0**q)
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +89,12 @@ def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np
     return _lowpass_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
-def _padded_blocks(f: Field, cutoffs: CutoffPair) -> np.ndarray:
+def _padded_blocks(f: Field) -> np.ndarray:
     """Blocks -1..shell_max of ``f`` as values on the 3N/2 grid of the 3/2
     rule, (shell_max + 2, m, 3N/2, ..., 3N/2), by one batched c2r: sums of
     their products, brought back by ``_band_spectrum``, are exact on the band."""
-    grid, qs = f.grid, range(-1, shell_max(f.grid, cutoffs) + 1)
-    blocks = np.stack([block_weights(grid, q, cutoffs) for q in qs])[:, None] * f.spectral
+    grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
+    blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
     return _c2r(_padded(blocks, grid), grid.dim, 3 * grid.points // 2)
 
 
@@ -130,9 +128,9 @@ class DyadicDecomposition:
         return sum(self.blocks[1:], self.blocks[0])
 
 
-def decompose(f: Field, cutoffs: CutoffPair | None = None) -> DyadicDecomposition:
-    qm = shell_max(f.grid, cutoffs)
-    blocks = tuple(dyadic_block(f, q, cutoffs) for q in range(-1, qm + 1))
+def decompose(f: Field) -> DyadicDecomposition:
+    qm = shell_max(f.grid)
+    blocks = tuple(dyadic_block(f, q) for q in range(-1, qm + 1))
     return DyadicDecomposition(f, blocks, qm)
 
 
@@ -146,12 +144,7 @@ def _max_outside(spec: np.ndarray, grid: Grid, lo: float, hi: float) -> float:
     return float(np.max(np.abs(spec[..., outside]), initial=0.0))
 
 
-def support_report(
-    f: Field,
-    g: Field,
-    cutoffs: CutoffPair | None = None,
-    tol: float = 1e-12,
-) -> dict:
+def support_report(f: Field, g: Field) -> dict:
     """Verify the block-interaction support identities on a field pair.
 
     Returns per-identity maximal violating coefficients, relative to the
@@ -165,19 +158,18 @@ def support_report(
       (|l| <= 1) vanishes above 2*gamma*(1 + 2^l) * 2^q, hence blocks
       k >= q + 4 annihilate it.
 
-    Products are dealiased, so the checked coefficients are exact.
+    Products are dealiased, so the checked coefficients are exact; each must
+    stay below 1e-12.
     """
-    cut = cutoffs or build_cutoffs()
     grid = f.grid
     if g.grid != grid:
         raise ValueError("fields live on different grids")
-    qm = shell_max(grid, cut)
-    gamma = cut.gamma
+    qm = shell_max(grid)
     scale = float(np.max(f.magnitude()) * np.max(g.magnitude()))
     scale_f = float(np.max(f.magnitude()))
 
     shells = range(-1, qm + 1)
-    w = {q: block_weights(grid, q, cut) for q in shells}
+    w = {q: block_weights(grid, q) for q in shells}
     ortho = max(
         (float(np.max(np.abs(w[k] * w[q] * f.spectral))) for q in shells for k in shells
          if abs(k - q) >= 2),
@@ -186,7 +178,7 @@ def support_report(
 
     # S_{q-1} f * Delta_q g for q = 1..qm, then Delta_q f * Delta_k g for
     # |k - q| <= 1: products of padded block values, one r2c for all
-    fb, gb = _padded_blocks(f, cut), _padded_blocks(g, cut)
+    fb, gb = _padded_blocks(f), _padded_blocks(g)
     low = np.cumsum(fb, axis=0)  # low[q] = S_q f
     near = [(q, k) for q in shells for k in (q - 1, q, q + 1) if -1 <= k <= qm]
     factors = [(low[q - 1], gb[q + 1]) for q in range(1, qm + 1)]
@@ -199,15 +191,15 @@ def support_report(
     para = 0.0
     for q in range(1, qm + 1):
         prod = next(spectra)
-        lo = 2.0**q / gamma - gamma * 2.0 ** (q - 1)
-        hi = 2.0 * gamma * 2.0**q + gamma * 2.0 ** (q - 1)
+        lo = 2.0**q / GAMMA - GAMMA * 2.0 ** (q - 1)
+        hi = 2.0 * GAMMA * 2.0**q + GAMMA * 2.0 ** (q - 1)
         # the annulus, and explicit far blocks where any exist on this lattice
         far = [float(np.max(np.abs(w[k] * prod))) for k in shells if abs(k - q) >= 5]
         para = max([para, _max_outside(prod, grid, lo, hi)] + far)
 
     rem = 0.0
     for q, k in near:
-        hi = shell_bounds(q, cut)[1] + shell_bounds(k, cut)[1]
+        hi = shell_bounds(q)[1] + shell_bounds(k)[1]
         rem = max(rem, _max_outside(next(spectra), grid, 0.0, hi))
 
     checks = {
@@ -217,6 +209,6 @@ def support_report(
     }
     return {
         "checks": checks,
-        "tolerance": tol,
-        "pass": all(v < tol for v in checks.values()),
+        "tolerance": 1e-12,
+        "pass": all(v < 1e-12 for v in checks.values()),
     }

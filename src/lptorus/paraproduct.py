@@ -33,7 +33,6 @@ the same continuum data is measured at each resolution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ from .besov import (
     chemin_lerner_norm,
     heat_trajectory,
 )
-from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import _padded_blocks
 from .ensembles import embedded_field, random_spectrum
 from .parallel import fork_map
@@ -82,13 +80,12 @@ def _diagonal(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) ->
         out += np.multiply(a[i], near, out=tmp)
 
 
-def _bony_parts(u: Field, v: Field, cutoffs, names: tuple[str, ...]) -> list[Field]:
+def _bony_parts(u: Field, v: Field, names: tuple[str, ...]) -> list[Field]:
     """The parts ``names`` of u v ("Tuv", "Tvu", "Ruv"), summed in place on
     the 3N/2 grid from both factors' block values, with one r2c for all."""
     if v.grid != u.grid:
         raise ValueError("fields live on different grids")
-    cut = cutoffs or build_cutoffs()
-    bu, bv = _padded_blocks(u, cut), _padded_blocks(v, cut)
+    bu, bv = _padded_blocks(u), _padded_blocks(v)
     tmp = np.empty(np.broadcast_shapes(bu.shape[1:], bv.shape[1:]))
     sums = np.zeros((len(names),) + tmp.shape)
     terms = {"Tuv": (_low_high, bu, bv), "Tvu": (_low_high, bv, bu), "Ruv": (_diagonal, bu, bv)}
@@ -97,18 +94,18 @@ def _bony_parts(u: Field, v: Field, cutoffs, names: tuple[str, ...]) -> list[Fie
     return [Field.from_spectral(u.grid, spec) for spec in _band_spectrum(sums, u.grid)]
 
 
-def paraproduct_T(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> Field:
+def paraproduct_T(u: Field, v: Field) -> Field:
     """Low-high paraproduct sum_q S_{q-1} u * block_q v (dealiased)."""
-    return _bony_parts(u, v, cutoffs, ("Tuv",))[0]
+    return _bony_parts(u, v, ("Tuv",))[0]
 
 
-def remainder_R(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> Field:
+def remainder_R(u: Field, v: Field) -> Field:
     """Diagonal remainder sum_q block_q u * (block_{q-1} + block_q + block_{q+1}) v."""
-    return _bony_parts(u, v, cutoffs, ("Ruv",))[0]
+    return _bony_parts(u, v, ("Ruv",))[0]
 
 
-def bony_decompose(u: Field, v: Field, cutoffs: CutoffPair | None = None) -> BonyParts:
-    return BonyParts(*_bony_parts(u, v, cutoffs, ("Tuv", "Tvu", "Ruv")))
+def bony_decompose(u: Field, v: Field) -> BonyParts:
+    return BonyParts(*_bony_parts(u, v, ("Tuv", "Tvu", "Ruv")))
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +165,23 @@ class BilinearEstimateSpec:
         return MixedSpec(0, self.p1), v, uv
 
 
-def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field, cut) -> float:
+def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field) -> float:
     prod = dealiased_product(u, v)
     u_space, v_space, uv_space = spec.spaces
-    rhs = besov_norm(u, u_space, cut) * besov_norm(v, v_space, cut)
-    lhs = besov_norm(prod, uv_space, cut)
+    rhs = besov_norm(u, u_space) * besov_norm(v, v_space)
+    lhs = besov_norm(prod, uv_space)
     return lhs / rhs if rhs > 0 else 0.0
 
 
-def _time_ratio(
-    spec: BilinearEstimateSpec,
-    u: FieldTrajectory,
-    v: FieldTrajectory,
-    cut,
-) -> float:
+def _time_ratio(spec: BilinearEstimateSpec, u: FieldTrajectory, v: FieldTrajectory) -> float:
     # one sample at a time: the whole padded stack costs memory and no time;
     # the trajectories are scalar, so each sample is the one product (0, 0)
     halves = zip(u.half, v.half)
     prod = np.stack([dealiased_products(a, b, [(0, 0)], u.grid) for a, b in halves])
-    prod = FieldTrajectory.from_half(u.grid, u.times, prod, u.T)
+    prod = FieldTrajectory.from_half(u.grid, u.times, prod)
     u_space, v_space, uv_space = spec.spaces
-    rhs = chemin_lerner_norm(u, spec.rho1, u_space, cut) * chemin_lerner_norm(
-        v, spec.rho2, v_space, cut
-    )
-    lhs = chemin_lerner_norm(prod, spec.rho, uv_space, cut)
+    rhs = chemin_lerner_norm(u, spec.rho1, u_space) * chemin_lerner_norm(v, spec.rho2, v_space)
+    lhs = chemin_lerner_norm(prod, spec.rho, uv_space)
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -199,9 +189,7 @@ def bilinear_constant_estimate(
     spec: BilinearEstimateSpec,
     dim: int = 2,
     resolutions: tuple[int, ...] = (32, 64),
-    period: float = 2.0 * math.pi,
     time_samples: int = 13,
-    cutoffs: CutoffPair | None = None,
 ) -> dict:
     """Sample LHS/RHS ratios of one product estimate across resolutions.
 
@@ -211,10 +199,9 @@ def bilinear_constant_estimate(
     each finer resolution to stay within 1.2x of the coarsest one.  The
     trials run through ``fork_map``; ``workers`` is the processes it used.
     """
-    cut = cutoffs or build_cutoffs()
     resolutions = tuple(sorted(resolutions))
-    ref = Grid(dim, resolutions[0], period)
-    grids = [Grid(dim, n, period) for n in resolutions]
+    ref = Grid(dim, resolutions[0])
+    grids = [Grid(dim, n) for n in resolutions]
     times = np.linspace(0.0, 1.0, time_samples)
     rng = np.random.default_rng(spec.seed)
     # both draws of every trial here, on the coarsest lattice in rng order;
@@ -225,8 +212,8 @@ def bilinear_constant_estimate(
         fields = [[embedded_field(g, coeffs, ref) for coeffs in draw] for g in grids]
         if spec.time_dependent:
             fields = [[heat_trajectory(f, times) for f in uv] for uv in fields]
-            return [_time_ratio(spec, *uv, cut) for uv in fields]
-        return [_static_ratio(spec, *uv, cut) for uv in fields]
+            return [_time_ratio(spec, *uv) for uv in fields]
+        return [_static_ratio(spec, *uv) for uv in fields]
 
     per_trial, workers = fork_map(trial, draws)
     ratios = {g.points: [] for g in grids}

@@ -58,7 +58,6 @@ from .besov import (
     kato_weighted_norm,
     lp_norm,
 )
-from .cutoffs import CutoffPair
 from .dyadic import require_shell
 from .ensembles import random_field
 from .spectral import (
@@ -106,6 +105,8 @@ class SolverConfig:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.steps < 1 or self.oracle_refine < 1:
             raise ValueError("steps and oracle_refine must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.tol < INF:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.regime not in REGIMES:
@@ -305,39 +306,32 @@ def data_spaces(config: SolverConfig, dim: int) -> tuple:
     return MixedSpec(-1, INF), MixedSpec(-1, dim / 2.0)
 
 
-def _solution_norm(
-    traj: FieldTrajectory, space, config: SolverConfig, cutoffs: CutoffPair | None
-) -> float:
+def _solution_norm(traj: FieldTrajectory, space, config: SolverConfig) -> float:
     """The solution norm that data ``space`` induces: the Kato sup of its
     log weight in thm1.4, else L~2_T of the space lifted to s = 0."""
     if config.regime == "thm1.4":
         return kato_weighted_norm(traj.restrict_positive(), space.alpha, space.p)
-    return chemin_lerner_norm(traj, 2.0, replace(space, s=0), cutoffs)
+    return chemin_lerner_norm(traj, 2.0, replace(space, s=0))
 
 
-def velocity_norm(
-    traj: FieldTrajectory, config: SolverConfig, cutoffs: CutoffPair | None = None
-) -> float:
+def velocity_norm(traj: FieldTrajectory, config: SolverConfig) -> float:
     """Solution-space norm of the velocity in the configured regime."""
-    return _solution_norm(traj, data_spaces(config, traj.grid.dim)[0], config, cutoffs)
+    return _solution_norm(traj, data_spaces(config, traj.grid.dim)[0], config)
 
 
-def scalar_norm(
-    traj: FieldTrajectory, config: SolverConfig, cutoffs: CutoffPair | None = None
-) -> float:
+def scalar_norm(traj: FieldTrajectory, config: SolverConfig) -> float:
     """Solution-space norm of the scalar in the configured regime."""
-    return _solution_norm(traj, data_spaces(config, traj.grid.dim)[1], config, cutoffs)
+    return _solution_norm(traj, data_spaces(config, traj.grid.dim)[1], config)
 
 
 def _pair_norms(
-    grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig,
-    cutoffs: CutoffPair | None,
+    grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig
 ) -> tuple[float, float]:
     """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory."""
     n = grid.dim
     return (
-        velocity_norm(FieldTrajectory.from_half(grid, times, stack[:, :n]), config, cutoffs),
-        scalar_norm(FieldTrajectory.from_half(grid, times, stack[:, n:]), config, cutoffs),
+        velocity_norm(FieldTrajectory.from_half(grid, times, stack[:, :n]), config),
+        scalar_norm(FieldTrajectory.from_half(grid, times, stack[:, n:]), config),
     )
 
 
@@ -345,9 +339,7 @@ def _pair_norms(
 # operator constants and the smallness certificate
 
 
-def measure_operator_constants(
-    grid: Grid, config: SolverConfig, cutoffs: CutoffPair | None = None
-) -> dict:
+def measure_operator_constants(grid: Grid, config: SolverConfig) -> dict:
     """Sampled bounds for the two bilinear maps and the buoyancy map.
 
     Ratios ||B(x, y)|| / (||x|| ||y||) are measured over heat-evolved random
@@ -369,12 +361,12 @@ def measure_operator_constants(
         y = random_field(grid, rng).spectral
         x1_t = heat_stack(x1, grid, times)
         xy_t = heat_stack(np.concatenate([x2, y]), grid, times)  # the stack (x2, y)
-        nx1 = velocity_norm(FieldTrajectory.from_half(grid, times, x1_t), config, cutoffs)
-        nx2, ny = _pair_norms(grid, times, xy_t, config, cutoffs)
+        nx1 = velocity_norm(FieldTrajectory.from_half(grid, times, x1_t), config)
+        nx2, ny = _pair_norms(grid, times, xy_t, config)
 
         # B1(x1, x2) = -P div(x1 (x) x2) and B2(x1, y) = -div(x1 y)
         duhamel = _duhamel_stack(times, _sources(x1_t, xy_t, flux_op, grid), grid)
-        b1_val, b2_val = _pair_norms(grid, times, duhamel, config, cutoffs)
+        b1_val, b2_val = _pair_norms(grid, times, duhamel, config)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
         if nx1 * ny > 0:
@@ -382,8 +374,7 @@ def measure_operator_constants(
         # L(y): +P(a y)
         buoy = project_divergence_free(a.reshape((n,) + (1,) * n) * xy_t[:, n:], grid)
         lin_val = velocity_norm(
-            FieldTrajectory.from_half(grid, times, _duhamel_stack(times, buoy, grid)),
-            config, cutoffs,
+            FieldTrajectory.from_half(grid, times, _duhamel_stack(times, buoy, grid)), config
         )
         if ny > 0:
             lin = max(lin, lin_val / ny)
@@ -442,7 +433,6 @@ def smallness_certificate(
     theta0: Field,
     config: SolverConfig,
     constants: dict | None = None,
-    cutoffs: CutoffPair | None = None,
 ) -> SmallnessCertificate:
     """Evaluate the contraction condition for the given data and regime.
 
@@ -454,15 +444,15 @@ def smallness_certificate(
         if config.lambda_ is not None and config.eta is not None:
             constants = {"lambda": config.lambda_, "eta": config.eta}
         else:
-            constants = measure_operator_constants(grid, config, cutoffs)
+            constants = measure_operator_constants(grid, config)
     times = time_grid(config)
     u_space, th_space = data_spaces(config, grid.dim)
     return SmallnessCertificate.evaluate(
         constants["lambda"],
         constants["eta"],
-        *_pair_norms(grid, times, heat_stack(state0, grid, times), config, cutoffs),
-        besov_norm(u0, u_space, cutoffs),
-        besov_norm(theta0, th_space, cutoffs),
+        *_pair_norms(grid, times, heat_stack(state0, grid, times), config),
+        besov_norm(u0, u_space),
+        besov_norm(theta0, th_space),
         config.regime,
     )
 
@@ -510,10 +500,7 @@ class IterationReport:
 
 
 def picard_solve(
-    u0: Field,
-    theta0: Field,
-    config: SolverConfig,
-    cutoffs: CutoffPair | None = None,
+    u0: Field, theta0: Field, config: SolverConfig
 ) -> tuple[FieldTrajectory, FieldTrajectory, IterationReport]:
     """Iterate the Duhamel map from the free evolution until contraction.
 
@@ -526,7 +513,7 @@ def picard_solve(
     n = grid.dim
     state0[:n] = project_divergence_free(state0[:n], grid)
     u0 = Field.from_spectral(grid, state0[:n])
-    cert = smallness_certificate(u0, theta0, config, cutoffs=cutoffs)
+    cert = smallness_certificate(u0, theta0, config)
     op = _source_operator(grid, tuple(config.buoyancy), True)
     times = time_grid(config)
 
@@ -551,9 +538,9 @@ def picard_solve(
     prev_diff = None
     for k in range(1, config.max_iterations + 1):
         new = _fixed_point_map(times, state, state0, op, grid)
-        du, dth = _pair_norms(grid, times, new - state, config, cutoffs)
+        du, dth = _pair_norms(grid, times, new - state, config)
         state = new
-        u_norm, th_norm = _pair_norms(grid, times, state, config, cutoffs)
+        u_norm, th_norm = _pair_norms(grid, times, state, config)
         pair_diff = du + cert.c_star * dth
         contraction = None if prev_diff in (None, 0.0) else pair_diff / prev_diff
         report.iterations.append(
@@ -604,7 +591,7 @@ def picard_solve(
     }
     u_traj = FieldTrajectory.from_half(grid, times, state[:, :n])
     th_traj = FieldTrajectory.from_half(grid, times, state[:, n:])
-    report.residuals = residual_check(u_traj, th_traj, u0, theta0, config, cutoffs)
+    report.residuals = residual_check(u_traj, th_traj, u0, theta0, config)
     return u_traj, th_traj, report
 
 
@@ -614,15 +601,14 @@ def residual_check(
     u0: Field,
     theta0: Field,
     config: SolverConfig,
-    cutoffs: CutoffPair | None = None,
 ) -> dict:
     """Regime-norm distance of (u, theta) from one more Duhamel application."""
     grid, state0 = _data_state(u0, theta0, config)
     state = np.concatenate([u.half, theta.half], axis=1)
     op = _source_operator(grid, tuple(config.buoyancy), True)
     residual = state - _fixed_point_map(u.times, state, state0, op, grid)
-    ru, rth = _pair_norms(grid, u.times, residual, config, cutoffs)
-    u_norm, th_norm = _pair_norms(grid, u.times, state, config, cutoffs)
+    ru, rth = _pair_norms(grid, u.times, residual, config)
+    u_norm, th_norm = _pair_norms(grid, u.times, state, config)
     u_scale, th_scale = max(u_norm, 1e-300), max(th_norm, 1e-300)
     return {
         "velocity_residual": ru,

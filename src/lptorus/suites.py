@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .besov import (
+    BERNSTEIN_RADII,
     INF,
     BesovSpec,
     bernstein_check,
@@ -29,7 +30,7 @@ from .besov import (
     lebesgue_besov_reduce,
 )
 from .comb import DiracCombSpec, dirac_comb_norms
-from .cutoffs import build_cutoffs, default_test_radii, partition_defect
+from .cutoffs import default_test_radii, partition_defect
 from .dyadic import decompose, require_shell, support_report
 from .ensembles import embedded_field, random_field, random_spectrum
 from .paraproduct import (
@@ -64,20 +65,19 @@ def littlewood_paley_suite(
 ) -> dict:
     """Partition of unity, reconstruction and the support identities."""
     grid = require_shell(Grid(dim, points))
-    cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     checks = [
-        _check("partition_of_unity", partition_defect(default_test_radii(), cut), 1e-12),
-        _check("partition_on_lattice", partition_defect(np.unique(grid.k_abs), cut), 1e-12),
+        _check("partition_of_unity", partition_defect(default_test_radii()), 1e-12),
+        _check("partition_on_lattice", partition_defect(np.unique(grid.k_abs)), 1e-12),
     ]
     recon = ortho = para = rem = 0.0
     for _ in range(trials):
         f = random_field(grid, rng)
         g = random_field(grid, rng)
-        total = decompose(f, cut).reconstruction()
+        total = decompose(f).reconstruction()
         err = float(np.max(np.abs(total.values - f.values)))
         recon = max(recon, err / float(np.max(np.abs(f.values))))
-        rep = support_report(f, g, cut)["checks"]
+        rep = support_report(f, g)["checks"]
         ortho = max(ortho, rep["block_orthogonality"])
         para = max(para, rep["paraproduct_localization"])
         rem = max(rem, rep["remainder_localization"])
@@ -99,13 +99,12 @@ def bony_suite(
 ) -> dict:
     """Decomposition identity uv = T(u,v) + T(v,u) + R(u,v) on random pairs."""
     grid = require_shell(Grid(dim, points))
-    cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         u = random_field(grid, rng)
         v = random_field(grid, rng)
-        parts = bony_decompose(u, v, cut)
+        parts = bony_decompose(u, v)
         uv = dealiased_product(u, v)
         err = float(np.max(np.abs(parts.total().values - uv.values)))
         worst = max(worst, err / float(np.max(np.abs(uv.values))))
@@ -131,14 +130,10 @@ def bilinear_suite(
     resolutions: tuple[int, ...] = (32, 64),
     trials: int = 100,
     seed: int = 0,
-    exponents: dict | None = None,
 ) -> dict:
     """Resolution stability of one sampled product-estimate constant."""
     require_shell(Grid(dim, min(resolutions)))
-    kwargs = dict(DEFAULT_EXPONENTS[estimate])
-    if exponents:
-        kwargs.update(exponents)
-    spec = BilinearEstimateSpec(estimate, trials=trials, seed=seed, **kwargs)
+    spec = BilinearEstimateSpec(estimate, trials=trials, seed=seed, **DEFAULT_EXPONENTS[estimate])
     result = bilinear_constant_estimate(spec, dim=dim, resolutions=tuple(resolutions))
     base = result["stats"][min(result["stats"])]["max"]
     worst = max(result["stats"][n]["max"] for n in result["stats"])
@@ -172,14 +167,13 @@ def heat_characterization_suite(
     resolutions: tuple[int, ...] = (32, 64),
     seed: int = 0,
     fields_per_case: int = 5,
-    cstar_limit: float = 20.0,
 ) -> dict:
     """Equivalence of the weighted heat-trace norm with the Besov norm.
 
     Family: s = -1, r = inf, sigma in {0, 1}, p in {2, inf}, sampled fields
     drawn on the coarsest lattice so the same data is measured at every
     resolution.  Records the equivalence constant C* (max of ratio and its
-    inverse) and the cross-resolution drift.
+    inverse), which must stay below 20, and the cross-resolution drift.
     """
     resolutions = tuple(sorted(resolutions))
     ref = require_shell(Grid(dim, resolutions[0]))
@@ -202,7 +196,7 @@ def heat_characterization_suite(
                 {"sigma": sigma, "p": "inf" if p == INF else p, "ratios": per_res}
             )
     checks = [
-        _check("equivalence_constant", cstar, cstar_limit),
+        _check("equivalence_constant", cstar, 20.0),
         _check("resolution_drift", drift, 1.2),
     ]
     report = _finish(
@@ -276,13 +270,10 @@ def comb_suite(
 
 
 def bernstein_suite(
-    dim: int = 2,
-    points: int = 64,
-    scales: tuple[float, ...] = (2.0, 4.0, 8.0),
-    trials: int = 10,
-    seed: int = 0,
+    dim: int = 2, points: int = 64, trials: int = 10, seed: int = 0
 ) -> dict:
-    """Derivative/exponent conversion ratios across dyadic frequency scales.
+    """Derivative/exponent conversion ratios across the dyadic frequency
+    scales 2, 4 and 8.
 
     Ball case (a, b) = (2, inf), order 0: the ratio must stay bounded and
     not trend upward with the scale.  Shell case a = b = 2, order 1: the
@@ -290,7 +281,8 @@ def bernstein_suite(
     """
     grid = Grid(dim, points)
     rng = np.random.default_rng(seed)
-    r1, r2 = 0.75, 8.0 / 3.0
+    scales = (2.0, 4.0, 8.0)
+    r1, r2 = BERNSTEIN_RADII
     if all(r2 * lam > grid.nyquist for lam in scales):
         raise ValueError(f"no scale's shell fits under the Nyquist of N = {points}")
     ball_stats = []
@@ -346,14 +338,13 @@ def besov_suite(
 ) -> dict:
     """Norm-inequality battery: monotonicities, Minkowski relations, embeddings."""
     grid = require_shell(Grid(dim, points))
-    cut = build_cutoffs()
     rng = np.random.default_rng(seed)
     fields = [random_field(grid, rng) for _ in range(trials)]
 
     r_mono = a_mono = 0.0
     triangle = homogeneity = 0.0
     for i, f in enumerate(fields):
-        blocks = block_lp_norms(f, 2.0, cut)
+        blocks = block_lp_norms(f, 2.0)
         n1 = BesovSpec(0, 2.0, 1.0).reduce(blocks)
         n2 = BesovSpec(0, 2.0, 2.0).reduce(blocks)
         ninf = BesovSpec(0, 2.0, INF).reduce(blocks)
@@ -363,12 +354,10 @@ def besov_suite(
         a_mono = max(a_mono, alpha_lo / alpha_hi if alpha_hi else 0.0)
         g = fields[(i + 1) % len(fields)]
         spec = BesovSpec(0, INF, 1.0)
-        nf = besov_norm(f, spec, cut)
-        triangle = max(
-            triangle, besov_norm(f + g, spec, cut) / (nf + besov_norm(g, spec, cut))
-        )
+        nf = besov_norm(f, spec)
+        triangle = max(triangle, besov_norm(f + g, spec) / (nf + besov_norm(g, spec)))
         homogeneity = max(
-            homogeneity, abs(besov_norm(2.5 * f, spec, cut) - 2.5 * nf) / (2.5 * nf)
+            homogeneity, abs(besov_norm(2.5 * f, spec) - 2.5 * nf) / (2.5 * nf)
         )
 
     times = np.linspace(0.0, 1.0, 17)
@@ -376,7 +365,7 @@ def besov_suite(
     equality = 0.0
     for f in fields[:8]:
         # every norm below is at p = 2: one block table per trajectory
-        table = block_time_lp(heat_trajectory(f, times), 2.0, cut)
+        table = block_time_lp(heat_trajectory(f, times), 2.0)
         for r, rho in ((1.0, 2.0), (INF, 2.0)):
             spec = BesovSpec(0, 2.0, r)
             tilde = chemin_lerner_reduce(table, times, rho, spec)
@@ -389,7 +378,7 @@ def besov_suite(
         plain = lebesgue_besov_reduce(table, times, 2.0, spec)
         equality = max(equality, abs(tilde - plain) / plain)
 
-    emb = embedding_report(fields, cutoffs=cut)
+    emb = embedding_report(fields)
 
     checks = [
         _check("r_monotonicity", r_mono, 1.0 + 1e-12),

@@ -315,8 +315,10 @@ def test_sup_norm_takes_one_sqrt_of_the_largest_square(grid32, components, rng):
     values[1, 0, 3, 4] = np.nan
     values[2, components - 1, 0, 0] = np.inf
     values[3, 1, 7, 7], values[3, 0, 9, 9] = -np.inf, np.nan
-    values[4] *= 1e-160  # squares in the subnormal range
+    values[4] *= 1e-160  # squares in the subnormal range: measured rescaled
     old = np.max(np.sqrt(np.sum(values**2, axis=-3)), axis=(-2, -1))
+    scale = 2.0 ** np.frexp(np.max(np.abs(values[4])))[1]
+    old[4] = scale * np.sqrt(np.max(np.sum((values[4] / scale) ** 2, axis=-3)))
     assert np.array_equal(_lp_norms(values, grid32, INF), old, equal_nan=True)
 
 
@@ -393,6 +395,19 @@ def test_norms_of_a_field_near_underflow_are_not_zero(grid32, components, p, rng
     )
     spec = BesovSpec(-1.0, p, 2.0)
     assert besov_norm(tiny, spec) == pytest.approx(1e-200 * besov_norm(f, spec), rel=1e-14)
+
+
+@pytest.mark.parametrize("components", [1, 2, 3])
+@pytest.mark.parametrize("s", [1e-105, 1e-160, 1e-162])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+def test_norms_whose_squares_are_subnormal_are_exact(grid32, components, s, p):
+    # the norms stay normal, but the squares (or cubes at 1e-105) of the
+    # values do not: measured unscaled they lost up to 1e-4 relative
+    f = random_field(grid32, np.random.default_rng(3), components=components)
+    assert lp_norm(f * s, p) == pytest.approx(s * lp_norm(f, p), rel=1e-14, abs=0)
+    np.testing.assert_allclose(
+        block_lp_norms(f * s, p), s * block_lp_norms(f, p), rtol=1e-14, atol=0
+    )
 
 
 def test_sequence_and_time_norms_rescale_only_what_left_the_range():
@@ -530,6 +545,14 @@ def test_kato_rejects_time_zero(grid32, rng):
     traj = FieldTrajectory(times, (f, f))
     with pytest.raises(ValueError):
         kato_weighted_norm(traj, 1.0, INF)
+
+
+def test_kato_horizon_is_the_last_sample_time_and_at_most_one(grid32, rng):
+    f = random_field(grid32, rng)
+    with pytest.raises(ValueError, match="T <= 1"):
+        kato_weighted_norm(heat_trajectory(f, np.array([0.5, 1.5])), 1.0, INF)
+    ends_at_one = heat_trajectory(f, np.array([0.5, 1.0]))
+    assert kato_weighted_norm(ends_at_one, 1.0, INF) > 0
 
 
 def test_kato_sigma_zero_is_plain_kato(grid32, rng):

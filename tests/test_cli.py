@@ -361,6 +361,10 @@ DOMAIN_GUARD_CELLS = {
                                     "--N", "2", "--M", "4"],
     "sweep-grid-without-shell-N4": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
                                     "--N", "4", "--M", "4"],
+    "solve-max-iterations-0": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                               "--max-iterations", "0", "--M", "4"],
+    "sweep-max-iterations-negative": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
+                                      "--max-iterations", "-2", "--N", "16", "--M", "4"],
 }
 
 

@@ -1,8 +1,11 @@
 """Cutoff pair: supports, plateau, partition of unity, variant equivalence."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from lptorus import besov, comb, dyadic, paraproduct, solver, suites
 from lptorus import build_cutoffs, partition_defect
 from lptorus.cutoffs import default_test_radii
 
@@ -64,3 +67,23 @@ def test_variants_differ_but_share_supports():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         build_cutoffs("linear")
+
+
+def test_only_the_analysis_primitives_take_a_cutoff_pair():
+    # the spaces do not depend on the pair: the block multipliers, besov_norm
+    # and the comb kernel take one for the equivalence checks, and nothing
+    # built on them does
+    fixed = [
+        fn
+        for mod in (solver, paraproduct, suites)
+        for name, fn in inspect.getmembers(mod, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == mod.__name__
+    ]
+    assert len(fixed) >= 20
+    fixed += [
+        dyadic.shell_max, dyadic.shell_bounds, dyadic.reconstruction_cap, dyadic.decompose,
+        dyadic.support_report, besov.block_time_lp, besov.chemin_lerner_norm,
+        besov.lebesgue_besov_norm, comb.dirac_comb_norms,
+    ]
+    for fn in fixed:
+        assert "cutoffs" not in inspect.signature(fn).parameters, fn.__qualname__
