@@ -25,6 +25,13 @@ the samples, so no comb frequency aliases) and by the exact 0.0 outside it.
 Block sup norms are taken over a dense sample of one period of the lowest mode,
 summing read-only rows cos(2^d theta) cached per offset d from that mode (the
 comb's blocks meet d = 0 and 1 only).
+
+Since the supports are exact, block q weighs only the modes j = q and q + 1,
+and the norms visit only those: O(J) weights per comb, not O(J^2).  A block's
+sup depends only on its amplitudes and exponent offsets, so ``comb_norms``
+measures each distinct block once per call; the harmonic truncations share
+every block below their top one.  Nothing is kept between calls, so one run
+pays for its own blocks.
 """
 
 from __future__ import annotations
@@ -151,29 +158,52 @@ def _block_sup(amps: list[float], exponents: list[int]) -> float:
     return float(np.max(np.abs(total)))
 
 
+def comb_norms(specs) -> list[tuple[float, float]]:
+    """``dirac_comb_norms`` of each spec, measuring each distinct block once.
+
+    Block q of a comb weighs only the modes j = q and q + 1: for q >= 0 the
+    argument 2^(j-q) of phi lies in its support [3/4, 8/3] only there, and
+    for q = -1 chi's support {2^j <= 4/3} holds j = -1 and 0 only, so every
+    other mode's weight is the exact 0.0 and is not visited.  A block's sup
+    depends only on its amplitudes and on its exponents' offsets from its
+    lowest mode, so it is taken once per such key within this call (the
+    harmonic truncations share every block below their top one); nothing is
+    kept between calls.
+    """
+    sups: dict = {}
+    norms = []
+    for spec in specs:
+        J = spec.J
+        partial = 0.0
+        weighted_sup = 0.0
+        for q in range(-1, J + 1):
+            amps, expos = [], []
+            for j in range(q, min(q + 1, J) + 1):
+                a = spec.coefficients[j + 1]
+                if a == 0.0:
+                    continue
+                w = kernel_multiplier(2.0**j, q)
+                if abs(w) < 1e-9:
+                    continue
+                amps.append(a * w)
+                expos.append(j)
+            key = (tuple(amps), tuple(e - min(expos) for e in expos))
+            if key not in sups:
+                sups[key] = _block_sup(amps, expos)
+            sup = sups[key]
+            partial += sup
+            weighted_sup = max(weighted_sup, (q + 3.0) * sup)
+        norms.append((partial, weighted_sup))
+    return norms
+
+
 def dirac_comb_norms(spec: DiracCombSpec, dim: int = 1) -> tuple[float, float]:
     """(partial sum_q ||block_q f||_inf for q <= J, sup_q (q+3) ||block_q f||_inf).
 
     Comparable within fixed constants to sum_j |a_j| and sup_j (j+3) |a_j|.
-    The construction is one-dimensional.
+    The construction is one-dimensional.  Each block visits only the two
+    modes its cutoff can weigh (see ``comb_norms``), so the cost is O(J).
     """
     if dim != 1:
         raise ValueError("the comb norms are computed in one dimension only")
-    J = spec.J
-    partial = 0.0
-    weighted_sup = 0.0
-    for q in range(-1, J + 1):
-        amps, expos = [], []
-        for j in range(-1, J + 1):
-            a = spec.coefficients[j + 1]
-            if a == 0.0:
-                continue
-            w = kernel_multiplier(2.0**j, q)
-            if abs(w) < 1e-9:
-                continue
-            amps.append(a * w)
-            expos.append(j)
-        sup = _block_sup(amps, expos)
-        partial += sup
-        weighted_sup = max(weighted_sup, (q + 3.0) * sup)
-    return partial, weighted_sup
+    return comb_norms([spec])[0]

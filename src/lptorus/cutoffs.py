@@ -64,9 +64,17 @@ class CutoffPair:
         return f"CutoffPair(transition={self.name!r})"
 
 
-@lru_cache(maxsize=None)
 def build_cutoffs(transition: str = "exp") -> CutoffPair:
-    """Shared cutoff pair per transition profile (cached, hence hashable)."""
+    """Shared cutoff pair per transition profile (cached, hence hashable).
+
+    The default is resolved before the cache, so ``build_cutoffs()`` is
+    ``build_cutoffs("exp")`` and every cache keyed on the pair holds one copy.
+    """
+    return _shared_pair(transition)
+
+
+@lru_cache(maxsize=None)
+def _shared_pair(transition: str) -> CutoffPair:
     return CutoffPair(transition)
 
 

@@ -14,6 +14,8 @@ which is what the resolution-stability criteria compare.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .dyadic import reconstruction_cap
@@ -34,14 +36,21 @@ def random_spectrum(
         slope = n / 2.0 + 1.0
     if band is None:
         band = reconstruction_cap(ref_grid)
-    # |k| on the full lattice of the draw, as Grid.k_abs forms it on the half
-    k = np.stack(np.meshgrid(*([ref_grid.k_axis] * n), indexing="ij"))
+    shape = (components,) + ref_grid.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return hermitian_half(_envelope(ref_grid, float(band), float(slope)) * raw, n)
+
+
+@lru_cache(maxsize=32)
+def _envelope(grid: Grid, band: float, slope: float) -> np.ndarray:
+    """|k|^-slope on the full lattice, 0 at k = 0 and above the band, read-only."""
+    # |k| as Grid.k_abs forms it on the half lattice
+    k = np.stack(np.meshgrid(*([grid.k_axis] * grid.dim), indexing="ij"))
     kabs = np.sqrt(np.sum(k**2, axis=0))
     amp = np.where(kabs > 0, kabs, np.inf) ** (-slope)
     amp[kabs > band] = 0.0
-    shape = (components,) + ref_grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return hermitian_half(amp * raw, n)
+    amp.setflags(write=False)
+    return amp
 
 
 def random_field(

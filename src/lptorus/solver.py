@@ -407,6 +407,11 @@ class SmallnessCertificate:
 
     @classmethod
     def evaluate(cls, lambda_, eta, free_u, free_th, mu1, mu2, regime):
+        if not 0.0 < lambda_ < INF:  # e.g. underflowed at a vanishing horizon
+            raise ValueError(
+                f"operator constant lambda = {lambda_!r} is not positive and "
+                "finite on this horizon T"
+            )
         c_star = max(2.0 * eta, 1.0)
         lhs = free_u + c_star * free_th
         rhs = 1.0 / (16.0 * lambda_)

@@ -29,7 +29,7 @@ from .besov import (
     heat_trajectory,
     lebesgue_besov_reduce,
 )
-from .comb import DiracCombSpec, dirac_comb_norms
+from .comb import DiracCombSpec, comb_norms
 from .cutoffs import default_test_radii, partition_defect
 from .dyadic import decompose, require_shell, support_report
 from .ensembles import embedded_field, random_field, random_spectrum
@@ -227,11 +227,12 @@ def comb_suite(
     one-coefficient comb must scale like 1/k within 30%.
     """
     j_values = tuple(sorted(j_values))
-    b01, blog = [], []
-    for J in j_values:
-        partial, weighted = dirac_comb_norms(DiracCombSpec.harmonic(J))
-        b01.append(partial)
-        blog.append(weighted)
+    norms = comb_norms(
+        [DiracCombSpec.harmonic(J) for J in j_values]
+        + [DiracCombSpec.kronecker(k) for k in k_values]
+    )
+    b01 = [partial for partial, _ in norms[: len(j_values)]]
+    blog = [weighted for _, weighted in norms[: len(j_values)]]
     blog_arr = np.asarray(blog)
     variation = float((blog_arr.max() - blog_arr.min()) / blog_arr.min())
     lnj = np.log(np.asarray(j_values, dtype=float))
@@ -242,10 +243,10 @@ def comb_suite(
     coeff = b01[-1] / partial_sums[-1]
     increasing = bool(np.all(np.diff(b01) > 0))
 
-    kron = []
-    for k in k_values:
-        partial, weighted = dirac_comb_norms(DiracCombSpec.kronecker(k))
-        kron.append({"k": k, "b01_partial": partial, "b0log_inf": weighted})
+    kron = [
+        {"k": k, "b01_partial": partial, "b0log_inf": weighted}
+        for k, (partial, weighted) in zip(k_values, norms[len(j_values) :])
+    ]
     scaled = np.asarray([entry["k"] * entry["b01_partial"] for entry in kron])
     mid = float(np.mean(scaled))
     kron_dev = float(np.max(np.abs(scaled - mid)) / mid)

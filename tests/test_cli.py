@@ -365,6 +365,10 @@ DOMAIN_GUARD_CELLS = {
                                "--max-iterations", "0", "--M", "4"],
     "sweep-max-iterations-negative": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
                                       "--max-iterations", "-2", "--N", "16", "--M", "4"],
+    "solve-horizon-underflow": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                                "--T", "1e-300", "--M", "4"],
+    "sweep-horizon-underflow": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
+                                "--T", "1e-300", "--N", "16", "--M", "4"],
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lptorus import DiracCombSpec, build_cutoffs, dirac_comb_norms
+from lptorus import DiracCombSpec, build_cutoffs, comb, dirac_comb_norms, suites
 from lptorus.comb import (
     KERNEL_EXTENT,
     KERNEL_POINTS,
@@ -15,6 +15,7 @@ from lptorus.comb import (
     _block_sup,
     _kernel_table,
     _sup_row,
+    comb_norms,
     kernel_multiplier,
 )
 
@@ -227,3 +228,78 @@ def test_kronecker_inverse_k():
     scaled = [k * v for k, v in values.items()]
     mid = np.mean(scaled)
     assert max(abs(s - mid) / mid for s in scaled) < 0.30
+
+
+def _comb_norms_all_pairs(spec):
+    # the O(J^2) loop: every mode weighed in every block, every block measured
+    partial = weighted_sup = 0.0
+    for q in range(-1, spec.J + 1):
+        amps, expos = [], []
+        for j in range(-1, spec.J + 1):
+            a = spec.coefficients[j + 1]
+            if a == 0.0:
+                continue
+            w = kernel_multiplier(2.0**j, q)
+            if abs(w) < 1e-9:
+                continue
+            amps.append(a * w)
+            expos.append(j)
+        sup = _block_sup(amps, expos)
+        partial += sup
+        weighted_sup = max(weighted_sup, (q + 3.0) * sup)
+    return partial, weighted_sup
+
+
+SUITE_SPECS = [DiracCombSpec.harmonic(J) for J in range(8, 21)] + [
+    DiracCombSpec.kronecker(k) for k in (2, 4, 8)
+]
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        SUITE_SPECS,
+        [DiracCombSpec((0.5, -0.25, 0.0, 1.0, -0.0, 0.3, -0.7, 0.0))],
+        [DiracCombSpec((0.0, -2.0)), DiracCombSpec((-1.0, 0.0, 0.0))],
+        [DiracCombSpec.harmonic(5), DiracCombSpec.kronecker(3), DiracCombSpec.harmonic(5),
+         DiracCombSpec.harmonic(3), DiracCombSpec.kronecker(3)],
+    ],
+    ids=["suite", "zero-and-negative", "short", "repeated"],
+)
+def test_comb_norms_equal_the_all_pairs_loop_bit_for_bit(specs):
+    expected = [_comb_norms_all_pairs(spec) for spec in specs]
+    assert comb_norms(specs) == expected
+    assert [dirac_comb_norms(spec) for spec in specs] == expected
+
+
+def test_comb_suite_measures_each_distinct_block_once_per_run(monkeypatch):
+    # 234 blocks and 3,536 weights in the all-pairs loop; the 13 harmonic
+    # truncations share every block below their top one.  The counts hold
+    # in a second run too, so nothing is kept between runs.
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(comb, "_block_sup", counting("_block_sup", _block_sup))
+    monkeypatch.setattr(
+        comb, "kernel_multiplier", counting("kernel_multiplier", kernel_multiplier)
+    )
+    for _ in range(2):
+        counts.update(_block_sup=0, kernel_multiplier=0)
+        suites.comb_suite()
+        assert counts == {"_block_sup": 40, "kernel_multiplier": 409}
+
+
+def test_modes_outside_the_two_mode_window_weigh_exact_zero():
+    # block q weighs only the comb modes j = q and q + 1 (j >= -1)
+    for q in range(-1, 31):
+        for j in range(-1, 64):
+            w = kernel_multiplier(2.0**j, q)
+            if j in (q, q + 1):
+                assert w > 0.0, (q, j)
+            else:
+                assert w == 0.0, (q, j)

@@ -87,3 +87,9 @@ def test_only_the_analysis_primitives_take_a_cutoff_pair():
     ]
     for fn in fixed:
         assert "cutoffs" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+def test_the_default_pair_is_the_exp_pair():
+    # one object per profile, so caches keyed on the pair hold one copy
+    assert build_cutoffs() is build_cutoffs("exp")
+    assert build_cutoffs(transition="exp") is build_cutoffs()

@@ -479,6 +479,16 @@ def test_certificate_strict_inequality_at_boundary():
     assert not cert.passed
 
 
+@pytest.mark.parametrize("lambda_", [0.0, -1.0, math.nan, math.inf])
+def test_certificate_rejects_a_lambda_that_is_not_positive_and_finite(lambda_):
+    # lambda underflows to 0 at a vanishing horizon; 1 / (16 lambda) would raise
+    with pytest.raises(ValueError, match="horizon"):
+        SmallnessCertificate.evaluate(
+            lambda_=lambda_, eta=0.25, free_u=0.01, free_th=0.0,
+            mu1=1.0, mu2=1.0, regime="thm1.2",
+        )
+
+
 def test_certificate_scales_linearly(grid32, constants):
     u0, th0 = taylor_green(grid32, 1.0), single_mode(grid32, (1, 1), 1.0)
     cert1 = smallness_certificate(u0, th0, CONFIG, constants=constants)

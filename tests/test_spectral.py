@@ -23,7 +23,7 @@ from lptorus import (
     write_field,
 )
 from lptorus.besov import INF, lp_norm
-from lptorus.ensembles import random_field
+from lptorus.ensembles import _envelope, embedded_field, random_field
 from lptorus.spectral import (
     _flat,
     _gather,
@@ -130,6 +130,40 @@ def test_random_field_values_are_the_draw_of_the_full_spectrum_pipeline(
     rng.bit_generator.state = state
     got = random_field(grid, rng, components=components, ref_grid=ref).values
     assert np.array_equal(got, values)
+
+
+def _random_spectrum_uncached(ref, rng, band=None, slope=None):
+    # the envelope built inline on every draw
+    n = ref.dim
+    slope = n / 2.0 + 1.0 if slope is None else slope
+    band = lptorus.reconstruction_cap(ref) if band is None else band
+    k = np.stack(np.meshgrid(*([ref.k_axis] * n), indexing="ij"))
+    kabs = np.sqrt(np.sum(k**2, axis=0))
+    amp = np.where(kabs > 0, kabs, np.inf) ** (-slope)
+    amp[kabs > band] = 0.0
+    raw = rng.standard_normal((1,) + ref.shape) + 1j * rng.standard_normal((1,) + ref.shape)
+    return hermitian_half(amp * raw, n)
+
+
+@pytest.mark.parametrize(
+    "dim, points, ref_points, band, slope",
+    [(2, 64, None, None, None), (2, 64, 16, None, None), (2, 32, None, 6.0, 0.0),
+     (3, 16, 8, 2.5, None), (1, 64, 32, None, 1.5)],
+)
+def test_random_field_draws_with_the_cached_envelope_keep_their_bits(
+    dim, points, ref_points, band, slope
+):
+    grid = Grid(dim, points)
+    ref = Grid(dim, ref_points) if ref_points else None
+    lattice = ref or grid
+    for seed in (0, 1, 2):  # the second and third draws read the cached envelope
+        draw = _random_spectrum_uncached(lattice, np.random.default_rng(seed), band, slope)
+        expected = embedded_field(grid, draw, lattice, band)
+        got = random_field(grid, np.random.default_rng(seed), band=band, slope=slope,
+                           ref_grid=ref)
+        assert np.array_equal(got.values, expected.values)
+    envelope = _envelope(grid, 6.0, 1.0)
+    assert _envelope(grid, 6.0, 1.0) is envelope and not envelope.flags.writeable
 
 
 def test_random_field_embedding_needs_empty_reference_nyquist_planes(rng):
