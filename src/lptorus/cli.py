@@ -10,8 +10,8 @@ Subcommands:
     sweep       amplitude grid of solves, CSV output
 
 Exit status: 0 when every check passes, 1 when a verification or bound check
-fails (reports are still written), 2 on usage errors or malformed field
-files.
+fails or a sweep row's norms are not finite (reports and the CSV are still
+written), 2 on usage errors or malformed field files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
@@ -360,8 +360,14 @@ def cmd_sweep(args) -> int:
          "eta": constants["eta"]},
         [out_path], args.seed, workers=workers,
     )
+    # the CSV keeps every row; a row whose norms are not finite fails the run
+    bad = [f"({row['amp_u']!r}, {row['amp_theta']!r})" for row in rows
+           if not all(map(math.isfinite, (row["velocity_norm"], row["scalar_norm"])))]
+    if bad:
+        print(f"sweep: non-finite norms in rows (amp_u, amp_theta) {', '.join(bad)}",
+              file=sys.stderr)
     print(f"sweep: {len(rows)} rows ({out_path})")
-    return 0
+    return 1 if bad else 0
 
 
 # ---------------------------------------------------------------------------

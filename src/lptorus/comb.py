@@ -15,13 +15,19 @@ Consequently
 so a_j = 1/(j+3) has bounded log-weighted sup norm but logarithmically
 divergent summed norm, and no inclusion holds in either direction.
 
-Blocks are evaluated through the convolution kernels of the cutoffs: h
-(inverse transform of phi, and h-tilde of chi) is sampled once per cutoff pair
-by two matrix products per kernel, splitting the sample grid as y = Y_b + y_t
-with cos(rho y) = cos(rho Y_b) cos(rho y_t) - sin(rho Y_b) sin(rho y_t).  Block
-q weighs the mode at radius omega by the cosine transform of the kernel at
-omega / 2^q, cached, inside the cutoff's support (far below the band pi/dy of
-the samples, so no comb frequency aliases) and by the exact 0.0 outside it.
+Blocks are weighed through the convolution kernels of the cutoffs: h (inverse
+transform of phi, and h-tilde of chi), each a trapezoid sum
+h(y) = sum_i W_i cos(rho_i y) over the profile's nodes.  Block q weighs the
+mode at radius omega by the kernel's cosine transform at omega / 2^q, the
+trapezoid rule on the y grid of spacing dy, cached, inside the cutoff's
+support (far below the band pi/dy of that grid, so no comb frequency aliases)
+and by the exact 0.0 outside it.  Swapping the two sums puts that transform in
+closed form, dy sum_i W_i [T((rho_i - a) dy) + T((rho_i + a) dy)] with
+T(theta) = (1/2) sin(M theta) cot(theta / 2) the trapezoid cosine sum over the
+M + 1 grid points, so no run samples the kernel: O(PROFILE_POINTS) work per
+transform.  ``_kernel_table`` samples it only as the reference the closed form
+is tested against.
+
 Block sup norms are taken over a dense sample of one period of the lowest mode,
 summing read-only rows cos(2^d theta) cached per offset d from that mode (the
 comb's blocks meet d = 0 and 1 only).
@@ -85,38 +91,72 @@ class DiracCombSpec:
 
 
 @lru_cache(maxsize=None)
-def _kernel_table(cutoffs: CutoffPair) -> dict:
-    """h = F^-1 phi and h~ = F^-1 chi sampled on [0, KERNEL_EXTENT]."""
-    # h(y) = (1/pi) int_0^inf phi(rho) cos(rho y) drho by the trapezoid rule;
-    # entry (b, t) of each product is the sample at y = ys[SPLIT b + t]
+def _profile_nodes(cutoffs: CutoffPair) -> tuple[np.ndarray, dict]:
+    """Nodes rho_i and, per kernel, W_i = w_i profile(rho_i), read-only.
+
+    h(y) = (1/pi) int_0^inf phi(rho) cos(rho y) drho by the trapezoid rule is
+    sum_i W_i cos(rho_i y): the weights w_i carry the 1/pi.
+    """
     rho = np.linspace(0.0, 2.0 * cutoffs.gamma + 0.5, PROFILE_POINTS)
     weights = np.full(rho.size, (rho[1] - rho[0]) / np.pi)
     weights[[0, -1]] *= 0.5
+    weighted = {"h": cutoffs.phi(rho) * weights, "h_tilde": cutoffs.chi(rho) * weights}
+    for array in (rho, *weighted.values()):
+        array.setflags(write=False)
+    return rho, weighted
+
+
+@lru_cache(maxsize=None)
+def _kernel_table(cutoffs: CutoffPair) -> dict:
+    """h = F^-1 phi and h~ = F^-1 chi sampled on [0, KERNEL_EXTENT].
+
+    No run path calls this: ``_cosine_transform`` gives the same trapezoid
+    sums in closed form.  It stays as the sampled reference the closed form is
+    tested against, and because the benchmark tracer wraps it by name.
+    """
+    # entry (b, t) of each product is the sample at y = ys[SPLIT b + t]
+    rho, weighted = _profile_nodes(cutoffs)
     ys = np.linspace(0.0, KERNEL_EXTENT, KERNEL_POINTS)
     coarse = np.outer(ys[::SPLIT], rho)
     fine = np.outer(rho, ys[:SPLIT])
     cos_c, sin_c = np.cos(coarse), np.sin(coarse)
     cos_f, sin_f = np.cos(fine), np.sin(fine)
     table = {"y": ys}
-    for key, profile in (("h", cutoffs.phi(rho)), ("h_tilde", cutoffs.chi(rho))):
-        w = profile * weights
+    for key, w in weighted.items():
         table[key] = ((cos_c * w) @ cos_f - (sin_c * w) @ sin_f).ravel()
     return table
 
 
+def _trapezoid_cosines(theta: np.ndarray) -> np.ndarray:
+    """T(theta) = sum_{t=0..M} c_t cos(t theta), c_0 = c_M = 1/2, c_t = 1 else.
+
+    In closed form (1/2) sin(M theta) cot(theta / 2), and M at theta = 0;
+    M = KERNEL_POINTS - 1.
+    """
+    m = KERNEL_POINTS - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = 0.5 * np.sin(m * theta) / np.tan(0.5 * theta)
+    return np.where(theta == 0.0, float(m), total)
+
+
 @lru_cache(maxsize=4096)
 def _cosine_transform(kernel: str, arg: float, cutoffs: CutoffPair) -> float:
-    """2 int_0^inf kernel(y) cos(arg y) dy by the trapezoid rule on the table."""
-    table = _kernel_table(cutoffs)
-    ys = table["y"]
-    integrand = table[kernel] * np.cos(arg * ys)
-    return float(2.0 * np.trapezoid(integrand, dx=ys[1] - ys[0]))
+    """2 int_0^inf kernel(y) cos(arg y) dy by the trapezoid rule on the y grid.
+
+    With kernel(y) = sum_i W_i cos(rho_i y) and y_t = t dy, the sum over the
+    grid is dy sum_i W_i [T((rho_i - arg) dy) + T((rho_i + arg) dy)]: the
+    table's quadrature in closed form, equal to it up to roundoff.
+    """
+    rho, weighted = _profile_nodes(cutoffs)
+    dy = KERNEL_EXTENT / (KERNEL_POINTS - 1)
+    cosines = _trapezoid_cosines((rho - arg) * dy) + _trapezoid_cosines((rho + arg) * dy)
+    return float(dy * np.sum(weighted[kernel] * cosines))
 
 
 def kernel_multiplier(
     omega: float, q: int, cutoffs: CutoffPair | None = None
 ) -> float:
-    """Block-q weight of the mode cos(omega x), via the materialized kernel.
+    """Block-q weight of the mode cos(omega x), via the kernel's cosine transform.
 
     For q >= 0 this is the cosine transform of 2^q h(2^q .) at omega, i.e.
     the numerically recovered phi(2^-q omega); for q = -1 it is the recovered

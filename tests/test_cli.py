@@ -386,6 +386,21 @@ def test_out_of_domain_input_exits_2_with_one_error_line(
     assert not out.exists()
 
 
+def test_sweep_row_with_non_finite_norms_exits_1_and_keeps_the_csv(tmp_path, capsys):
+    # an overflowing amplitude diverges to nan norms; the finite row beside it
+    # fails its bound but is no error
+    out = tmp_path / "sweep.csv"
+    with np.errstate(all="ignore"):
+        code = main(["sweep", "--amps-u", "1e300,0.001", "--amps-theta", "1",
+                     "--N", "16", "--M", "4", "--out", str(out)])
+    assert code == 1
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[-2:] for row in rows][0] == ["nan", "nan"]
+    assert len(rows) == 2 and "nan" not in rows[1]
+    err = [line for line in capsys.readouterr().err.splitlines() if "non-finite" in line]
+    assert err == ["sweep: non-finite norms in rows (amp_u, amp_theta) (1e+300, 1.0)"]
+
+
 def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     outputs = []
     for cpus in ({0}, {0, 1, 2, 3}):

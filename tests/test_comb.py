@@ -13,8 +13,10 @@ from lptorus.comb import (
     SPLIT,
     SUP_SAMPLES,
     _block_sup,
+    _cosine_transform,
     _kernel_table,
     _sup_row,
+    _trapezoid_cosines,
     comb_norms,
     kernel_multiplier,
 )
@@ -303,3 +305,52 @@ def test_modes_outside_the_two_mode_window_weigh_exact_zero():
                 assert w > 0.0, (q, j)
             else:
                 assert w == 0.0, (q, j)
+
+
+# in-support reduced arguments per kernel, and the profile nodes' support
+KERNEL_SUPPORTS = {"h": (0.75, 8.0 / 3.0), "h_tilde": (0.0, 4.0 / 3.0)}
+
+
+@pytest.mark.parametrize("transition", ["exp", "exp-sq"])
+@pytest.mark.parametrize("kernel", ["h", "h_tilde"])
+def test_closed_form_cosine_transform_matches_the_sampled_table(transition, kernel):
+    # 41 arguments across the support, and arguments on profile nodes, where
+    # rho_i - arg = 0 takes the theta = 0 branch of the closed form
+    cut = build_cutoffs(transition)
+    table = _kernel_table(cut)
+    ys = table["y"]
+    lo, hi = KERNEL_SUPPORTS[kernel]
+    rho = np.linspace(0.0, 2.0 * cut.gamma + 0.5, PROFILE_POINTS)
+    nodes = rho[(rho >= lo) & (rho <= hi)][::97]
+    args = np.concatenate([np.linspace(lo, hi, 41), nodes])
+    assert nodes.size >= 5 and np.all(np.isin(nodes, rho))
+    for arg in args:
+        sampled = 2.0 * np.trapezoid(table[kernel] * np.cos(arg * ys), dx=ys[1] - ys[0])
+        closed = _cosine_transform.__wrapped__(kernel, float(arg), cut)
+        assert abs(closed - sampled) <= 1e-13, (kernel, arg)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-3, 0.03])
+def test_trapezoid_cosine_sum_in_closed_form(theta):
+    # T(theta) = sum_t c_t cos(t theta) with half weights at both ends
+    m = KERNEL_POINTS - 1
+    terms = np.cos(np.arange(m + 1) * theta)
+    direct = math.fsum(terms) - 0.5 * (terms[0] + terms[-1])
+    closed = float(_trapezoid_cosines(np.array([theta]))[0])
+    assert abs(closed - direct) <= 1e-15 * m
+    if theta == 0.0:
+        assert closed == m
+
+
+def test_comb_suite_samples_no_kernel_table(monkeypatch):
+    calls = []
+
+    def spy(cutoffs):
+        calls.append(cutoffs)
+        return _kernel_table(cutoffs)
+
+    monkeypatch.setattr(comb, "_kernel_table", spy)
+    _cosine_transform.cache_clear()
+    suites.comb_suite()
+    assert _cosine_transform.cache_info().misses == 4
+    assert calls == []

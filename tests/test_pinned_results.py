@@ -36,7 +36,7 @@ PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 
 REPORT_DIGESTS = {
     "solve": "8e3f928c974a0360377430f1dee33a2a64729b885454da514b8d246e9b1d34cc",
-    "comb": "3cba38665477bff2dd4db585354528d7987b45bc68c4bebb59abbcd3c55adadf",
+    "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
     "bony": "4198e834306346dc637fe684e3d60c2f7058d22f6d5da96b627bf51be8d68d45",
     "heatchar": "5d5d16c8974403c18435cb6fb9d1c597b76727a179297236af0ab102b2346c5c",
     "lp": "ddf2352b82d65ff70d33297b487538db97f2d1b67ea2bc38cec15e4422f28f75",
