@@ -109,8 +109,9 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
     the normal range, e = p (max(p, 2) when ``magnitude`` squares), may have
     lost its p-th powers or squares to subnormal underflow, though the
     result itself is normal.  Either is measured again divided by the power
-    of two above its largest |value|, which is exact.  Every other result
-    keeps the bits of the unscaled pass.
+    of two above its largest |value|, which is exact, unless that is 0: an
+    all-zero sample keeps its exact 0.0.  Every other result keeps the bits
+    of the unscaled pass.
     """
 
     def power(v):
@@ -127,6 +128,12 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
         return out
     out, samples = np.array(out), values[redo]
     peak = np.max(np.abs(samples).reshape(len(samples), -1), axis=1)
+    live = peak > 0  # an all-zero sample's result is already the exact 0.0
+    if not live.any():
+        return out
+    if not live.all():  # several samples, so ``redo`` is an array
+        redo[redo] = live
+        samples, peak = samples[live], peak[live]
     scale = np.ldexp(1.0, np.frexp(peak)[1])  # the least power of two above
     shape = (-1,) + (1,) * (samples.ndim - 1)
     out[redo] = scale * power(samples / scale.reshape(shape)) ** (1.0 / p)  # terms <= 1

@@ -5,7 +5,7 @@ Subcommands:
     decompose   split a field file into dyadic blocks + a JSON manifest
     norm        print one Besov norm of a field file
     verify      run a verification suite (lp, besov, bilinear, heatchar,
-                comb, bernstein) and write a JSON report
+                comb, bernstein, bony) and write a JSON report
     solve       Picard-solve the Boussinesq system from field-file data
     sweep       amplitude grid of solves, CSV output
 
@@ -15,8 +15,9 @@ written), 2 on usage errors or malformed field files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
-output paths, worker count, and for solve its stage times), which is the
-only place timestamps and timings appear.  ``verify bilinear``'s trials,
+output paths, worker count and the workers' peak RSS, and for solve its
+stage times), which is the only place timestamps, timings and memory
+appear.  The trials of ``verify bilinear``, ``bony`` and ``heatchar``,
 ``sweep``'s rows and solve's ``--oracle`` (beside Picard) fork onto one
 process per usable CPU through ``parallel.fork_map``; they run serially on
 one CPU, off Linux, or while other Python threads live.  No output depends
@@ -31,6 +32,7 @@ import dataclasses
 import datetime
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -92,6 +94,12 @@ def _write_manifest(
         **extra,
     }
     _write_json(path, manifest)
+
+
+def _children_maxrss_mb() -> float:
+    """The largest peak RSS of any reaped child process (the forked
+    workers), in MiB; Linux counts ``ru_maxrss`` in KiB."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 def _load_field(path: str) -> Field:
@@ -212,6 +220,7 @@ def cmd_verify(args) -> int:
     _write_manifest(
         Path(str(report_path) + ".manifest.json"), f"verify {args.suite}",
         report["params"], [report_path], args.seed, workers=workers,
+        children_maxrss_mb=_children_maxrss_mb(),
     )
     status = "PASS" if report["pass"] else "FAIL"
     for check in report["checks"]:
@@ -359,6 +368,7 @@ def cmd_sweep(args) -> int:
          "config": _config_echo(config), "lambda": constants["lambda"],
          "eta": constants["eta"]},
         [out_path], args.seed, workers=workers,
+        children_maxrss_mb=_children_maxrss_mb(),
     )
     # the CSV keeps every row; a row whose norms are not finite fails the run
     bad = [f"({row['amp_u']!r}, {row['amp_theta']!r})" for row in rows

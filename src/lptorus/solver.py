@@ -596,7 +596,9 @@ def picard_solve(
     }
     u_traj = FieldTrajectory.from_half(grid, times, state[:, :n])
     th_traj = FieldTrajectory.from_half(grid, times, state[:, n:])
-    report.residuals = residual_check(u_traj, th_traj, u0, theta0, config)
+    report.residuals = residual_check(
+        u_traj, th_traj, u0, theta0, config, norms=(u_norm, th_norm)
+    )
     return u_traj, th_traj, report
 
 
@@ -606,14 +608,20 @@ def residual_check(
     u0: Field,
     theta0: Field,
     config: SolverConfig,
+    *,
+    norms: tuple[float, float] | None = None,
 ) -> dict:
-    """Regime-norm distance of (u, theta) from one more Duhamel application."""
+    """Regime-norm distance of (u, theta) from one more Duhamel application.
+
+    ``norms`` are ``velocity_norm(u)`` and ``scalar_norm(theta)`` when the
+    caller holds them (``picard_solve`` does); they are measured otherwise.
+    """
     grid, state0 = _data_state(u0, theta0, config)
     state = np.concatenate([u.half, theta.half], axis=1)
     op = _source_operator(grid, tuple(config.buoyancy), True)
     residual = state - _fixed_point_map(u.times, state, state0, op, grid)
     ru, rth = _pair_norms(grid, u.times, residual, config)
-    u_norm, th_norm = _pair_norms(grid, u.times, state, config)
+    u_norm, th_norm = norms or _pair_norms(grid, u.times, state, config)
     u_scale, th_scale = max(u_norm, 1e-300), max(th_norm, 1e-300)
     return {
         "velocity_residual": ru,

@@ -30,6 +30,7 @@ from lptorus import (
 from lptorus.besov import (
     INF,
     _lp_norms,
+    _power_mean,
     _shell_columns,
     block_lp_norms,
     block_time_lp,
@@ -408,6 +409,33 @@ def test_norms_whose_squares_are_subnormal_are_exact(grid32, components, s, p):
     np.testing.assert_allclose(
         block_lp_norms(f * s, p), s * block_lp_norms(f, p), rtol=1e-14, atol=0
     )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_all_zero_samples_are_not_measured_again(grid32, p, rng):
+    # a Duhamel table's t = 0 sample is zero: its unscaled 0.0 is exact, so
+    # of the three samples below the floor only the tiny one is measured again
+    values = np.zeros((5,) + grid32.shape)
+    values[1] = 1e-300 * rng.standard_normal(grid32.shape)
+    values[4] = rng.standard_normal(grid32.shape)
+    sizes = []
+
+    def total(terms, axis):  # the spy: the samples of each pass
+        sizes.append(terms.shape[:-2])
+        return np.sum(terms, axis=axis)
+
+    got = _power_mean(np.abs(values), p, (-2, -1), total)
+    assert sizes == [(5,), (1,)]
+    assert got[0] == got[2] == got[3] == 0.0
+    assert got[4] == np.sum(np.abs(values[4]) ** p) ** (1 / p)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values[1])))[1])
+    assert got[1] == scale * np.sum(np.abs(values[1] / scale) ** p) ** (1 / p)
+    sizes.clear()
+    assert np.array_equal(_power_mean(values[[0, 2]], p, (-2, -1), total), [0.0, 0.0])
+    assert sizes == [(2,)]
+    sizes.clear()
+    assert _power_mean(values[0], p, (-2, -1), total) == 0.0
+    assert sizes == [()]
 
 
 def test_sequence_and_time_norms_rescale_only_what_left_the_range():

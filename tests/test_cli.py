@@ -415,21 +415,42 @@ def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
                     ["0.01", "0.003"], ["0.01", "0.3"]]
 
 
+def assert_report_does_not_depend_on_the_worker_count(tail, items, tmp_path, monkeypatch):
+    # one worker, then min(items, 4): the same report bytes
+    reports = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        path = tmp_path / f"{tail[0]}-{len(cpus)}.json"
+        assert main(["verify", *tail, "--seed", "3", "--report", str(path)]) == 0
+        reports.append(path.read_bytes())
+        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["workers"] == min(items, len(cpus))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("lemma", ["2.4", "2.7"])  # the static and the time path
 def test_verify_bilinear_report_does_not_depend_on_the_worker_count(
     lemma, tmp_path, monkeypatch
 ):
-    reports = []
-    for cpus in ({0}, {0, 1, 2, 3}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        path = tmp_path / f"bilinear-{len(cpus)}.json"
-        assert main(["verify", "bilinear", "--lemma", lemma, "--N", "16,32",
-                     "--trials", "5", "--seed", "3", "--report", str(path)]) == 0
-        reports.append(path.read_bytes())
-        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
-        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-        assert manifest["workers"] == len(cpus)
-    assert reports[0] == reports[1]
+    tail = ["bilinear", "--lemma", lemma, "--N", "16,32", "--trials", "5"]
+    assert_report_does_not_depend_on_the_worker_count(tail, 5, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "tail, items",
+    [
+        (["bony", "--N", "16", "--trials", "3"], 3),
+        (["bony", "--n", "3", "--N", "8", "--trials", "2"], 2),
+        (["heatchar", "--N", "8,16", "--trials", "2"], 8),  # 4 cases of 2 fields
+        (["heatchar", "--n", "1", "--N", "8,16", "--trials", "3"], 12),
+    ],
+    ids=["bony-n2", "bony-n3", "heatchar-n2", "heatchar-n1"],
+)
+def test_verify_bony_and_heatchar_reports_do_not_depend_on_the_worker_count(
+    tail, items, tmp_path, monkeypatch
+):
+    assert_report_does_not_depend_on_the_worker_count(tail, items, tmp_path, monkeypatch)
 
 
 def test_sweep_and_serial_verify_manifests_record_the_workers(tmp_path, monkeypatch):
@@ -437,13 +458,33 @@ def test_sweep_and_serial_verify_manifests_record_the_workers(tmp_path, monkeypa
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--amps-u", "0.002,0.01", "--amps-theta", "0.003",
                  "--N", "16", "--M", "4", "--out", str(out)]) == 0
-    report = tmp_path / "bony.json"
-    assert main(["verify", "bony", "--N", "16", "--trials", "2",
+    report = tmp_path / "bernstein.json"
+    assert main(["verify", "bernstein", "--N", "16", "--trials", "2",
                  "--report", str(report)]) == 0
-    for path, count in ((out, 2), (report, 1)):  # two rows; bony stays serial
+    for path, count in ((out, 2), (report, 1)):  # two rows; bernstein stays serial
         manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
         assert manifest["workers"] == count
+
+
+def test_verify_and_sweep_manifests_record_the_workers_peak_rss(tmp_path, monkeypatch):
+    # RUSAGE_CHILDREN: the largest reaped child, so at least the workers
+    # just forked; the report itself carries no memory figure
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out, report = tmp_path / "sweep.csv", tmp_path / "bony.json"
+    assert main(["sweep", "--amps-u", "0.002,0.01", "--amps-theta", "0.003",
+                 "--N", "16", "--M", "4", "--out", str(out)]) == 0
+    assert main(["verify", "bony", "--N", "16", "--trials", "2",
+                 "--report", str(report)]) == 0
+    for path in (out, report):
+        manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["workers"] == 2
+        assert manifest["children_maxrss_mb"] > 1.0
+    assert "children_maxrss_mb" not in json.loads(report.read_text())
+    bad = dict(manifest, children_maxrss_mb=-1.0)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, load_schema("manifest.schema.json"))
 
 
 def test_verify_comb_rerun_byte_identical(tmp_path):

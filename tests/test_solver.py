@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lptorus.solver
 from lptorus import (
     Field,
     FieldTrajectory,
@@ -605,6 +606,32 @@ def test_residual_check_rejects_data_on_two_grids(theta_grid):
     u, th = make_free_trajectories(u0.grid, u0, single_mode(u0.grid, (1, 1), 1e-3), CONFIG)
     with pytest.raises(ValueError, match="u0 and theta0 must share one grid"):
         residual_check(u, th, u0, th0, CONFIG)
+
+
+def test_picard_hands_its_final_norms_to_the_residual_check(monkeypatch):
+    # one _pair_norms call for the certificate, two per iteration and one for
+    # the residual; the final iterate's norms are not measured again, and
+    # the residuals keep the bits of a check that measures them itself
+    grid = Grid(2, 16)
+    config = SolverConfig(horizon=0.25, steps=8, lambda_=1.0, eta=1.0)
+    u0, th0 = taylor_green(grid, 1e-3), single_mode(grid, (1, 1), 1e-3)
+    calls, checks = [], []
+    pair_norms, check = lptorus.solver._pair_norms, lptorus.solver.residual_check
+
+    def counted(*args):
+        calls.append(args)
+        return pair_norms(*args)
+
+    def spied(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(lptorus.solver, "_pair_norms", counted)
+    monkeypatch.setattr(lptorus.solver, "residual_check", spied)
+    _, _, report = picard_solve(u0, th0, config)
+    assert report.final["iterations"] >= 2
+    assert len(calls) == 2 + 2 * report.final["iterations"]
+    assert len(checks) == 1 and report.residuals == check(*checks[0])
 
 
 def _free(f, config):
