@@ -237,13 +237,14 @@ def parse_regime(text: str) -> dict:
         if tail:
             raise ValueError("thm1.2 takes no exponents")
         return {"regime": head}
-    if head == "thm1.3":
-        p_s, r_s = tail.split(",")
-        return {"regime": head, "p": _parse_exponent(p_s), "r": _parse_exponent(r_s)}
-    if head == "thm1.4":
-        p_s, eps_s = tail.split(",")
-        return {"regime": head, "p": _parse_exponent(p_s), "eps": float(eps_s)}
-    raise ValueError(f"unknown regime {text!r}")
+    if head not in ("thm1.3", "thm1.4"):
+        raise ValueError(f"unknown regime {text!r}")
+    second = "r" if head == "thm1.3" else "eps"
+    values = tail.split(",")
+    if len(values) != 2:
+        raise ValueError(f"regime {text!r} is not of the form {head}:p,{second}")
+    parse = _parse_exponent if second == "r" else float
+    return {"regime": head, "p": _parse_exponent(values[0]), second: parse(values[1])}
 
 
 def _solve_config(args, **extra) -> SolverConfig:

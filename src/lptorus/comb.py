@@ -81,11 +81,10 @@ class DiracCombSpec:
         return cls(tuple(1.0 / (j + 3.0) for j in range(-1, J + 1)))
 
     @classmethod
-    def kronecker(cls, k: int, J: int | None = None) -> "DiracCombSpec":
+    def kronecker(cls, k: int) -> "DiracCombSpec":
         if k < 0:
             raise ValueError("k must be >= 0")
-        J = k + 2 if J is None else J
-        coeffs = [0.0] * (J + 2)
+        coeffs = [0.0] * (k + 4)  # j = -1..J with J = k + 2
         coeffs[k + 1] = 1.0 / (3.0 + k)
         return cls(tuple(coeffs))
 

@@ -12,11 +12,12 @@ which the solver treats through the Duhamel (integral) form
     theta = e^{tL} th0 - int_0^t e^{(t-s)L} div(u theta) ds
 
 with P the Leray projection and the nonlinearities in divergence form (valid
-since div u = 0 is enforced spectrally).  Picard iteration starts from the
-free evolution and reapplies the map; the smallness certificate instantiates
-the abstract coupled fixed point: with the bilinear/linear operator bounds
-lambda and eta measured on a sampling ensemble and c* = max(2 eta, 1), the
-iteration contracts whenever
+since div u = 0 is enforced spectrally: every entry point reads the data
+through one gate, ``_data_state``, that checks them and Leray-projects u0).
+Picard iteration starts from the free evolution and reapplies the map; the
+smallness certificate instantiates the abstract coupled fixed point: with the
+bilinear/linear operator bounds lambda and eta measured on a sampling
+ensemble and c* = max(2 eta, 1), the iteration contracts whenever
 
     ||(x0, c* y0)|| = ||x0|| + c* ||y0|| < 1 / (16 lambda)
 
@@ -52,7 +53,7 @@ from .besov import (
     BesovSpec,
     FieldTrajectory,
     MixedSpec,
-    besov_norm,
+    _block_table,
     block_time_lp,  # noqa: F401  perfbench's tracer tests read it from this module
     chemin_lerner_norm,
     kato_weighted_norm,
@@ -126,6 +127,11 @@ class SolverConfig:
                 raise ValueError(f"eps must be finite and positive, got {self.eps}")
             if self.horizon > 1:
                 raise ValueError("the weighted-norm regime requires T <= 1")
+        lam, eta = self.lambda_, self.eta
+        if (lam is None) != (eta is None):
+            raise ValueError("lambda_ and eta are set together or not at all")
+        if lam is not None and not (0 < lam < INF and 0 <= eta < INF):
+            raise ValueError(f"need lambda_ in (0, inf) and eta in [0, inf), got {lam}, {eta}")
 
     def validate_grid(self, grid: Grid) -> None:
         require_shell(grid)  # else lambda is 0 and the certificate 1 / (16 lambda)
@@ -270,8 +276,8 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
 
 
 def _data_state(u0: Field, theta0: Field, config: SolverConfig) -> tuple[Grid, np.ndarray]:
-    """The data's grid and its stacked (u0, theta0) half spectra, shape
-    (n + 1, N, ..., N/2+1), after the checks every solver entry point makes."""
+    """The one gate of every solver entry point: the checked data's grid and
+    stacked (P u0, theta0) half spectra (n + 1, N, ..., N/2+1), P the Leray projection."""
     if theta0.grid != u0.grid:
         raise ValueError("u0 and theta0 must share one grid")
     grid = u0.grid
@@ -280,7 +286,9 @@ def _data_state(u0: Field, theta0: Field, config: SolverConfig) -> tuple[Grid, n
         raise ValueError("theta0 must be a scalar field")
     if u0.components != grid.dim:
         raise ValueError(f"u0 must have {grid.dim} components, got {u0.components}")
-    return grid, np.concatenate([u0.spectral, theta0.spectral])
+    state = np.concatenate([u0.spectral, theta0.spectral])
+    state[: grid.dim] = project_divergence_free(state[: grid.dim], grid)
+    return grid, state
 
 
 def _fixed_point_map(
@@ -433,31 +441,25 @@ class SmallnessCertificate:
         return asdict(self)
 
 
-def smallness_certificate(
-    u0: Field,
-    theta0: Field,
-    config: SolverConfig,
-    constants: dict | None = None,
-) -> SmallnessCertificate:
+def smallness_certificate(u0: Field, theta0: Field, config: SolverConfig) -> SmallnessCertificate:
     """Evaluate the contraction condition for the given data and regime.
 
-    ``constants`` may carry pre-measured {"lambda", "eta"}; otherwise they
-    are measured (or taken from the config override).
+    mu1, mu2 and the free evolutions are those of the gated data (``_data_state``:
+    u0 Leray-projected); lambda and eta are the config's if set, else measured.
     """
     grid, state0 = _data_state(u0, theta0, config)
-    if constants is None:
-        if config.lambda_ is not None and config.eta is not None:
-            constants = {"lambda": config.lambda_, "eta": config.eta}
-        else:
-            constants = measure_operator_constants(grid, config)
+    constants = {"lambda": config.lambda_, "eta": config.eta}
+    if config.lambda_ is None:
+        constants = measure_operator_constants(grid, config)
+    n = grid.dim
     times = time_grid(config)
-    u_space, th_space = data_spaces(config, grid.dim)
+    u_space, th_space = data_spaces(config, n)
     return SmallnessCertificate.evaluate(
         constants["lambda"],
         constants["eta"],
         *_pair_norms(grid, times, heat_stack(state0, grid, times), config),
-        besov_norm(u0, u_space),
-        besov_norm(theta0, th_space),
+        u_space.reduce(_block_table(state0[:n], grid, u_space.p)),
+        th_space.reduce(_block_table(state0[n:], grid, th_space.p)),
         config.regime,
     )
 
@@ -516,8 +518,6 @@ def picard_solve(
     """
     grid, state0 = _data_state(u0, theta0, config)
     n = grid.dim
-    state0[:n] = project_divergence_free(state0[:n], grid)
-    u0 = Field.from_spectral(grid, state0[:n])
     cert = smallness_certificate(u0, theta0, config)
     op = _source_operator(grid, tuple(config.buoyancy), True)
     times = time_grid(config)
@@ -611,7 +611,7 @@ def residual_check(
     *,
     norms: tuple[float, float] | None = None,
 ) -> dict:
-    """Regime-norm distance of (u, theta) from one more Duhamel application.
+    """Regime-norm distance of (u, theta) from one more Duhamel map of the gated data.
 
     ``norms`` are ``velocity_norm(u)`` and ``scalar_norm(theta)`` when the
     caller holds them (``picard_solve`` does); they are measured otherwise.
@@ -651,7 +651,6 @@ def exponential_euler(
     """
     grid, state = _data_state(u0, theta0, config)
     n = grid.dim
-    state[:n] = project_divergence_free(state[:n], grid)
     nsteps = config.steps * config.oracle_refine
     dt = config.horizon / nsteps
     x = grid.k_sq * dt

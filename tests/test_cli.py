@@ -186,6 +186,11 @@ def test_solve_regime_parsing():
                                             "eps": 0.5}
     with pytest.raises(ValueError):
         parse_regime("thm9")
+    # a malformed exponent list names the expected form
+    with pytest.raises(ValueError, match="form thm1.3:p,r$"):
+        parse_regime("thm1.3:2")
+    with pytest.raises(ValueError, match="form thm1.4:p,eps$"):
+        parse_regime("thm1.4:2,0.5,3")
 
 
 def test_sweep_csv(field_files, tmp_path):
@@ -369,6 +374,13 @@ DOMAIN_GUARD_CELLS = {
                                 "--T", "1e-300", "--M", "4"],
     "sweep-horizon-underflow": ["sweep", "--amps-u", "0.001", "--amps-theta", "0.001",
                                 "--T", "1e-300", "--N", "16", "--M", "4"],
+    # the horizon where the measured lambda itself underflows to 0
+    "solve-horizon-lambda-underflow": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                                       "--T", "1e-250", "--M", "4"],
+    "solve-regime-thm1.3-one-exponent": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                                         "--regime", "thm1.3:2", "--M", "4"],
+    "solve-regime-thm1.4-three-exponents": ["solve", "--u0", "{u0}", "--theta0", "{theta0}",
+                                            "--regime", "thm1.4:2,0.5,3", "--M", "4"],
 }
 
 

@@ -64,10 +64,15 @@ def constants():
     return measure_operator_constants(Grid(2, 32), CONFIG)
 
 
+def with_constants(config, constants):
+    """``config`` with the measured lambda and eta set."""
+    return dataclasses.replace(config, lambda_=constants["lambda"], eta=constants["eta"])
+
+
 def scaled_data(grid, config, constants, fraction):
     """Taylor-Green + single-mode scalar scaled to fraction * certificate rhs."""
     u1, th1 = taylor_green(grid, 1.0), single_mode(grid, (1, 1), 1.0)
-    cert = smallness_certificate(u1, th1, config, constants=constants)
+    cert = smallness_certificate(u1, th1, with_constants(config, constants))
     amp = fraction * cert.rhs / cert.lhs
     return taylor_green(grid, amp), single_mode(grid, (1, 1), amp)
 
@@ -466,7 +471,7 @@ def test_source_operator_is_cached_read_only():
 
 def test_certificate_zero_data(grid32, constants):
     cert = smallness_certificate(
-        Field.zeros(grid32, 2), Field.zeros(grid32), CONFIG, constants=constants
+        Field.zeros(grid32, 2), Field.zeros(grid32), with_constants(CONFIG, constants)
     )
     assert cert.lhs == 0.0 and cert.passed
 
@@ -492,10 +497,10 @@ def test_certificate_rejects_a_lambda_that_is_not_positive_and_finite(lambda_):
 
 def test_certificate_scales_linearly(grid32, constants):
     u0, th0 = taylor_green(grid32, 1.0), single_mode(grid32, (1, 1), 1.0)
-    cert1 = smallness_certificate(u0, th0, CONFIG, constants=constants)
+    cert1 = smallness_certificate(u0, th0, with_constants(CONFIG, constants))
     cert2 = smallness_certificate(
         taylor_green(grid32, 0.25), single_mode(grid32, (1, 1), 0.25),
-        CONFIG, constants=constants,
+        with_constants(CONFIG, constants),
     )
     assert cert2.lhs == pytest.approx(0.25 * cert1.lhs, rel=1e-12)
 
@@ -504,13 +509,13 @@ def test_certificate_threshold_amplitude_by_bisection(grid32, constants):
     # the pass/fail frontier for the scaled family sits at rhs/lhs(1);
     # bisection on the amplitude must bracket exactly that value
     u0, th0 = taylor_green(grid32, 1.0), single_mode(grid32, (1, 1), 1.0)
-    cert1 = smallness_certificate(u0, th0, CONFIG, constants=constants)
+    cert1 = smallness_certificate(u0, th0, with_constants(CONFIG, constants))
     expected = cert1.rhs / cert1.lhs
 
     def passes(amp):
         cert = smallness_certificate(
             taylor_green(grid32, amp), single_mode(grid32, (1, 1), amp),
-            CONFIG, constants=constants,
+            with_constants(CONFIG, constants),
         )
         return cert.passed
 
@@ -552,6 +557,29 @@ def test_config_validation():
 def test_config_rejects_non_finite_parameters(kwargs):
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "constants, match",
+    [
+        ({"lambda_": 1.0}, "together"),
+        ({"eta": 0.5}, "together"),
+        ({"lambda_": 0.0, "eta": 0.5}, "got"),
+        ({"lambda_": -1.0, "eta": 0.5}, "got"),
+        ({"lambda_": math.nan, "eta": 0.5}, "got"),
+        ({"lambda_": math.inf, "eta": 0.5}, "got"),
+        ({"lambda_": 1.0, "eta": -5.0}, "got"),
+        ({"lambda_": 1.0, "eta": math.nan}, "got"),
+        ({"lambda_": 1.0, "eta": math.inf}, "got"),
+    ],
+)
+def test_config_rejects_constants_that_are_partial_or_out_of_range(constants, match):
+    with pytest.raises(ValueError, match=match):
+        SolverConfig(horizon=0.5, **constants)
+
+
+def test_config_accepts_a_zero_eta():
+    assert SolverConfig(horizon=0.5, lambda_=0.2, eta=0.0).eta == 0.0
 
 
 @pytest.mark.parametrize("refine", [0, -1])
@@ -735,6 +763,19 @@ def test_picard_oversized_data_flagged_but_runs(grid32, constants):
     assert not report.certificate.passed
     assert report.certificate.lhs >= report.certificate.rhs
     assert len(report.iterations) > 1  # it still ran
+
+
+def test_standalone_certificate_and_residuals_equal_the_picard_report(grid32):
+    # every entry point Leray-projects u0 at one gate, so on data that are not
+    # divergence-free the public checks measure the data Picard solved
+    rng = np.random.default_rng(0)
+    u0 = 0.01 * random_field(grid32, rng, components=2)
+    th0 = 0.01 * random_field(grid32, rng)
+    assert lp_norm(divergence(u0), 2.0) > 0.01
+    config = SolverConfig(horizon=0.5, steps=16, lambda_=0.2, eta=0.1)
+    u, th, report = picard_solve(u0, th0, config)
+    assert smallness_certificate(u0, th0, config) == report.certificate
+    assert residual_check(u, th, u0, th0, config) == report.residuals
 
 
 def test_picard_stops_as_diverged_on_non_finite_iterate():
@@ -1031,7 +1072,7 @@ def test_regime_norms_equal_the_per_regime_formulas_bit_for_bit(regime):
             th_free = besov_reference(l2_blocks(th, 3.0), 0.0, 2.0)
             mu2 = besov_reference(block_lp_norms(th0, 3.0), -1.0, 2.0)
         expected = (u_free, th_free, mu1, mu2)
-    cert = smallness_certificate(u0, th0, config, constants={"lambda": 1.0, "eta": 1.0})
+    cert = smallness_certificate(u0, th0, dataclasses.replace(config, lambda_=1.0, eta=1.0))
     got = (velocity_norm(u, config), scalar_norm(th, config), cert.mu1, cert.mu2)
     assert got == expected
     assert (cert.free_velocity_norm, cert.free_scalar_norm) == expected[:2]
