@@ -15,13 +15,13 @@ written), 2 on usage errors or malformed field files.
 
 Reports are deterministic byte-for-byte for a fixed seed; each run also
 writes a side manifest (command, config echo, version, seed, timestamps,
-output paths, worker count and the workers' peak RSS, and for solve its
-stage times), which is the only place timestamps, timings and memory
-appear.  The trials of ``verify bilinear``, ``bony`` and ``heatchar``,
-``sweep``'s rows and solve's ``--oracle`` (beside Picard) fork onto one
-process per usable CPU through ``parallel.fork_map``; they run serially on
-one CPU, off Linux, or while other Python threads live.  No output depends
-on the worker count.
+output paths, worker count, the largest peak RSS of the workers the command
+forked, 0.0 if none, and for solve its stage times), which is the only place
+timestamps, timings and memory appear.  The trials of ``verify bilinear``,
+``bony`` and ``heatchar``, ``sweep``'s rows and solve's ``--oracle`` (beside
+Picard) fork onto one process per usable CPU through ``parallel.fork_map``;
+they run serially on one CPU, off Linux, or while other Python threads live.
+No output depends on the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import dataclasses
 import datetime
 import json
 import math
-import resource
 import sys
 import time
 from pathlib import Path
@@ -94,12 +93,6 @@ def _write_manifest(
         **extra,
     }
     _write_json(path, manifest)
-
-
-def _children_maxrss_mb() -> float:
-    """The largest peak RSS of any reaped child process (the forked
-    workers), in MiB; Linux counts ``ru_maxrss`` in KiB."""
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 def _load_field(path: str) -> Field:
@@ -214,13 +207,14 @@ def cmd_verify(args) -> int:
         report = suites.bony_suite(
             dim=args.n, points=ns[0], trials=trials, seed=args.seed
         )
-    workers = report.pop("workers", 1)  # only the suites that fork report it
+    workers = report.pop("workers", 1)  # only the suites that fork report these two
+    children_mb = report.pop("children_maxrss_mb", 0.0)
     report_path = Path(args.report or f"verify-{args.suite}.json")
     _write_json(report_path, report)
     _write_manifest(
         Path(str(report_path) + ".manifest.json"), f"verify {args.suite}",
         report["params"], [report_path], args.seed, workers=workers,
-        children_maxrss_mb=_children_maxrss_mb(),
+        children_maxrss_mb=children_mb,
     )
     status = "PASS" if report["pass"] else "FAIL"
     for check in report["checks"]:
@@ -293,7 +287,7 @@ def cmd_solve(args) -> int:
     if args.oracle:
         tasks.append(lambda: _timed(exponential_euler, u0, theta0, config))
     start = time.perf_counter()
-    results, _ = fork_map(lambda task: task(), tasks)
+    results, _, _ = fork_map(lambda task: task(), tasks)
     ((u, theta, report), picard_s), *oracle = results
     stages = {"picard_s": picard_s}
     payload = {"config": _config_echo(config)}
@@ -350,7 +344,7 @@ def cmd_sweep(args) -> int:
     )
     tasks = [(amp_u, amp_th) for amp_u in amps_u for amp_th in amps_th]
     # rows come back in task order, so the CSV is in (amp_u, amp_theta) order
-    rows, workers = fork_map(lambda t: _sweep_row(*t, grid, config), tasks)
+    rows, workers, children_mb = fork_map(lambda t: _sweep_row(*t, grid, config), tasks)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fieldnames = [
@@ -368,8 +362,7 @@ def cmd_sweep(args) -> int:
         {"amps_u": amps_u, "amps_theta": amps_th, "N": args.N,
          "config": _config_echo(config), "lambda": constants["lambda"],
          "eta": constants["eta"]},
-        [out_path], args.seed, workers=workers,
-        children_maxrss_mb=_children_maxrss_mb(),
+        [out_path], args.seed, workers=workers, children_maxrss_mb=children_mb,
     )
     # the CSV keeps every row; a row whose norms are not finite fails the run
     bad = [f"({row['amp_u']!r}, {row['amp_theta']!r})" for row in rows

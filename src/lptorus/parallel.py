@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import os
 import pickle
+import resource
 import signal
 import sys
 import threading
 
 
-def fork_map(fn, items) -> tuple[list, int]:
-    """``[fn(item) for item in items]`` in input order, and the processes used.
+def fork_map(fn, items) -> tuple[list, int, float]:
+    """``[fn(item) for item in items]`` in input order, the processes used,
+    and the largest peak RSS of this call's children in MiB (0.0 if none).
 
     One process per usable CPU, no more than there are items, but one alone
     off Linux or while another Python thread lives (a fork copies only the
     calling thread).  This process runs the first of the contiguous shares;
     each other runs in an ``os.fork``ed child, which pipes back only its
-    pickled results or exception.  The first exception in input order
-    re-raises here; every child is reaped.
+    pickled results or exception and its own ``RUSAGE_SELF`` maxrss (KiB on
+    Linux).  The first exception in input order re-raises here; every child
+    is reaped.
     """
     items = list(items)
     count = 1
@@ -32,9 +35,11 @@ def fork_map(fn, items) -> tuple[list, int]:
             if pid == 0:  # the child exits here, never returning into the caller
                 try:
                     try:
-                        data = pickle.dumps((True, [fn(item) for item in share]))
+                        values = [fn(item) for item in share]
+                        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                        data = pickle.dumps((True, values, kib))
                     except BaseException as exc:
-                        data = pickle.dumps((False, exc))
+                        data = pickle.dumps((False, exc, 0))
                     with os.fdopen(write_fd, "wb") as pipe:
                         pipe.write(data)
                     os._exit(0)
@@ -43,6 +48,7 @@ def fork_map(fn, items) -> tuple[list, int]:
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
         results = [fn(item) for item in shares[0]]
+        peak_mb = 0.0
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -51,11 +57,12 @@ def fork_map(fn, items) -> tuple[list, int]:
             children.pop(0)
             if not data:
                 raise RuntimeError(f"a fork_map worker exited with status {code} and no result")
-            ok, value = pickle.loads(data)
+            ok, value, kib = pickle.loads(data)
             if not ok:
                 raise value
             results += value
-        return results, count
+            peak_mb = max(peak_mb, kib / 1024.0)
+        return results, count, peak_mb
     finally:  # after an error, kill the children still running
         for pid, pipe in children:
             pipe.close()

@@ -197,7 +197,8 @@ def bilinear_constant_estimate(
     grid; trajectories (for the time-integrated estimates) are free heat
     evolutions of those fields on [0, 1].  Passing requires the max ratio at
     each finer resolution to stay within 1.2x of the coarsest one.  The
-    trials run through ``fork_map``; ``workers`` is the processes it used.
+    trials run through ``fork_map``, which gives ``workers`` and
+    ``children_maxrss_mb``.
     """
     resolutions = tuple(sorted(resolutions))
     ref = Grid(dim, resolutions[0])
@@ -215,7 +216,7 @@ def bilinear_constant_estimate(
             return [_time_ratio(spec, *uv) for uv in fields]
         return [_static_ratio(spec, *uv) for uv in fields]
 
-    per_trial, workers = fork_map(trial, draws)
+    per_trial, workers, child_mb = fork_map(trial, draws)
     ratios = {g.points: [] for g in grids}
     for trial_ratios in per_trial:
         for g, ratio in zip(grids, trial_ratios):
@@ -250,4 +251,5 @@ def bilinear_constant_estimate(
         "stats": stats,
         "pass": stable,
         "workers": workers,
+        "children_maxrss_mb": child_mb,
     }

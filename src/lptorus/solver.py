@@ -75,8 +75,6 @@ REGIMES = ("thm1.2", "thm1.3", "thm1.4")
 CONSTANT_TRIALS = 6
 # Picard stops as diverged past this multiple of the initial pair norm
 DIVERGENCE_GUARD = 10.0
-# bytes of padded products one block of samples of a source batch may hold
-SOURCE_BLOCK_BYTES = 2**20
 
 
 class OracleInstabilityError(RuntimeError):
@@ -250,9 +248,9 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
     one state (n + 1, N, ..., N/2+1) in and out; ``b is a`` (the stacked
     (u, theta)) forms a self flux's distinct products from one transform.
 
-    The samples run in blocks whose padded products fit SOURCE_BLOCK_BYTES,
-    each written into one output stack; every transform, product and
-    contraction acts per sample, so the blocks change no bit.
+    A stack streams one state at a time through the single state's body into
+    one output stack; every transform, product and contraction acts per
+    state, so streaming changes no bit.
     """
     n = grid.dim
     pairs, _ = _flux_plan(n, b is a)
@@ -260,18 +258,16 @@ def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.nda
     def flat(x):
         return x.reshape(x.shape[:-n] + (-1,))
 
-    def block(x, y):  # y is x for a self flux
+    def state(x, y):  # y is x for a self flux
         prod = dealiased_products(x, y, pairs, grid)
         cols = np.concatenate([flat(prod), flat(y)[..., n:, :]], axis=-2)
         return np.einsum("idk,...dk->...ik", op, cols).reshape(y.shape)
 
     if b.ndim == n + 1:
-        return block(a, b)
+        return state(a, b)
     out = np.empty(b.shape, dtype=np.complex128)
-    step = max(1, SOURCE_BLOCK_BYTES // (8 * len(pairs) * (3 * grid.points // 2) ** n))
-    for s in range(0, len(b), step):
-        x = a[s : s + step]
-        out[s : s + step] = block(x, x if b is a else b[s : s + step])
+    for s, y in enumerate(b):
+        out[s] = state(y if b is a else a[s], y)
     return out
 
 

@@ -101,7 +101,7 @@ def bony_suite(
     """Decomposition identity uv = T(u,v) + T(v,u) + R(u,v) on random pairs.
 
     Both draws of every pair are made here in rng order; the pairs then run
-    through ``fork_map``, and ``workers`` is the processes it used.
+    through ``fork_map``, which gives ``workers`` and ``children_maxrss_mb``.
     """
     grid = require_shell(Grid(dim, points))
     rng = np.random.default_rng(seed)
@@ -114,14 +114,14 @@ def bony_suite(
         err = float(np.max(np.abs(parts.total().values - uv.values)))
         return err / float(np.max(np.abs(uv.values)))
 
-    defects, workers = fork_map(trial, draws)
+    defects, workers, child_mb = fork_map(trial, draws)
     checks = [_check("bony_identity", max([0.0, *defects]), 1e-12)]
     report = _finish(
         "bony",
         {"dim": dim, "points": points, "trials": trials, "seed": seed},
         checks,
     )
-    report["workers"] = workers  # for the manifest: lp verify drops it
+    report.update(workers=workers, children_maxrss_mb=child_mb)  # lp verify drops them
     return report
 
 
@@ -167,7 +167,7 @@ def bilinear_suite(
     report["exponents"] = result["exponents"]
     report["stats"] = {str(k): v for k, v in result["stats"].items()}
     report["ratios"] = report["stats"]
-    report["workers"] = result["workers"]  # for the manifest: lp verify drops it
+    report.update(workers=result["workers"], children_maxrss_mb=result["children_maxrss_mb"])
     return report
 
 
@@ -184,7 +184,7 @@ def heat_characterization_suite(
     resolution.  Records the equivalence constant C* (max of ratio and its
     inverse), which must stay below 20, and the cross-resolution drift.
     Every field is drawn here in rng order; the trials then run through
-    ``fork_map``, and ``workers`` is the processes it used.
+    ``fork_map``, which gives ``workers`` and ``children_maxrss_mb``.
     """
     resolutions = tuple(sorted(resolutions))
     ref = require_shell(Grid(dim, resolutions[0]))
@@ -198,7 +198,7 @@ def heat_characterization_suite(
         (sigma, p), coeffs = draw
         return [characterization_ratio(embedded_field(g, coeffs, ref), sigma, p) for g in grids]
 
-    per_trial, workers = fork_map(trial, draws)
+    per_trial, workers, child_mb = fork_map(trial, draws)
     ratios = []
     cstar = 0.0
     drift = 0.0
@@ -226,15 +226,16 @@ def heat_characterization_suite(
     )
     report["cstar"] = cstar
     report["ratios"] = ratios
-    report["workers"] = workers  # for the manifest: lp verify drops it
+    report.update(workers=workers, children_maxrss_mb=child_mb)  # lp verify drops them
     return report
 
 
-def comb_suite(
-    j_values: tuple[int, ...] = tuple(range(8, 21)),
-    k_values: tuple[int, ...] = (2, 4, 8),
-    seed: int = 0,
-) -> dict:
+# truncations J of the harmonic combs and frequencies k of the Kronecker combs
+COMB_J_VALUES = tuple(range(8, 21))
+COMB_K_VALUES = (2, 4, 8)
+
+
+def comb_suite(seed: int = 0) -> dict:
     """Non-inclusion asymmetry of the lacunary comb norms.
 
     With a_j = 1/(j+3) the log-weighted sup norm must stay within 25% over
@@ -242,26 +243,25 @@ def comb_suite(
     slope at least half the empirical comparability coefficient; the
     one-coefficient comb must scale like 1/k within 30%.
     """
-    j_values = tuple(sorted(j_values))
     norms = comb_norms(
-        [DiracCombSpec.harmonic(J) for J in j_values]
-        + [DiracCombSpec.kronecker(k) for k in k_values]
+        [DiracCombSpec.harmonic(J) for J in COMB_J_VALUES]
+        + [DiracCombSpec.kronecker(k) for k in COMB_K_VALUES]
     )
-    b01 = [partial for partial, _ in norms[: len(j_values)]]
-    blog = [weighted for _, weighted in norms[: len(j_values)]]
+    b01 = [partial for partial, _ in norms[: len(COMB_J_VALUES)]]
+    blog = [weighted for _, weighted in norms[: len(COMB_J_VALUES)]]
     blog_arr = np.asarray(blog)
     variation = float((blog_arr.max() - blog_arr.min()) / blog_arr.min())
-    lnj = np.log(np.asarray(j_values, dtype=float))
+    lnj = np.log(np.asarray(COMB_J_VALUES, dtype=float))
     slope = float(np.polyfit(lnj, np.asarray(b01), 1)[0])
     partial_sums = [
-        float(np.sum([1.0 / (j + 3.0) for j in range(-1, J + 1)])) for J in j_values
+        float(np.sum([1.0 / (j + 3.0) for j in range(-1, J + 1)])) for J in COMB_J_VALUES
     ]
     coeff = b01[-1] / partial_sums[-1]
     increasing = bool(np.all(np.diff(b01) > 0))
 
     kron = [
         {"k": k, "b01_partial": partial, "b0log_inf": weighted}
-        for k, (partial, weighted) in zip(k_values, norms[len(j_values) :])
+        for k, (partial, weighted) in zip(COMB_K_VALUES, norms[len(COMB_J_VALUES) :])
     ]
     scaled = np.asarray([entry["k"] * entry["b01_partial"] for entry in kron])
     mid = float(np.mean(scaled))
@@ -275,7 +275,7 @@ def comb_suite(
     ]
     report = _finish(
         "dirac-comb",
-        {"J_values": list(j_values), "k_values": list(k_values), "seed": seed},
+        {"J_values": list(COMB_J_VALUES), "k_values": list(COMB_K_VALUES), "seed": seed},
         checks,
     )
     report["b01_partial"] = b01

@@ -480,8 +480,8 @@ def test_sweep_and_serial_verify_manifests_record_the_workers(tmp_path, monkeypa
 
 
 def test_verify_and_sweep_manifests_record_the_workers_peak_rss(tmp_path, monkeypatch):
-    # RUSAGE_CHILDREN: the largest reaped child, so at least the workers
-    # just forked; the report itself carries no memory figure
+    # the largest peak RSS among the workers each command forked; the
+    # report itself carries no memory figure
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out, report = tmp_path / "sweep.csv", tmp_path / "bony.json"
     assert main(["sweep", "--amps-u", "0.002,0.01", "--amps-theta", "0.003",

@@ -1,9 +1,11 @@
-"""fork_map: input order, errors from either side, and no child left behind."""
+"""fork_map: input order, errors from either side, no child left behind, and
+each call's own children's peak RSS."""
 
 import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import lptorus.cli
@@ -34,7 +36,7 @@ def no_child_left():
 def test_results_come_back_in_input_order(shares, cpus):
     cpus(shares)
     parent = os.getpid()
-    out, used = fork_map(lambda x: (x * x, os.getpid()), range(9))
+    out, used, _ = fork_map(lambda x: (x * x, os.getpid()), range(9))
     assert [value for value, _ in out] == [x * x for x in range(9)]
     pids = [pid for _, pid in out]
     assert pids[0] == parent
@@ -43,8 +45,8 @@ def test_results_come_back_in_input_order(shares, cpus):
 
 def test_few_items_use_few_processes(cpus):
     cpus(4)
-    assert fork_map(str, []) == ([], 1) and fork_map(str, [7]) == (["7"], 1)
-    assert fork_map(str, range(3)) == (["0", "1", "2"], 3)
+    assert fork_map(str, []) == ([], 1, 0.0) and fork_map(str, [7]) == (["7"], 1, 0.0)
+    assert fork_map(str, range(3))[:2] == (["0", "1", "2"], 3)
 
 
 def test_serial_while_another_thread_is_alive(cpus):
@@ -53,7 +55,7 @@ def test_serial_while_another_thread_is_alive(cpus):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        pids, used = fork_map(lambda x: os.getpid(), range(8))
+        pids, used, _ = fork_map(lambda x: os.getpid(), range(8))
         assert set(pids) == {os.getpid()} and used == 1
     finally:
         release.set()
@@ -100,6 +102,21 @@ def test_children_are_reaped_when_the_parents_share_raises(cpus):
     with pytest.raises(KeyError):
         fork_map(fn, range(3))
     assert time.perf_counter() - start < 10
+
+
+def test_each_call_reports_the_peak_rss_of_its_own_children(cpus):
+    # the second call's child allocates nothing, so its figure drops back to
+    # about the inherited footprint: RUSAGE_CHILDREN would still read the
+    # first child's 64 MiB
+    cpus(2)
+
+    def touch(x):
+        return float(np.ones(2**23).sum()) if x else 0.0  # 64 MiB on the child
+
+    _, used, first = fork_map(touch, [0, 1])
+    _, _, second = fork_map(lambda x: x, [0, 1])
+    assert used == 2
+    assert second <= first - 32.0
 
 
 def test_a_child_that_dies_without_a_result_raises_runtime_error(cpus):

@@ -30,7 +30,6 @@ from lptorus.besov import (
 from lptorus.ensembles import random_field
 from lptorus.solver import (
     DIVERGENCE_GUARD,
-    SOURCE_BLOCK_BYTES,
     SmallnessCertificate,
     SolverConfig,
     _duhamel_stack,
@@ -403,9 +402,9 @@ def _unblocked_sources(a, b, op, grid):
 
 @pytest.mark.parametrize("dim, points", [(2, 32), (3, 16)])
 def test_blocked_sources_equal_one_unblocked_batch(dim, points):
-    # sample counts around the block size B and the solver's 65 samples, for
+    # one, two and the solver's 65 samples streamed one state at a time, for
     # the self flux (one stack passed twice) and the constants' flux of u
-    # and (v, theta); every bit agrees
+    # and (v, theta); every bit agrees with one batch of the whole stack
     grid, n = Grid(dim, points), dim
     rng = np.random.default_rng(dim)
     axes = tuple(range(-n, 0))
@@ -416,15 +415,31 @@ def test_blocked_sources_equal_one_unblocked_batch(dim, points):
         (False, _source_operator(grid, (0.0,) * n, False)),
     ]
     for self_flux, op in fluxes:
-        per_sample = 8 * len(_flux_plan(n, self_flux)[0]) * (3 * points // 2) ** n
-        block = max(1, SOURCE_BLOCK_BYTES // per_sample)
-        assert block < 65
-        for count in sorted({1, block - 1, block, block + 1, 65} - {0}):
+        for count in (1, 2, 65):
             b = state[:count]
             a = b if self_flux else u[:count]
             got = _sources(a, b, op, grid)
             assert got.shape == b.shape
             assert np.array_equal(got, _unblocked_sources(a, b, op, grid))
+
+
+def test_sources_of_a_stack_allocate_about_one_state_beyond_the_output():
+    # the 65-sample self flux at n = 2, N = 32 streams one state at a time:
+    # its padded products never exist for more than one sample at once
+    grid = Grid(2, 32)
+    rng = np.random.default_rng(2)
+    shape = (65, 3) + grid.shape
+    state = np.fft.rfftn(rng.standard_normal(shape), axes=(-2, -1), norm="forward")
+    op = _source_operator(grid, (0.0, 1.0), True)
+    first = state[:1]
+    _sources(first, first, op, grid)  # fills the caches before the count
+    tracemalloc.start()
+    try:
+        _sources(state, state, op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.nbytes + 2**20
 
 
 def test_three_dimensional_constants_are_unchanged():
@@ -437,9 +452,9 @@ def test_three_dimensional_constants_are_unchanged():
 
 
 def test_solver_peak_memory_stays_bounded():
-    # tracemalloc peaks at N = 32, M = 64 with the source batches in sample
-    # blocks: about 10 and 8 MiB, against 30 and 22 MiB for one batch of
-    # all 65 samples
+    # tracemalloc peaks at N = 32, M = 64 with the source stacks streamed
+    # one state at a time: about 9.5 and 8.7 MiB, against 30 and 22 MiB for
+    # one batch of all 65 samples
     grid = Grid(2, 32)
     config = SolverConfig(horizon=0.5, steps=64, constant_seed=0)
     rng = np.random.default_rng(0)
