@@ -168,7 +168,14 @@ def cmd_norm(args) -> int:
 
 
 def _resolutions(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    """The resolutions typed after --N, each checked before any is derived."""
+    ns = []
+    for part in text.split(","):
+        n = int(part) if part.strip().isdecimal() else 0
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"--N takes powers of two >= 2, got {part!r}")
+        ns.append(n)
+    return tuple(ns)
 
 
 def cmd_verify(args) -> int:

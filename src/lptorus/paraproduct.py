@@ -29,6 +29,14 @@ Constants are never asserted against an absolute value; the check is that
 the sampled max ratio is stable (within 1.2x) when the resolution doubles,
 with every trial field drawn once on the coarsest lattice and embedded, so
 the same continuum data is measured at each resolution.
+
+The sampled products need no 3/2 rule: every draw is band-limited to the
+reference cap 3 N_ref / 16, so each product mode has |k_i| <= 3 N_ref / 8 <
+N/2 on every grid of the run.  Nothing aliases on the N grid itself (Orszag's
+bound with no padding), and the pointwise product of the factors' grid
+values is the exact product, so the draws are multiplied on their own grid.
+The Bony parts above take factors up to Nyquist and keep the 3/2 grid, as
+does ``spectral.dealiased_product``.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .besov import (
 from .dyadic import _padded_blocks
 from .ensembles import embedded_field, random_spectrum
 from .parallel import fork_map
-from .spectral import Field, Grid, _band_spectrum, dealiased_product, dealiased_products
+from .spectral import Field, Grid, _band_spectrum, _c2r, _r2c
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,7 @@ class BilinearEstimateSpec:
 
 
 def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field) -> float:
-    prod = dealiased_product(u, v)
+    prod = Field(u.grid, u.values * v.values)  # exact: the draws do not alias
     u_space, v_space, uv_space = spec.spaces
     rhs = besov_norm(u, u_space) * besov_norm(v, v_space)
     lhs = besov_norm(prod, uv_space)
@@ -174,11 +182,13 @@ def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field) -> float:
 
 
 def _time_ratio(spec: BilinearEstimateSpec, u: FieldTrajectory, v: FieldTrajectory) -> float:
-    # one sample at a time: the whole padded stack costs memory and no time;
-    # the trajectories are scalar, so each sample is the one product (0, 0)
-    halves = zip(u.half, v.half)
-    prod = np.stack([dealiased_products(a, b, [(0, 0)], u.grid) for a, b in halves])
-    prod = FieldTrajectory.from_half(u.grid, u.times, prod)
+    """LHS/RHS of 2.6 or 2.7.  The draws' products do not alias on the N grid
+    (module docstring), so the whole stack multiplies pointwise there: one
+    c2r per factor, a multiply in place and one r2c."""
+    dim, n = u.grid.dim, u.grid.points
+    values = _c2r(u.half, dim, n)
+    values *= _c2r(v.half, dim, n)
+    prod = FieldTrajectory.from_half(u.grid, u.times, _r2c(values, dim, n // 2 + 1))
     u_space, v_space, uv_space = spec.spaces
     rhs = chemin_lerner_norm(u, spec.rho1, u_space) * chemin_lerner_norm(v, spec.rho2, v_space)
     lhs = chemin_lerner_norm(prod, spec.rho, uv_space)

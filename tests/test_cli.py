@@ -358,6 +358,8 @@ DOMAIN_GUARD_CELLS = {
     "verify-besov-trials-0": ["verify", "besov", "--trials", "0"],
     "verify-comb-trials": ["verify", "comb", "--trials", "5"],
     "verify-comb-trials-0": ["verify", "comb", "--trials", "0"],
+    "verify-N-negative": ["verify", "bilinear", "--lemma", "2.4", "--N", "-32"],
+    "verify-N-not-an-integer": ["verify", "bilinear", "--N", "32,abc"],
     "solve-grid-without-shell-N2": ["solve", "--u0", "{u0_n2}", "--theta0", "{theta0_n2}",
                                     "--M", "4", "--oracle"],
     "solve-grid-without-shell-N4": ["solve", "--u0", "{u0_n4}", "--theta0", "{theta0_n4}",
@@ -395,6 +397,17 @@ def test_out_of_domain_input_exits_2_with_one_error_line(
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("error:")]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("typed, quoted", [("-32", "'-32'"), ("32,abc", "'abc'"),
+                                           ("16,24", "'24'")])
+def test_a_bad_resolution_error_quotes_what_was_typed(typed, quoted, tmp_path, capsys):
+    # checked before the CLI derives a doubled resolution from it
+    out = tmp_path / "out"
+    assert main(["verify", "bilinear", "--N", typed, "--report", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --N takes powers of two >= 2, got {quoted}"]
     assert not out.exists()
 
 

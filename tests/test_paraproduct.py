@@ -1,7 +1,10 @@
 """Bony decomposition and the sampled product-estimate constants."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lptorus import (
     BilinearEstimateSpec,
@@ -15,12 +18,12 @@ from lptorus import (
     shell_max,
     single_mode,
 )
-from lptorus import dyadic
-from lptorus.besov import INF
+from lptorus import dyadic, paraproduct, spectral
+from lptorus.besov import INF, heat_trajectory
 from lptorus.dyadic import block_weights, lowpass_weights, shell_bounds, support_report
-from lptorus.ensembles import random_field
-from lptorus.paraproduct import _harmonic_conjugate
-from lptorus.spectral import Grid, dealias_multiply
+from lptorus.ensembles import embedded_field, random_field, random_spectrum
+from lptorus.paraproduct import ESTIMATE_IDS, _harmonic_conjugate, _static_ratio, _time_ratio
+from lptorus.spectral import Grid, dealias_multiply, dealiased_products
 
 
 def test_paraproduct_of_zero(grid32, rng):
@@ -252,3 +255,62 @@ def test_a_repeated_resolution_pools_its_ratios():
     twice = bilinear_constant_estimate(spec, resolutions=(16, 16))["stats"][16]
     assert twice["count"] == 2 * once["count"] == 8
     assert twice["max"] == once["max"] and twice["median"] == once["median"]
+
+
+# the sampled constants multiply their band-limited draws on the N grid with
+# no 3/2 padding
+
+
+def _beyond_quarter(half, grid):
+    """The coefficients of a half stack at wavevectors with some |k_i| >= N/4."""
+    n = grid.points
+    axes = [np.abs(np.fft.fftfreq(n) * n)] * (grid.dim - 1) + [np.arange(n // 2 + 1)]
+    inside = np.logical_and.reduce([k < n / 4 for k in np.meshgrid(*axes, indexing="ij")])
+    return half[..., ~inside]
+
+
+def _product_seen_by_the_norms(ratio, *args):
+    """The product whose norm ``ratio`` takes: the argument of its last norm
+    call, with every norm stubbed to 1."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("besov_norm", "chemin_lerner_norm"):
+            mp.setattr(paraproduct, name, lambda f, *rest: seen.append(f) or 1.0)
+        ratio(*args)
+    return seen[-1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_sampled_products_match_the_three_halves_rule(dim, seed):
+    ref = Grid(dim, {1: 32, 2: 16, 3: 8}[dim])
+    rng = np.random.default_rng(seed)
+    draws = [random_spectrum(ref, rng) for _ in range(2)]
+    times = np.linspace(0.0, 1.0, 13)
+    for grid in (ref, Grid(dim, 2 * ref.points)):
+        u, v = (embedded_field(grid, draw, ref) for draw in draws)
+        tu, tv = (heat_trajectory(f, times) for f in (u, v))
+        for half in (u.spectral, v.spectral, tu.half, tv.half):  # the precondition
+            assert np.max(np.abs(_beyond_quarter(half, grid))) <= 1e-15 * np.max(np.abs(half))
+        static = _product_seen_by_the_norms(_static_ratio, BilinearEstimateSpec("2.4"), u, v)
+        timed = _product_seen_by_the_norms(_time_ratio, BilinearEstimateSpec("2.6"), tu, tv)
+        for got, expected in (
+            (static.spectral, dealiased_products(u.spectral, v.spectral, [(0, 0)], grid)),
+            (timed.half, dealiased_products(tu.half, tv.half, [(0, 0)], grid)),
+        ):
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_sampled_constants_make_no_three_halves_product(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = []
+    for name in ("dealiased_product", "dealiased_products"):
+        real = getattr(spectral, name)
+        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(spectral, name, spy)
+        monkeypatch.setattr(paraproduct, name, spy, raising=False)  # an imported name
+    for estimate in ESTIMATE_IDS:
+        spec = BilinearEstimateSpec(estimate, trials=2, seed=1)
+        bilinear_constant_estimate(spec, resolutions=(16, 32), time_samples=5)
+    assert calls == []
