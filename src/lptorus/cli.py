@@ -185,6 +185,8 @@ def cmd_verify(args) -> int:
         raise ValueError("verify comb takes no --trials: its grid of cases is fixed")
     trials = 50 if args.trials is None else args.trials  # heatchar: its suite's default
     ns = _resolutions(args.N)
+    if len(ns) > 1 and args.suite in ("lp", "besov", "bernstein", "bony"):
+        raise ValueError(f"verify {args.suite} takes one --N resolution, got {args.N!r}")
     if args.suite == "lp":
         report = suites.littlewood_paley_suite(
             dim=args.n, points=ns[0], trials=trials, seed=args.seed
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["lp", "besov", "bilinear", "heatchar", "comb", "bernstein", "bony"],
     )
     p_ver.add_argument("--n", type=int, default=2)
-    p_ver.add_argument("--N", default="32", help="resolution, or comma list")
+    p_ver.add_argument("--N", default="32", help="resolution; bilinear, heatchar: comma list")
     p_ver.add_argument("--trials", type=int, help="default 50; heatchar: fields per case")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--lemma", default="2.5", choices=["2.4", "2.5", "2.6", "2.7"])

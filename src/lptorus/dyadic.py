@@ -89,13 +89,15 @@ def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np
     return _lowpass_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
-def _padded_blocks(f: Field) -> np.ndarray:
-    """Blocks -1..shell_max of ``f`` as values on the 3N/2 grid of the 3/2
-    rule, (shell_max + 2, m, 3N/2, ..., 3N/2), by one batched c2r: sums of
-    their products, brought back by ``_band_spectrum``, are exact on the band."""
+def _block_values(f: Field, m: int) -> np.ndarray:
+    """Blocks -1..shell_max of ``f`` as values on the m^n grid, m = N or 3N/2,
+    (shell_max + 2, components, m, ..., m), by one batched c2r.  Sums of their
+    products, brought back by ``_band_spectrum``, are exact on the band at
+    m = 3N/2 (the 3/2 rule), and at m = N when every product stays below N/2
+    per axis, as for factors band-limited below N/4."""
     grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
     blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
-    return _c2r(_padded(blocks, grid), grid.dim, 3 * grid.points // 2)
+    return _c2r(_padded(blocks, grid, m), grid.dim, m)
 
 
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:
@@ -177,8 +179,9 @@ def support_report(f: Field, g: Field) -> dict:
     )
 
     # S_{q-1} f * Delta_q g for q = 1..qm, then Delta_q f * Delta_k g for
-    # |k - q| <= 1: products of padded block values, one r2c for all
-    fb, gb = _padded_blocks(f), _padded_blocks(g)
+    # |k - q| <= 1: products of block values on the 3N/2 grid, one r2c for all
+    m = 3 * grid.points // 2
+    fb, gb = _block_values(f, m), _block_values(g, m)
     low = np.cumsum(fb, axis=0)  # low[q] = S_q f
     near = [(q, k) for q in shells for k in (q - 1, q, q + 1) if -1 <= k <= qm]
     factors = [(low[q - 1], gb[q + 1]) for q in range(1, qm + 1)]

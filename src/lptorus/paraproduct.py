@@ -14,6 +14,8 @@ lower frequency than v; R collects the comparable-frequency diagonal.
 The 3/2 rule is linear, so no part is made one product per shell: each
 factor's blocks go to the 3N/2 grid in one batched c2r, S_{q-1} is a running
 sum of block values there, and one r2c of the summed parts gives them all.
+``verify bony`` draws its factors below N/4, so it runs the same sums on the
+N grid, where such products do not alias.
 
 ``bilinear_constant_estimate`` samples the boundedness constants of the
 product estimates that the fixed-point argument consumes.  The estimates are
@@ -35,8 +37,8 @@ reference cap 3 N_ref / 16, so each product mode has |k_i| <= 3 N_ref / 8 <
 N/2 on every grid of the run.  Nothing aliases on the N grid itself (Orszag's
 bound with no padding), and the pointwise product of the factors' grid
 values is the exact product, so the draws are multiplied on their own grid.
-The Bony parts above take factors up to Nyquist and keep the 3/2 grid, as
-does ``spectral.dealiased_product``.
+The public Bony parts above take factors up to Nyquist and keep the 3/2
+grid, as do ``spectral.dealiased_product`` and ``dyadic.support_report``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .besov import (
     chemin_lerner_norm,
     heat_trajectory,
 )
-from .dyadic import _padded_blocks
+from .dyadic import _block_values
 from .ensembles import embedded_field, random_spectrum
 from .parallel import fork_map
 from .spectral import Field, Grid, _band_spectrum, _c2r, _r2c
@@ -73,7 +75,7 @@ class BonyParts:
 
 
 def _low_high(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out += sum_{q >= 1} S_{q-1} a * block_q b, from padded block values."""
+    """out += sum_{q >= 1} S_{q-1} a * block_q b, from block values."""
     low = np.zeros_like(a[0])
     for q in range(1, len(b) - 1):  # S_{q-1} vanishes for q <= 0
         low += a[q - 1]  # block q - 2: low is S_{q-1} a
@@ -88,12 +90,16 @@ def _diagonal(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) ->
         out += np.multiply(a[i], near, out=tmp)
 
 
-def _bony_parts(u: Field, v: Field, names: tuple[str, ...]) -> list[Field]:
+def _bony_parts(
+    u: Field, v: Field, names: tuple[str, ...], points: int | None = None
+) -> list[Field]:
     """The parts ``names`` of u v ("Tuv", "Tvu", "Ruv"), summed in place on
-    the 3N/2 grid from both factors' block values, with one r2c for all."""
+    the ``points``^n grid (3N/2 by default, N for factors band-limited below
+    N/4) from both factors' block values, with one r2c for all."""
     if v.grid != u.grid:
         raise ValueError("fields live on different grids")
-    bu, bv = _padded_blocks(u), _padded_blocks(v)
+    m = points or 3 * u.grid.points // 2
+    bu, bv = _block_values(u, m), _block_values(v, m)
     tmp = np.empty(np.broadcast_shapes(bu.shape[1:], bv.shape[1:]))
     sums = np.zeros((len(names),) + tmp.shape)
     terms = {"Tuv": (_low_high, bu, bv), "Tvu": (_low_high, bv, bu), "Ruv": (_diagonal, bu, bv)}

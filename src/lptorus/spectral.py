@@ -425,47 +425,51 @@ def _zero_nyquist(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
     return coeffs
 
 
-def _inside(ks, lo: int, hi: int) -> np.ndarray:
-    return np.logical_and.reduce([(lo <= k) & (k <= hi) for k in ks])
+def _inside(ks, lo: int, hi: int, m: int) -> np.ndarray:
+    """Whether each wavevector of the m lattice lies in [lo, hi]^n mod m."""
+    return np.logical_and.reduce([(k - lo) % m <= hi - lo for k in ks])
 
 
 @lru_cache(maxsize=None)
-def _pad_index(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """How the padded Hermitian part is read from the N half lattice.
+def _pad_index(n: int, dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """How the Hermitian part on the m lattice, m = N or 3N/2, is read from
+    the N half lattice.
 
-    At each p of the pruned 3N/2 half lattice that part is 0.5 (c_p [p in B-]
-    + conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n the band of the N
+    At each p of the pruned m half lattice that part is 0.5 (c_p [p in B-] +
+    conj c_{-p} [-p in B-]), B- = [-N/2, N/2 - 1]^n mod m the band of the N
     lattice.  For a real field conj c_{-p} = c_p and [-p in B-] = [p in B+],
-    B+ = [-N/2 + 1, N/2]^n, so this returns one flat index of c_p and its
-    weight 0.5 ([p in B-] + [p in B+]), which is 0, 1/2 or 1.
+    B+ = [-N/2 + 1, N/2]^n mod m, so this returns one flat index of c_p and
+    its weight 0.5 ([p in B-] + [p in B+]), which is 0, 1/2 or 1 at m = 3N/2
+    and 1 everywhere at m = N, where B- and B+ are the whole lattice.
     """
-    m, h = 3 * n // 2, n // 2
+    h = n // 2
     ks = _mesh(m, dim, np.arange(h + 1))
-    low, high = _inside(ks, -h, h - 1), _inside(ks, -h + 1, h)
+    low, high = _inside(ks, -h, h - 1, m), _inside(ks, -h + 1, h, m)
     weight = (0.5 * low + 0.5 * high).astype(np.complex128)
     weight.setflags(write=False)
     return _flat(ks, n, h + 1), weight
 
 
 @lru_cache(maxsize=None)
-def _band_index(n: int, dim: int) -> np.ndarray:
-    """Flat index of each k of the N half lattice in the pruned 3N/2 one."""
-    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), 3 * n // 2, n // 2 + 1)
+def _band_index(n: int, dim: int, m: int) -> np.ndarray:
+    """Flat index of each k of the N half lattice in the pruned m one."""
+    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), m, n // 2 + 1)
 
 
-def _padded(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The pruned 3N/2 half spectrum of a factor given on the N half lattice:
-    one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
-    index, weight = _pad_index(grid.points, grid.dim)
+def _padded(coeffs: np.ndarray, grid: Grid, m: int) -> np.ndarray:
+    """The pruned m half spectrum, m = N or 3N/2, of a factor given on the N
+    half lattice: one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
+    index, weight = _pad_index(grid.points, grid.dim, m)
     return _gather(coeffs, grid.dim, index) * weight
 
 
 def _band_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Half spectrum on the N band, Nyquist planes zeroed, of real values on
-    the 3N/2 grid: one pruned r2c and the band gather."""
+    the m grid, m = N or 3N/2 read from their last axis: one pruned r2c and
+    the band gather."""
     dim, n = grid.dim, grid.points
     spec = _r2c(values, dim, n // 2 + 1)
-    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim)), dim, n)
+    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, values.shape[-1])), dim, n)
 
 
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
@@ -482,8 +486,8 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
     factors.
     """
     dim, m = grid.dim, 3 * grid.points // 2
-    pa = _c2r(_padded(spec_a, grid), dim, m)
-    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid), dim, m)
+    pa = _c2r(_padded(spec_a, grid, m), dim, m)
+    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid, m), dim, m)
     lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
     prod = np.empty(lead + (len(pairs),) + pa.shape[-dim:])
     comp = (slice(None),) * dim

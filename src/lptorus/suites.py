@@ -36,10 +36,11 @@ from .ensembles import embedded_field, random_field, random_spectrum
 from .parallel import fork_map
 from .paraproduct import (
     BilinearEstimateSpec,
+    BonyParts,
+    _bony_parts,
     bilinear_constant_estimate,
-    bony_decompose,
 )
-from .spectral import Field, Grid, dealiased_product
+from .spectral import Field, Grid
 
 
 def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -> dict:
@@ -102,6 +103,9 @@ def bony_suite(
 
     Both draws of every pair are made here in rng order; the pairs then run
     through ``fork_map``, which gives ``workers`` and ``children_maxrss_mb``.
+    The draws are band-limited to the cap 3N/16 < N/4, so every block product
+    has |k_i| <= 3N/8 < N/2: the parts are summed on the N grid itself, with
+    no 3/2 padding, and the product of the grid values is the exact reference.
     """
     grid = require_shell(Grid(dim, points))
     rng = np.random.default_rng(seed)
@@ -109,8 +113,8 @@ def bony_suite(
 
     def trial(draw) -> float:  # the pair's relative identity defect
         u, v = (embedded_field(grid, coeffs, grid) for coeffs in draw)
-        parts = bony_decompose(u, v)
-        uv = dealiased_product(u, v)
+        parts = BonyParts(*_bony_parts(u, v, ("Tuv", "Tvu", "Ruv"), grid.points))
+        uv = Field(grid, u.values * v.values)
         err = float(np.max(np.abs(parts.total().values - uv.values)))
         return err / float(np.max(np.abs(uv.values)))
 

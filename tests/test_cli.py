@@ -360,6 +360,10 @@ DOMAIN_GUARD_CELLS = {
     "verify-comb-trials-0": ["verify", "comb", "--trials", "0"],
     "verify-N-negative": ["verify", "bilinear", "--lemma", "2.4", "--N", "-32"],
     "verify-N-not-an-integer": ["verify", "bilinear", "--N", "32,abc"],
+    "verify-lp-N-list": ["verify", "lp", "--N", "32,64"],
+    "verify-besov-N-list": ["verify", "besov", "--N", "16,32"],
+    "verify-bernstein-N-list": ["verify", "bernstein", "--N", "64,64"],
+    "verify-bony-N-list": ["verify", "bony", "--N", "16,32"],
     "solve-grid-without-shell-N2": ["solve", "--u0", "{u0_n2}", "--theta0", "{theta0_n2}",
                                     "--M", "4", "--oracle"],
     "solve-grid-without-shell-N4": ["solve", "--u0", "{u0_n4}", "--theta0", "{theta0_n4}",
@@ -408,6 +412,16 @@ def test_a_bad_resolution_error_quotes_what_was_typed(typed, quoted, tmp_path, c
     assert main(["verify", "bilinear", "--N", typed, "--report", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --N takes powers of two >= 2, got {quoted}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["lp", "besov", "bernstein", "bony"])
+def test_a_suite_of_one_resolution_rejects_an_n_list(suite, tmp_path, capsys):
+    # bilinear and heatchar take a list; these would run its first entry only
+    out = tmp_path / "out"
+    assert main(["verify", suite, "--N", "32, 64", "--report", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: verify {suite} takes one --N resolution, got '32, 64'"]
     assert not out.exists()
 
 

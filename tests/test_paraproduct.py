@@ -18,11 +18,24 @@ from lptorus import (
     shell_max,
     single_mode,
 )
-from lptorus import dyadic, paraproduct, spectral
+from lptorus import dyadic, paraproduct, spectral, suites
 from lptorus.besov import INF, heat_trajectory
-from lptorus.dyadic import block_weights, lowpass_weights, shell_bounds, support_report
+from lptorus.dyadic import (
+    block_weights,
+    lowpass_weights,
+    reconstruction_cap,
+    require_shell,
+    shell_bounds,
+    support_report,
+)
 from lptorus.ensembles import embedded_field, random_field, random_spectrum
-from lptorus.paraproduct import ESTIMATE_IDS, _harmonic_conjugate, _static_ratio, _time_ratio
+from lptorus.paraproduct import (
+    ESTIMATE_IDS,
+    _bony_parts,
+    _harmonic_conjugate,
+    _static_ratio,
+    _time_ratio,
+)
 from lptorus.spectral import Grid, dealias_multiply, dealiased_products
 
 
@@ -313,4 +326,54 @@ def test_sampled_constants_make_no_three_halves_product(monkeypatch):
     for estimate in ESTIMATE_IDS:
         spec = BilinearEstimateSpec(estimate, trials=2, seed=1)
         bilinear_constant_estimate(spec, resolutions=(16, 32), time_samples=5)
+    assert calls == []
+
+
+# verify bony sums the parts of its band-limited draws on the N grid, with no
+# 3/2 padding, and takes the product of the grid values as its reference
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_bony_parts_on_the_n_grid_match_the_three_halves_grid(dim, seed):
+    grid = Grid(dim, {1: 64, 2: 32, 3: 16}[dim])
+    rng = np.random.default_rng(seed)
+    u, v = (embedded_field(grid, random_spectrum(grid, rng), grid) for _ in range(2))
+    names = ("Tuv", "Tvu", "Ruv")
+    scale = np.max(np.abs(dealiased_product(u, v).spectral))
+    for got, expected in zip(_bony_parts(u, v, names, grid.points), _bony_parts(u, v, names)):
+        assert np.max(np.abs(got.spectral - expected.spectral)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bony_draws_stay_below_a_quarter_of_every_accepted_grid(dim):
+    # every grid verify bony accepts has cap 3N/16 < N/4, and a draw at the
+    # cap is exactly zero wherever some |k_i| >= N/4
+    for points in (2, 4):
+        with pytest.raises(ValueError, match="no full dyadic shell"):
+            require_shell(Grid(dim, points))
+    rng = np.random.default_rng(dim)
+    for points in [2**e for e in range(3, {1: 12, 2: 8, 3: 6, 4: 5}[dim])]:
+        grid = require_shell(Grid(dim, points))
+        assert 4 * reconstruction_cap(grid) < points
+        assert not np.any(_beyond_quarter(random_spectrum(grid, rng), grid))
+
+
+def test_verify_bony_transforms_on_the_n_grid_only(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    sizes, calls = [], []
+    c2r = spectral._c2r
+    sized = lambda half, dim, m, out=None: sizes.append(m) or c2r(half, dim, m, out)
+    for module in (spectral, dyadic, paraproduct):
+        monkeypatch.setattr(module, "_c2r", sized)
+    for name in ("dealiased_product", "dealiased_products"):
+        real = getattr(spectral, name)
+        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        for module in (spectral, suites):
+            monkeypatch.setattr(module, name, spy, raising=False)  # an imported name
+    for dim, points in ((1, 32), (2, 16), (3, 8)):
+        report = suites.bony_suite(dim=dim, points=points, trials=3, seed=4)
+        assert report["pass"] and report["workers"] == 1
+        assert sizes and set(sizes) == {points}
+        sizes.clear()
     assert calls == []

@@ -25,11 +25,13 @@ from lptorus import (
 from lptorus.besov import INF, lp_norm
 from lptorus.ensembles import _envelope, embedded_field, random_field
 from lptorus.spectral import (
+    _band_spectrum,
     _flat,
     _gather,
     _inside,
     _mesh,
     _padded,
+    _r2c,
     _zero_nyquist,
     dealias_multiply,
     dealiased_products,
@@ -471,7 +473,7 @@ def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, point
     pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
 
     def to_grid(coeffs):
-        pad = _padded(coeffs, grid)
+        pad = _padded(coeffs, grid, m)
         wide = np.zeros(pad.shape[:-1] + (m // 2 + 1,), dtype=complex)
         wide[..., :cols] = pad
         return np.fft.irfftn(wide, s=(m,) * dim, axes=axes, norm="forward")
@@ -495,14 +497,29 @@ def test_half_layout_padding_is_bit_identical_to_the_two_gather_form(dim, points
     shape = (2, 3) + grid.shape
     axes = tuple(range(-dim, 0))
     half = np.fft.fftn(rng.standard_normal(shape), axes=axes, norm="forward")[..., :cols]
-    ks = _mesh(3 * points // 2, dim, np.arange(cols))
+    m = 3 * points // 2
+    ks = _mesh(m, dim, np.arange(cols))
     flat = half.reshape(half.shape[:-dim] + (-1,))
     flat = np.concatenate([flat, np.zeros_like(flat[..., :1])], axis=-1)
     index = _flat(ks, points, cols)
     sentinel = flat.shape[-1] - 1
-    low = _gather(flat, 1, np.where(_inside(ks, -h, h - 1), index, sentinel))
-    high = _gather(flat, 1, np.where(_inside(ks, -h + 1, h), index, sentinel))
-    assert np.array_equal(_padded(half, grid), 0.5 * (low + high))
+    low = _gather(flat, 1, np.where(_inside(ks, -h, h - 1, m), index, sentinel))
+    high = _gather(flat, 1, np.where(_inside(ks, -h + 1, h, m), index, sentinel))
+    assert np.array_equal(_padded(half, grid, m), 0.5 * (low + high))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("points", [2, 4, 16])
+def test_the_n_grid_reads_the_half_spectrum_as_it_is(dim, points):
+    # at m = N every wavevector lies in both bands mod N: weight 1, the
+    # identity index, and the band gather of an r2c is the r2c itself
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(points + dim)
+    values = rng.standard_normal((2, 3) + grid.shape)
+    half = _r2c(values, dim, points // 2 + 1)
+    assert np.array_equal(_padded(half, grid, points), half)
+    expected = _zero_nyquist(half.copy(), dim, points)
+    assert np.array_equal(_band_spectrum(values, grid), expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
