@@ -155,7 +155,10 @@ def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
         return np.sqrt(np.sum(v**2, axis=cax))
 
     if values.shape[cax] == 1:
-        return _power_mean(np.squeeze(np.abs(values), axis=cax), p, axes, total)
+        values = np.squeeze(values, axis=cax)
+        if p == INF:  # max |v| with no |v| temporary; + 0.0 reads -0.0 as +0.0
+            return np.maximum(np.max(values, axis=axes), -np.min(values, axis=axes)) + 0.0
+        return _power_mean(np.abs(values), p, axes, total)
     if p == INF:  # sqrt is monotone and correctly rounded: one per sample
         return _power_mean(values, 2.0, (cax,) + axes, largest_square)
     return _power_mean(values, p, axes, total, euclidean)
@@ -196,7 +199,10 @@ def _block_table(
     (shells, ...).  The block weights are even in k, so each shell is one
     pruned c2r of the half times the weights' half, both cut to the columns
     the shell occupies; a sample with a non-finite entry in a dropped column
-    reads NaN there, as 0 * nan and 0 * inf would make it.
+    reads NaN there, as 0 * nan and 0 * inf would make it.  A shell whose
+    weights meet no mode holding a nonzero entry in any sample is not
+    transformed: its row is what the transform would read, 0.0, or NaN for a
+    sample with a non-finite entry anywhere.
     """
     cut = cutoffs or build_cutoffs()
     qm = shell_max(grid)
@@ -204,13 +210,18 @@ def _block_table(
     # the last column holding a non-finite entry, per sample (-1: none)
     bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
     last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
+    # the modes holding a nonzero entry, nan and inf included, in any sample
+    occupied = np.any(half, axis=tuple(range(half.ndim - grid.dim)))
     # one values buffer for all shells: per-shell ones made glibc trim and re-fault the heap
     values = np.empty(half.shape[:-1] + (grid.points,))
     for q in range(-1, qm + 1):
         c = _shell_columns(grid, q, cut)
         w = block_weights(grid, q, cut)[..., :c]
-        norms = _lp_norms(_c2r(half[..., :c] * w, grid.dim, grid.points, values), grid, p)
-        out[q + 1] = np.where(last < c, norms, np.nan)
+        if not np.any(w[occupied[..., :c]]):
+            out[q + 1] = np.where(last < 0, 0.0, np.nan)
+            continue
+        block = _c2r(half[..., :c] * w, grid.dim, grid.points, values, overwrite=True)
+        out[q + 1] = np.where(last < c, _lp_norms(block, grid, p), np.nan)
     return out
 
 
@@ -271,6 +282,8 @@ class FieldTrajectory:
             raise ValueError("need one field per time and at least one sample")
         if half.ndim != grid.dim + 2 or half.shape[2:] != grid.half_shape:
             raise ValueError(f"half-spectrum shape {half.shape} does not match grid")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if times[0] < 0:

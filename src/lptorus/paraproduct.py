@@ -34,11 +34,13 @@ the same continuum data is measured at each resolution.
 
 The sampled products need no 3/2 rule: every draw is band-limited to the
 reference cap 3 N_ref / 16, so each product mode has |k_i| <= 3 N_ref / 8 <
-N/2 on every grid of the run.  Nothing aliases on the N grid itself (Orszag's
-bound with no padding), and the pointwise product of the factors' grid
-values is the exact product, so the draws are multiplied on their own grid.
-The public Bony parts above take factors up to Nyquist and keep the 3/2
-grid, as do ``spectral.dealiased_product`` and ``dyadic.support_report``.
+N_ref / 2.  Nothing aliases on the reference lattice itself (Orszag's bound
+with no padding), and the pointwise product of the factors' grid values is
+the exact product.  So each trial forms its product once, on the reference
+lattice, and lifts u, v and uv to every resolution; the finer grids only
+measure.  The public Bony parts above take factors up to Nyquist and keep
+the 3/2 grid, as do ``spectral.dealiased_product`` and
+``dyadic.support_report``.
 """
 
 from __future__ import annotations
@@ -47,19 +49,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import (
-    INF,
-    BesovSpec,
-    FieldTrajectory,
-    MixedSpec,
-    besov_norm,
-    chemin_lerner_norm,
-    heat_trajectory,
-)
+from .besov import INF, BesovSpec, FieldTrajectory, MixedSpec, _block_table, chemin_lerner_norm
 from .dyadic import _block_values
-from .ensembles import embedded_field, random_spectrum
+from .ensembles import random_spectrum
 from .parallel import fork_map
-from .spectral import Field, Grid, _band_spectrum, _c2r, _r2c
+from .spectral import (
+    Field,
+    Grid,
+    _band_spectrum,
+    _c2r,
+    _r2c,
+    _zero_nyquist,
+    embed_spectrum,
+    heat_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -179,25 +182,37 @@ class BilinearEstimateSpec:
         return MixedSpec(0, self.p1), v, uv
 
 
-def _static_ratio(spec: BilinearEstimateSpec, u: Field, v: Field) -> float:
-    prod = Field(u.grid, u.values * v.values)  # exact: the draws do not alias
-    u_space, v_space, uv_space = spec.spaces
-    rhs = besov_norm(u, u_space) * besov_norm(v, v_space)
-    lhs = besov_norm(prod, uv_space)
-    return lhs / rhs if rhs > 0 else 0.0
+def _lifted_trial(draw, ref: Grid, grids, times):
+    """(u, v, uv) on each grid in turn: the half spectra of one trial's draws
+    and of their product, lifted from the reference lattice.
+
+    Unless ``times`` is None the draws are first heat-evolved there into
+    stacks, one sample per time.  The product is formed once on the reference lattice,
+    one c2r per factor, a multiply in place and one r2c: it reaches 3 N_ref
+    / 8 < N_ref / 2, so it is exact there (module docstring) and its Nyquist
+    planes hold only roundoff, which is zeroed before ``embed_spectrum``.
+    """
+    dim, n = ref.dim, ref.points
+    u, v = draw if times is None else (heat_stack(coeffs, ref, times) for coeffs in draw)
+    values = _c2r(u, dim, n)
+    values *= _c2r(v, dim, n)
+    uv = _zero_nyquist(_r2c(values, dim, n // 2 + 1), dim, n)
+    for grid in grids:
+        yield tuple(embed_spectrum(half, dim, n, grid.points) for half in (u, v, uv))
 
 
-def _time_ratio(spec: BilinearEstimateSpec, u: FieldTrajectory, v: FieldTrajectory) -> float:
-    """LHS/RHS of 2.6 or 2.7.  The draws' products do not alias on the N grid
-    (module docstring), so the whole stack multiplies pointwise there: one
-    c2r per factor, a multiply in place and one r2c."""
-    dim, n = u.grid.dim, u.grid.points
-    values = _c2r(u.half, dim, n)
-    values *= _c2r(v.half, dim, n)
-    prod = FieldTrajectory.from_half(u.grid, u.times, _r2c(values, dim, n // 2 + 1))
+def _ratio(spec: BilinearEstimateSpec, grid: Grid, times, u, v, uv) -> float:
+    """LHS/RHS of the estimate from the half spectra of u, v and uv on
+    ``grid``: one sample each, or stacks sampled at ``times`` (2.6, 2.7)."""
+
+    def norm(half, space, rho):
+        if times is None:
+            return space.reduce(_block_table(half, grid, space.p))
+        return chemin_lerner_norm(FieldTrajectory.from_half(grid, times, half), rho, space)
+
     u_space, v_space, uv_space = spec.spaces
-    rhs = chemin_lerner_norm(u, spec.rho1, u_space) * chemin_lerner_norm(v, spec.rho2, v_space)
-    lhs = chemin_lerner_norm(prod, spec.rho, uv_space)
+    rhs = norm(u, u_space, spec.rho1) * norm(v, v_space, spec.rho2)
+    lhs = norm(uv, uv_space, spec.rho)
     return lhs / rhs if rhs > 0 else 0.0
 
 
@@ -209,28 +224,26 @@ def bilinear_constant_estimate(
 ) -> dict:
     """Sample LHS/RHS ratios of one product estimate across resolutions.
 
-    Fields are drawn on the coarsest lattice and embedded into each finer
+    Fields are drawn on the coarsest lattice and lifted into each finer
     grid; trajectories (for the time-integrated estimates) are free heat
-    evolutions of those fields on [0, 1].  Passing requires the max ratio at
-    each finer resolution to stay within 1.2x of the coarsest one.  The
-    trials run through ``fork_map``, which gives ``workers`` and
-    ``children_maxrss_mb``.
+    evolutions of those fields on [0, 1].  The draws are not normalized:
+    each ratio is homogeneous of degree 0 in each factor.  Passing requires
+    the max ratio at each finer resolution to stay within 1.2x of the
+    coarsest one.  The trials run through ``fork_map``, which gives
+    ``workers`` and ``children_maxrss_mb``.
     """
     resolutions = tuple(sorted(resolutions))
     ref = Grid(dim, resolutions[0])
     grids = [Grid(dim, n) for n in resolutions]
-    times = np.linspace(0.0, 1.0, time_samples)
+    times = np.linspace(0.0, 1.0, time_samples) if spec.time_dependent else None
     rng = np.random.default_rng(spec.seed)
     # both draws of every trial here, on the coarsest lattice in rng order;
     # the trials then run on forked workers and come back in trial order
     draws = [(random_spectrum(ref, rng), random_spectrum(ref, rng)) for _ in range(spec.trials)]
 
     def trial(draw) -> list[float]:  # its ratio at each resolution
-        fields = [[embedded_field(g, coeffs, ref) for coeffs in draw] for g in grids]
-        if spec.time_dependent:
-            fields = [[heat_trajectory(f, times) for f in uv] for uv in fields]
-            return [_time_ratio(spec, *uv) for uv in fields]
-        return [_static_ratio(spec, *uv) for uv in fields]
+        lifted = _lifted_trial(draw, ref, grids, times)
+        return [_ratio(spec, g, times, *halves) for g, halves in zip(grids, lifted)]
 
     per_trial, workers, child_mb = fork_map(trial, draws)
     ratios = {g.points: [] for g in grids}

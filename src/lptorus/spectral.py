@@ -44,6 +44,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -212,12 +213,13 @@ def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coeffs[..., : n // 2 + 1] + np.conj(mirror))
 
 
-def _c2r(half: np.ndarray, dim: int, m: int, out=None) -> np.ndarray:
+def _c2r(half: np.ndarray, dim: int, m: int, out=None, overwrite: bool = False) -> np.ndarray:
     """m^dim grid values of a half spectrum cut to C <= m/2+1 last-axis
     columns (the rest zero), written to ``out`` if given; with all columns
-    the 1-D calls of ``irfftn``."""
+    the 1-D calls of ``irfftn``.  With ``overwrite`` the leading-axis passes
+    run in place in ``half``, a complex buffer the caller owns and gives up."""
     for ax in range(-dim, -1):
-        half = np.fft.ifft(half, axis=ax, norm="forward")
+        half = np.fft.ifft(half, axis=ax, norm="forward", out=half if overwrite else None)
     return np.fft.irfft(half, n=m, axis=-1, norm="forward", out=out)
 
 
@@ -403,25 +405,37 @@ def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
 # dealiased products
 
 
+def _nyquist_planes(dim: int, n: int) -> list[tuple]:
+    """Index of the Nyquist plane (index N/2) of each spatial axis of a half
+    N-lattice spectrum."""
+    return [(Ellipsis, n // 2) + (slice(None),) * after for after in range(dim)]
+
+
 def embed_spectrum(coeffs: np.ndarray, dim: int, n_src: int, n_dst: int) -> np.ndarray:
     """Copy a half spectrum onto a finer half lattice (same integer
-    wavevectors).  The source's Nyquist planes must be empty: a coarse
+    wavevectors), one slab per sign pattern of the leading wavenumbers.  The
+    source's Nyquist planes must be empty when the lattice grows: a coarse
     Nyquist mode stands for two modes of the finer lattice."""
     if n_dst < n_src:
         raise ValueError("target lattice must be at least as fine")
+    if n_dst > n_src and any(np.any(coeffs[plane]) for plane in _nyquist_planes(dim, n_src)):
+        raise ValueError("the source spectrum has content on a Nyquist plane")
+    h = n_src // 2
     shape = coeffs.shape[:-dim] + (n_dst,) * (dim - 1) + (n_dst // 2 + 1,)
     out = np.zeros(shape, dtype=np.complex128)
-    lead = [_wavenumbers(n_src) % n_dst] * (dim - 1)
-    out[(Ellipsis,) + np.ix_(*(lead + [np.arange(n_src // 2 + 1)]))] = coeffs
+    # wavenumbers 0..h-1 keep their index; -h..-1 move to the end of the axis
+    slabs = ((slice(0, h), slice(0, h)), (slice(h, n_src), slice(n_dst - h, n_dst)))
+    for pick in itertools.product(slabs, repeat=dim - 1):
+        src, dst = tuple(s for s, _ in pick), tuple(d for _, d in pick)
+        out[(Ellipsis,) + dst + (slice(0, h + 1),)] = coeffs[(Ellipsis,) + src + (slice(None),)]
     return out
 
 
 def _zero_nyquist(coeffs: np.ndarray, dim: int, n: int) -> np.ndarray:
     """Zero the Nyquist plane (index N/2) of every spatial axis of a half
     N-lattice spectrum in place."""
-    nyq = n // 2
-    for after in range(dim):
-        coeffs[(Ellipsis, nyq) + (slice(None),) * after] = 0.0
+    for plane in _nyquist_planes(dim, n):
+        coeffs[plane] = 0.0
     return coeffs
 
 

@@ -27,6 +27,7 @@ from lptorus import (
     lp_norm,
     single_mode,
 )
+from lptorus import besov
 from lptorus.besov import (
     INF,
     _lp_norms,
@@ -155,6 +156,16 @@ def test_trajectory_validation(grid32, rng):
         FieldTrajectory(np.array([0.2, 0.1]), (f, f))
     with pytest.raises(ValueError):
         FieldTrajectory(np.array([0.0, 0.5]), (f,))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, 0.5, np.inf]])
+def test_trajectory_rejects_non_finite_times(grid32, rng, times):
+    # a nan or inf time would make every time norm of the trajectory nan
+    f = random_field(grid32, rng)
+    with pytest.raises(ValueError, match="times must be finite"):
+        FieldTrajectory.from_half(grid32, times, np.zeros((len(times), 1) + grid32.half_shape))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="times must be finite"):
+        heat_trajectory(f, times)  # exp(-|k|^2 inf) at k = 0 is nan
 
 
 def test_chemin_lerner_time_constant_separates(grid32, rng):
@@ -291,6 +302,87 @@ def test_pruned_block_table_is_bit_identical_to_the_unpruned_one(dim, points):
                 assert np.array_equal(table, expected, equal_nan=True)
             assert not np.any(np.isfinite(expected[:, 1]))
             assert np.all(np.isfinite(expected[:, ::2]))
+
+
+@pytest.fixture
+def c2r_calls(monkeypatch):
+    """The number of ``_c2r`` calls the block tables make."""
+    calls = []
+    c2r = besov._c2r
+    monkeypatch.setattr(besov, "_c2r", lambda *a, **k: calls.append(a[2]) or c2r(*a, **k))
+    return calls
+
+
+SKIP_GRIDS = [(1, 64), (2, 32), (3, 16)]
+
+
+@pytest.mark.parametrize("dim,points", SKIP_GRIDS)
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_block_table_skips_empty_shells_bit_for_bit(dim, points, p, c2r_calls):
+    # stacks with content below some shells (the modes with |k| <= radius, one
+    # sample all zero) against a table that transforms every shell: a shell
+    # whose weights meet no content is not transformed and reads +0.0
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(10 * points + dim)
+    qs = range(-1, shell_max(grid) + 1)
+    for m in sorted({1, dim}):
+        full = hermitian_half(_full_lattice_stack(rng, 3, m, grid), dim)
+        for radius in (-1.0, 0.0, 1.0, 3.0, 6.0, INF):
+            band = grid.k_abs <= radius
+            half = np.where(band, full, 0.0)
+            half[1] = 0.0
+            c2r_calls.clear()
+            table = besov._block_table(half, grid, p)
+            assert np.array_equal(table, _unpruned_table(half, grid, p))
+            assert not np.any(np.signbit(table))
+            assert len(c2r_calls) == sum(np.any(block_weights(grid, q)[band]) for q in qs)
+        assert len(c2r_calls) == len(qs)  # the whole lattice: no shell skipped
+
+
+@pytest.mark.parametrize("dim,points", SKIP_GRIDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_never_causes_a_skip(dim, points, bad, c2r_calls):
+    # content at |k| <= 1 (shells -1 and 0), then one non-finite entry in one
+    # sample: at a mode that only the top shell weighs, which is then
+    # transformed, or on the Nyquist corner, which no shell weighs; either
+    # way that sample reads NaN in every shell, as the full transform does
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(points + dim)
+    qm = shell_max(grid)
+    top, below = block_weights(grid, qm), block_weights(grid, qm - 1)
+    only_top = tuple(np.argwhere((top > 0) & (below == 0))[0])
+    corner = (points // 2,) * dim
+    assert all(block_weights(grid, q)[corner] == 0 for q in range(-1, qm + 1))
+    half = hermitian_half(_full_lattice_stack(rng, 3, 1, grid), dim)
+    half = np.where(grid.k_abs <= 1.0, half, 0.0)
+    for mode, transforms in ((only_top, 3), (corner, 2)):
+        spoilt = half.copy()
+        spoilt[(1, 0) + mode] = bad
+        for p in (1.0, 2.0, INF):
+            c2r_calls.clear()
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                table = besov._block_table(spoilt, grid, p)
+                expected = _unpruned_table(spoilt, grid, p)
+            assert np.array_equal(table, expected, equal_nan=True)
+            assert np.all(np.isnan(table[:, 1])) and np.all(np.isfinite(table[:, ::2]))
+            assert len(c2r_calls) == transforms
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_sup_of_a_zero_sample_is_plus_zero(grid32, zero, rng):
+    # the one-component sup is max(max v, -min v) + 0.0: the + 0.0 makes an
+    # all -0.0 sample read +0.0, as max |v| does
+    values = np.full((3, 1) + grid32.shape, zero)
+    values[1] = rng.standard_normal(grid32.shape)
+    sup = _lp_norms(values, grid32, INF)
+    assert sup[1] == np.max(np.abs(values[1]))
+    assert sup[0] == sup[2] == 0.0 and not np.any(np.signbit(sup))
+    half = np.full((3, 1) + grid32.half_shape, complex(zero, zero))
+    half[1] = hermitian_half(_full_lattice_stack(rng, 1, 1, grid32), 2)[0]
+    for stack in (half, half[::2]):  # with content elsewhere, and with none
+        table = besov._block_table(stack, grid32, INF)
+        assert np.array_equal(table, _unpruned_table(stack, grid32, INF))
+        assert not np.any(table[:, ::2]) and not np.any(np.signbit(table))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

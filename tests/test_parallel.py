@@ -153,14 +153,14 @@ def test_an_oracle_error_in_the_worker_exits_2_with_one_error_line(
 def test_a_value_error_in_a_bilinear_worker_exits_2_with_one_error_line(
     tmp_path, cpus, monkeypatch, capsys
 ):
-    parent, real = os.getpid(), lptorus.paraproduct._static_ratio
+    parent, real = os.getpid(), lptorus.paraproduct._ratio
 
     def ratio(*args):
         if os.getpid() != parent:
             raise ValueError("a trial failed")
         return real(*args)
 
-    monkeypatch.setattr(lptorus.paraproduct, "_static_ratio", ratio)
+    monkeypatch.setattr(lptorus.paraproduct, "_ratio", ratio)
     cpus(2)
     report = tmp_path / "bilinear.json"
     assert lptorus.cli.main(["verify", "bilinear", "--lemma", "2.4", "--N", "16,32",

@@ -18,8 +18,8 @@ from lptorus import (
     shell_max,
     single_mode,
 )
-from lptorus import dyadic, paraproduct, spectral, suites
-from lptorus.besov import INF, heat_trajectory
+from lptorus import besov, dyadic, paraproduct, spectral, suites
+from lptorus.besov import INF, FieldTrajectory, besov_norm, chemin_lerner_norm, heat_trajectory
 from lptorus.dyadic import (
     block_weights,
     lowpass_weights,
@@ -29,14 +29,8 @@ from lptorus.dyadic import (
     support_report,
 )
 from lptorus.ensembles import embedded_field, random_field, random_spectrum
-from lptorus.paraproduct import (
-    ESTIMATE_IDS,
-    _bony_parts,
-    _harmonic_conjugate,
-    _static_ratio,
-    _time_ratio,
-)
-from lptorus.spectral import Grid, dealias_multiply, dealiased_products
+from lptorus.paraproduct import ESTIMATE_IDS, _bony_parts, _harmonic_conjugate
+from lptorus.spectral import Grid, dealias_multiply, dealiased_products, values_from_half
 
 
 def test_paraproduct_of_zero(grid32, rng):
@@ -270,49 +264,99 @@ def test_a_repeated_resolution_pools_its_ratios():
     assert twice["max"] == once["max"] and twice["median"] == once["median"]
 
 
-# the sampled constants multiply their band-limited draws on the N grid with
-# no 3/2 padding
+# each trial of the sampled constants forms its product once on the reference
+# lattice, where the band-limited draws do not alias, and lifts u, v and uv to
+# every resolution
 
 
-def _beyond_quarter(half, grid):
-    """The coefficients of a half stack at wavevectors with some |k_i| >= N/4."""
+def _beyond(half, grid, radius):
+    """The coefficients of a half stack at wavevectors with some |k_i| >= radius."""
     n = grid.points
     axes = [np.abs(np.fft.fftfreq(n) * n)] * (grid.dim - 1) + [np.arange(n // 2 + 1)]
-    inside = np.logical_and.reduce([k < n / 4 for k in np.meshgrid(*axes, indexing="ij")])
+    inside = np.logical_and.reduce([k < radius for k in np.meshgrid(*axes, indexing="ij")])
     return half[..., ~inside]
 
 
-def _product_seen_by_the_norms(ratio, *args):
-    """The product whose norm ``ratio`` takes: the argument of its last norm
-    call, with every norm stubbed to 1."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("besov_norm", "chemin_lerner_norm"):
-            mp.setattr(paraproduct, name, lambda f, *rest: seen.append(f) or 1.0)
-        ratio(*args)
-    return seen[-1]
+LIFT_REFERENCE_POINTS = {1: 32, 2: 16, 3: 8}
+TIMES = np.linspace(0.0, 1.0, 5)
+
+
+def _lifted(dim, seed, times):
+    """The reference and doubled grids, and u, v and uv lifted to each."""
+    ref = Grid(dim, LIFT_REFERENCE_POINTS[dim])
+    grids = [ref, Grid(dim, 2 * ref.points)]
+    rng = np.random.default_rng(seed)
+    draw = (random_spectrum(ref, rng), random_spectrum(ref, rng))
+    return ref, grids, draw, list(paraproduct._lifted_trial(draw, ref, grids, times))
 
 
 @settings(max_examples=12, deadline=None)
-@given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
-def test_sampled_products_match_the_three_halves_rule(dim, seed):
-    ref = Grid(dim, {1: 32, 2: 16, 3: 8}[dim])
-    rng = np.random.default_rng(seed)
-    draws = [random_spectrum(ref, rng) for _ in range(2)]
+@given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1), timed=st.booleans())
+def test_sampled_products_match_the_three_halves_rule(dim, seed, timed):
+    ref, grids, _, lifted = _lifted(dim, seed, TIMES if timed else None)
+    for grid, (u, v, uv) in zip(grids, lifted):
+        # exact zeros: the factors from N_ref / 4, the product from N_ref / 2
+        # (N / 4 on the doubled grid), its Nyquist planes zeroed
+        assert not np.any(_beyond(u, grid, ref.points / 4))
+        assert not np.any(_beyond(v, grid, ref.points / 4))
+        assert not np.any(_beyond(uv, grid, ref.points / 2))
+        expected = dealiased_products(u, v, [(0, 0)], grid)
+        assert uv.shape == expected.shape
+        assert np.max(np.abs(uv - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _per_resolution_ratio(spec, draw, ref, grid, times):
+    """The ratio as each resolution made it before the lift: the draws
+    embedded and scaled to sup 1 there, heat-evolved there and multiplied on
+    that grid."""
+    u, v = (embedded_field(grid, coeffs, ref) for coeffs in draw)
+    u_space, v_space, uv_space = spec.spaces
+    if times is None:
+        uv = Field(grid, u.values * v.values)
+        rhs = besov_norm(u, u_space) * besov_norm(v, v_space)
+        return besov_norm(uv, uv_space) / rhs
+    tu, tv = (heat_trajectory(f, times) for f in (u, v))
+    values = values_from_half(tu.half, grid) * values_from_half(tv.half, grid)
+    product = spectral._r2c(values, grid.dim, grid.points // 2 + 1)
+    tuv = FieldTrajectory.from_half(grid, times, product)
+    rhs = chemin_lerner_norm(tu, spec.rho1, u_space) * chemin_lerner_norm(tv, spec.rho2, v_space)
+    return chemin_lerner_norm(tuv, spec.rho, uv_space) / rhs
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    estimate=st.sampled_from(ESTIMATE_IDS),
+)
+def test_lifted_ratios_match_the_per_resolution_construction(dim, seed, estimate):
+    spec = BilinearEstimateSpec(estimate, **suites.DEFAULT_EXPONENTS[estimate])
+    times = TIMES if spec.time_dependent else None
+    ref, grids, draw, lifted = _lifted(dim, seed, times)
+    for grid, halves in zip(grids, lifted):
+        got = paraproduct._ratio(spec, grid, times, *halves)
+        expected = _per_resolution_ratio(spec, draw, ref, grid, times)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_a_lemma_two_seven_trial_transforms_no_empty_shell(monkeypatch):
+    # the draws reach |k| = 3 N_ref / 16 = 6, below shell 3 of N = 64: its u
+    # and v tables transform 4 of their 5 shells, the product's all 5
+    sizes = []
+    c2r, table = besov._c2r, besov._block_table
+    monkeypatch.setattr(besov, "_c2r", lambda *a, **k: sizes.append(a[2]) or c2r(*a, **k))
+    ref, grids = Grid(2, 32), [Grid(2, 32), Grid(2, 64)]
+    rng = np.random.default_rng(7)
+    draw = (random_spectrum(ref, rng), random_spectrum(ref, rng))
     times = np.linspace(0.0, 1.0, 13)
-    for grid in (ref, Grid(dim, 2 * ref.points)):
-        u, v = (embedded_field(grid, draw, ref) for draw in draws)
-        tu, tv = (heat_trajectory(f, times) for f in (u, v))
-        for half in (u.spectral, v.spectral, tu.half, tv.half):  # the precondition
-            assert np.max(np.abs(_beyond_quarter(half, grid))) <= 1e-15 * np.max(np.abs(half))
-        static = _product_seen_by_the_norms(_static_ratio, BilinearEstimateSpec("2.4"), u, v)
-        timed = _product_seen_by_the_norms(_time_ratio, BilinearEstimateSpec("2.6"), tu, tv)
-        for got, expected in (
-            (static.spectral, dealiased_products(u.spectral, v.spectral, [(0, 0)], grid)),
-            (timed.half, dealiased_products(tu.half, tv.half, [(0, 0)], grid)),
-        ):
-            assert got.shape == expected.shape
-            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    for grid, halves in zip(grids, paraproduct._lifted_trial(draw, ref, grids, times)):
+        counts = []
+        for half in halves:
+            sizes.clear()
+            rows = table(half, grid, INF)
+            counts.append(len(sizes))
+            assert set(sizes) <= {grid.points} and not np.any(rows[len(sizes) :])
+        assert counts == ([4, 4, 4] if grid.points == 32 else [4, 4, 5])
 
 
 def test_sampled_constants_make_no_three_halves_product(monkeypatch):
@@ -356,7 +400,7 @@ def test_bony_draws_stay_below_a_quarter_of_every_accepted_grid(dim):
     for points in [2**e for e in range(3, {1: 12, 2: 8, 3: 6, 4: 5}[dim])]:
         grid = require_shell(Grid(dim, points))
         assert 4 * reconstruction_cap(grid) < points
-        assert not np.any(_beyond_quarter(random_spectrum(grid, rng), grid))
+        assert not np.any(_beyond(random_spectrum(grid, rng), grid, points / 4))
 
 
 def test_verify_bony_transforms_on_the_n_grid_only(monkeypatch):

@@ -27,6 +27,7 @@ from lptorus.besov import (
     lp_norm,
     time_block_norms,
 )
+from lptorus.dyadic import shell_max
 from lptorus.ensembles import random_field
 from lptorus.solver import (
     DIVERGENCE_GUARD,
@@ -734,6 +735,29 @@ def test_picard_zero_data_immediate(grid32, constants):
     assert report.converged
     assert report.final["iterations"] == 1
     assert np.max(np.abs(values_from_half(u.half, u.grid))) == 0.0
+
+
+def test_picard_state_tables_transform_every_shell(grid32, constants, monkeypatch, rng):
+    # the states of a solve fill every shell of N = 32, so no block table of
+    # the data, the iterates or their differences skips a transform
+    calls, counts = [], []
+    c2r, table = lptorus.besov._c2r, lptorus.besov._block_table
+
+    def counted(*args):
+        calls.clear()
+        rows = table(*args)
+        counts.append(len(calls))
+        return rows
+
+    monkeypatch.setattr(lptorus.besov, "_c2r", lambda *a, **k: calls.append(1) or c2r(*a, **k))
+    for module in (lptorus.besov, lptorus.solver):
+        monkeypatch.setattr(module, "_block_table", counted)
+    u0 = helmholtz_project(random_field(grid32, rng, components=2)) * 0.01
+    th0 = random_field(grid32, rng) * 0.01
+    config = with_constants(SolverConfig(horizon=0.5, steps=8, regime="thm1.2"), constants)
+    _, _, report = picard_solve(u0, th0, config)
+    assert report.converged and len(counts) >= 2 + 4 * report.final["iterations"]
+    assert set(counts) == {shell_max(grid32) + 2} == {4}
 
 
 def test_picard_taylor_green_contracts(grid32, constants):

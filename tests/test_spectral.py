@@ -1,5 +1,6 @@
 """Transforms, differential operators, projection, heat flow, dealiasing, IO."""
 
+import os
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lptorus
+import lptorus.suites
 from lptorus import (
     Field,
     FieldFormatError,
@@ -35,6 +37,7 @@ from lptorus.spectral import (
     _zero_nyquist,
     dealias_multiply,
     dealiased_products,
+    embed_spectrum,
     heat_stack,
     hermitian_half,
     values_from_half,
@@ -173,6 +176,56 @@ def test_random_field_embedding_needs_empty_reference_nyquist_planes(rng):
         random_field(Grid(2, 16), rng, band=1.0, ref_grid=Grid(2, 2))
     with pytest.raises(ValueError):
         random_field(Grid(2, 32), rng, band=8.0, ref_grid=Grid(2, 16))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_embedding_rejects_content_on_a_source_nyquist_plane(dim):
+    # content on the Nyquist plane of each axis in turn, tiny or nan, is
+    # rejected when the lattice grows and kept on its own lattice
+    src = 8
+    coeffs = np.zeros((2, 1) + (src,) * (dim - 1) + (src // 2 + 1,), dtype=complex)
+    coeffs[(Ellipsis,) + (-1,) * (dim - 1) + (1,)] = 1.0  # the mode (-1, ..., -1, 1)
+    assert np.array_equal(embed_spectrum(coeffs, dim, src, src), coeffs)
+    finer = embed_spectrum(coeffs, dim, src, 2 * src)
+    assert finer[(Ellipsis,) + (-1,) * (dim - 1) + (1,)].tolist() == [[1.0], [1.0]]
+    assert np.count_nonzero(finer) == 2
+    for axis in range(dim):
+        for bad in (1e-300, np.nan):
+            spoilt = coeffs.copy()
+            spoilt[(1, 0) + (0,) * axis + (src // 2,)] = bad
+            assert np.array_equal(embed_spectrum(spoilt, dim, src, src), spoilt, equal_nan=True)
+            for dst in (2 * src, 4 * src):
+                with pytest.raises(ValueError, match="Nyquist plane"):
+                    embed_spectrum(spoilt, dim, src, dst)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_draws_never_reach_a_reference_nyquist_plane(dim, monkeypatch):
+    # random_field(ref_grid=...) and verify heatchar embed their draws: the
+    # draws' reference Nyquist planes are exactly empty at any band the
+    # ensemble accepts, so the embedding's check never trips
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+    embed = lptorus.ensembles.embed_spectrum
+    monkeypatch.setattr(
+        lptorus.ensembles, "embed_spectrum", lambda *a: seen.append(a[0]) or embed(*a)
+    )
+    rng = np.random.default_rng(dim)
+    for ref in (Grid(dim, 4), Grid(dim, 8), Grid(dim, 16)):
+        for band in (None, 0.999 * ref.nyquist):
+            for components in sorted({1, dim}):
+                f = random_field(Grid(dim, 2 * ref.points), rng, components, band, ref_grid=ref)
+                assert f.components == components
+        with pytest.raises(ValueError, match="below the ref_grid Nyquist"):
+            random_field(Grid(dim, 2 * ref.points), rng, band=ref.nyquist, ref_grid=ref)
+    draws = len(seen)
+    lptorus.suites.heat_characterization_suite(
+        dim=dim, resolutions=(8, 16) if dim == 3 else (16, 32), fields_per_case=1
+    )
+    assert draws == 6 * len({1, dim}) and len(seen) == draws + 4  # one per (sigma, p) case
+    for coeffs in seen:
+        n = 2 * (coeffs.shape[-1] - 1)
+        assert not any(np.any(np.take(coeffs, n // 2, axis=ax)) for ax in range(-dim, 0))
 
 
 def test_grid_validation():
