@@ -14,6 +14,8 @@ which the solver treats through the Duhamel (integral) form
 with P the Leray projection and the nonlinearities in divergence form (valid
 since div u = 0 is enforced spectrally: every entry point reads the data
 through one gate, ``_data_state``, that checks them and Leray-projects u0).
+The velocity flux is trace-free, u (x) u - u_{n-1}^2 I: P removes the dropped
+gradient div(u_{n-1}^2 I) mode by mode, and a state forms (n-1)(n+2)/2 + n products.
 Picard iteration starts from the free evolution and reapplies the map; the
 smallness certificate instantiates the abstract coupled fixed point: with the
 bilinear/linear operator bounds lambda and eta measured on a sampling
@@ -59,12 +61,12 @@ from .besov import (
     kato_weighted_norm,
     lp_norm,
 )
-from .dyadic import require_shell
+from .dyadic import reconstruction_cap, require_shell
 from .ensembles import random_field
 from .spectral import (
     Field,
     Grid,
-    dealiased_products,
+    _ProductKernel,
     heat_stack,
     project_divergence_free,
     values_from_half,
@@ -178,7 +180,7 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
     multiplier integrals are evaluated in closed form.
     """
     out = np.zeros_like(source)
-    acc = np.zeros_like(source[0])
+    tmp = np.empty_like(source[0])
     ksq = grid.k_sq
     weights = {}  # keyed on the exact panel width; uniform grids have few
     for j in range(1, len(times)):
@@ -188,8 +190,10 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
             g1, g2 = _panel_weights(x)
             weights[dt] = (np.exp(-x), g1 - g2, g2)
         decay, w_new, w_old = weights[dt]
-        acc = decay * acc + dt * (source[j] * w_new + source[j - 1] * w_old)
-        out[j] = acc
+        acc = np.multiply(source[j], w_new, out=out[j])
+        acc += np.multiply(source[j - 1], w_old, out=tmp)
+        acc *= dt
+        acc += np.multiply(decay, out[j - 1], out=tmp)
     return out
 
 
@@ -198,22 +202,21 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
 
 
 @lru_cache(maxsize=None)
-def _flux_plan(n: int, self_flux: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Product pairs of one flux batch and the pair behind each flux entry.
+def _flux_plan(n: int, self_flux: bool) -> tuple[tuple, np.ndarray]:
+    """Factor-row pairs of one flux batch and the pair behind each flux entry.
 
     The entries are u_i v_j (row i, column j) followed by u_j theta; the
-    factors are u and (v, theta).  For a self flux (v = u) only the
-    n(n + 1)/2 distinct u_i u_j are formed, as u_min(i,j) u_max(i,j), which
-    is bit for bit u_i u_j because floating-point products commute.
+    factor rows are u, v, theta.  A self flux (rows u, theta) forms u_i u_j,
+    i < j, once, (i, i) for u_i^2 - u_{n-1}^2 of the trace-free u (x) u -
+    u_{n-1}^2 I, and for its zero entry (n-1, n-1) no pair (row -1).
     """
-    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    v, theta = (0, n) if self_flux else (n, 2 * n)  # first v row, theta row
+    entries = [(i, v + j) for i in range(n) for j in range(n)] + [(j, theta) for j in range(n)]
     if self_flux:
-        entries = [(min(i, j), max(i, j)) for i, j in entries]
-    pairs = list(dict.fromkeys(entries))
-    rows = np.array([pairs.index(e) for e in entries])
-    pairs = np.array(pairs)
-    for arr in (pairs, rows):
-        arr.setflags(write=False)
+        entries = [None if e == (n - 1, n - 1) else tuple(sorted(e)) for e in entries]
+    pairs = tuple(dict.fromkeys(e for e in entries if e))
+    rows = np.array([pairs.index(e) if e else -1 for e in entries])
+    rows.setflags(write=False)
     return pairs, rows
 
 
@@ -221,9 +224,9 @@ def _flux_plan(n: int, self_flux: bool) -> tuple[np.ndarray, np.ndarray]:
 def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray:
     """Per-mode map from one flux batch and theta to the projected sources.
 
-    Column d < D reads the d-th distinct product of ``_flux_plan``, column D
-    theta; row i < n gives (P(-div(u x v) + theta a))_i, row n -div(u theta).
-    It folds -i k_j, the Leray projector P and a into one multiplier, shape
+    Column d < D reads the d-th product of ``_flux_plan``, column D theta;
+    row i < n gives (P(-div(u x v) + theta a))_i, row n -div(u theta).  It
+    folds -i k_j, the Leray projector P and a into one multiplier, shape
     (n + 1, D + 1, N^(n-1) (N/2+1)) on the flat half lattice.
     """
     n = grid.dim
@@ -236,38 +239,47 @@ def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray
     op = np.zeros((n + 1, len(pairs) + 1, k.shape[1]), dtype=np.complex128)
     for entry, d in enumerate(rows):
         r, j = divmod(entry, n)  # u_r v_j of row r, or u_j theta for r = n
-        op[:, d] -= 1j * k[j] * lift[:, r]
+        if d >= 0:
+            op[:, d] -= 1j * k[j] * lift[:, r]
     op[:, -1] = np.tensordot(buoyancy, lift[:, :n], axes=(0, 1))
     op.setflags(write=False)
     return op
 
 
-def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid) -> np.ndarray:
-    """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of
-    u = a and (v, theta) = b, half spectra (samples, n + 1, N, ..., N/2+1) or
-    one state (n + 1, N, ..., N/2+1) in and out; ``b is a`` (the stacked
-    (u, theta)) forms a self flux's distinct products from one transform.
+class _Flux:
+    """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of u = a
+    and (v, theta) = b, half spectra (*lead, n or n + 1, N, ..., N/2+1), b alone
+    for a self flux, on buffers made once: the ``_ProductKernel`` on the
+    ``points`` grid, then one multiply-add per nonzero block of ``op``."""
 
-    A stack streams one state at a time through the single state's body into
-    one output stack; every transform, product and contraction acts per
-    state, so streaming changes no bit.
-    """
-    n = grid.dim
-    pairs, _ = _flux_plan(n, b is a)
+    def __init__(self, grid: Grid, op: np.ndarray, self_flux: bool, points=None, lead=()):
+        n, self.op, self.self_flux = grid.dim, op, self_flux
+        pairs = _flux_plan(n, self_flux)[0]  # a cross flux pairs no row with itself
+        self.kernel = _ProductKernel(grid, 2 * n + 1 - n * self_flux, pairs, points, lead, n - 1)
+        self.band = self.kernel.band.reshape(lead + (len(pairs), -1))
+        self.terms = list(zip(*np.nonzero(np.any(op, axis=-1))))  # nonzero (row, column) blocks
+        self.out = np.empty(lead + (n + 1, op.shape[-1]), dtype=np.complex128)
+        self.tmp = np.empty_like(self.out[..., 0, :])
 
-    def flat(x):
-        return x.reshape(x.shape[:-n] + (-1,))
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        self.kernel(b if self.self_flux else np.concatenate((a, b), axis=self.out.ndim - 2))
+        theta = b.reshape(self.out.shape)[..., -1, :]
+        self.out.fill(0.0)
+        for i, d in self.terms:
+            col = self.band[..., d, :] if d < self.band.shape[-2] else theta
+            self.out[..., i, :] += np.multiply(self.op[i, d], col, out=self.tmp)
+        return self.out.reshape(b.shape)
 
-    def state(x, y):  # y is x for a self flux
-        prod = dealiased_products(x, y, pairs, grid)
-        cols = np.concatenate([flat(prod), flat(y)[..., n:, :]], axis=-2)
-        return np.einsum("idk,...dk->...ik", op, cols).reshape(y.shape)
 
-    if b.ndim == n + 1:
-        return state(a, b)
+def _sources(a: np.ndarray, b: np.ndarray, op: np.ndarray, grid: Grid, points=None) -> np.ndarray:
+    """``_Flux`` of the stacks a and b (samples, ..., N/2+1), a self flux if
+    ``b is a``, streamed one state at a time into one output stack;
+    every transform, product and operator term acts per state, so streaming
+    changes no bit."""
+    flux = _Flux(grid, op, b is a, points)
     out = np.empty(b.shape, dtype=np.complex128)
     for s, y in enumerate(b):
-        out[s] = state(y if b is a else a[s], y)
+        out[s] = flux(y if b is a else a[s], y)
     return out
 
 
@@ -358,6 +370,8 @@ def measure_operator_constants(grid: Grid, config: SolverConfig) -> dict:
     a = np.asarray(config.buoyancy, dtype=float)
     n = grid.dim
     flux_op = _source_operator(grid, (0.0,) * n, False)
+    # draws band-limited to the cap have exact products on the unpadded N grid if 2 cap < Nyquist
+    points = grid.points if 2 * reconstruction_cap(grid) < grid.nyquist else None
     b1 = b2 = lin = 0.0
     for _ in range(CONSTANT_TRIALS):
         x1 = project_divergence_free(random_field(grid, rng, components=n).spectral, grid)
@@ -369,7 +383,7 @@ def measure_operator_constants(grid: Grid, config: SolverConfig) -> dict:
         nx2, ny = _pair_norms(grid, times, xy_t, config)
 
         # B1(x1, x2) = -P div(x1 (x) x2) and B2(x1, y) = -div(x1 y)
-        duhamel = _duhamel_stack(times, _sources(x1_t, xy_t, flux_op, grid), grid)
+        duhamel = _duhamel_stack(times, _sources(x1_t, xy_t, flux_op, grid, points), grid)
         b1_val, b2_val = _pair_norms(grid, times, duhamel, config)
         if nx1 * nx2 > 0:
             b1 = max(b1, b1_val / (nx1 * nx2))
@@ -640,10 +654,10 @@ def exponential_euler(
     (frozen) nonlinearity; first order in the step size.
 
     The state is one stack (n + 1, N, ..., N/2+1) of the rfftn half spectra
-    of (u, theta).  A step is one ``_sources`` batch through the cached
-    ``_source_operator`` with the step weight folded into a copy of it, plus
-    the heat decay.  Raises OracleInstabilityError when the state grows past
-    1e3 times its initial size or stops being finite.
+    of (u, theta); a step is one call of one ``_Flux``, with the step weight
+    folded into a copy of the operator, and the heat decay, in place.  Once
+    per panel it raises OracleInstabilityError if the state has grown past
+    1e3 times its initial size or is not finite (a nan or inf stays so).
     """
     grid, state = _data_state(u0, theta0, config)
     n = grid.dim
@@ -652,17 +666,16 @@ def exponential_euler(
     x = grid.k_sq * dt
     decay = np.exp(-x)
     g1, _ = _panel_weights(x)
-    op = dt * g1.ravel() * _source_operator(grid, tuple(config.buoyancy), True)
+    flux = _Flux(grid, dt * g1.ravel() * _source_operator(grid, tuple(config.buoyancy), True), True)
 
     def size(state):  # max |u| + max |theta|, from one np.abs
         peaks = np.abs(state).reshape(n + 1, -1).max(axis=1)
         return float(peaks[:n].max() + peaks[n])
 
     guard = 1e3 * max(size(state), 1e-300)
-    for _ in range(nsteps):
-        state = decay * state + _sources(state, state, op, grid)
-        now = size(state)
-        if not np.isfinite(now) or now > guard:
+    for step in range(1, nsteps + 1):  # the flux reads the state before it decays, in place
+        np.add(flux(state, state), np.multiply(decay, state, out=state), out=state)
+        if step % config.oracle_refine == 0 and not guard >= size(state) < np.inf:  # nan fails
             raise OracleInstabilityError(
                 "oracle integrator is unstable for this data/step combination"
             )

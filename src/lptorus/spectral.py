@@ -21,12 +21,12 @@ Their symbols, even or odd in k, are held on the half lattice as well.
 One r2c, ``_r2c``, and one c2r, ``_c2r``, make every transform.  ``_c2r``
 reads a half spectrum cut to its first C last-axis columns (the rest zero),
 runs the leading-axis ``ifft``s on those C columns and lets ``irfft``
-zero-fill the rest; ``_r2c`` runs ``rfft`` on the last axis, cuts it to C
-columns and runs the leading-axis ``fft``s.  With all columns they are
+zero-fill the rest; ``_r2c`` runs ``rfft`` on the last axis and then the
+leading-axis ``fft``s, in place, on its first C columns.  With all columns they are
 ``irfftn`` and ``rfftn`` bit for bit.
 
-Quadratic nonlinearities go through one 3/2-rule body (Orszag),
-``dealiased_products``: each factor is placed on the M = 3N/2 lattice as
+Quadratic nonlinearities go through one 3/2-rule body (Orszag), ``_ProductKernel``
+on buffers its caller reuses: each factor is placed on the M = 3N/2 lattice as
 the half spectrum of its real padded field, brought to the grid by a c2r
 transform, multiplied there, and brought back by an r2c transform; the band
 of the N lattice is kept, with its Nyquist planes zeroed, and the retained
@@ -185,13 +185,14 @@ def _flat(ks, m: int, cols: int) -> np.ndarray:
     return idx
 
 
-def _gather(coeffs: np.ndarray, dim: int, idx: np.ndarray) -> np.ndarray:
-    """``coeffs`` with its spatial axes flattened, taken at the flat ``idx``.
+def _gather(coeffs: np.ndarray, dim: int, idx: np.ndarray, out=None) -> np.ndarray:
+    """``coeffs`` with its spatial axes flattened, taken at the flat ``idx`` into ``out``.
 
     The result is C-contiguous; an open-mesh fancy index would put the
     leading axes innermost and slow every later reduction over them.
     """
-    return np.take(coeffs.reshape(coeffs.shape[:-dim] + (-1,)), idx, axis=-1)
+    flat = coeffs.reshape(coeffs.shape[:-dim] + (-1,))
+    return np.take(flat, idx, axis=-1, out=out, mode="wrap")  # in range: "wrap" writes unbuffered
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +224,12 @@ def _c2r(half: np.ndarray, dim: int, m: int, out=None, overwrite: bool = False) 
     return np.fft.irfft(half, n=m, axis=-1, norm="forward", out=out)
 
 
-def _r2c(values: np.ndarray, dim: int, cols: int) -> np.ndarray:
-    """Half spectrum of real grid values cut to its first ``cols`` last-axis
-    columns; with all columns the 1-D calls of ``rfftn``."""
-    spec = np.fft.rfft(values, axis=-1, norm="forward")[..., :cols]
+def _r2c(values: np.ndarray, dim: int, cols: int, out=None) -> np.ndarray:
+    """Half spectrum of real grid values, into ``out`` if given, with the leading axes
+    transformed in place on its first ``cols`` columns; with all, ``rfftn``'s 1-D calls."""
+    spec = np.fft.rfft(values, axis=-1, norm="forward", out=out)
     for ax in range(-2, -dim - 1, -1):
-        spec = np.fft.fft(spec, axis=ax, norm="forward")
+        np.fft.fft(spec[..., :cols], axis=ax, norm="forward", out=spec[..., :cols])
     return spec
 
 
@@ -395,6 +396,8 @@ def heat_propagate(field: Field, t: float) -> Field:
 def heat_stack(coeffs: np.ndarray, grid: Grid, times: np.ndarray) -> np.ndarray:
     """exp(-|k|^2 t) * coeffs for each t; output shape (len(times), *coeffs)."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):  # checked before exp(-|k|^2 t) meets them
+        raise ValueError("heat times must be finite and >= 0")
     ksq = grid.k_sq
     expo = np.exp(-ksq * times.reshape(times.shape + (1,) * grid.dim))
     shape = times.shape + (1,) * (coeffs.ndim - grid.dim) + ksq.shape
@@ -466,24 +469,51 @@ def _pad_index(n: int, dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _band_index(n: int, dim: int, m: int) -> np.ndarray:
-    """Flat index of each k of the N half lattice in the pruned m one."""
-    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), m, n // 2 + 1)
+    """Flat index of each k of the N half lattice in the uncut m one."""
+    return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), m, m // 2 + 1)
 
 
-def _padded(coeffs: np.ndarray, grid: Grid, m: int) -> np.ndarray:
+def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
     """The pruned m half spectrum, m = N or 3N/2, of a factor given on the N
     half lattice: one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
     index, weight = _pad_index(grid.points, grid.dim, m)
-    return _gather(coeffs, grid.dim, index) * weight
+    return np.multiply(_gather(coeffs, grid.dim, index, out), weight, out=out)
 
 
-def _band_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _band_spectrum(values: np.ndarray, grid: Grid, spec=None, out=None) -> np.ndarray:
     """Half spectrum on the N band, Nyquist planes zeroed, of real values on
     the m grid, m = N or 3N/2 read from their last axis: one pruned r2c and
-    the band gather."""
+    the band gather (into ``spec`` and ``out`` if given)."""
     dim, n = grid.dim, grid.points
-    spec = _r2c(values, dim, n // 2 + 1)
-    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, values.shape[-1])), dim, n)
+    spec = _r2c(values, dim, n // 2 + 1, spec)
+    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, values.shape[-1]), out), dim, n)
+
+
+class _ProductKernel:
+    """The one 3/2 product body, on buffers reused by every call: it pads half
+    spectra (*lead, factors, N, ..., N/2+1), multiplies the ``pairs`` of rows on
+    the m^n grid (m = 3N/2, or ``points`` = N if pair sums stay below N/2 per
+    axis) and returns their band; with ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
+
+    def __init__(self, grid: Grid, factors: int, pairs, points=None, lead=(), trace=None):
+        dim, n = grid.dim, grid.points
+        self.grid, self.m, self.pairs, self.trace = grid, points or 3 * n // 2, pairs, trace
+        self.values = np.empty(lead + (factors,) + (self.m,) * dim)
+        self.padded = np.empty(self.values.shape[:-1] + (n // 2 + 1,), np.complex128)
+        self.prod = np.empty(lead + (len(pairs),) + self.values.shape[-dim:])
+        self.square = np.empty_like(self.prod[(..., 0) + (slice(None),) * dim])
+        self.spec = np.empty(self.prod.shape[:-1] + (self.m // 2 + 1,), np.complex128)
+        self.band = np.empty(lead + (len(pairs),) + grid.half_shape, np.complex128)
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        dim, row = self.grid.dim, (slice(None),) * self.grid.dim
+        _padded(coeffs, self.grid, self.m, self.padded)
+        v = _c2r(self.padded, dim, self.m, self.values, overwrite=True)
+        for p, (i, j) in enumerate(self.pairs):  # one at a time: no gathered copies
+            prod = np.multiply(v[(..., i) + row], v[(..., j) + row], out=self.prod[(..., p) + row])
+            if i == j and self.trace is not None:
+                prod -= np.square(v[(..., self.trace) + row], out=self.square)
+        return _band_spectrum(self.prod, self.grid, self.spec, self.band)
 
 
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
@@ -491,23 +521,20 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
 
     ``spec_a`` and ``spec_b`` are half spectra (..., m, N, ..., N/2+1) of
     real fields whose leading axes broadcast; i and j index their component
-    axes.  The one transform body of the 3/2 rule: pad both factors onto the
-    pruned 3N/2 half lattice, transform them onto the padded grid
-    (``spec_b is spec_a`` pads and transforms once), multiply the requested
-    pairs there, transform them back and keep the band of the N lattice with
-    its Nyquist planes zeroed.  Returns (..., len(pairs), N, ..., N/2+1);
-    within that band each product is the exact linear convolution of its
-    factors.
+    axes.  One call of the 3/2 product body, ``_ProductKernel``: pad both
+    factors onto the pruned 3N/2 half lattice, bring them to the padded grid
+    in one batch (``spec_b is spec_a`` once), multiply the requested pairs
+    there, transform them back and keep the band of the N lattice with its
+    Nyquist planes zeroed.  Returns (..., len(pairs), N, ..., N/2+1); within
+    that band each product is the exact linear convolution of its factors.
     """
-    dim, m = grid.dim, 3 * grid.points // 2
-    pa = _c2r(_padded(spec_a, grid, m), dim, m)
-    pb = pa if spec_b is spec_a else _c2r(_padded(spec_b, grid, m), dim, m)
-    lead = np.broadcast_shapes(pa.shape[: -dim - 1], pb.shape[: -dim - 1])
-    prod = np.empty(lead + (len(pairs),) + pa.shape[-dim:])
-    comp = (slice(None),) * dim
-    for p, (i, j) in enumerate(pairs):  # one at a time: no gathered copies
-        np.multiply(pa[(..., i) + comp], pb[(..., j) + comp], out=prod[(..., p) + comp])
-    return _band_spectrum(prod, grid)
+    ax = -grid.dim - 1
+    factors = (spec_a,) if spec_b is spec_a else (spec_a, spec_b)
+    lead = np.broadcast_shapes(*(f.shape[:ax] for f in factors))
+    rows = np.concatenate([np.broadcast_to(f, lead + f.shape[ax:]) for f in factors], axis=ax)
+    off = rows.shape[ax] - spec_b.shape[ax]  # the first row of b
+    kernel = _ProductKernel(grid, rows.shape[ax], [(i, off + j) for i, j in pairs], lead=lead)
+    return kernel(rows)
 
 
 def dealias_multiply(

@@ -164,8 +164,9 @@ def test_trajectory_rejects_non_finite_times(grid32, rng, times):
     f = random_field(grid32, rng)
     with pytest.raises(ValueError, match="times must be finite"):
         FieldTrajectory.from_half(grid32, times, np.zeros((len(times), 1) + grid32.half_shape))
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="times must be finite"):
-        heat_trajectory(f, times)  # exp(-|k|^2 inf) at k = 0 is nan
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="times must be finite"):
+        warnings.simplefilter("error")  # checked before exp(-|k|^2 inf) at k = 0 makes a nan
+        heat_trajectory(f, times)
 
 
 def test_chemin_lerner_time_constant_separates(grid32, rng):

@@ -35,15 +35,15 @@ from lptorus.cli import main  # noqa: E402
 PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 
 REPORT_DIGESTS = {
-    "solve": "8e3f928c974a0360377430f1dee33a2a64729b885454da514b8d246e9b1d34cc",
+    "solve": "bf4d7549b0cc2d1715fdf5df62bcf488b9984fefc84f4ca1725b04fd1d3c5a28",
     "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
     "bony": "79060aaac89918d1b12b9f0fef944aac0f415f3cdd181e88780d02b8509b168c",
     "heatchar": "5d5d16c8974403c18435cb6fb9d1c597b76727a179297236af0ab102b2346c5c",
     "lp": "ddf2352b82d65ff70d33297b487538db97f2d1b67ea2bc38cec15e4422f28f75",
     "besov": "0d62f28f6d5f5ac777b8cef3665efb24f65358e8db183a5467cb3b2ffcbe7ebb",
     "bernstein": "d7b9d494aa91fa24fd75c62a4178b6bb2b5d303547d44c75fed8c8463af6a038",
-    "solve thm1.3:2,2": "28a07f198739e9d8834f7e09828ab89a313f7af746a00906587e7ddbc83c9bc4",
-    "solve thm1.4:2,0.5": "80c7a191fa00e02963d18eacc509c57b4011f86112e8dec61af0592b40372b36",
+    "solve thm1.3:2,2": "3a346fefb0dfb4c367efc9ffbe3c76cf3e76610e7d67665244a555dd79aa9e6a",
+    "solve thm1.4:2,0.5": "29cbb83bd4511ea7040cc1d6ca85def9e79aa021575e8d3d7c3a892407e1caf0",
 }
 
 

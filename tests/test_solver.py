@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lptorus.solver
 from lptorus import (
@@ -27,13 +28,16 @@ from lptorus.besov import (
     lp_norm,
     time_block_norms,
 )
-from lptorus.dyadic import shell_max
+from lptorus.dyadic import reconstruction_cap, require_shell, shell_max
 from lptorus.ensembles import random_field
 from lptorus.solver import (
     DIVERGENCE_GUARD,
+    OracleInstabilityError,
     SmallnessCertificate,
     SolverConfig,
     _duhamel_stack,
+    _data_state,
+    _Flux,
     _fixed_point_map,
     _flux_plan,
     _panel_weights,
@@ -344,20 +348,29 @@ def test_flux_kernel_matches_2n_padded_formulas(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_self_flux_distinct_products_are_bit_identical(dim):
-    # a self flux forms only the n(n + 1)/2 distinct u_i u_j; read back
-    # through the plan's rows they are the batch of all n^2 entries, bit for bit
+def test_self_flux_forms_the_trace_free_columns(dim):
+    # a self flux forms each u_i u_j with i < j once, u_i^2 - u_{n-1}^2 for
+    # i < n - 1 and u_j theta: (n - 1)(n + 2)/2 + n columns.  Every column
+    # but the trace-free ones is bit for bit the dealiased product; those are
+    # the difference of two, to roundoff
     grid = Grid(dim, 16 if dim == 2 else 8)
-    n, ax = dim, -dim - 1
+    n = dim
     rng = np.random.default_rng(dim)
-    values = rng.standard_normal((3, n + 1) + grid.shape)
-    spec = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")
-    b = spec[..., : grid.points // 2 + 1]
-    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    values = rng.standard_normal((n + 1,) + grid.shape)
+    b = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")[..., : grid.points // 2 + 1]
     pairs, rows = _flux_plan(n, True)
-    assert len(pairs) == n * (n + 1) // 2 + n
-    got = np.take(dealiased_products(b, b, pairs, grid), rows, axis=ax)
-    assert np.array_equal(got, dealiased_products(b, b, entries, grid))
+    assert len(pairs) == (n - 1) * (n + 2) // 2 + n
+    assert list(rows).count(-1) == 1 and rows[n * n - 1] == -1  # the entry (n-1, n-1)
+    flux = _Flux(grid, _source_operator(grid, (0.0,) * n, True), True)
+    flux(b, b)
+    got = flux.kernel.band
+    for p, (i, j) in enumerate(pairs):
+        want = dealiased_products(b, b, [(i, j)], grid)[0]
+        if i == j:
+            want = want - dealiased_products(b, b, [(n - 1, n - 1)], grid)[0]
+            assert np.max(np.abs(got[p] - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got[p], want)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -388,17 +401,84 @@ def test_source_operator_matches_the_flux_projection_composition(dim, generic):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    points=st.sampled_from([8, 16, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_free_self_flux_equals_the_all_entries_composition(dim, points, seed):
+    # dealiased_products of every u_i u_j and u_j theta, then -i k, + a theta
+    # and P: the trace-free sources differ from it by P grad u_{n-1}^2 = 0.
+    # White noise, Nyquist planes included, and a random buoyancy
+    grid = Grid(dim, points)
+    n = dim
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n + 1,) + grid.shape)
+    b = np.fft.fftn(values, axes=tuple(range(-n, 0)), norm="forward")[..., : points // 2 + 1]
+    a = rng.standard_normal(n)
+    entries = [(i, j) for i in range(n) for j in range(n)] + [(j, n) for j in range(n)]
+    prod = dealiased_products(b, b, entries, grid).reshape((n + 1, n) + grid.half_shape)
+    flux = -1j * np.sum(grid.k_mesh_deriv * prod, axis=1)
+    buoyancy = a.reshape((n,) + (1,) * n) * b[n:]
+    want = np.concatenate([project_divergence_free(flux[:n] + buoyancy, grid), flux[n:]])
+    state = b[None]  # one sample, passed twice: a self flux
+    got = _sources(state, state, _source_operator(grid, tuple(a), True), grid)[0]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, points", [(2, 16), (2, 32), (3, 8), (3, 16)])
+def test_constants_flux_on_the_n_grid_equals_the_padded_one(dim, points):
+    # the constants' random_field draws are band-limited to the cap, so their
+    # products reach 2 cap < N/2 per axis and nothing aliases on the N grid
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(points + dim)
+    times = np.linspace(0.0, 0.5, 5)
+    x1, x2 = (
+        project_divergence_free(random_field(grid, rng, components=dim).spectral, grid)
+        for _ in range(2)
+    )
+    y = random_field(grid, rng).spectral
+    a = heat_stack(x1, grid, times)
+    b = heat_stack(np.concatenate([x2, y]), grid, times)
+    op = _source_operator(grid, (0.0,) * dim, False)
+    want = _sources(a, b, op, grid)
+    got = _sources(a, b, op, grid, points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_twice_the_reconstruction_cap_stays_below_nyquist(dim):
+    # on every 2 pi-periodic grid require_shell accepts, products of two draws
+    # band-limited to the cap stay below N/2 per axis
+    for points in (2**e for e in range(1, 21)):
+        grid = Grid(dim, points)
+        if points < 8:
+            with pytest.raises(ValueError, match="no full dyadic shell"):
+                require_shell(grid)
+        else:
+            assert 2 * reconstruction_cap(require_shell(grid)) < grid.nyquist == points / 2
+
+
+def test_constants_keep_the_padded_grid_where_twice_the_cap_reaches_nyquist(monkeypatch):
+    # a period that puts Nyquist (2.8) just above a full shell makes the cap
+    # 1.5, so 2 cap > Nyquist: the constants' products stay on the 3/2 grid
+    used = []
+    sources = lptorus.solver._sources
+    monkeypatch.setattr(
+        lptorus.solver, "_sources", lambda *args: used.append(args[4:]) or sources(*args)
+    )
+    config = SolverConfig(horizon=0.5, steps=4)
+    odd = Grid(2, 16, period=2 * np.pi * 8 / 2.8)  # Nyquist 2.8, cap 1.5
+    for grid in (Grid(2, 16), odd):
+        measure_operator_constants(grid, config)
+    assert used == [(16,)] * 6 + [(None,)] * 6
+
+
 def _unblocked_sources(a, b, op, grid):
-    # the whole sample axis in one batch: one product stack, one contraction
-    n = grid.dim
-    pairs, _ = _flux_plan(n, b is a)
-
-    def flat(x):
-        return x.reshape(x.shape[:-n] + (-1,))
-
-    prod = dealiased_products(a, b, pairs, grid)
-    cols = np.concatenate([flat(prod), flat(b)[..., n:, :]], axis=-2)
-    return np.einsum("idk,...dk->...ik", op, cols).reshape(b.shape)
+    # the whole sample axis in one batch through one flux body: one product
+    # stack, one operator term per block for every sample at once
+    return _Flux(grid, op, b is a, lead=b.shape[:1])(a, b).copy()
 
 
 @pytest.mark.parametrize("dim, points", [(2, 32), (3, 16)])
@@ -479,7 +559,7 @@ def test_solver_peak_memory_stays_bounded():
 def test_source_operator_is_cached_read_only():
     op = _source_operator(Grid(2, 16), (0.0, 1.0), True)
     assert op is _source_operator(Grid(2, 16), (0.0, 1.0), True)
-    assert op.shape == (3, 6, 16 * 9) and not op.flags.writeable
+    assert op.shape == (3, 5, 16 * 9) and not op.flags.writeable
 
 
 # -- certificate ----------------------------------------------------------------
@@ -1019,10 +1099,12 @@ def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
     u0 = Field(grid, 0.01 * rng.standard_normal((dim,) + grid.shape))
     th0 = Field(grid, 0.01 * rng.standard_normal(grid.shape))
     u0.spectral, th0.spectral  # the data's own transforms, before counting
-    counts = {}
+    counts, rows = {}, []
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
+            if _name == "rfft":
+                rows.append(args[0].shape[-dim - 1])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -1030,6 +1112,58 @@ def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
     passes = steps * (dim - 1)
     assert counts == {"irfft": steps + 2, "ifft": passes + 2 * (dim - 1), "rfft": steps,
                       "fft": passes}
+    # the trace-free self flux: (n - 1)(n + 2)/2 + n products per r2c batch
+    assert rows == [(dim - 1) * (dim + 2) // 2 + dim] * steps
+
+
+def test_oracle_allocates_about_nothing_beyond_its_state(monkeypatch):
+    # 2-D, N = 32, 128 steps: one flux body per run, its buffers made once
+    # and written by every step, so the run's peak stays within 1 MiB of its
+    # state's size, and after the first step the rest of the run (the end
+    # state's fields included) peaks under 64 KiB above it
+    grid = Grid(2, 32)
+    config = SolverConfig(horizon=0.1, steps=8, lambda_=1.0, eta=1.0, oracle_refine=16)
+    rng = np.random.default_rng(5)
+    u0 = helmholtz_project(random_field(grid, rng, components=2)) * 0.01
+    th0 = random_field(grid, rng) * 0.01
+    exponential_euler(u0, th0, config)  # fills the caches before the count
+    call, after_first, fluxes = _Flux.__call__, [], set()
+
+    def step(self, a, b):
+        fluxes.add(self)
+        out = call(self, a, b)
+        if not after_first:
+            after_first.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return out
+
+    tracemalloc.start()
+    try:
+        exponential_euler(u0, th0, config)
+        first_peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(_Flux, "__call__", step)
+        tracemalloc.reset_peak()
+        exponential_euler(u0, th0, config)
+        rest_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = 3 * 32 * 17 * 16  # (n + 1, N, N/2 + 1) complex
+    assert first_peak <= state + 2**20
+    assert rest_peak - after_first[0] <= 2**16 and len(fluxes) == 1
+
+
+def test_oracle_raises_on_a_state_that_goes_non_finite_inside_a_panel():
+    # the guard runs once per panel of oracle_refine = 5 steps; this state is
+    # non-finite after the first step, and a nan or inf stays so to the check
+    config = SolverConfig(horizon=0.5, steps=8, lambda_=1.0, eta=1.0, oracle_refine=5)
+    grid = Grid(2, 16)
+    u0, th0 = taylor_green(grid, 1e306), single_mode(grid, (1, 1), 1e306)
+    _, state = _data_state(u0, th0, config)
+    op = _source_operator(grid, config.buoyancy, True)
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(_Flux(grid, op, True)(state, state)))
+        with pytest.raises(OracleInstabilityError, match="unstable"):
+            exponential_euler(u0, th0, config)
 
 
 def test_oracle_matches_heat_flow_in_linear_regime(grid32):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,15 @@ def test_heat_t0_identity(grid32, rng):
 def test_heat_negative_t(grid32, rng):
     with pytest.raises(ValueError):
         heat_propagate(random_field(grid32, rng), -0.1)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_heat_rejects_non_finite_t(grid32, rng, t):
+    # a nan or inf time would make a nan field: it is rejected before exp(-|k|^2 t) is formed
+    f = random_field(grid32, rng)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="finite|>= 0"):
+        warnings.simplefilter("error")
+        heat_propagate(f, t)
 
 
 def test_heat_eigenmode(grid32):
