@@ -262,7 +262,7 @@ class _Flux:
         self.tmp = np.empty_like(self.out[..., 0, :])
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.kernel(b if self.self_flux else np.concatenate((a, b), axis=self.out.ndim - 2))
+        self.kernel(*((b,) if self.self_flux else (a, b)))
         theta = b.reshape(self.out.shape)[..., -1, :]
         self.out.fill(0.0)
         for i, d in self.terms:

@@ -35,15 +35,15 @@ from lptorus.cli import main  # noqa: E402
 PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 
 REPORT_DIGESTS = {
-    "solve": "bf4d7549b0cc2d1715fdf5df62bcf488b9984fefc84f4ca1725b04fd1d3c5a28",
+    "solve": "71c0dd15048b663fd7242f9da6aae24e4163f5c55e3900be5d2d16b841e5532f",
     "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
-    "bony": "79060aaac89918d1b12b9f0fef944aac0f415f3cdd181e88780d02b8509b168c",
-    "heatchar": "5d5d16c8974403c18435cb6fb9d1c597b76727a179297236af0ab102b2346c5c",
-    "lp": "ddf2352b82d65ff70d33297b487538db97f2d1b67ea2bc38cec15e4422f28f75",
-    "besov": "0d62f28f6d5f5ac777b8cef3665efb24f65358e8db183a5467cb3b2ffcbe7ebb",
-    "bernstein": "d7b9d494aa91fa24fd75c62a4178b6bb2b5d303547d44c75fed8c8463af6a038",
-    "solve thm1.3:2,2": "3a346fefb0dfb4c367efc9ffbe3c76cf3e76610e7d67665244a555dd79aa9e6a",
-    "solve thm1.4:2,0.5": "29cbb83bd4511ea7040cc1d6ca85def9e79aa021575e8d3d7c3a892407e1caf0",
+    "bony": "c834dde5fa843a0d6efffc729db9f87f6db5128714193bfb5d7d7cfcf695caed",
+    "heatchar": "2a61459ce204b30089d1303604b129880a87e5b10d753ff0e9551e0029c2e8d4",
+    "lp": "87b699ffd8d8752e1783c4e32efaee9551c6b9ad8bb654490092ace68d0bc3db",
+    "besov": "7a5f09740808e8d20de044c3b2b45c5c891218d038047da8d19da4c378789b40",
+    "bernstein": "536a152a882793adcd11bc595abe1162819beba3a9968363e3c43f092dd5a293",
+    "solve thm1.3:2,2": "9543ad64b7e7b25694130a46d01ce26458a06b32681dded274f3d30c6e110d5c",
+    "solve thm1.4:2,0.5": "4810d390575bb36a97ee768ce4f3a73638bc95f7b1c73bbf8e8a7e8b03b3a79a",
 }
 
 

@@ -1086,11 +1086,30 @@ def test_half_spectrum_oracle_matches_a_full_spectrum_loop(dim):
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dim,points", [(2, 32), (3, 8)])
+@pytest.mark.parametrize("n_grid", [False, True])
+def test_cross_flux_pads_its_two_stacks_as_their_concatenation(dim, points, n_grid):
+    # the constants' cross flux pads u and (v, theta) straight into the
+    # kernel's factor rows: the same bits as padding one concatenated stack
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(points + dim)
+    a = random_field(grid, rng, components=dim).spectral
+    b = random_field(grid, rng, components=dim + 1).spectral
+    op = _source_operator(grid, (0.0,) * dim, False)
+    flux = _Flux(grid, op, False, grid.points if n_grid else None)
+    got = flux(a, b).copy()
+    kernel = flux.kernel
+    flux.kernel = lambda *stacks: kernel(np.concatenate(stacks))
+    assert np.array_equal(flux(a, b), got)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
     # per step one c2r and one r2c batch (plus the leading-axis complex
     # passes of the pruned transforms); two c2r at the end for u and theta,
-    # each one irfft after its leading-axis passes
+    # each one last-axis pass after its leading-axis passes.  At N = 8 every
+    # last-axis pass keeps at most MATRIX_COLUMNS columns, so it is one
+    # np.matmul with a DFT basis, and no irfft or rfft runs
     grid = Grid(dim, 8)
     steps = 3
     config = SolverConfig(horizon=0.1, steps=steps, buoyancy=(0.0,) * (dim - 1) + (1.0,),
@@ -1100,17 +1119,22 @@ def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
     th0 = Field(grid, 0.01 * rng.standard_normal(grid.shape))
     u0.spectral, th0.spectral  # the data's own transforms, before counting
     counts, rows = {}, []
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            if _name == "rfft":
+    names = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "matmul")
+    for name in names:
+        module = np if name == "matmul" else np.fft
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            # an r2c pass maps the 12 points of the padded grid to 5 columns
+            key = "r2c" if _name == "matmul" and args[1].shape == (12, 10) else _name
+            counts[key] = counts.get(key, 0) + 1
+            if key == "r2c":
                 rows.append(args[0].shape[-dim - 1])
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(module, name, counted)
     exponential_euler(u0, th0, config)
     passes = steps * (dim - 1)
-    assert counts == {"irfft": steps + 2, "ifft": passes + 2 * (dim - 1), "rfft": steps,
+    assert counts == {"matmul": steps + 2, "ifft": passes + 2 * (dim - 1), "r2c": steps,
                       "fft": passes}
     # the trace-free self flux: (n - 1)(n + 2)/2 + n products per r2c batch
     assert rows == [(dim - 1) * (dim + 2) // 2 + dim] * steps

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lptorus
 import lptorus.suites
+from lptorus import spectral
 from lptorus import (
     Field,
     FieldFormatError,
@@ -25,10 +26,12 @@ from lptorus import (
     taylor_green,
     write_field,
 )
-from lptorus.besov import INF, lp_norm
+from lptorus.besov import INF, _lp_norms, block_lp_norms, lp_norm
 from lptorus.ensembles import _envelope, embedded_field, random_field
 from lptorus.spectral import (
+    MATRIX_COLUMNS,
     _band_spectrum,
+    _c2r,
     _flat,
     _gather,
     _inside,
@@ -113,7 +116,8 @@ def test_random_field_values_are_the_draw_of_the_full_spectrum_pipeline(
 ):
     # numpy only: draw the full complex spectrum, take its Hermitian part,
     # embed it on the full finer lattice, take that lattice's Hermitian part
-    # and irfftn it; the half-lattice pipeline must give the same bits
+    # and irfftn it; the half-lattice pipeline must give the same values to
+    # 1e-14 (its last-axis pass is a matrix product at C <= MATRIX_COLUMNS)
     grid, ref = Grid(dim, points), Grid(dim, ref_points)
     axes = tuple(range(-dim, 0))
     rng = np.random.default_rng(points + ref_points + dim)
@@ -135,7 +139,7 @@ def test_random_field_values_are_the_draw_of_the_full_spectrum_pipeline(
     values = values * float(1.0 / np.max(np.sqrt(np.sum(values**2, axis=0))))
     rng.bit_generator.state = state
     got = random_field(grid, rng, components=components, ref_grid=ref).values
-    assert np.array_equal(got, values)
+    assert np.max(np.abs(got - values)) <= 1e-14 * np.max(np.abs(values))
 
 
 def _random_spectrum_uncached(ref, rng, band=None, slope=None):
@@ -520,7 +524,9 @@ def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, point
     # runs irfftn and rfftn, and gathers the band from the full 3N/2 half
     # lattice (nothing to prune at N = 2, no leading-axis pass in 1-D).  One
     # factor (``spec_b is spec_a``) or two, half spectra of white noise with
-    # the Nyquist planes included
+    # the Nyquist planes included.  The body's last-axis passes keep at most
+    # ``MATRIX_COLUMNS`` columns here, so they are matrix products: equal to
+    # the reference to 1e-14 of its largest coefficient
     grid = Grid(dim, points)
     m, cols = 3 * points // 2, points // 2 + 1
     axes = tuple(range(-dim, 0))
@@ -546,7 +552,9 @@ def test_pruned_product_transforms_are_bit_identical_to_the_full_ones(dim, point
     wide = np.fft.rfftn(prod, axes=axes, norm="forward")
     band = _flat(_mesh(points, dim, np.arange(cols)), m, m // 2 + 1)
     expected = _zero_nyquist(_gather(wide, dim, band), dim, points)
-    assert np.array_equal(dealiased_products(spec_a, spec_b, pairs, grid), expected)
+    got = dealiased_products(spec_a, spec_b, pairs, grid)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -589,20 +597,123 @@ def test_the_n_grid_reads_the_half_spectrum_as_it_is(dim, points):
 @pytest.mark.parametrize("points", [2, 4, 8, 16])
 def test_pruned_c2r_is_bit_identical_to_irfftn_of_the_zero_filled_half(dim, points):
     # any complex half spectrum, non-Hermitian k = 0 and Nyquist columns
-    # included; cut to its first C columns it means the zero-filled half
+    # included; cut to its first C columns it means the zero-filled half.
+    # At C <= MATRIX_COLUMNS the last-axis pass is a matrix product, equal to
+    # irfftn to 1e-14 of the largest value
     grid = Grid(dim, points)
     cols = points // 2 + 1
     axes = tuple(range(-dim, 0))
     rng = np.random.default_rng(points + dim)
     shape = (2, 3) + grid.shape[:-1] + (cols,)
     half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
-    assert np.array_equal(values_from_half(half, grid), full)
     for c in range(1, cols + 1):
         filled = np.zeros_like(half)
         filled[..., :c] = half[..., :c]
         expected = np.fft.irfftn(filled, s=grid.shape, axes=axes, norm="forward")
-        assert np.array_equal(values_from_half(half[..., :c], grid), expected)
+        got = values_from_half(half[..., :c], grid)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@st.composite
+def _transform_cases(draw):
+    """(dim, N, m, C): dim 1-3, N 2-128, m = N or 3N/2 with m^dim <= 2^18,
+    and C any cut up to m/2+1, the rule's edges MATRIX_COLUMNS and one more
+    and the full width (Nyquist column included) drawn often."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    points = draw(st.sampled_from([n for n in (2, 4, 8, 16, 32, 64, 128) if n**dim <= 2**18]))
+    m = draw(st.sampled_from([m for m in {points, 3 * points // 2} if m**dim <= 2**18]))
+    top = m // 2 + 1
+    edges = [c for c in (1, MATRIX_COLUMNS, MATRIX_COLUMNS + 1, top) if c <= top]
+    return dim, points, m, draw(st.sampled_from(edges) | st.integers(1, top))
+
+
+def _assert_transform_agrees(got, expected, data, matrix):
+    """Per sample (leading axis): a pocketfft pass is ``expected`` bit for bit;
+    a matrix pass is it to 1e-14 of the largest finite value, and is non-finite
+    exactly where ``data`` holds a non-finite entry, which spoils its whole
+    row (pocketfft drops a non-finite Im c_0 or Im c_{m/2} instead)."""
+    axes = tuple(range(1, got.ndim))
+    assert got.shape == expected.shape
+    bad_data = ~np.all(np.isfinite(data), axis=tuple(range(1, data.ndim)))
+    bad_ref = ~np.all(np.isfinite(expected), axis=axes)
+    bad = ~np.all(np.isfinite(got), axis=axes)
+    assert np.array_equal(bad, bad_data if matrix else bad_ref)
+    assert np.all(bad_data >= bad_ref)
+    if not matrix:
+        assert np.array_equal(got[~bad], expected[~bad])
+    elif not np.all(bad):
+        scale = np.max(np.abs(expected[~bad]))
+        assert np.max(np.abs(got[~bad] - expected[~bad])) <= 1e-14 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_transform_cases(),
+    seed=st.integers(0, 2**32 - 1),
+    spoil=st.lists(
+        st.tuples(st.integers(0, 2**20), st.sampled_from([np.nan, np.inf, -np.inf]),
+                  st.sampled_from(["real", "imag", "both"])),
+        max_size=3,
+    ),
+)
+@example(case=(1, 8, 8, 5), seed=0, spoil=[(0, np.nan, "imag")])  # Im c_0, dropped by irfft
+@example(case=(2, 2, 2, 2), seed=0, spoil=[(0, np.inf, "imag")])  # still only Im c_0 after the ifft
+def test_transforms_equal_pocketfft_on_both_sides_of_the_matrix_rule(case, seed, spoil):
+    # _c2r and _r2c against irfftn and rfftn of the zero-filled half: three
+    # samples, the first all zero, non-finite entries in the other two
+    dim, points, m, cols = case
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(seed)
+    shape = (3,) + (m,) * (dim - 1) + (cols,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = rng.standard_normal((3,) + (m,) * dim)
+    half[0], values[0] = 0.0, 0.0
+    for pos, bad, part in spoil:
+        at = np.unravel_index(pos % half[1:].size, half[1:].shape)
+        entry = half[1:][at]
+        half[1:][at] = complex(entry.real if part == "imag" else bad,
+                               entry.imag if part == "real" else bad)
+        values[1:].flat[pos % values[1:].size] = bad
+    filled = np.zeros(shape[:-1] + (m // 2 + 1,), dtype=complex)
+    filled[..., :cols] = half
+    with np.errstate(invalid="ignore"):
+        expected = np.fft.irfftn(filled, s=(m,) * dim, axes=axes, norm="forward")
+        spec_expected = np.fft.rfftn(values, axes=axes, norm="forward")[..., :cols]
+        got = _c2r(half, dim, m)
+        spec = _r2c(values, dim, cols)[..., :cols]
+    matrix = cols <= MATRIX_COLUMNS
+    _assert_transform_agrees(got, expected, half, matrix)
+    _assert_transform_agrees(spec, spec_expected, values, matrix)
+    # the zero sample transforms to zeros, and its norms read +0.0
+    assert not np.any(got[0]) and not np.any(spec[0])
+    if m == points:
+        for p in (1.0, 2.0, INF):
+            norm = _lp_norms(got[:1, None], Grid(dim, m), p)
+            assert norm[0] == 0.0 and not np.signbit(norm[0])
+
+
+def test_no_basis_is_built_for_a_pass_wider_than_the_matrix_rule(monkeypatch, rng):
+    # a 1-D N = 2^14 block table (shells of 2 to 8193 columns) and a 2-D
+    # N = 128 product (65 of 97 columns): the narrow passes take a cached
+    # basis of 16 C m bytes, the wide ones none, which at C = N/2+1 would be
+    # 34 GB for a 1-D N = 2^16 norm
+    built = []
+    basis = spectral._dft_basis
+    monkeypatch.setattr(spectral, "_dft_basis",
+                        lambda cols, m, inverse: built.append((cols, m)) or basis(cols, m, inverse))
+    block_lp_norms(random_field(Grid(1, 2**14), rng), 2.0)
+    grid = Grid(2, 128)
+    spec = random_field(grid, rng, components=2).spectral
+    dealiased_products(spec, spec, [(0, 0), (0, 1)], grid)
+    assert (2, 2**14) in built  # the lowest shell's pass, a matrix product
+    assert max(cols for cols, _ in built) <= MATRIX_COLUMNS
+    basis.cache_clear()
+    for cols in (MATRIX_COLUMNS, MATRIX_COLUMNS + 1):  # the rule's edge, both ways
+        built.clear()
+        _c2r(np.zeros((1, cols), dtype=complex), 1, 64)
+        _r2c(np.zeros((1, 64)), 1, cols)
+        assert built == ([(cols, 64)] * 2 if cols <= MATRIX_COLUMNS else [])
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
