@@ -207,9 +207,13 @@ def _block_table(
     cut = cutoffs or build_cutoffs()
     qm = shell_max(grid)
     out = np.empty((qm + 2,) + half.shape[: -grid.dim - 1])
-    # the last column holding a non-finite entry, per sample (-1: none)
-    bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
-    last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
+    # the last column holding a non-finite entry, per sample (-1: none),
+    # scanned for only if the sum of all entries is not finite
+    last = np.full(half.shape[: -grid.dim - 1], -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(half.sum()):
+            bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
+            last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
     # the modes holding a nonzero entry, nan and inf included, in any sample
     occupied = np.any(half, axis=tuple(range(half.ndim - grid.dim)))
     # one values buffer for all shells: per-shell ones made glibc trim and re-fault the heap

@@ -250,24 +250,31 @@ class _Flux:
     """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of u = a
     and (v, theta) = b, half spectra (*lead, n or n + 1, N, ..., N/2+1), b alone
     for a self flux, on buffers made once: the ``_ProductKernel`` on the
-    ``points`` grid, then one multiply-add per nonzero block of ``op``."""
+    ``points`` grid, then a plan bound per output row, one multiply of its run
+    of nonzero ``op`` blocks by their band columns summed from +0.0, then its
+    theta term: the bits of one multiply-add per block in column order."""
 
     def __init__(self, grid: Grid, op: np.ndarray, self_flux: bool, points=None, lead=()):
-        n, self.op, self.self_flux = grid.dim, op, self_flux
+        n, self.self_flux = grid.dim, self_flux
         pairs = _flux_plan(n, self_flux)[0]  # a cross flux pairs no row with itself
         self.kernel = _ProductKernel(grid, 2 * n + 1 - n * self_flux, pairs, points, lead, n - 1)
-        self.band = self.kernel.band.reshape(lead + (len(pairs), -1))
-        self.terms = list(zip(*np.nonzero(np.any(op, axis=-1))))  # nonzero (row, column) blocks
+        band = self.kernel.band.reshape(lead + (len(pairs), -1))
         self.out = np.empty(lead + (n + 1, op.shape[-1]), dtype=np.complex128)
-        self.tmp = np.empty_like(self.out[..., 0, :])
+        tmp, self.plan = np.empty_like(band), []
+        self.tmp = tmp[..., 0, :]
+        for i, used in enumerate(np.any(op, axis=-1)):
+            cols = np.flatnonzero(used[:-1])  # one run, by _flux_plan's order
+            run = slice(cols[0], cols[-1] + 1) if cols.size else slice(0)
+            self.plan.append((self.out[..., i, :], op[i, run], band[..., run, :], tmp[..., run, :],
+                              op[i, -1] if used[-1] else None))  # its theta term's block
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.kernel(*((b,) if self.self_flux else (a, b)))
         theta = b.reshape(self.out.shape)[..., -1, :]
-        self.out.fill(0.0)
-        for i, d in self.terms:
-            col = self.band[..., d, :] if d < self.band.shape[-2] else theta
-            self.out[..., i, :] += np.multiply(self.op[i, d], col, out=self.tmp)
+        for out, w, cols, tmp, w_theta in self.plan:
+            np.add.reduce(np.multiply(w, cols, out=tmp), axis=-2, out=out, initial=0.0)
+            if w_theta is not None:
+                out += np.multiply(w_theta, theta, out=self.tmp)
         return self.out.reshape(b.shape)
 
 

@@ -36,15 +36,20 @@ equals pocketfft to roundoff; a non-finite entry spoils its whole row
 Quadratic nonlinearities go through one 3/2-rule body (Orszag), ``_ProductKernel``
 on buffers its caller reuses: each factor is placed on the M = 3N/2 lattice as
 the half spectrum of its real padded field, brought to the grid by a c2r
-transform, multiplied there, and brought back by an r2c transform; the band
-of the N lattice is kept, with its Nyquist planes zeroed, and the retained
-coefficients are the exact convolution of the inputs.  Both transforms are
-pruned to the first N/2+1 of the M/2+1 last-axis columns, the only ones a
-padded factor or a kept mode occupies.  The padded Hermitian part 0.5 (c_p +
-conj c_{-p}) carries input modes in [-N/2, N/2] per axis (an N-lattice
-Nyquist mode splits between +-N/2), so pair sums lie in [-N, N]; a sum
-aliased by +-3N/2 lands in [-N, -N/2] u [N/2, N], which meets the N lattice
-only on the Nyquist plane +-N/2, and that plane is zeroed.
+pruned to the first N/2+1 of the M/2+1 last-axis columns (the only ones a
+padded factor occupies) and multiplied there; ``_band_spectrum`` reads back
+the band of the N lattice with its Nyquist planes zeroed, and the retained
+coefficients are the exact convolution of the inputs.  The band read follows
+the c2r's rule.  At N/2+1 <= ``MATRIX_COLUMNS`` it is two BLAS products: the
+last axis' first N/2 columns with ``_dft_basis``, then each leading axis with
+a cached complex (N, M) ``_band_basis`` whose Nyquist row is zero, written
+straight into the band.  Above it, it is a pruned r2c and a gather of the
+band: on a 2-vCPU guest the products take about 0.93 of that time at N = 32
+and 1.2 at N = 64.  The padded Hermitian part 0.5 (c_p + conj c_{-p}) carries
+input modes in [-N/2, N/2] per axis (an N-lattice Nyquist mode splits between
++-N/2), so pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in
+[-N, -N/2] u [N/2, N], which meets the N lattice only on the Nyquist plane
++-N/2, and that plane is zeroed.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -518,6 +523,27 @@ def _band_index(n: int, dim: int, m: int) -> np.ndarray:
     return _flat(_mesh(n, dim, np.arange(n // 2 + 1)), m, m // 2 + 1)
 
 
+@lru_cache(maxsize=None)
+def _band_basis(n: int, m: int) -> np.ndarray:
+    """Read-only complex (N, m) forward DFT basis (``norm="forward"``) of an
+    m-point axis onto the N lattice, its Nyquist row zero: the rows k >= 0 of
+    ``_dft_basis``, conjugated for -k."""
+    pos = _dft_basis(n // 2, m, False).view(np.complex128).T
+    basis = np.concatenate([pos, np.zeros_like(pos[:1]), pos[:0:-1].conj()])
+    basis.setflags(write=False)
+    return basis
+
+
+def _band_scratch(shape: tuple, grid: Grid) -> list[np.ndarray]:
+    """Buffers of ``_band_spectrum`` for real values of ``shape``: the pruned
+    r2c spectrum, or for the matrix read each partly read stack but the last."""
+    dim, n, m = grid.dim, grid.points, shape[-1]
+    if n // 2 + 1 > MATRIX_COLUMNS:
+        return [np.empty(shape[:-1] + (m // 2 + 1,), np.complex128)]
+    return [np.empty(shape[:-dim] + (n,) * k + (m,) * (dim - 1 - k) + (n // 2,), np.complex128)
+            for k in range(dim - 1)]
+
+
 def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
     """The pruned m half spectrum, m = N or 3N/2, of a factor given on the N
     half lattice: one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
@@ -525,13 +551,26 @@ def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
     return np.multiply(_gather(coeffs, grid.dim, index, out), weight, out=out)
 
 
-def _band_spectrum(values: np.ndarray, grid: Grid, spec=None, out=None) -> np.ndarray:
+def _band_spectrum(values: np.ndarray, grid: Grid, scratch=None, out=None) -> np.ndarray:
     """Half spectrum on the N band, Nyquist planes zeroed, of real values on
-    the m grid, m = N or 3N/2 read from their last axis: one pruned r2c and
-    the band gather (into ``spec`` and ``out`` if given)."""
-    dim, n = grid.dim, grid.points
-    spec = _r2c(values, dim, n // 2 + 1, spec)
-    return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, values.shape[-1]), out), dim, n)
+    the m grid, m = N or 3N/2 read from their last axis, into ``out`` if given
+    (other buffers: ``_band_scratch``): a pruned r2c and the band gather, or at
+    N/2+1 <= ``MATRIX_COLUMNS`` BLAS products, leading axes outermost first."""
+    dim, n, m = grid.dim, grid.points, values.shape[-1]
+    scratch = _band_scratch(values.shape, grid) if scratch is None else scratch
+    if n // 2 + 1 > MATRIX_COLUMNS:
+        spec = _r2c(values, dim, n // 2 + 1, scratch[0])
+        return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, m), out), dim, n)
+    out = np.empty(values.shape[:-dim] + grid.half_shape, np.complex128) if out is None else out
+    out[..., n // 2] = 0.0
+    steps = scratch + [out[..., : n // 2]]
+    np.matmul(values, _dft_basis(n // 2, m, False), out=steps[0].view(np.float64))
+    for k, (src, dst) in enumerate(zip(steps, steps[1:])):  # leading axis k
+        pre = src.shape[: src.ndim - dim + k]
+        np.matmul(_band_basis(n, m), src.reshape(pre + (m, -1)), out=dst.reshape(pre + (n, -1)))
+    for plane in _nyquist_planes(dim, n)[1:]:  # BLAS may sum a zero row to -0.0
+        out[plane] += 0.0
+    return out
 
 
 class _ProductKernel:
@@ -539,7 +578,8 @@ class _ProductKernel:
     half spectra (*lead, rows, N, ..., N/2+1) of its stacks into the
     ``factors`` rows in turn, multiplies the ``pairs`` of rows on the m^n grid
     (m = 3N/2, or ``points`` = N if pair sums stay below N/2 per axis) and
-    returns their band; with ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
+    returns their band, read by ``_band_spectrum`` into its ``band`` buffer;
+    with ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
 
     def __init__(self, grid: Grid, factors: int, pairs, points=None, lead=(), trace=None):
         dim, n = grid.dim, grid.points
@@ -548,7 +588,7 @@ class _ProductKernel:
         self.padded = np.empty(self.values.shape[:-1] + (n // 2 + 1,), np.complex128)
         self.prod = np.empty(lead + (len(pairs),) + self.values.shape[-dim:])
         self.square = np.empty_like(self.prod[(..., 0) + (slice(None),) * dim])
-        self.spec = np.empty(self.prod.shape[:-1] + (self.m // 2 + 1,), np.complex128)
+        self.scratch = _band_scratch(self.prod.shape, grid)
         self.band = np.empty(lead + (len(pairs),) + grid.half_shape, np.complex128)
 
     def __call__(self, *stacks: np.ndarray) -> np.ndarray:
@@ -563,7 +603,7 @@ class _ProductKernel:
             prod = np.multiply(v[(..., i) + row], v[(..., j) + row], out=self.prod[(..., p) + row])
             if i == j and self.trace is not None:
                 prod -= np.square(v[(..., self.trace) + row], out=self.square)
-        return _band_spectrum(self.prod, self.grid, self.spec, self.band)
+        return _band_spectrum(self.prod, self.grid, self.scratch, self.band)
 
 
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:

@@ -449,6 +449,22 @@ def test_norms_of_a_finite_field_near_overflow_are_finite(grid32, components, p,
     assert besov_norm(big, spec) == pytest.approx(1e200 * besov_norm(f, spec), rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_a_finite_stack_whose_sum_overflows_reads_finite_in_every_shell(grid32, p):
+    # the table scans for non-finite entries only when the sum of all
+    # entries is not finite: 200 samples of one mode at 1e306 sum to inf, yet
+    # every entry, and so every shell of every sample, is finite
+    half = np.zeros((200, 1) + grid32.half_shape, dtype=complex)
+    half[:, 0, 0, 1] = 1e306
+    with np.errstate(over="ignore"):
+        assert np.sum(half) == INF
+    table = besov._block_table(half, grid32, p)
+    assert np.all(np.isfinite(table))
+    scale = 2.0**1000  # exact: the table scales with the stack
+    scaled = scale * besov._block_table(half / scale, grid32, p)
+    np.testing.assert_allclose(table, scaled, rtol=1e-15)
+
+
 def test_only_the_overflowing_sample_is_rescaled(grid32, rng):
     # samples whose sums stay finite keep the unscaled bits; a sample with a
     # non-finite entry stays non-finite

@@ -35,15 +35,15 @@ from lptorus.cli import main  # noqa: E402
 PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 
 REPORT_DIGESTS = {
-    "solve": "71c0dd15048b663fd7242f9da6aae24e4163f5c55e3900be5d2d16b841e5532f",
+    "solve": "584033cbe74348da1e09fa31a931ec5c2858103b5b80df14e218ba625f16b750",
     "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
-    "bony": "c834dde5fa843a0d6efffc729db9f87f6db5128714193bfb5d7d7cfcf695caed",
+    "bony": "bea22b74881cddca382623052af0672a1d6fd29c02f37577a36abdb932c98b1a",
     "heatchar": "2a61459ce204b30089d1303604b129880a87e5b10d753ff0e9551e0029c2e8d4",
-    "lp": "87b699ffd8d8752e1783c4e32efaee9551c6b9ad8bb654490092ace68d0bc3db",
+    "lp": "6d14ba30af5141af4f74a0ad02d3c5cbe6cc45c7540bcae602b98dd4007a301a",
     "besov": "7a5f09740808e8d20de044c3b2b45c5c891218d038047da8d19da4c378789b40",
     "bernstein": "536a152a882793adcd11bc595abe1162819beba3a9968363e3c43f092dd5a293",
-    "solve thm1.3:2,2": "9543ad64b7e7b25694130a46d01ce26458a06b32681dded274f3d30c6e110d5c",
-    "solve thm1.4:2,0.5": "4810d390575bb36a97ee768ce4f3a73638bc95f7b1c73bbf8e8a7e8b03b3a79a",
+    "solve thm1.3:2,2": "7c96407a0a3b480a4988af7aad8a9ecbb4a512b5160776a71ffff4819dfa421d",
+    "solve thm1.4:2,0.5": "c7d42fb4bedfe47d49a566eda4511a899c0cd73da357819006a83e089bc44151",
 }
 
 

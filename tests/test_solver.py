@@ -1086,6 +1086,42 @@ def test_half_spectrum_oracle_matches_a_full_spectrum_loop(dim):
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("self_flux", [True, False])
+@pytest.mark.parametrize("n_grid", [False, True])
+@pytest.mark.parametrize("buoyant", [False, True])
+def test_flux_plan_equals_the_term_loop_bit_for_bit(n, self_flux, n_grid, buoyant):
+    # the plan's one multiply and one sum from +0.0 per output row against a
+    # multiply-add into a zeroed row per nonzero (row, column) block of the
+    # operator, column by column, theta last: the same bits, signs of zero
+    # included, with half the entries of the band and of theta set to +-0.0
+    grid = Grid(n, 8)
+    rng = np.random.default_rng(n)
+    op = 0.5 * _source_operator(grid, (0.0,) * (n - 1) + (float(buoyant),), self_flux)
+    flux = _Flux(grid, op, self_flux, grid.points if n_grid else None)
+    kernel, band = flux.kernel, flux.kernel.band
+
+    def zero_half(x):  # in place: half the entries to +-0.0, each part's sign drawn
+        parts = rng.choice([-0.0, 0.0], (2,) + x.shape)
+        np.copyto(x, parts[0] + 1j * parts[1], where=rng.random(x.shape) < 0.5)
+
+    def kernel_then_zeros(*stacks):
+        kernel(*stacks)
+        zero_half(band)
+
+    flux.kernel = kernel_then_zeros
+    b = random_field(grid, rng, components=n + 1).spectral.copy()
+    zero_half(b[n])
+    a = b if self_flux else random_field(grid, rng, components=n).spectral
+    got = flux(a, b).reshape(n + 1, -1)
+    cols, theta = band.reshape(-1, got.shape[-1]), b.reshape(n + 1, -1)[n]
+    want = np.zeros_like(got)
+    for i, d in zip(*np.nonzero(np.any(op, axis=-1))):
+        want[i] += op[i, d] * (cols[d] if d < len(cols) else theta)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 @pytest.mark.parametrize("dim,points", [(2, 32), (3, 8)])
 @pytest.mark.parametrize("n_grid", [False, True])
 def test_cross_flux_pads_its_two_stacks_as_their_concatenation(dim, points, n_grid):
@@ -1105,11 +1141,12 @@ def test_cross_flux_pads_its_two_stacks_as_their_concatenation(dim, points, n_gr
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
-    # per step one c2r and one r2c batch (plus the leading-axis complex
-    # passes of the pruned transforms); two c2r at the end for u and theta,
-    # each one last-axis pass after its leading-axis passes.  At N = 8 every
-    # last-axis pass keeps at most MATRIX_COLUMNS columns, so it is one
-    # np.matmul with a DFT basis, and no irfft or rfft runs
+    # per step one c2r batch and one band read, and two c2r at the end for u
+    # and theta; a c2r is its leading-axis ifft passes, then one last-axis
+    # pass.  At N = 8 every last-axis pass keeps at most MATRIX_COLUMNS
+    # columns, so it is one np.matmul with a DFT basis, and the band read is
+    # one for the last axis (the r2c) and one with the (8, 12) band basis per
+    # leading axis: no irfft, rfft or fft runs
     grid = Grid(dim, 8)
     steps = 3
     config = SolverConfig(horizon=0.1, steps=steps, buoyancy=(0.0,) * (dim - 1) + (1.0,),
@@ -1124,18 +1161,21 @@ def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
         module = np if name == "matmul" else np.fft
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            # an r2c pass maps the 12 points of the padded grid to 5 columns
-            key = "r2c" if _name == "matmul" and args[1].shape == (12, 10) else _name
-            counts[key] = counts.get(key, 0) + 1
-            if key == "r2c":
+            # an r2c pass maps the 12 points of the padded grid to 4 columns
+            key = _name
+            if _name == "matmul" and args[1].shape == (12, 8):
+                key = "r2c"
                 rows.append(args[0].shape[-dim - 1])
+            elif _name == "matmul" and args[0].shape == (8, 12):
+                key = "band"
+            counts[key] = counts.get(key, 0) + 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     exponential_euler(u0, th0, config)
     passes = steps * (dim - 1)
     assert counts == {"matmul": steps + 2, "ifft": passes + 2 * (dim - 1), "r2c": steps,
-                      "fft": passes}
+                      "band": passes}
     # the trace-free self flux: (n - 1)(n + 2)/2 + n products per r2c batch
     assert rows == [(dim - 1) * (dim + 2) // 2 + dim] * steps
 

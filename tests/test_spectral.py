@@ -30,12 +30,14 @@ from lptorus.besov import INF, _lp_norms, block_lp_norms, lp_norm
 from lptorus.ensembles import _envelope, embedded_field, random_field
 from lptorus.spectral import (
     MATRIX_COLUMNS,
+    _band_index,
     _band_spectrum,
     _c2r,
     _flat,
     _gather,
     _inside,
     _mesh,
+    _nyquist_planes,
     _padded,
     _r2c,
     _zero_nyquist,
@@ -589,8 +591,52 @@ def test_the_n_grid_reads_the_half_spectrum_as_it_is(dim, points):
     values = rng.standard_normal((2, 3) + grid.shape)
     half = _r2c(values, dim, points // 2 + 1)
     assert np.array_equal(_padded(half, grid, points), half)
+    # at N/2+1 <= MATRIX_COLUMNS the band read is two matrix products, which
+    # round differently from the r2c: equal to 1e-14 of the largest magnitude
     expected = _zero_nyquist(half.copy(), dim, points)
-    assert np.array_equal(_band_spectrum(values, grid), expected)
+    got = _band_spectrum(values, grid)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    points=st.sampled_from([2, 4, 8, 16, 32]),
+    padded=st.booleans(),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    spoil=st.lists(st.tuples(st.integers(0, 2**22), st.sampled_from([np.nan, np.inf, -np.inf])),
+                   max_size=2),
+)
+@example(dim=2, points=4, padded=True, lead=(3,), seed=0, spoil=[])  # BLAS sums a zero row to -0.0
+@example(dim=3, points=8, padded=False, lead=(2, 2), seed=0, spoil=[(5, np.inf)])
+def test_matrix_band_read_equals_the_gather_of_the_r2c(dim, points, padded, lead, seed, spoil):
+    # at N/2+1 <= MATRIX_COLUMNS the band read is two BLAS products: against
+    # the band gather of rfftn with its Nyquist planes zeroed, on m = N or
+    # 3N/2 and two samples per leading index, non-finite entries in some.
+    # A sample holding one reads non-finite, and only such a sample; the rest
+    # agree to 1e-14 of the largest magnitude, their Nyquist planes +0.0
+    if dim == 3 and points == 32:
+        lead = ()  # a 48^3 grid per sample is enough
+    grid = Grid(dim, points)
+    m = 3 * points // 2 if padded else points
+    values = np.random.default_rng(seed).standard_normal(lead + (2,) + (m,) * dim)
+    for pos, bad in spoil:
+        values.flat[pos % values.size] = bad
+    with np.errstate(invalid="ignore"):
+        wide = np.fft.rfftn(values, axes=tuple(range(-dim, 0)), norm="forward")
+        got = _band_spectrum(values, grid)
+    expected = _zero_nyquist(_gather(wide, dim, _band_index(points, dim, m)), dim, points)
+    assert got.shape == expected.shape == lead + (2,) + grid.half_shape
+    spatial = tuple(range(-dim, 0))
+    bad = ~np.all(np.isfinite(got), axis=spatial)
+    assert np.array_equal(bad, ~np.all(np.isfinite(values), axis=spatial))
+    for plane in _nyquist_planes(dim, points):
+        zero = got[plane][~bad]
+        assert not np.any(zero) and not np.any(np.signbit(zero.real) | np.signbit(zero.imag))
+    if not np.all(bad):
+        scale = np.max(np.abs(expected[~bad]))
+        assert np.max(np.abs(got[~bad] - expected[~bad])) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
