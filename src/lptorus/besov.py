@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import Field, Grid, _c2r, heat_stack, values_from_half
+from .spectral import TWO_PI, Field, Grid, _c2r, _matrix, _wavenumbers, heat_stack, values_from_half
 
 INF = float("inf")
 
@@ -116,7 +116,7 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
 
     def power(v):
         mag = v if magnitude is None else magnitude(v)
-        return np.max(mag, axis=axes) if p == INF else total(mag**p, axis=axes)
+        return np.max(mag, axis=axes) if p == INF else total(mag if p == 1 else mag**p, axis=axes)
 
     if p == INF:  # a max neither overflows nor underflows
         return power(values)
@@ -140,24 +140,41 @@ def _power_mean(values, p: float, axes: tuple, total=np.sum, magnitude=None):
     return out
 
 
+def _spatial(reduce, terms: np.ndarray, dim: int) -> np.ndarray:
+    """``reduce`` over the trailing dim spatial axes of ``terms``, over the first
+    of them alone first when it lies outermost in memory (``_block_table``'s
+    (N, ..., N) values), where one pass over all would step through short rows."""
+    if dim > 1 and abs(terms.strides[-dim]) > max(map(abs, terms.strides[:-dim]), default=np.inf):
+        return reduce(reduce(terms, axis=-dim), axis=tuple(range(1 - dim, 0)))
+    return reduce(terms, axis=tuple(range(-dim, 0)))
+
+
 def _lp_norms(values: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     """``lp_norm`` of each sample of a physical stack (..., m, N, ..., N)."""
     p = _check_exponent("p", p)
-    cax, axes = -grid.dim - 1, tuple(range(-grid.dim, 0))
+    dim = grid.dim
+    cax, axes = -dim - 1, tuple(range(-dim, 0))
 
     def total(terms, axis):
-        return grid.cell_volume * np.sum(terms, axis=axis)
+        return grid.cell_volume * _spatial(np.sum, terms, dim)
+
+    def components(terms):  # their sum, in place in the first component of a temporary
+        first = terms[(..., 0) + (slice(None),) * dim]
+        for k in range(1, terms.shape[cax]):
+            first += terms[(..., k) + (slice(None),) * dim]
+        return first
 
     def largest_square(terms, axis):  # an array, whose ** 0.5 is np.sqrt
-        return np.asarray(np.max(np.sum(terms, axis=cax), axis=axes))
+        return np.asarray(_spatial(np.max, components(terms), dim))
 
     def euclidean(v):
-        return np.sqrt(np.sum(v**2, axis=cax))
+        square = components(v**2)
+        return np.sqrt(square, out=square)
 
     if values.shape[cax] == 1:
         values = np.squeeze(values, axis=cax)
         if p == INF:  # max |v| with no |v| temporary; + 0.0 reads -0.0 as +0.0
-            return np.maximum(np.max(values, axis=axes), -np.min(values, axis=axes)) + 0.0
+            return np.maximum(_spatial(np.max, values, dim), -_spatial(np.min, values, dim)) + 0.0
         return _power_mean(np.abs(values), p, axes, total)
     if p == INF:  # sqrt is monotone and correctly rounded: one per sample
         return _power_mean(values, 2.0, (cax,) + axes, largest_square)
@@ -190,6 +207,22 @@ def _shell_columns(grid: Grid, q: int, cut: CutoffPair) -> int:
     return int(used[-1]) + 1 if used.size else 1
 
 
+@lru_cache(maxsize=None)
+def _shell_rows(grid: Grid, q: int, cut: CutoffPair) -> tuple:
+    """The first-axis rows |k_1| <= R of block q, R the largest |k_1| its
+    weights touch, as the first ``head`` rows and those from ``tail`` on; the
+    weights on them cut to the shell's columns; and the read-only complex
+    (N, rows) inverse DFT basis (``norm="forward"``) of those rows."""
+    n, w = grid.points, block_weights(grid, q, cut)[..., : _shell_columns(grid, q, cut)]
+    k = _wavenumbers(n)
+    reach = np.max(np.abs(k[np.any(w != 0, axis=tuple(range(1, grid.dim)))]), initial=0)
+    head, tail = min(reach, n // 2 - 1) + 1, n - reach
+    rows = np.r_[0:head, tail:n]
+    basis = np.exp(TWO_PI / n * 1j * (np.outer(np.arange(n), k[rows]) % n))
+    basis.setflags(write=False)
+    return head, tail, w[rows], basis
+
+
 def _block_table(
     half: np.ndarray, grid: Grid, p: float, cutoffs: CutoffPair | None = None
 ) -> np.ndarray:
@@ -198,34 +231,54 @@ def _block_table(
     ``half`` is a half-spectrum stack (..., m, N, ..., N/2+1); the result is
     (shells, ...).  The block weights are even in k, so each shell is one
     pruned c2r of the half times the weights' half, both cut to the columns
-    the shell occupies; a sample with a non-finite entry in a dropped column
-    reads NaN there, as 0 * nan and 0 * inf would make it.  A shell whose
-    weights meet no mode holding a nonzero entry in any sample is not
-    transformed: its row is what the transform would read, 0.0, or NaN for a
-    sample with a non-finite entry anywhere.
+    the shell occupies.  In 2-D and 3-D under the matrix rule (``spectral``)
+    the c2r transforms only the first-axis rows the weights touch: one
+    (N, rows) BLAS product over the whole stack laid out (rows, ..., columns),
+    whose values come out (N, ..., N) and reduce over x1 first; all shells
+    share buffers made once per call.  A sample holding a non-finite entry
+    reads NaN in every shell, as 0 * nan and 0 * inf would make it.  A shell
+    whose weights meet no mode holding a nonzero entry in any sample is not
+    transformed: its row is what the transform would read, 0.0, or NaN.
     """
     cut = cutoffs or build_cutoffs()
-    qm = shell_max(grid)
-    out = np.empty((qm + 2,) + half.shape[: -grid.dim - 1])
-    # the last column holding a non-finite entry, per sample (-1: none),
-    # scanned for only if the sum of all entries is not finite
-    last = np.full(half.shape[: -grid.dim - 1], -1)
+    dim, n, qm = grid.dim, grid.points, shell_max(grid)
+    out = np.empty((qm + 2,) + half.shape[: -dim - 1])
+    bad = np.zeros(out.shape[1:], bool)  # scanned for only if the sum of all entries is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(half.sum()):
-            bad = ~np.all(np.isfinite(half), axis=tuple(range(-grid.dim - 1, -1)))
-            last = np.max(np.where(bad, np.arange(half.shape[-1]), -1), axis=-1)
+            bad = ~np.all(np.isfinite(half), axis=tuple(range(-dim - 1, 0)))
     # the modes holding a nonzero entry, nan and inf included, in any sample
-    occupied = np.any(half, axis=tuple(range(half.ndim - grid.dim)))
-    # one values buffer for all shells: per-shell ones made glibc trim and re-fault the heap
-    values = np.empty(half.shape[:-1] + (grid.points,))
+    occupied = np.any(half, axis=tuple(range(half.ndim - dim)))
+    cols = _shell_columns(grid, -1, cut)  # the narrowest shell
+    rows = dim > 1 and _matrix(n // 2 + 1, n, half.size // (n * (n // 2 + 1)) * cols)
+    if rows:  # the stack seen (N, components, ...): first spatial axis outermost
+        half = np.moveaxis(half, (-dim, -dim - 1), (0, 1))
+        pruned, wide = np.empty(half.size, np.complex128), np.empty(half.size, np.complex128)
+    # one values buffer for all shells: per-shell ones made glibc trim and re-fault the heap;
+    # the rows' product has read its pruned rows before the c2r writes values over them
+    shape = half.shape[:-1] + (n,)
+    values = pruned.view(np.float64)[: np.prod(shape)].reshape(shape) if rows else np.empty(shape)
     for q in range(-1, qm + 1):
         c = _shell_columns(grid, q, cut)
         w = block_weights(grid, q, cut)[..., :c]
         if not np.any(w[occupied[..., :c]]):
-            out[q + 1] = np.where(last < 0, 0.0, np.nan)
+            out[q + 1] = np.where(bad, np.nan, 0.0)
             continue
-        block = _c2r(half[..., :c] * w, grid.dim, grid.points, values, overwrite=True)
-        out[q + 1] = np.where(last < c, _lp_norms(block, grid, p), np.nan)
+        if not rows:
+            block = _c2r(half[..., :c] * w, dim, n, values, overwrite=True)
+        else:
+            head, tail, wr, basis = _shell_rows(grid, q, cut)
+            z = pruned[: half.size // (n * half.shape[-1]) * len(wr) * c].reshape(
+                (len(wr),) + half.shape[1:-1] + (c,))
+            wr = wr.reshape((len(wr),) + (1,) * (half.ndim - dim) + wr.shape[1:])
+            np.multiply(half[:head, ..., :c], wr[:head], out=z[:head])
+            np.multiply(half[tail:, ..., :c], wr[head:], out=z[head:])
+            y = wide[: z.size // len(wr) * n].reshape((n,) + z.shape[1:])
+            z, step = z.reshape(len(wr), -1), (2**16 - 1) // (n * len(wr))  # one BLAS thread per call
+            for a in range(0, z.shape[1], step):
+                np.matmul(basis, z[:, a : a + step], out=y.reshape(n, -1)[:, a : a + step])
+            block = np.moveaxis(_c2r(y, dim - 1, n, values, overwrite=True), (0, 1), (-dim, -dim - 1))
+        out[q + 1] = np.where(bad, np.nan, _lp_norms(block, grid, p))
     return out
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import CHI_FLAT_RADIUS, GAMMA, CutoffPair, build_cutoffs
-from .spectral import Field, Grid, _band_spectrum, _c2r, _padded
+from .spectral import Field, Grid, _band_spectrum, _Pad
 
 
 def shell_max(grid: Grid) -> int:
@@ -91,13 +91,13 @@ def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np
 
 def _block_values(f: Field, m: int) -> np.ndarray:
     """Blocks -1..shell_max of ``f`` as values on the m^n grid, m = N or 3N/2,
-    (shell_max + 2, components, m, ..., m), by one batched c2r.  Sums of their
+    (shell_max + 2, components, m, ..., m), by one batched pad and c2r.  Sums of their
     products, brought back by ``_band_spectrum``, are exact on the band at
     m = 3N/2 (the 3/2 rule), and at m = N when every product stays below N/2
     per axis, as for factors band-limited below N/4."""
     grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
     blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
-    return _c2r(_padded(blocks, grid, m), grid.dim, m)
+    return _Pad(grid, m, blocks.shape[: -grid.dim])(blocks)
 
 
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:

@@ -46,7 +46,7 @@ linear in time at any stiffness and second-order accurate otherwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .besov import (
     _block_table,
     block_time_lp,  # noqa: F401  perfbench's tracer tests read it from this module
     chemin_lerner_norm,
+    chemin_lerner_reduce,
     kato_weighted_norm,
     lp_norm,
 )
@@ -177,23 +178,27 @@ def _duhamel_stack(times: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndar
 
     ``source`` is a half spectral stack (len(times), m, N, ..., N/2+1).
     The source is taken piecewise linear between samples and the per-panel
-    multiplier integrals are evaluated in closed form.
+    multiplier integrals are evaluated in closed form: for each distinct panel
+    width one pass forms (w_new s_j + w_old s_{j-1}) dt on all its panels,
+    and only the decay of the previous sample is added panel by panel.
     """
     out = np.zeros_like(source)
-    tmp = np.empty_like(source[0])
-    ksq = grid.k_sq
-    weights = {}  # keyed on the exact panel width; uniform grids have few
-    for j in range(1, len(times)):
-        dt = times[j] - times[j - 1]
-        if dt not in weights:
-            x = ksq * dt
+    dts, decays = np.diff(times), {}
+    edges = np.flatnonzero(np.diff(dts)) + 1  # runs of panels of one width
+    for a, b in zip(np.r_[0, edges], np.r_[edges, len(dts)]):
+        dt = dts[a]
+        if dt not in decays:
+            x = grid.k_sq * dt
             g1, g2 = _panel_weights(x)
-            weights[dt] = (np.exp(-x), g1 - g2, g2)
-        decay, w_new, w_old = weights[dt]
-        acc = np.multiply(source[j], w_new, out=out[j])
-        acc += np.multiply(source[j - 1], w_old, out=tmp)
-        acc *= dt
-        acc += np.multiply(decay, out[j - 1], out=tmp)
+            decays[dt] = (np.exp(-x), g1 - g2, g2)
+        _, w_new, w_old = decays[dt]
+        for lo in range(a, b, 8):  # eight panels at a time bound the temporary
+            acc = np.multiply(source[lo + 1 : b + 1][:8], w_new, out=out[lo + 1 : b + 1][:8])
+            acc += source[lo:b][:8] * w_old
+            acc *= dt
+    tmp = np.empty_like(source[0])
+    for j, dt in enumerate(dts, 1):
+        out[j] += np.multiply(decays[dt][0], out[j - 1], out=tmp)
     return out
 
 
@@ -206,15 +211,17 @@ def _flux_plan(n: int, self_flux: bool) -> tuple[tuple, np.ndarray]:
     """Factor-row pairs of one flux batch and the pair behind each flux entry.
 
     The entries are u_i v_j (row i, column j) followed by u_j theta; the
-    factor rows are u, v, theta.  A self flux (rows u, theta) forms u_i u_j,
-    i < j, once, (i, i) for u_i^2 - u_{n-1}^2 of the trace-free u (x) u -
-    u_{n-1}^2 I, and for its zero entry (n-1, n-1) no pair (row -1).
+    factor rows are u, v, theta.  The pairs u_j theta come first, so that the
+    band of the u_i v_j pairs then theta (``_Flux``) is one run.  A self flux
+    (rows u, theta) forms u_i u_j, i < j, once, (i, i) for u_i^2 - u_{n-1}^2
+    of the trace-free u (x) u - u_{n-1}^2 I, and for its zero entry
+    (n-1, n-1) no pair (row -1).
     """
     v, theta = (0, n) if self_flux else (n, 2 * n)  # first v row, theta row
     entries = [(i, v + j) for i in range(n) for j in range(n)] + [(j, theta) for j in range(n)]
     if self_flux:
         entries = [None if e == (n - 1, n - 1) else tuple(sorted(e)) for e in entries]
-    pairs = tuple(dict.fromkeys(e for e in entries if e))
+    pairs = tuple(dict.fromkeys(entries[n * n :] + [e for e in entries[: n * n] if e]))
     rows = np.array([pairs.index(e) if e else -1 for e in entries])
     rows.setflags(write=False)
     return pairs, rows
@@ -249,32 +256,33 @@ def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray
 class _Flux:
     """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of u = a
     and (v, theta) = b, half spectra (*lead, n or n + 1, N, ..., N/2+1), b alone
-    for a self flux, on buffers made once: the ``_ProductKernel`` on the
-    ``points`` grid, then a plan bound per output row, one multiply of its run
-    of nonzero ``op`` blocks by their band columns summed from +0.0, then its
-    theta term: the bits of one multiply-add per block in column order."""
+    for a self flux, bound once into a fixed call plan on buffers made once:
+    the ``_ProductKernel`` on the ``points`` grid writes the band into the
+    rows of one column stack whose last row is a copy of theta, then each
+    output row is one multiply of its run of nonzero ``op`` blocks by their
+    columns and one sum from +0.0, theta last: the bits of one multiply-add
+    per block in column order."""
 
     def __init__(self, grid: Grid, op: np.ndarray, self_flux: bool, points=None, lead=()):
         n, self.self_flux = grid.dim, self_flux
         pairs = _flux_plan(n, self_flux)[0]  # a cross flux pairs no row with itself
-        self.kernel = _ProductKernel(grid, 2 * n + 1 - n * self_flux, pairs, points, lead, n - 1)
-        band = self.kernel.band.reshape(lead + (len(pairs), -1))
+        cols = np.empty(lead + op.shape[1:], dtype=np.complex128)  # the band, then theta
+        band = cols[..., :-1, :].reshape(lead + (len(pairs),) + grid.half_shape)
+        self.kernel = _ProductKernel(grid, 2 * n + 1 - n * self_flux, pairs, points, lead, n - 1, band)
         self.out = np.empty(lead + (n + 1, op.shape[-1]), dtype=np.complex128)
-        tmp, self.plan = np.empty_like(band), []
-        self.tmp = tmp[..., 0, :]
+        self.theta, tmp, self.plan = cols[..., -1, :], np.empty_like(cols), []
         for i, used in enumerate(np.any(op, axis=-1)):
-            cols = np.flatnonzero(used[:-1])  # one run, by _flux_plan's order
-            run = slice(cols[0], cols[-1] + 1) if cols.size else slice(0)
-            self.plan.append((self.out[..., i, :], op[i, run], band[..., run, :], tmp[..., run, :],
-                              op[i, -1] if used[-1] else None))  # its theta term's block
+            run = np.flatnonzero(used)  # one run, by _flux_plan's order
+            run = slice(run[0], run[-1] + 1) if run.size else slice(0)
+            self.plan.append(partial(np.multiply, op[i, run], cols[..., run, :], out=tmp[..., run, :]))
+            self.plan.append(partial(np.add.reduce, tmp[..., run, :], axis=-2, out=self.out[..., i, :],
+                                     initial=0.0))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.kernel(*((b,) if self.self_flux else (a, b)))
-        theta = b.reshape(self.out.shape)[..., -1, :]
-        for out, w, cols, tmp, w_theta in self.plan:
-            np.add.reduce(np.multiply(w, cols, out=tmp), axis=-2, out=out, initial=0.0)
-            if w_theta is not None:
-                out += np.multiply(w_theta, theta, out=self.tmp)
+        np.copyto(self.theta, b.reshape(self.out.shape)[..., -1, :])
+        for call in self.plan:
+            call()
         return self.out.reshape(b.shape)
 
 
@@ -347,15 +355,21 @@ def scalar_norm(traj: FieldTrajectory, config: SolverConfig) -> float:
     return _solution_norm(traj, data_spaces(config, traj.grid.dim)[1], config)
 
 
-def _pair_norms(
-    grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig
-) -> tuple[float, float]:
-    """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory."""
-    n = grid.dim
-    return (
-        velocity_norm(FieldTrajectory.from_half(grid, times, stack[:, :n]), config),
-        scalar_norm(FieldTrajectory.from_half(grid, times, stack[:, n:]), config),
-    )
+def _pair_norms(grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig):
+    """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory (samples,
+    n + 1, N, ..., N/2+1), or the list of those pairs of k trajectories (k,
+    samples, ...), in the Chemin-Lerner regimes from one block table per norm
+    kind, each sample's column the bits of its own table."""
+    n, stacks = grid.dim, stack.reshape((-1,) + stack.shape[-grid.dim - 2 :])
+    if config.regime == "thm1.4":
+        pairs = [(velocity_norm(FieldTrajectory.from_half(grid, times, s[:, :n]), config),
+                  scalar_norm(FieldTrajectory.from_half(grid, times, s[:, n:]), config)) for s in stacks]
+    else:
+        pairs = list(zip(*(
+            [chemin_lerner_reduce(m, times, 2.0, replace(space, s=0)) for m in np.split(
+                _block_table(half.reshape((-1,) + half.shape[2:]), grid, space.p), len(stacks), axis=1)]
+            for half, space in zip((stacks[:, :, :n], stacks[:, :, n:]), data_spaces(config, n)))))
+    return pairs if stack.ndim > n + 2 else pairs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +574,10 @@ def picard_solve(
     prev_diff = None
     for k in range(1, config.max_iterations + 1):
         new = _fixed_point_map(times, state, state0, op, grid)
-        du, dth = _pair_norms(grid, times, new - state, config)
-        state = new
-        u_norm, th_norm = _pair_norms(grid, times, state, config)
+        pair = np.empty((2,) + new.shape, new.dtype)  # the difference, then the iterate
+        np.subtract(new, state, out=pair[0])
+        pair[1], state, new = new, pair[1], None
+        (du, dth), (u_norm, th_norm) = _pair_norms(grid, times, pair, config)
         pair_diff = du + cert.c_star * dth
         contraction = None if prev_diff in (None, 0.0) else pair_diff / prev_diff
         report.iterations.append(

@@ -23,33 +23,46 @@ reads a half spectrum cut to its first C last-axis columns (the rest zero)
 and runs the leading-axis ``ifft``s on those C columns; ``_r2c`` fills the
 first C last-axis columns, then runs the leading-axis ``fft``s on them in
 place.  The last-axis pass is pocketfft's ``irfft``/``rfft`` (``irfftn``/
-``rfftn`` bit for bit) if C > ``MATRIX_COLUMNS`` = 32, else one ``np.matmul``
-of the columns, read as interleaved floats, with a cached real DFT basis of
-16 C m bytes: only the kept columns' 2C m work, where ``irfft`` pads each row
-to m/2+1 (Markel's FFT pruning).  On a 2-vCPU guest, m = 64-1024, it takes
-0.54-0.79 of ``irfft``'s time at C = 32 and 0.74-1.56 at C = 64; the cap
-spares a 1-D N = 2^16 norm a 34 GB basis.  Each BLAS call, one matrix of the
-stack's last two axes, stays on one OpenBLAS thread at N <= 64.  The product
-equals pocketfft to roundoff; a non-finite entry spoils its whole row
-(``irfft`` drops a non-finite Im c_0 or Im c_{m/2}).
+``rfftn`` bit for bit) unless the matrix rule (``_matrix``) holds: C <=
+``MATRIX_COLUMNS`` = 32 and the pass makes at least m transforms, so that
+its basis is never larger than the output it writes (a 1-D N = 2^16 norm
+once built and kept 46 MB of them).  Then it is one ``np.matmul`` of the
+columns, read as interleaved floats, with a cached real DFT basis of 16 C m
+bytes: only the kept columns' 2C m work, where ``irfft`` pads each row to
+m/2+1 (Markel's FFT pruning).  On a 2-vCPU guest, m = 64-1024, it takes
+0.54-0.79 of ``irfft``'s time at C = 32 and 0.74-1.56 at C = 64.  Each BLAS
+call, one matrix of the stack's last two axes, stays on one OpenBLAS thread
+at N <= 64.  The product equals pocketfft to roundoff; a non-finite entry
+spoils its whole row (``irfft`` drops a non-finite Im c_0 or Im c_{m/2}).
 
-Quadratic nonlinearities go through one 3/2-rule body (Orszag), ``_ProductKernel``
-on buffers its caller reuses: each factor is placed on the M = 3N/2 lattice as
-the half spectrum of its real padded field, brought to the grid by a c2r
-pruned to the first N/2+1 of the M/2+1 last-axis columns (the only ones a
-padded factor occupies) and multiplied there; ``_band_spectrum`` reads back
-the band of the N lattice with its Nyquist planes zeroed, and the retained
-coefficients are the exact convolution of the inputs.  The band read follows
-the c2r's rule.  At N/2+1 <= ``MATRIX_COLUMNS`` it is two BLAS products: the
-last axis' first N/2 columns with ``_dft_basis``, then each leading axis with
-a cached complex (N, M) ``_band_basis`` whose Nyquist row is zero, written
-straight into the band.  Above it, it is a pruned r2c and a gather of the
-band: on a 2-vCPU guest the products take about 0.93 of that time at N = 32
-and 1.2 at N = 64.  The padded Hermitian part 0.5 (c_p + conj c_{-p}) carries
-input modes in [-N/2, N/2] per axis (an N-lattice Nyquist mode splits between
-+-N/2), so pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in
-[-N, -N/2] u [N/2, N], which meets the N lattice only on the Nyquist plane
-+-N/2, and that plane is zeroed.
+Quadratic nonlinearities go through one 3/2-rule body (Orszag), ``_ProductKernel``,
+bound once into a fixed call plan on buffers it owns: each factor is placed
+on the M = 3N/2 lattice as the half spectrum of its real padded field, brought
+to the grid by a c2r pruned to the first N/2+1 of the M/2+1 last-axis columns
+(the only ones a padded factor occupies) and multiplied there;
+``_band_spectrum`` reads back the band of the N lattice with its Nyquist
+planes zeroed, and the retained coefficients are the exact convolution of the
+inputs.  The pad and its c2r (``_Pad``) follow the matrix rule: at N/2+1 <=
+``MATRIX_COLUMNS``, dim <= 3 and m transforms per pass, each leading pass is
+one BLAS product that reads the N half lattice as it is, with ``_padded``'s
+weights folded into its bases.  Per axis let L and H hold the images of the
+bands B- and B+ of ``_pad_index`` (they differ only at +-N/2, both read from
+the N lattice's Nyquist index), A = (L + H)/2 and D = L - H.  The weight
+0.5 ([p in B-] + [p in B+]) factors: a last-axis column below N/2 takes A on
+each leading axis, plus D (x) D / 4 in 3-D, which reads only the corner line
+c(-N/2, -N/2, .); the column N/2 takes H (x) H with g = 1/2 (1 at m = N) in
+its row of the last-axis basis.  H - A and D are rank one, so the plan adds
+them to the column N/2 and the corner line after the A product.  The band
+read follows the same rule: at N/2+1 <= ``MATRIX_COLUMNS`` it is two BLAS
+products, the last axis' first N/2 columns with ``_dft_basis``, then each
+leading axis with a cached complex (N, M) ``_band_basis`` whose Nyquist row is
+zero, written straight into the band.  Above it, N >= 64, the pad is a gather
+and pocketfft, the band read a pruned r2c and a gather of the band.  The
+padded Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in
+[-N/2, N/2] per axis (an N-lattice Nyquist mode splits between +-N/2), so
+pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u
+[N/2, N], which meets the N lattice only on the Nyquist plane +-N/2, and that
+plane is zeroed.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -59,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -230,6 +243,13 @@ def hermitian_half(coeffs: np.ndarray, dim: int) -> np.ndarray:
 MATRIX_COLUMNS = 32  # the widest last-axis pass made as a matrix product (module docstring)
 
 
+def _matrix(cols: int, m: int, transforms: int) -> bool:
+    """The matrix rule: a pass that keeps ``cols`` columns of an m-point axis is
+    a BLAS product iff cols <= ``MATRIX_COLUMNS`` and it makes at least m
+    transforms, so that its basis is never larger than the output it writes."""
+    return cols <= MATRIX_COLUMNS and transforms >= m
+
+
 @lru_cache(maxsize=None)
 def _dft_basis(cols: int, m: int, inverse: bool) -> np.ndarray:
     """Read-only real DFT basis of the first ``cols`` columns of an m-point half
@@ -262,7 +282,7 @@ def _c2r(half: np.ndarray, dim: int, m: int, out=None, overwrite: bool = False) 
     for ax in range(-dim, -1):
         half = np.fft.ifft(half, axis=ax, norm="forward", out=half if overwrite else None)
     cols = half.shape[-1]
-    if cols > MATRIX_COLUMNS:
+    if not _matrix(cols, m, half.size // cols):
         return np.fft.irfft(half, n=m, axis=-1, norm="forward", out=out)
     pairs = np.ascontiguousarray(half, np.complex128).view(np.float64)
     return np.matmul(pairs, _dft_basis(cols, m, True), out=out)
@@ -273,7 +293,7 @@ def _r2c(values: np.ndarray, dim: int, cols: int, out=None) -> np.ndarray:
     written at cols <= ``MATRIX_COLUMNS``), into ``out`` if given, with the leading
     axes transformed in place on them; with all, ``rfftn``."""
     m = values.shape[-1]
-    if cols > MATRIX_COLUMNS:
+    if not _matrix(cols, m, values.size // m):
         spec = np.fft.rfft(values, axis=-1, norm="forward", out=out)
     else:
         spec = np.empty(values.shape[:-1] + (m // 2 + 1,), np.complex128) if out is None else out
@@ -534,16 +554,6 @@ def _band_basis(n: int, m: int) -> np.ndarray:
     return basis
 
 
-def _band_scratch(shape: tuple, grid: Grid) -> list[np.ndarray]:
-    """Buffers of ``_band_spectrum`` for real values of ``shape``: the pruned
-    r2c spectrum, or for the matrix read each partly read stack but the last."""
-    dim, n, m = grid.dim, grid.points, shape[-1]
-    if n // 2 + 1 > MATRIX_COLUMNS:
-        return [np.empty(shape[:-1] + (m // 2 + 1,), np.complex128)]
-    return [np.empty(shape[:-dim] + (n,) * k + (m,) * (dim - 1 - k) + (n // 2,), np.complex128)
-            for k in range(dim - 1)]
-
-
 def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
     """The pruned m half spectrum, m = N or 3N/2, of a factor given on the N
     half lattice: one weighted read, since 0.5 (c_p + c_p) is c_p bit for bit."""
@@ -551,59 +561,167 @@ def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
     return np.multiply(_gather(coeffs, grid.dim, index, out), weight, out=out)
 
 
-def _band_spectrum(values: np.ndarray, grid: Grid, scratch=None, out=None) -> np.ndarray:
-    """Half spectrum on the N band, Nyquist planes zeroed, of real values on
-    the m grid, m = N or 3N/2 read from their last axis, into ``out`` if given
-    (other buffers: ``_band_scratch``): a pruned r2c and the band gather, or at
-    N/2+1 <= ``MATRIX_COLUMNS`` BLAS products, leading axes outermost first."""
+@lru_cache(maxsize=None)
+def _pad_bases(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """Read-only bases of the folded pad from the N lattice of one axis to its
+    m grid (module docstring): the complex (m, N) A; H - A in its one nonzero
+    column N/2, -D/2 with D = L - H; D/4 as an (m, 1) column; [A | D]; and
+    the c2r's last-axis ``_dft_basis`` with the column N/2 weighted by g."""
+    h, x = n // 2, np.arange(m)[:, None]
+    turn = x * np.append(_wavenumbers(n), h) % m  # the N lattice's wavenumbers, then +N/2
+    angle = TWO_PI / m * np.where(2 * turn < m, turn, turn - m)
+    e = np.cos(angle) + 1j * np.where(2 * turn % m == 0, 0.0, np.sin(angle))
+    a, d = e[:, :n].copy(), e[:, h] - e[:, n]  # L, and D's column N/2
+    a[:, h] -= d / 2
+    last = _dft_basis(h + 1, m, True).copy()
+    last[2 * h :] *= 1.0 if m == n else 0.5
+    bases = (a, -d / 2, d[:, None] / 4, np.column_stack([a, d]), last)
+    for basis in bases:
+        basis.setflags(write=False)
+    return bases
+
+
+class _Pad:
+    """Grid values on the m^n grid, m = N or 3N/2, of the Hermitian part of
+    factors given on the N half lattice, on buffers made once: stacks (*lead,
+    rows, N, ..., N/2+1) are written in turn into the rows of ``shape`` =
+    (*lead, rows).  ``_c2r`` of ``_padded``, or at dim <= 3 under the matrix
+    rule the folded pad: one BLAS product with ``_pad_bases`` per pass, the
+    leading ones innermost first and reading the N half lattice as it is, and
+    rank-one terms on the column N/2 and the corner line (module docstring)."""
+
+    def __init__(self, grid: Grid, m: int, shape: tuple):
+        dim, n, h = grid.dim, grid.points, grid.points // 2
+        self.grid, self.m, self.pads = grid, m, {}
+        self.values = np.empty(shape + (m,) * dim)
+        self.half = np.empty(shape + (m,) * (dim - 1) + (h + 1,), np.complex128)
+        rows = int(np.prod(shape))
+        self.fold = dim <= 3 and _matrix(h + 1, m, rows * (n ** (dim - 2) * (h + 1) if dim > 1 else 1))
+        if not self.fold:
+            self.calls = [partial(_c2r, self.half, dim, m, self.values, True)]
+            return
+        _, _, _, aext, last = _pad_bases(n, m)
+        self.calls = [partial(np.matmul, self.half.view(np.float64), last, out=self.values)]
+        if dim == 3:  # the slot's column N/2, then the outer pass over [A | D]
+            t = self.t = np.zeros(shape + (n + 1, m, h + 1), np.complex128)
+            self.calls[:0] = [partial(np.matmul, aext, t.reshape(shape + (n + 1, -1)),
+                                      out=self.half.reshape(shape + (m, -1)))]
+            if m != n:
+                self.calls.insert(0, partial(np.multiply, t[..., h, :, h], -0.5, out=t[..., n, :, h]))
+
+    def _pad(self, rows: slice):
+        """The call that writes one stack into the factor ``rows``."""
+        grid, m = self.grid, self.m
+        dim, n, h = grid.dim, grid.points, grid.points // 2
+        pick = (Ellipsis, rows) + (slice(None),) * dim
+        y = self.half[pick]
+        if not self.fold:
+            return lambda x: _padded(x, grid, m, y)
+        if dim == 1:
+            return partial(np.copyto, y)
+        a, dh, q, _, _ = _pad_bases(n, m)
+        y = y if dim == 2 else self.t[pick][..., :n, :, :]  # 3-D: the inner pass
+        if m == n:  # L = H = A
+            return partial(np.matmul, a, out=y)
+        col, line = y[..., h], np.empty(y[..., h].shape, np.complex128)
+        corner = self.t[pick][..., n, :, :h] if dim == 3 else None
+
+        def pad(x):
+            np.matmul(a, x, out=y)
+            np.add(col, np.multiply(x[..., h, h, None], dh, out=line), out=col)
+            if corner is not None:
+                np.multiply(x[..., h, h, None, :h], q, out=corner)
+
+        return pad
+
+    def __call__(self, *stacks: np.ndarray) -> np.ndarray:
+        key = tuple(x.shape[-self.grid.dim - 1] for x in stacks)
+        if key not in self.pads:
+            ends = np.cumsum((0,) + key)
+            self.pads[key] = [self._pad(slice(a, b)) for a, b in zip(ends, ends[1:])]
+        for pad, x in zip(self.pads[key], stacks):
+            pad(x)
+        for call in self.calls:
+            call()
+        return self.values
+
+
+def _band_plan(values: np.ndarray, grid: Grid, out: np.ndarray) -> list:
+    """The calls that write into ``out`` the half spectrum on the N band of real
+    values on the m grid, m = N or 3N/2 read from their last axis, on buffers
+    made here: a pruned r2c and the band gather, Nyquist planes zeroed, or
+    under the matrix rule at N/2+1 <= ``MATRIX_COLUMNS`` BLAS products, leading
+    axes outermost first, whose leading Nyquist planes may read -0.0."""
     dim, n, m = grid.dim, grid.points, values.shape[-1]
-    scratch = _band_scratch(values.shape, grid) if scratch is None else scratch
-    if n // 2 + 1 > MATRIX_COLUMNS:
-        spec = _r2c(values, dim, n // 2 + 1, scratch[0])
-        return _zero_nyquist(_gather(spec, dim, _band_index(n, dim, m), out), dim, n)
-    out = np.empty(values.shape[:-dim] + grid.half_shape, np.complex128) if out is None else out
+    if not _matrix(n // 2 + 1, m, values.size // m):
+        spec, index = np.empty(values.shape[:-1] + (m // 2 + 1,), np.complex128), _band_index(n, dim, m)
+        return [lambda: _zero_nyquist(_gather(_r2c(values, dim, n // 2 + 1, spec), dim, index, out),
+                                      dim, n)]
     out[..., n // 2] = 0.0
-    steps = scratch + [out[..., : n // 2]]
-    np.matmul(values, _dft_basis(n // 2, m, False), out=steps[0].view(np.float64))
+    steps = [np.empty(values.shape[:-dim] + (n,) * k + (m,) * (dim - 1 - k) + (n // 2,), np.complex128)
+             for k in range(dim - 1)] + [out[..., : n // 2]]
+    calls = [partial(np.matmul, values, _dft_basis(n // 2, m, False), out=steps[0].view(np.float64))]
     for k, (src, dst) in enumerate(zip(steps, steps[1:])):  # leading axis k
         pre = src.shape[: src.ndim - dim + k]
-        np.matmul(_band_basis(n, m), src.reshape(pre + (m, -1)), out=dst.reshape(pre + (n, -1)))
-    for plane in _nyquist_planes(dim, n)[1:]:  # BLAS may sum a zero row to -0.0
-        out[plane] += 0.0
-    return out
+        calls.append(partial(np.matmul, _band_basis(n, m), src.reshape(pre + (m, -1)),
+                             out=dst.reshape(pre + (n, -1))))
+    return calls
+
+
+def _plus_zero(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Turn -0.0 on the leading Nyquist planes of a band into +0.0, in place."""
+    for plane in _nyquist_planes(grid.dim, grid.points)[1:]:  # BLAS may sum a zero row to -0.0
+        coeffs[plane] += 0.0
+    return coeffs
+
+
+def _band_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum on the N band, Nyquist planes zeroed, of real values on
+    the m grid, m = N or 3N/2 read from their last axis, by ``_band_plan``."""
+    out = np.empty(values.shape[: -grid.dim] + grid.half_shape, np.complex128)
+    for call in _band_plan(values, grid, out):
+        call()
+    return _plus_zero(out, grid)
 
 
 class _ProductKernel:
-    """The one 3/2 product body, on buffers reused by every call: it pads the
-    half spectra (*lead, rows, N, ..., N/2+1) of its stacks into the
-    ``factors`` rows in turn, multiplies the ``pairs`` of rows on the m^n grid
-    (m = 3N/2, or ``points`` = N if pair sums stay below N/2 per axis) and
-    returns their band, read by ``_band_spectrum`` into its ``band`` buffer;
-    with ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
+    """The one 3/2 product body, bound once into a fixed call plan on buffers
+    it owns: its ``_Pad`` writes the half spectra (*lead, rows, N, ...,
+    N/2+1) of its stacks into the ``factors`` rows in turn on the m^n grid
+    (m = 3N/2, or ``points`` = N if pair sums stay below N/2 per axis), the
+    ``pairs`` of rows are multiplied there, a run (i..i+k, j) in one broadcast
+    multiply, and ``_band_plan`` reads their band into ``band`` (made here if
+    not given), its leading Nyquist planes zero of either sign; with
+    ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
 
-    def __init__(self, grid: Grid, factors: int, pairs, points=None, lead=(), trace=None):
-        dim, n = grid.dim, grid.points
-        self.grid, self.m, self.pairs, self.trace = grid, points or 3 * n // 2, pairs, trace
-        self.values = np.empty(lead + (factors,) + (self.m,) * dim)
-        self.padded = np.empty(self.values.shape[:-1] + (n // 2 + 1,), np.complex128)
-        self.prod = np.empty(lead + (len(pairs),) + self.values.shape[-dim:])
-        self.square = np.empty_like(self.prod[(..., 0) + (slice(None),) * dim])
-        self.scratch = _band_scratch(self.prod.shape, grid)
-        self.band = np.empty(lead + (len(pairs),) + grid.half_shape, np.complex128)
+    def __init__(self, grid: Grid, factors: int, pairs, points=None, lead=(), trace=None, band=None):
+        row = (slice(None),) * grid.dim
+        self.pad = _Pad(grid, points or 3 * grid.points // 2, lead + (factors,))
+        v = self.pad.values
+        prod = np.empty(lead + (len(pairs),) + v.shape[-grid.dim :])
+        square = np.empty_like(prod[(..., slice(0, 1)) + row])
+        self.band = np.empty(lead + (len(pairs),) + grid.half_shape, np.complex128) if band is None else band
+        runs = []  # [first pair, count, i, j]: the pairs (i + c, j), c < count
+        for p, (i, j) in enumerate(pairs):
+            if runs and i != j and runs[-1][2] != j == runs[-1][3] and sum(runs[-1][1:3]) == i:
+                runs[-1][1] += 1
+            else:
+                runs.append([p, 1, i, j])
+        self.calls = []
+        for p, c, i, j in runs:
+            out = prod[(..., slice(p, p + c)) + row]
+            self.calls.append(partial(np.multiply, v[(..., slice(i, i + c)) + row],
+                                      v[(..., slice(j, j + 1)) + row], out=out))
+            if i == j and trace is not None:
+                self.calls += [partial(np.square, v[(..., slice(trace, trace + 1)) + row], out=square),
+                               partial(np.subtract, out, square, out=out)]
+        self.calls += _band_plan(prod, grid, self.band)
 
     def __call__(self, *stacks: np.ndarray) -> np.ndarray:
-        dim, row = self.grid.dim, (slice(None),) * self.grid.dim
-        start = 0
-        for coeffs in stacks:  # each padded straight into its factor rows: no concatenated copy
-            rows = slice(start, start + coeffs.shape[-dim - 1])
-            _padded(coeffs, self.grid, self.m, self.padded[(..., rows) + row])
-            start = rows.stop
-        v = _c2r(self.padded, dim, self.m, self.values, overwrite=True)
-        for p, (i, j) in enumerate(self.pairs):  # one at a time: no gathered copies
-            prod = np.multiply(v[(..., i) + row], v[(..., j) + row], out=self.prod[(..., p) + row])
-            if i == j and self.trace is not None:
-                prod -= np.square(v[(..., self.trace) + row], out=self.square)
-        return _band_spectrum(self.prod, self.grid, self.scratch, self.band)
+        self.pad(*stacks)
+        for call in self.calls:
+            call()
+        return self.band
 
 
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
@@ -624,7 +742,7 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
     rows = np.concatenate([np.broadcast_to(f, lead + f.shape[ax:]) for f in factors], axis=ax)
     off = rows.shape[ax] - spec_b.shape[ax]  # the first row of b
     kernel = _ProductKernel(grid, rows.shape[ax], [(i, off + j) for i, j in pairs], lead=lead)
-    return kernel(rows)
+    return _plus_zero(kernel(rows), grid)
 
 
 def dealias_multiply(

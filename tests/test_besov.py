@@ -869,3 +869,37 @@ def test_embedding_constants_stable_at_doubled_resolution(rng):
         assert c64[key] <= 1.1 * c32[key] + 1e-12, key
     # the sup norm really is below the summed block norm
     assert c32["sup_vs_strong"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("dim,points", [(2, 32), (2, 8), (3, 8)])
+@pytest.mark.parametrize("p", [1.0, 2.0, INF])
+def test_row_pruned_table_equals_the_per_shell_c2r(dim, points, p, monkeypatch):
+    # a stack big enough for the matrix rule takes the rows-only product;
+    # against one c2r per shell of the half times its weights: an all-zero
+    # sample reads +0.0, a sample holding a nan or inf reads NaN in every
+    # shell, one of 1e300 entries overflows its squares and is measured
+    # again, finite; the rest agree to 1e-14 of the largest entry
+    grid = Grid(dim, points)
+    rng = np.random.default_rng(points + dim)
+    half = np.fft.rfftn(rng.standard_normal((12, 2) + grid.shape), axes=tuple(range(-dim, 0)),
+                        norm="forward")
+    half[0] = 0.0
+    half[1, 0].flat[3] = np.nan
+    half[2, 1].flat[-1] = np.inf
+    half[3] *= 1e300 / np.max(np.abs(half[3]))
+    used = []
+    rows = besov._shell_rows
+    monkeypatch.setattr(besov, "_shell_rows", lambda *a: used.append(a) or rows(*a))
+    with np.errstate(all="ignore"):
+        table = besov._block_table(half, grid, p)
+        expected = []
+        for q in range(-1, shell_max(grid) + 1):
+            c = besov._shell_columns(grid, q, build_cutoffs())
+            block = besov._c2r(half[..., :c] * block_weights(grid, q)[..., :c], dim, points)
+            expected.append(np.where([False, True, True] + [False] * 9, np.nan,
+                                     besov._lp_norms(block, grid, p)))
+    assert used
+    assert not np.any(table[:, 0]) and not np.any(np.signbit(table[:, 0]))
+    assert np.all(np.isnan(table[:, 1:3])) and np.all(np.isfinite(table[:, 3:]))
+    assert np.any(table[:, 3] > 1e290)
+    _assert_table_agrees(table, np.array(expected))

@@ -407,9 +407,12 @@ def test_verify_bony_transforms_on_the_n_grid_only(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     sizes, calls = [], []
     c2r = spectral._c2r
-    sized = lambda half, dim, m, out=None: sizes.append(m) or c2r(half, dim, m, out)
-    for module in (spectral, dyadic, paraproduct):
+    sized = lambda half, dim, m, *rest: sizes.append(m) or c2r(half, dim, m, *rest)
+    for module in (spectral, paraproduct):
         monkeypatch.setattr(module, "_c2r", sized)
+    pad = spectral._Pad  # the block values' pad and c2r
+    for module in (spectral, dyadic):
+        monkeypatch.setattr(module, "_Pad", lambda grid, m, shape: sizes.append(m) or pad(grid, m, shape))
     for name in ("dealiased_product", "dealiased_products"):
         real = getattr(spectral, name)
         spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)

@@ -35,15 +35,15 @@ from lptorus.cli import main  # noqa: E402
 PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 
 REPORT_DIGESTS = {
-    "solve": "584033cbe74348da1e09fa31a931ec5c2858103b5b80df14e218ba625f16b750",
+    "solve": "eece3af6f531d94575de3e3fe5d3a461f9607b6c7963fd1408e9dcbeb621afe2",
     "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
-    "bony": "bea22b74881cddca382623052af0672a1d6fd29c02f37577a36abdb932c98b1a",
+    "bony": "b93615c7098b3d6878e4cebe25e45269b8c1571c58751375f274c28bdda4a6b3",
     "heatchar": "2a61459ce204b30089d1303604b129880a87e5b10d753ff0e9551e0029c2e8d4",
-    "lp": "6d14ba30af5141af4f74a0ad02d3c5cbe6cc45c7540bcae602b98dd4007a301a",
-    "besov": "7a5f09740808e8d20de044c3b2b45c5c891218d038047da8d19da4c378789b40",
+    "lp": "06ed06fa15e4e9387f6e281729d58f3261facf132256ecbec229df54f3c277eb",
+    "besov": "38ae64000f3fb0e570eb92dc3821592c3d8bf2eecca62c25d3e24eb8c34fc658",
     "bernstein": "536a152a882793adcd11bc595abe1162819beba3a9968363e3c43f092dd5a293",
-    "solve thm1.3:2,2": "7c96407a0a3b480a4988af7aad8a9ecbb4a512b5160776a71ffff4819dfa421d",
-    "solve thm1.4:2,0.5": "c7d42fb4bedfe47d49a566eda4511a899c0cd73da357819006a83e089bc44151",
+    "solve thm1.3:2,2": "64dc99f237d7d61ce85b9de29dee4fdd63e56c5719b43441008f28df28348658",
+    "solve thm1.4:2,0.5": "54f55c7f2846c8bb723a308569bafb74e840f2e44ac3d837be52fd8f2d3fd59d",
 }
 
 

@@ -733,8 +733,9 @@ def test_residual_check_rejects_data_on_two_grids(theta_grid):
 
 
 def test_picard_hands_its_final_norms_to_the_residual_check(monkeypatch):
-    # one _pair_norms call for the certificate, two per iteration and one for
-    # the residual; the final iterate's norms are not measured again, and
+    # one _pair_norms call for the certificate, one per iteration for its
+    # difference and its iterate stacked, and one for the residual; the final
+    # iterate's norms are not measured again, and
     # the residuals keep the bits of a check that measures them itself
     grid = Grid(2, 16)
     config = SolverConfig(horizon=0.25, steps=8, lambda_=1.0, eta=1.0)
@@ -754,7 +755,7 @@ def test_picard_hands_its_final_norms_to_the_residual_check(monkeypatch):
     monkeypatch.setattr(lptorus.solver, "residual_check", spied)
     _, _, report = picard_solve(u0, th0, config)
     assert report.final["iterations"] >= 2
-    assert len(calls) == 2 + 2 * report.final["iterations"]
+    assert len(calls) == 2 + report.final["iterations"]
     assert len(checks) == 1 and report.residuals == check(*checks[0])
 
 
@@ -836,7 +837,7 @@ def test_picard_state_tables_transform_every_shell(grid32, constants, monkeypatc
     th0 = random_field(grid32, rng) * 0.01
     config = with_constants(SolverConfig(horizon=0.5, steps=8, regime="thm1.2"), constants)
     _, _, report = picard_solve(u0, th0, config)
-    assert report.converged and len(counts) >= 2 + 4 * report.final["iterations"]
+    assert report.converged and len(counts) >= 2 + 2 * report.final["iterations"]
     assert set(counts) == {shell_max(grid32) + 2} == {4}
 
 
@@ -1141,12 +1142,10 @@ def test_cross_flux_pads_its_two_stacks_as_their_concatenation(dim, points, n_gr
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
-    # per step one c2r batch and one band read, and two c2r at the end for u
-    # and theta; a c2r is its leading-axis ifft passes, then one last-axis
-    # pass.  At N = 8 every last-axis pass keeps at most MATRIX_COLUMNS
-    # columns, so it is one np.matmul with a DFT basis, and the band read is
-    # one for the last axis (the r2c) and one with the (8, 12) band basis per
-    # leading axis: no irfft, rfft or fft runs
+    # the step's call budget at N = 8: no numpy.fft call and one BLAS call
+    # per pass, the folded pad's dim - 1 leading passes and its c2r, the band
+    # read's r2c and its dim - 1 leading passes; then two c2r at the end for u
+    # and theta, each its leading-axis ifft passes and one last-axis product
     grid = Grid(dim, 8)
     steps = 3
     config = SolverConfig(horizon=0.1, steps=steps, buoyancy=(0.0,) * (dim - 1) + (1.0,),
@@ -1161,21 +1160,22 @@ def test_oracle_step_makes_one_transform_batch_each_way(dim, monkeypatch):
         module = np if name == "matmul" else np.fft
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            # an r2c pass maps the 12 points of the padded grid to 4 columns
+            # keyed on the basis: the 12 points of the padded grid to or from
+            # the 8 of the N lattice, or the pad's (10, 12) c2r basis
             key = _name
-            if _name == "matmul" and args[1].shape == (12, 8):
-                key = "r2c"
+            if _name == "matmul":
+                key = {(12, 8): "r2c", (10, 12): "c2r"}.get(args[1].shape) or {
+                    (8, 12): "band", (12, 8): "pad", (12, 9): "pad"}.get(args[0].shape, key)
+            if key == "r2c":
                 rows.append(args[0].shape[-dim - 1])
-            elif _name == "matmul" and args[0].shape == (8, 12):
-                key = "band"
             counts[key] = counts.get(key, 0) + 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     exponential_euler(u0, th0, config)
     passes = steps * (dim - 1)
-    assert counts == {"matmul": steps + 2, "ifft": passes + 2 * (dim - 1), "r2c": steps,
-                      "band": passes}
+    assert counts == {"pad": passes, "c2r": steps, "r2c": steps, "band": passes,
+                      "matmul": 2, "ifft": 2 * (dim - 1)}
     # the trace-free self flux: (n - 1)(n + 2)/2 + n products per r2c batch
     assert rows == [(dim - 1) * (dim + 2) // 2 + dim] * steps
 
@@ -1313,3 +1313,23 @@ def test_regime_norms_equal_the_per_regime_formulas_bit_for_bit(regime):
     got = (velocity_norm(u, config), scalar_norm(th, config), cert.mu1, cert.mu2)
     assert got == expected
     assert (cert.free_velocity_norm, cert.free_scalar_norm) == expected[:2]
+
+
+@pytest.mark.parametrize("regime", ["thm1.2", "thm1.4"])
+def test_duhamel_panel_sums_equal_the_panel_loop_bit_for_bit(regime):
+    # the panel sums formed for a run of equal widths at once against the
+    # panel-by-panel loop, on a uniform grid and on thm1.4's log-prefixed one
+    grid = Grid(2, 16)
+    times = time_grid(SolverConfig(horizon=0.5, steps=16, regime=regime, p=2.0, eps=0.5))
+    rng = np.random.default_rng(len(times))
+    shape = (len(times), 3) + grid.half_shape
+    source = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.zeros_like(source)
+    for j in range(1, len(times)):
+        dt = times[j] - times[j - 1]
+        g1, g2 = _panel_weights(grid.k_sq * dt)
+        acc = np.multiply(source[j], g1 - g2, out=want[j])
+        acc += source[j - 1] * g2
+        acc *= dt
+        acc += np.exp(-grid.k_sq * dt) * want[j - 1]
+    assert np.array_equal(_duhamel_stack(times, source, grid).view(float), want.view(float))

@@ -728,7 +728,7 @@ def test_transforms_equal_pocketfft_on_both_sides_of_the_matrix_rule(case, seed,
         spec_expected = np.fft.rfftn(values, axes=axes, norm="forward")[..., :cols]
         got = _c2r(half, dim, m)
         spec = _r2c(values, dim, cols)[..., :cols]
-    matrix = cols <= MATRIX_COLUMNS
+    matrix = cols <= MATRIX_COLUMNS and 3 * m ** (dim - 1) >= m  # the rule: at least m transforms
     _assert_transform_agrees(got, expected, half, matrix)
     _assert_transform_agrees(spec, spec_expected, values, matrix)
     # the zero sample transforms to zeros, and its norms read +0.0
@@ -740,10 +740,12 @@ def test_transforms_equal_pocketfft_on_both_sides_of_the_matrix_rule(case, seed,
 
 
 def test_no_basis_is_built_for_a_pass_wider_than_the_matrix_rule(monkeypatch, rng):
-    # a 1-D N = 2^14 block table (shells of 2 to 8193 columns) and a 2-D
-    # N = 128 product (65 of 97 columns): the narrow passes take a cached
-    # basis of 16 C m bytes, the wide ones none, which at C = N/2+1 would be
-    # 34 GB for a 1-D N = 2^16 norm
+    # a 1-D N = 2^14 block table (shells of 2 to 8193 columns, one transform
+    # each) and a 2-D N = 128 product (65 of 97 columns) take no basis: a
+    # matrix pass keeps at most MATRIX_COLUMNS columns and makes at least m
+    # transforms, so its basis is never larger than its output (a 1-D N = 2^16
+    # norm once built and kept 46 MB of them).  The folded pad's leading pass
+    # follows the same rule
     built = []
     basis = spectral._dft_basis
     monkeypatch.setattr(spectral, "_dft_basis",
@@ -752,14 +754,16 @@ def test_no_basis_is_built_for_a_pass_wider_than_the_matrix_rule(monkeypatch, rn
     grid = Grid(2, 128)
     spec = random_field(grid, rng, components=2).spectral
     dealiased_products(spec, spec, [(0, 0), (0, 1)], grid)
-    assert (2, 2**14) in built  # the lowest shell's pass, a matrix product
-    assert max(cols for cols, _ in built) <= MATRIX_COLUMNS
+    assert built == []
     basis.cache_clear()
-    for cols in (MATRIX_COLUMNS, MATRIX_COLUMNS + 1):  # the rule's edge, both ways
-        built.clear()
-        _c2r(np.zeros((1, cols), dtype=complex), 1, 64)
-        _r2c(np.zeros((1, 64)), 1, cols)
-        assert built == ([(cols, 64)] * 2 if cols <= MATRIX_COLUMNS else [])
+    for cols in (MATRIX_COLUMNS, MATRIX_COLUMNS + 1):  # the rule's edges, both ways
+        for rows in (63, 64):
+            built.clear()
+            _c2r(np.zeros((rows, cols), dtype=complex), 1, 64)
+            _r2c(np.zeros((rows, 64)), 1, cols)
+            assert built == ([(cols, 64)] * 2 if cols <= MATRIX_COLUMNS and rows == 64 else [])
+    # the 2-D N = 32 pad onto m = 48 transforms rows * 17 columns in its leading pass
+    assert [spectral._Pad(Grid(2, 32), 48, (rows,)).fold for rows in (2, 3)] == [False, True]
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
@@ -853,3 +857,42 @@ def test_only_the_spectral_module_calls_numpy_fft():
     source = (package / "spectral.py").read_text()
     called = set(re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", source))
     assert called <= {"rfftn", "rfft", "irfft", "fft", "ifft", "fftfreq"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    points=st.sampled_from([2, 4, 8, 16, 32]),
+    padded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    spoil=st.lists(st.tuples(st.integers(0, 2**22), st.sampled_from([np.nan, np.inf, -np.inf]),
+                             st.booleans()), max_size=2),
+)
+@example(dim=3, points=8, padded=True, seed=0, spoil=[])
+@example(dim=2, points=4, padded=False, seed=1, spoil=[(3, np.inf, True)])
+def test_folded_pad_equals_the_padded_pocketfft_c2r(dim, points, padded, seed, spoil):
+    # the folded pad reads the N half lattice through its BLAS bases: against
+    # _padded and irfftn of the zero-filled pruned m half spectrum, on half
+    # spectra of white noise whose Nyquist planes are populated and whose 3-D
+    # corner line c(-N/2, -N/2, .) is ten times larger, on m = N and 3N/2.
+    # The first sample stays finite; a non-finite entry spoils its own sample
+    grid, h = Grid(dim, points), points // 2
+    m = 3 * points // 2 if padded else points
+    rows = {1: 48, 2: 4, 3: 2}[dim]  # enough transforms for the rule
+    rng = np.random.default_rng(seed)
+    shape = (rows,) + grid.half_shape
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if dim == 3:
+        half[..., h, h, :] *= 10.0
+    for pos, bad, real in spoil:
+        at = np.unravel_index(pos % half[1:].size, half[1:].shape)
+        entry = half[1:][at]
+        half[1:][at] = complex(bad, entry.imag) if real else complex(entry.real, bad)
+    pad = spectral._Pad(grid, m, (rows,))
+    assert pad.fold
+    filled = np.zeros(shape[:-1 - (dim - 1)] + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        filled[..., : h + 1] = _padded(half, grid, m)
+        expected = np.fft.irfftn(filled, s=(m,) * dim, axes=tuple(range(-dim, 0)), norm="forward")
+        got = pad(half)
+    _assert_transform_agrees(got, expected, half, True)
