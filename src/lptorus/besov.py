@@ -249,8 +249,8 @@ def _block_table(
             bad = ~np.all(np.isfinite(half), axis=tuple(range(-dim - 1, 0)))
     # the modes holding a nonzero entry, nan and inf included, in any sample
     occupied = np.any(half, axis=tuple(range(half.ndim - dim)))
-    cols = _shell_columns(grid, -1, cut)  # the narrowest shell
-    rows = dim > 1 and _matrix(n // 2 + 1, n, half.size // (n * (n // 2 + 1)) * cols)
+    # at least 2N samples and components: a (13, 2) stack at N = 32 ran 1.4x slower this way
+    rows = dim > 1 and _matrix(n // 2 + 1, 2 * n, half.size // (n ** (dim - 1) * (n // 2 + 1)))
     if rows:  # the stack seen (N, components, ...): first spatial axis outermost
         half = np.moveaxis(half, (-dim, -dim - 1), (0, 1))
         pruned, wide = np.empty(half.size, np.complex128), np.empty(half.size, np.complex128)
