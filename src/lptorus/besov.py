@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import TWO_PI, Field, Grid, _c2r, _matrix, _wavenumbers, heat_stack, values_from_half
+from .spectral import MATRIX_COLUMNS, TWO_PI, Field, Grid, _c2r, _wavenumbers, heat_stack, values_from_half
 
 INF = float("inf")
 
@@ -249,8 +249,10 @@ def _block_table(
             bad = ~np.all(np.isfinite(half), axis=tuple(range(-dim - 1, 0)))
     # the modes holding a nonzero entry, nan and inf included, in any sample
     occupied = np.any(half, axis=tuple(range(half.ndim - dim)))
-    # at least 2N samples and components: a (13, 2) stack at N = 32 ran 1.4x slower this way
-    rows = dim > 1 and _matrix(n // 2 + 1, 2 * n, half.size // (n ** (dim - 1) * (n // 2 + 1)))
+    # rows pruned in 2-D and 3-D at N/2+1 <= MATRIX_COLUMNS and at least 2N samples and components
+    # (a (13, 2) stack at N = 32, as in `verify bilinear`, ran 1.4x slower this way)
+    stack = half.size // (n ** (dim - 1) * (n // 2 + 1))
+    rows = dim > 1 and n // 2 + 1 <= MATRIX_COLUMNS and stack >= 2 * n
     if rows:  # the stack seen (N, components, ...): first spatial axis outermost
         half = np.moveaxis(half, (-dim, -dim - 1), (0, 1))
         pruned, wide = np.empty(half.size, np.complex128), np.empty(half.size, np.complex128)

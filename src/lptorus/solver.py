@@ -58,7 +58,6 @@ from .besov import (
     _block_table,
     block_time_lp,  # noqa: F401  perfbench's tracer tests read it from this module
     chemin_lerner_norm,
-    chemin_lerner_reduce,
     kato_weighted_norm,
     lp_norm,
 )
@@ -355,21 +354,15 @@ def scalar_norm(traj: FieldTrajectory, config: SolverConfig) -> float:
     return _solution_norm(traj, data_spaces(config, traj.grid.dim)[1], config)
 
 
-def _pair_norms(grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig):
-    """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory (samples,
-    n + 1, N, ..., N/2+1), or the list of those pairs of k trajectories (k,
-    samples, ...), in the Chemin-Lerner regimes from one block table per norm
-    kind, each sample's column the bits of its own table."""
-    n, stacks = grid.dim, stack.reshape((-1,) + stack.shape[-grid.dim - 2 :])
-    if config.regime == "thm1.4":
-        pairs = [(velocity_norm(FieldTrajectory.from_half(grid, times, s[:, :n]), config),
-                  scalar_norm(FieldTrajectory.from_half(grid, times, s[:, n:]), config)) for s in stacks]
-    else:
-        pairs = list(zip(*(
-            [chemin_lerner_reduce(m, times, 2.0, replace(space, s=0)) for m in np.split(
-                _block_table(half.reshape((-1,) + half.shape[2:]), grid, space.p), len(stacks), axis=1)]
-            for half, space in zip((stacks[:, :, :n], stacks[:, :, n:]), data_spaces(config, n)))))
-    return pairs if stack.ndim > n + 2 else pairs[0]
+def _pair_norms(
+    grid: Grid, times: np.ndarray, stack: np.ndarray, config: SolverConfig
+) -> tuple[float, float]:
+    """(velocity_norm, scalar_norm) of a stacked (u, theta) trajectory."""
+    n = grid.dim
+    return (
+        velocity_norm(FieldTrajectory.from_half(grid, times, stack[:, :n]), config),
+        scalar_norm(FieldTrajectory.from_half(grid, times, stack[:, n:]), config),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +567,9 @@ def picard_solve(
     prev_diff = None
     for k in range(1, config.max_iterations + 1):
         new = _fixed_point_map(times, state, state0, op, grid)
-        pair = np.empty((2,) + new.shape, new.dtype)  # the difference, then the iterate
-        np.subtract(new, state, out=pair[0])
-        pair[1], state, new = new, pair[1], None
-        (du, dth), (u_norm, th_norm) = _pair_norms(grid, times, pair, config)
+        du, dth = _pair_norms(grid, times, new - state, config)
+        state = new
+        u_norm, th_norm = _pair_norms(grid, times, state, config)
         pair_diff = du + cert.c_star * dth
         contraction = None if prev_diff in (None, 0.0) else pair_diff / prev_diff
         report.iterations.append(

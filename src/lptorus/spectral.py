@@ -42,22 +42,21 @@ to the grid by a c2r pruned to the first N/2+1 of the M/2+1 last-axis columns
 (the only ones a padded factor occupies) and multiplied there;
 ``_band_spectrum`` reads back the band of the N lattice with its Nyquist
 planes zeroed, and the retained coefficients are the exact convolution of the
-inputs.  The pad and its c2r (``_Pad``) follow the matrix rule: at N/2+1 <=
-``MATRIX_COLUMNS``, dim <= 3 and m transforms per pass, each leading pass is
-one BLAS product that reads the N half lattice as it is, with ``_padded``'s
-weights folded into its bases.  Per axis let L and H hold the images of the
-bands B- and B+ of ``_pad_index`` (they differ only at +-N/2, both read from
-the N lattice's Nyquist index), A = (L + H)/2 and D = L - H.  The weight
-0.5 ([p in B-] + [p in B+]) factors: a last-axis column below N/2 takes A on
-each leading axis, plus D (x) D / 4 in 3-D, which reads only the corner line
-c(-N/2, -N/2, .); the column N/2 takes H (x) H with g = 1/2 (1 at m = N) in
-its row of the last-axis basis.  H - A and D are rank one, so the plan adds
-them to the column N/2 and the corner line after the A product.  The band
-read follows the same rule: at N/2+1 <= ``MATRIX_COLUMNS`` it is two BLAS
-products, the last axis' first N/2 columns with ``_dft_basis``, then each
-leading axis with a cached complex (N, M) ``_band_basis`` whose Nyquist row is
-zero, written straight into the band.  Above it, N >= 64, the pad is a gather
-and pocketfft, the band read a pruned r2c and a gather of the band.  The
+inputs.  Under the matrix rule at N/2+1 <= ``MATRIX_COLUMNS``, the pad and
+its c2r (``_Pad``) in 1-D and 2-D fold ``_padded``'s weights into the bases
+of BLAS products that read the N half lattice as it is.  Per axis let L and
+H hold the images of the bands B- and B+ of ``_pad_index`` (they differ only
+at +-N/2, both read from the N lattice's Nyquist index) and A = (L + H)/2:
+the weight 0.5 ([p in B-] + [p in B+]) gives a last-axis column below N/2 A
+on the leading axis and the column N/2 H, with g = 1/2 (1 at m = N) in its
+row of the last-axis basis; H - A is rank one, added after the A product.
+3-D would add (L - H) (x) (L - H) / 4 on the corner line c(-N/2, -N/2, .),
+but its outer pass would be one BLAS call large enough to start a second
+OpenBLAS thread, so it keeps the gather and pocketfft, as does N >= 64.  The
+band read is two BLAS products at N/2+1 <= ``MATRIX_COLUMNS``: the last
+axis' first N/2 columns with ``_dft_basis``, then each leading axis with a
+cached complex (N, M) ``_band_basis`` whose Nyquist row is zero, written
+straight into the band; above it, a pruned r2c and a gather.  The
 padded Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in
 [-N/2, N/2] per axis (an N-lattice Nyquist mode splits between +-N/2), so
 pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u
@@ -565,8 +564,8 @@ def _padded(coeffs: np.ndarray, grid: Grid, m: int, out=None) -> np.ndarray:
 def _pad_bases(n: int, m: int) -> tuple[np.ndarray, ...]:
     """Read-only bases of the folded pad from the N lattice of one axis to its
     m grid (module docstring): the complex (m, N) A; H - A in its one nonzero
-    column N/2, -D/2 with D = L - H; D/4 as an (m, 1) column; [A | D]; and
-    the c2r's last-axis ``_dft_basis`` with the column N/2 weighted by g."""
+    column N/2, -D/2 with D = L - H; and the c2r's last-axis ``_dft_basis``
+    with the column N/2 weighted by g."""
     h, x = n // 2, np.arange(m)[:, None]
     turn = x * np.append(_wavenumbers(n), h) % m  # the N lattice's wavenumbers, then +N/2
     angle = TWO_PI / m * np.where(2 * turn < m, turn, turn - m)
@@ -575,7 +574,7 @@ def _pad_bases(n: int, m: int) -> tuple[np.ndarray, ...]:
     a[:, h] -= d / 2
     last = _dft_basis(h + 1, m, True).copy()
     last[2 * h :] *= 1.0 if m == n else 0.5
-    bases = (a, -d / 2, d[:, None] / 4, np.column_stack([a, d]), last)
+    bases = (a, -d / 2, last)
     for basis in bases:
         basis.setflags(write=False)
     return bases
@@ -585,52 +584,37 @@ class _Pad:
     """Grid values on the m^n grid, m = N or 3N/2, of the Hermitian part of
     factors given on the N half lattice, on buffers made once: stacks (*lead,
     rows, N, ..., N/2+1) are written in turn into the rows of ``shape`` =
-    (*lead, rows).  ``_c2r`` of ``_padded``, or at dim <= 3 under the matrix
+    (*lead, rows).  ``_c2r`` of ``_padded``, or at dim <= 2 under the matrix
     rule the folded pad: one BLAS product with ``_pad_bases`` per pass, the
-    leading ones innermost first and reading the N half lattice as it is, and
-    rank-one terms on the column N/2 and the corner line (module docstring)."""
+    leading one reading the N half lattice as it is, and a rank-one term on
+    the column N/2 (module docstring)."""
 
     def __init__(self, grid: Grid, m: int, shape: tuple):
         dim, n, h = grid.dim, grid.points, grid.points // 2
         self.grid, self.m, self.pads = grid, m, {}
         self.values = np.empty(shape + (m,) * dim)
         self.half = np.empty(shape + (m,) * (dim - 1) + (h + 1,), np.complex128)
-        rows = int(np.prod(shape))
-        self.fold = dim <= 3 and _matrix(h + 1, m, rows * (n ** (dim - 2) * (h + 1) if dim > 1 else 1))
-        if not self.fold:
-            self.calls = [partial(_c2r, self.half, dim, m, self.values, True)]
-            return
-        _, _, _, aext, last = _pad_bases(n, m)
-        self.calls = [partial(np.matmul, self.half.view(np.float64), last, out=self.values)]
-        if dim == 3:  # the slot's column N/2, then the outer pass over [A | D]
-            t = self.t = np.zeros(shape + (n + 1, m, h + 1), np.complex128)
-            self.calls[:0] = [partial(np.matmul, aext, t.reshape(shape + (n + 1, -1)),
-                                      out=self.half.reshape(shape + (m, -1)))]
-            if m != n:
-                self.calls.insert(0, partial(np.multiply, t[..., h, :, h], -0.5, out=t[..., n, :, h]))
+        self.fold = dim <= 2 and _matrix(h + 1, m, int(np.prod(shape)) * (h + 1) ** (dim - 1))
+        self.transform = partial(_c2r, self.half, dim, m, self.values, True)
+        if self.fold:
+            self.transform = partial(np.matmul, self.half.view(np.float64), _pad_bases(n, m)[-1], out=self.values)
 
     def _pad(self, rows: slice):
         """The call that writes one stack into the factor ``rows``."""
-        grid, m = self.grid, self.m
-        dim, n, h = grid.dim, grid.points, grid.points // 2
-        pick = (Ellipsis, rows) + (slice(None),) * dim
-        y = self.half[pick]
+        grid, m, n, h = self.grid, self.m, self.grid.points, self.grid.points // 2
+        y = self.half[(Ellipsis, rows) + (slice(None),) * grid.dim]
         if not self.fold:
             return lambda x: _padded(x, grid, m, y)
-        if dim == 1:
+        if grid.dim == 1:
             return partial(np.copyto, y)
-        a, dh, q, _, _ = _pad_bases(n, m)
-        y = y if dim == 2 else self.t[pick][..., :n, :, :]  # 3-D: the inner pass
+        a, dh, _ = _pad_bases(n, m)
         if m == n:  # L = H = A
             return partial(np.matmul, a, out=y)
         col, line = y[..., h], np.empty(y[..., h].shape, np.complex128)
-        corner = self.t[pick][..., n, :, :h] if dim == 3 else None
 
         def pad(x):
             np.matmul(a, x, out=y)
             np.add(col, np.multiply(x[..., h, h, None], dh, out=line), out=col)
-            if corner is not None:
-                np.multiply(x[..., h, h, None, :h], q, out=corner)
 
         return pad
 
@@ -641,9 +625,7 @@ class _Pad:
             self.pads[key] = [self._pad(slice(a, b)) for a, b in zip(ends, ends[1:])]
         for pad, x in zip(self.pads[key], stacks):
             pad(x)
-        for call in self.calls:
-            call()
-        return self.values
+        return self.transform()
 
 
 def _band_plan(values: np.ndarray, grid: Grid, out: np.ndarray) -> list:

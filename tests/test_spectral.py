@@ -707,13 +707,15 @@ def _assert_transform_agrees(got, expected, data, matrix):
 @example(case=(2, 2, 2, 2), seed=0, spoil=[(0, np.inf, "imag")])  # still only Im c_0 after the ifft
 def test_transforms_equal_pocketfft_on_both_sides_of_the_matrix_rule(case, seed, spoil):
     # _c2r and _r2c against irfftn and rfftn of the zero-filled half: three
-    # samples, the first all zero, non-finite entries in the other two
+    # samples, or in 1-D m of them so that the matrix rule can hold, the first
+    # all zero, non-finite entries in the others
     dim, points, m, cols = case
+    samples = max(3, m) if dim == 1 else 3
     axes = tuple(range(-dim, 0))
     rng = np.random.default_rng(seed)
-    shape = (3,) + (m,) * (dim - 1) + (cols,)
+    shape = (samples,) + (m,) * (dim - 1) + (cols,)
     half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    values = rng.standard_normal((3,) + (m,) * dim)
+    values = rng.standard_normal((samples,) + (m,) * dim)
     half[0], values[0] = 0.0, 0.0
     for pos, bad, part in spoil:
         at = np.unravel_index(pos % half[1:].size, half[1:].shape)
@@ -728,7 +730,7 @@ def test_transforms_equal_pocketfft_on_both_sides_of_the_matrix_rule(case, seed,
         spec_expected = np.fft.rfftn(values, axes=axes, norm="forward")[..., :cols]
         got = _c2r(half, dim, m)
         spec = _r2c(values, dim, cols)[..., :cols]
-    matrix = cols <= MATRIX_COLUMNS and 3 * m ** (dim - 1) >= m  # the rule: at least m transforms
+    matrix = cols <= MATRIX_COLUMNS and samples * m ** (dim - 1) >= m  # the rule: at least m transforms
     _assert_transform_agrees(got, expected, half, matrix)
     _assert_transform_agrees(spec, spec_expected, values, matrix)
     # the zero sample transforms to zeros, and its norms read +0.0
@@ -871,11 +873,12 @@ def test_only_the_spectral_module_calls_numpy_fft():
 @example(dim=3, points=8, padded=True, seed=0, spoil=[])
 @example(dim=2, points=4, padded=False, seed=1, spoil=[(3, np.inf, True)])
 def test_folded_pad_equals_the_padded_pocketfft_c2r(dim, points, padded, seed, spoil):
-    # the folded pad reads the N half lattice through its BLAS bases: against
-    # _padded and irfftn of the zero-filled pruned m half spectrum, on half
-    # spectra of white noise whose Nyquist planes are populated and whose 3-D
-    # corner line c(-N/2, -N/2, .) is ten times larger, on m = N and 3N/2.
-    # The first sample stays finite; a non-finite entry spoils its own sample
+    # the folded pad (dim <= 2) reads the N half lattice through its BLAS
+    # bases, and 3-D keeps _c2r of _padded: against _padded and irfftn of the
+    # zero-filled pruned m half spectrum, on half spectra of white noise whose
+    # Nyquist planes are populated and whose 3-D corner line c(-N/2, -N/2, .)
+    # is ten times larger, on m = N and 3N/2.  The first sample stays finite;
+    # a non-finite entry spoils its own sample
     grid, h = Grid(dim, points), points // 2
     m = 3 * points // 2 if padded else points
     rows = {1: 48, 2: 4, 3: 2}[dim]  # enough transforms for the rule
@@ -889,7 +892,7 @@ def test_folded_pad_equals_the_padded_pocketfft_c2r(dim, points, padded, seed, s
         entry = half[1:][at]
         half[1:][at] = complex(bad, entry.imag) if real else complex(entry.real, bad)
     pad = spectral._Pad(grid, m, (rows,))
-    assert pad.fold
+    assert pad.fold == (dim <= 2)
     filled = np.zeros(shape[:-1 - (dim - 1)] + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         filled[..., : h + 1] = _padded(half, grid, m)
