@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import MATRIX_COLUMNS, TWO_PI, Field, Grid, _c2r, _wavenumbers, heat_stack, values_from_half
+from .spectral import MATRIX_COLUMNS, Field, Grid, _c2r, _fourier, _wavenumbers, heat_stack, values_from_half
 
 INF = float("inf")
 
@@ -218,7 +218,7 @@ def _shell_rows(grid: Grid, q: int, cut: CutoffPair) -> tuple:
     reach = np.max(np.abs(k[np.any(w != 0, axis=tuple(range(1, grid.dim)))]), initial=0)
     head, tail = min(reach, n // 2 - 1) + 1, n - reach
     rows = np.r_[0:head, tail:n]
-    basis = np.exp(TWO_PI / n * 1j * (np.outer(np.arange(n), k[rows]) % n))
+    basis = _fourier(n, k[rows])
     basis.setflags(write=False)
     return head, tail, w[rows], basis
 
@@ -231,11 +231,11 @@ def _block_table(
     ``half`` is a half-spectrum stack (..., m, N, ..., N/2+1); the result is
     (shells, ...).  The block weights are even in k, so each shell is one
     pruned c2r of the half times the weights' half, both cut to the columns
-    the shell occupies.  In 2-D and 3-D under the matrix rule (``spectral``)
-    the c2r transforms only the first-axis rows the weights touch: one
-    (N, rows) BLAS product over the whole stack laid out (rows, ..., columns),
-    whose values come out (N, ..., N) and reduce over x1 first; all shells
-    share buffers made once per call.  A sample holding a non-finite entry
+    the shell occupies.  In 2-D under the matrix rule (``spectral``) the
+    c2r transforms only the first-axis rows the weights touch: one (N, rows)
+    BLAS product over the whole stack laid out (rows, ..., columns), whose
+    values come out (N, N) and reduce over x1 first; all shells share buffers
+    made once per call.  A sample holding a non-finite entry
     reads NaN in every shell, as 0 * nan and 0 * inf would make it.  A shell
     whose weights meet no mode holding a nonzero entry in any sample is not
     transformed: its row is what the transform would read, 0.0, or NaN.
@@ -249,10 +249,11 @@ def _block_table(
             bad = ~np.all(np.isfinite(half), axis=tuple(range(-dim - 1, 0)))
     # the modes holding a nonzero entry, nan and inf included, in any sample
     occupied = np.any(half, axis=tuple(range(half.ndim - dim)))
-    # rows pruned in 2-D and 3-D at N/2+1 <= MATRIX_COLUMNS and at least 2N samples and components
-    # (a (13, 2) stack at N = 32, as in `verify bilinear`, ran 1.4x slower this way)
+    # rows pruned in 2-D at N/2+1 <= MATRIX_COLUMNS and at least 2N samples and components (a
+    # (13, 2) stack at N = 32, as in `verify bilinear`, ran 1.4x slower this way, a 3-D (65, 3)
+    # one at N = 16 2.3x slower)
     stack = half.size // (n ** (dim - 1) * (n // 2 + 1))
-    rows = dim > 1 and n // 2 + 1 <= MATRIX_COLUMNS and stack >= 2 * n
+    rows = dim == 2 and n // 2 + 1 <= MATRIX_COLUMNS and stack >= 2 * n
     if rows:  # the stack seen (N, components, ...): first spatial axis outermost
         half = np.moveaxis(half, (-dim, -dim - 1), (0, 1))
         pruned, wide = np.empty(half.size, np.complex128), np.empty(half.size, np.complex128)

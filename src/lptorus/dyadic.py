@@ -97,7 +97,7 @@ def _block_values(f: Field, m: int) -> np.ndarray:
     per axis, as for factors band-limited below N/4."""
     grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
     blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
-    return _Pad(grid, m, blocks.shape[: -grid.dim])(blocks)
+    return _Pad(grid, m, blocks.shape[:1], blocks.shape[1:2])(blocks)
 
 
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:

@@ -66,7 +66,8 @@ from .ensembles import random_field
 from .spectral import (
     Field,
     Grid,
-    _ProductKernel,
+    _band_plan,
+    _Pad,
     heat_stack,
     project_divergence_free,
     values_from_half,
@@ -255,19 +256,32 @@ def _source_operator(grid: Grid, buoyancy: tuple, self_flux: bool) -> np.ndarray
 class _Flux:
     """``op`` (a ``_source_operator``, maybe scaled) applied to the flux of u = a
     and (v, theta) = b, half spectra (*lead, n or n + 1, N, ..., N/2+1), b alone
-    for a self flux, bound once into a fixed call plan on buffers made once:
-    the ``_ProductKernel`` on the ``points`` grid writes the band into the
-    rows of one column stack whose last row is a copy of theta, then each
-    output row is one multiply of its run of nonzero ``op`` blocks by their
-    columns and one sum from +0.0, theta last: the bits of one multiply-add
-    per block in column order."""
+    for a self flux, bound once into a fixed call plan on buffers made once.
+    ``pad`` brings the stacks to the ``points`` grid (3N/2 by default), and
+    ``calls`` multiply the pairs of ``_flux_plan`` there, the u_j theta in one
+    broadcast multiply and (i, i) as u_i^2 - u_{n-1}^2, then ``_band_plan``
+    writes their band, its leading Nyquist planes zero of either sign, into
+    the rows ``band`` of one column stack whose last row is a copy of theta.
+    Each output row is then one multiply of its run of nonzero ``op`` blocks
+    by their columns and one sum from +0.0, theta last: the bits of one
+    multiply-add per block in column order."""
 
     def __init__(self, grid: Grid, op: np.ndarray, self_flux: bool, points=None, lead=()):
         n, self.self_flux = grid.dim, self_flux
         pairs = _flux_plan(n, self_flux)[0]  # a cross flux pairs no row with itself
+        self.pad = _Pad(grid, points or 3 * grid.points // 2, lead, (n + 1,) if self_flux else (n, n + 1))
+        prod = np.empty(lead + (len(pairs),) + self.pad.values.shape[-n:])
+        v, rows = (np.moveaxis(x, -n - 1, 0) for x in (self.pad.values, prod))  # factor, product rows first
+        square, theta = np.empty_like(v[0]), pairs[0][1]  # the pairs (j, theta), j < n, come first
+        self.calls = [partial(np.multiply, v[:n], v[theta], out=rows[:n])]
+        for p, (i, j) in enumerate(pairs[n:], n):
+            self.calls.append(partial(np.multiply, v[i], v[j], out=rows[p]))
+            if i == j:  # u_i^2 - u_{n-1}^2
+                self.calls += [partial(np.square, v[n - 1], out=square),
+                               partial(np.subtract, rows[p], square, out=rows[p])]
         cols = np.empty(lead + op.shape[1:], dtype=np.complex128)  # the band, then theta
-        band = cols[..., :-1, :].reshape(lead + (len(pairs),) + grid.half_shape)
-        self.kernel = _ProductKernel(grid, 2 * n + 1 - n * self_flux, pairs, points, lead, n - 1, band)
+        self.band = cols[..., :-1, :].reshape(lead + (len(pairs),) + grid.half_shape)
+        self.calls += _band_plan(prod, grid, self.band)
         self.out = np.empty(lead + (n + 1, op.shape[-1]), dtype=np.complex128)
         self.theta, tmp, self.plan = cols[..., -1, :], np.empty_like(cols), []
         for i, used in enumerate(np.any(op, axis=-1)):
@@ -278,7 +292,9 @@ class _Flux:
                                      initial=0.0))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.kernel(*((b,) if self.self_flux else (a, b)))
+        self.pad(*((b,) if self.self_flux else (a, b)))
+        for call in self.calls:
+            call()
         np.copyto(self.theta, b.reshape(self.out.shape)[..., -1, :])
         for call in self.plan:
             call()

@@ -18,50 +18,52 @@ Operators provided here are exact Fourier multipliers:
 
 Their symbols, even or odd in k, are held on the half lattice as well.
 
-One r2c, ``_r2c``, and one c2r, ``_c2r``, make every transform.  ``_c2r``
-reads a half spectrum cut to its first C last-axis columns (the rest zero)
-and runs the leading-axis ``ifft``s on those C columns; ``_r2c`` fills the
-first C last-axis columns, then runs the leading-axis ``fft``s on them in
-place.  The last-axis pass is pocketfft's ``irfft``/``rfft`` (``irfftn``/
-``rfftn`` bit for bit) unless the matrix rule (``_matrix``) holds: C <=
-``MATRIX_COLUMNS`` = 32 and the pass makes at least m transforms, so that
-its basis is never larger than the output it writes (a 1-D N = 2^16 norm
-once built and kept 46 MB of them).  Then it is one ``np.matmul`` of the
-columns, read as interleaved floats, with a cached real DFT basis of 16 C m
-bytes: only the kept columns' 2C m work, where ``irfft`` pads each row to
-m/2+1 (Markel's FFT pruning).  On a 2-vCPU guest, m = 64-1024, it takes
-0.54-0.79 of ``irfft``'s time at C = 32 and 0.74-1.56 at C = 64.  Each BLAS
-call, one matrix of the stack's last two axes, stays on one OpenBLAS thread
-at N <= 64.  The product equals pocketfft to roundoff; a non-finite entry
-spoils its whole row (``irfft`` drops a non-finite Im c_0 or Im c_{m/2}).
+``_c2r`` reads a half spectrum cut to its first C last-axis columns (the
+rest zero) and runs the leading-axis ``ifft``s on those C columns; ``_r2c``
+fills the first C last-axis columns, then runs the leading-axis ``fft``s on
+them in place.  The last-axis pass is pocketfft's ``irfft``/``rfft``
+(``irfftn``/``rfftn`` bit for bit) unless the matrix rule (``_matrix``)
+holds: C <= ``MATRIX_COLUMNS`` = 32 and the pass makes at least m
+transforms, so that its basis is never larger than the output it writes (a
+1-D N = 2^16 norm once built and kept 46 MB of them).  Then it is one
+``np.matmul`` of the columns, read as interleaved floats, with a cached real
+DFT basis of 16 C m bytes: only the kept columns' 2C m work, where ``irfft``
+pads each row to m/2+1 (Markel's FFT pruning).  On a 2-vCPU guest, m =
+64-1024, it takes 0.54-0.79 of ``irfft``'s time at C = 32 and 0.74-1.56 at
+C = 64.  Each BLAS call, one matrix of the stack's last two axes, stays on
+one OpenBLAS thread at N <= 64.  The product equals pocketfft to roundoff; a
+non-finite entry spoils its whole row (``irfft`` drops a non-finite Im c_0
+or Im c_{m/2}).  Every BLAS basis is built from one Fourier matrix,
+``_fourier``.
 
-Quadratic nonlinearities go through one 3/2-rule body (Orszag), ``_ProductKernel``,
-bound once into a fixed call plan on buffers it owns: each factor is placed
-on the M = 3N/2 lattice as the half spectrum of its real padded field, brought
-to the grid by a c2r pruned to the first N/2+1 of the M/2+1 last-axis columns
-(the only ones a padded factor occupies) and multiplied there;
-``_band_spectrum`` reads back the band of the N lattice with its Nyquist
-planes zeroed, and the retained coefficients are the exact convolution of the
+Quadratic nonlinearities follow Orszag's 3/2 rule in three steps: ``_Pad``
+places each factor on the M = 3N/2 lattice as the half spectrum of its real
+padded field and brings it to the grid by a c2r pruned to the first N/2+1
+of the M/2+1 last-axis columns (the only ones a padded factor occupies); the
+pairs are multiplied there; ``_band_spectrum`` (``_band_plan`` on buffers
+bound once) reads back the band of the N lattice with its Nyquist planes
+zeroed, and the retained coefficients are the exact convolution of the
 inputs.  Under the matrix rule at N/2+1 <= ``MATRIX_COLUMNS``, the pad and
-its c2r (``_Pad``) in 1-D and 2-D fold ``_padded``'s weights into the bases
-of BLAS products that read the N half lattice as it is.  Per axis let L and
-H hold the images of the bands B- and B+ of ``_pad_index`` (they differ only
-at +-N/2, both read from the N lattice's Nyquist index) and A = (L + H)/2:
-the weight 0.5 ([p in B-] + [p in B+]) gives a last-axis column below N/2 A
-on the leading axis and the column N/2 H, with g = 1/2 (1 at m = N) in its
-row of the last-axis basis; H - A is rank one, added after the A product.
-3-D would add (L - H) (x) (L - H) / 4 on the corner line c(-N/2, -N/2, .),
-but its outer pass would be one BLAS call large enough to start a second
-OpenBLAS thread, so it keeps the gather and pocketfft, as does N >= 64.  The
-band read is two BLAS products at N/2+1 <= ``MATRIX_COLUMNS``: the last
-axis' first N/2 columns with ``_dft_basis``, then each leading axis with a
-cached complex (N, M) ``_band_basis`` whose Nyquist row is zero, written
-straight into the band; above it, a pruned r2c and a gather.  The
-padded Hermitian part 0.5 (c_p + conj c_{-p}) carries input modes in
-[-N/2, N/2] per axis (an N-lattice Nyquist mode splits between +-N/2), so
-pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands in [-N, -N/2] u
-[N/2, N], which meets the N lattice only on the Nyquist plane +-N/2, and that
-plane is zeroed.
+its c2r in 2-D fold ``_padded``'s weights into the bases of BLAS products
+that read the N half lattice as it is.  Per axis let L and H hold the images
+of the bands B- and B+ of ``_pad_index`` (they differ only at +-N/2, both
+read from the N lattice's Nyquist index) and A = (L + H)/2: the weight 0.5
+([p in B-] + [p in B+]) gives a last-axis column below N/2 A on the leading
+axis and the column N/2 H, with g = 1/2 (1 at m = N) in its row of the
+last-axis basis; H - A is rank one, added after the A product.  1-D has no
+leading pass to fold into, and the last-axis rule needs m rows, which no
+product stack reaches.  3-D would add (L - H) (x) (L - H) / 4 on the corner
+line c(-N/2, -N/2, .), but its outer pass would be one BLAS call large
+enough to start a second OpenBLAS thread.  Both keep the gather and
+``_c2r``, as does N >= 64.  The band read is two BLAS products at N/2+1 <=
+``MATRIX_COLUMNS``: the last axis' first N/2 columns with ``_dft_basis``,
+then each leading axis with a cached complex (N, M) ``_band_basis`` whose
+Nyquist row is zero, written straight into the band; above it, a pruned r2c
+and a gather.  The padded Hermitian part 0.5 (c_p + conj c_{-p}) carries
+input modes in [-N/2, N/2] per axis (an N-lattice Nyquist mode splits
+between +-N/2), so pair sums lie in [-N, N]; a sum aliased by +-3N/2 lands
+in [-N, -N/2] u [N/2, N], which meets the N lattice only on the Nyquist
+plane +-N/2, and that plane is zeroed.
 
 Fields are immutable after construction; all operations are pure functions and
 safe to call concurrently.
@@ -249,24 +251,28 @@ def _matrix(cols: int, m: int, transforms: int) -> bool:
     return cols <= MATRIX_COLUMNS and transforms >= m
 
 
+def _fourier(m: int, ks) -> np.ndarray:
+    """The complex (m, len(ks)) matrix exp(2 pi i x k / m), x = 0..m-1, of
+    angles centred on 0, Im exactly 0 at the half turns x k = 0 or m/2 mod m
+    (as ``rfft``'s Im c_0 and Im c_{m/2}); the one builder of every BLAS basis."""
+    turn = np.arange(m)[:, None] * np.asarray(ks) % m
+    angle = TWO_PI / m * np.where(2 * turn < m, turn, turn - m)
+    return np.cos(angle) + 1j * np.where(2 * turn % m == 0, 0.0, np.sin(angle))
+
+
 @lru_cache(maxsize=None)
 def _dft_basis(cols: int, m: int, inverse: bool) -> np.ndarray:
     """Read-only real DFT basis of the first ``cols`` columns of an m-point half
     spectrum, a column read as its interleaved (Re, Im) float pair: (2 cols, m)
     for the c2r (``irfft``), else (m, 2 cols) for the r2c (``rfft``), both
     with ``norm="forward"``; it holds 16 cols m bytes."""
-    j = np.arange(m)
-    angle = TWO_PI / m * np.where(2 * j < m, j, j - m)  # centred on 0
-    cos, sin = np.cos(angle), -np.sin(angle)
-    sin[2 * j % m == 0] = 0.0  # exact at the half turns, as rfft's Im c_0 and Im c_{m/2}
+    k = np.arange(cols)
+    pairs = _fourier(m, -k).view(np.float64)  # (m, 2 cols): Re and Im of e^{-ikx}, read by both
     basis = np.empty((2 * cols, m) if inverse else (m, 2 * cols))
-    pairs = basis if inverse else basis.T  # rows Re c_k, Im c_k
-    for k in range(cols):  # row by row: no temporaries of the basis' size
-        pairs[2 * k], pairs[2 * k + 1] = cos[k * j % m], sin[k * j % m]
     if inverse:  # c_k stands for c_{-k} too, but at k = 0 and k = m/2
-        pairs *= np.where((j[:cols] == 0) | (2 * j[:cols] == m), 1.0, 2.0).repeat(2)[:, None]
-    else:
-        pairs /= m
+        np.multiply(pairs.T, np.where((k == 0) | (2 * k == m), 1.0, 2.0).repeat(2)[:, None], out=basis)
+    else:  # Re and Im divided each: complex / real rounds differently at m = 3N/2
+        np.divide(pairs, m, out=basis)
     basis.setflags(write=False)
     return basis
 
@@ -566,10 +572,8 @@ def _pad_bases(n: int, m: int) -> tuple[np.ndarray, ...]:
     m grid (module docstring): the complex (m, N) A; H - A in its one nonzero
     column N/2, -D/2 with D = L - H; and the c2r's last-axis ``_dft_basis``
     with the column N/2 weighted by g."""
-    h, x = n // 2, np.arange(m)[:, None]
-    turn = x * np.append(_wavenumbers(n), h) % m  # the N lattice's wavenumbers, then +N/2
-    angle = TWO_PI / m * np.where(2 * turn < m, turn, turn - m)
-    e = np.cos(angle) + 1j * np.where(2 * turn % m == 0, 0.0, np.sin(angle))
+    h = n // 2
+    e = _fourier(m, np.append(_wavenumbers(n), h))  # the N lattice's wavenumbers, then +N/2
     a, d = e[:, :n].copy(), e[:, h] - e[:, n]  # L, and D's column N/2
     a[:, h] -= d / 2
     last = _dft_basis(h + 1, m, True).copy()
@@ -582,49 +586,46 @@ def _pad_bases(n: int, m: int) -> tuple[np.ndarray, ...]:
 
 class _Pad:
     """Grid values on the m^n grid, m = N or 3N/2, of the Hermitian part of
-    factors given on the N half lattice, on buffers made once: stacks (*lead,
-    rows, N, ..., N/2+1) are written in turn into the rows of ``shape`` =
-    (*lead, rows).  ``_c2r`` of ``_padded``, or at dim <= 2 under the matrix
-    rule the folded pad: one BLAS product with ``_pad_bases`` per pass, the
-    leading one reading the N half lattice as it is, and a rank-one term on
-    the column N/2 (module docstring)."""
+    factors given on the N half lattice, on buffers made once: a call's
+    stacks (*lead, rows[s], N, ..., N/2+1) are written in turn into the
+    factor rows of ``values`` (*lead, sum(rows), m, ..., m).  ``_c2r`` of
+    ``_padded``, or in 2-D under the matrix rule the folded pad: one BLAS
+    product with ``_pad_bases`` per pass, the leading one reading the N half
+    lattice as it is, and a rank-one term on the column N/2 (module
+    docstring)."""
 
-    def __init__(self, grid: Grid, m: int, shape: tuple):
+    def __init__(self, grid: Grid, m: int, lead: tuple, rows: tuple):
         dim, n, h = grid.dim, grid.points, grid.points // 2
-        self.grid, self.m, self.pads = grid, m, {}
+        shape = lead + (sum(rows),)
         self.values = np.empty(shape + (m,) * dim)
         self.half = np.empty(shape + (m,) * (dim - 1) + (h + 1,), np.complex128)
-        self.fold = dim <= 2 and _matrix(h + 1, m, int(np.prod(shape)) * (h + 1) ** (dim - 1))
+        self.fold = dim == 2 and _matrix(h + 1, m, int(np.prod(shape)) * (h + 1))
         self.transform = partial(_c2r, self.half, dim, m, self.values, True)
         if self.fold:
             self.transform = partial(np.matmul, self.half.view(np.float64), _pad_bases(n, m)[-1], out=self.values)
+        ends = np.cumsum((0,) + rows)
+        self.writes = [self._write(grid, m, slice(a, b)) for a, b in zip(ends, ends[1:])]
 
-    def _pad(self, rows: slice):
+    def _write(self, grid: Grid, m: int, rows: slice):
         """The call that writes one stack into the factor ``rows``."""
-        grid, m, n, h = self.grid, self.m, self.grid.points, self.grid.points // 2
+        n, h = grid.points, grid.points // 2
         y = self.half[(Ellipsis, rows) + (slice(None),) * grid.dim]
         if not self.fold:
             return lambda x: _padded(x, grid, m, y)
-        if grid.dim == 1:
-            return partial(np.copyto, y)
         a, dh, _ = _pad_bases(n, m)
         if m == n:  # L = H = A
             return partial(np.matmul, a, out=y)
         col, line = y[..., h], np.empty(y[..., h].shape, np.complex128)
 
-        def pad(x):
+        def write(x):
             np.matmul(a, x, out=y)
             np.add(col, np.multiply(x[..., h, h, None], dh, out=line), out=col)
 
-        return pad
+        return write
 
     def __call__(self, *stacks: np.ndarray) -> np.ndarray:
-        key = tuple(x.shape[-self.grid.dim - 1] for x in stacks)
-        if key not in self.pads:
-            ends = np.cumsum((0,) + key)
-            self.pads[key] = [self._pad(slice(a, b)) for a, b in zip(ends, ends[1:])]
-        for pad, x in zip(self.pads[key], stacks):
-            pad(x)
+        for write, x in zip(self.writes, stacks):
+            write(x)
         return self.transform()
 
 
@@ -650,60 +651,15 @@ def _band_plan(values: np.ndarray, grid: Grid, out: np.ndarray) -> list:
     return calls
 
 
-def _plus_zero(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Turn -0.0 on the leading Nyquist planes of a band into +0.0, in place."""
-    for plane in _nyquist_planes(grid.dim, grid.points)[1:]:  # BLAS may sum a zero row to -0.0
-        coeffs[plane] += 0.0
-    return coeffs
-
-
 def _band_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectrum on the N band, Nyquist planes zeroed, of real values on
+    """Half spectrum on the N band, Nyquist planes +0.0, of real values on
     the m grid, m = N or 3N/2 read from their last axis, by ``_band_plan``."""
     out = np.empty(values.shape[: -grid.dim] + grid.half_shape, np.complex128)
     for call in _band_plan(values, grid, out):
         call()
-    return _plus_zero(out, grid)
-
-
-class _ProductKernel:
-    """The one 3/2 product body, bound once into a fixed call plan on buffers
-    it owns: its ``_Pad`` writes the half spectra (*lead, rows, N, ...,
-    N/2+1) of its stacks into the ``factors`` rows in turn on the m^n grid
-    (m = 3N/2, or ``points`` = N if pair sums stay below N/2 per axis), the
-    ``pairs`` of rows are multiplied there, a run (i..i+k, j) in one broadcast
-    multiply, and ``_band_plan`` reads their band into ``band`` (made here if
-    not given), its leading Nyquist planes zero of either sign; with
-    ``trace`` = r, (i, i) is u_i^2 - u_r^2."""
-
-    def __init__(self, grid: Grid, factors: int, pairs, points=None, lead=(), trace=None, band=None):
-        row = (slice(None),) * grid.dim
-        self.pad = _Pad(grid, points or 3 * grid.points // 2, lead + (factors,))
-        v = self.pad.values
-        prod = np.empty(lead + (len(pairs),) + v.shape[-grid.dim :])
-        square = np.empty_like(prod[(..., slice(0, 1)) + row])
-        self.band = np.empty(lead + (len(pairs),) + grid.half_shape, np.complex128) if band is None else band
-        runs = []  # [first pair, count, i, j]: the pairs (i + c, j), c < count
-        for p, (i, j) in enumerate(pairs):
-            if runs and i != j and runs[-1][2] != j == runs[-1][3] and sum(runs[-1][1:3]) == i:
-                runs[-1][1] += 1
-            else:
-                runs.append([p, 1, i, j])
-        self.calls = []
-        for p, c, i, j in runs:
-            out = prod[(..., slice(p, p + c)) + row]
-            self.calls.append(partial(np.multiply, v[(..., slice(i, i + c)) + row],
-                                      v[(..., slice(j, j + 1)) + row], out=out))
-            if i == j and trace is not None:
-                self.calls += [partial(np.square, v[(..., slice(trace, trace + 1)) + row], out=square),
-                               partial(np.subtract, out, square, out=out)]
-        self.calls += _band_plan(prod, grid, self.band)
-
-    def __call__(self, *stacks: np.ndarray) -> np.ndarray:
-        self.pad(*stacks)
-        for call in self.calls:
-            call()
-        return self.band
+    for plane in _nyquist_planes(grid.dim, grid.points)[1:]:  # BLAS may sum a zero row to -0.0
+        out[plane] += 0.0
+    return out
 
 
 def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
@@ -711,20 +667,23 @@ def dealiased_products(spec_a, spec_b, pairs, grid: Grid) -> np.ndarray:
 
     ``spec_a`` and ``spec_b`` are half spectra (..., m, N, ..., N/2+1) of
     real fields whose leading axes broadcast; i and j index their component
-    axes.  One call of the 3/2 product body, ``_ProductKernel``: pad both
-    factors onto the pruned 3N/2 half lattice, bring them to the padded grid
-    in one batch (``spec_b is spec_a`` once), multiply the requested pairs
-    there, transform them back and keep the band of the N lattice with its
-    Nyquist planes zeroed.  Returns (..., len(pairs), N, ..., N/2+1); within
-    that band each product is the exact linear convolution of its factors.
+    axes.  The 3/2 rule's three steps: ``_Pad`` brings both factors to the
+    padded grid in one batch (``spec_b is spec_a`` once), the requested
+    pairs are multiplied there, and ``_band_spectrum`` keeps the band of the
+    N lattice with its Nyquist planes zeroed.  Returns (..., len(pairs), N,
+    ..., N/2+1); within that band each product is the exact linear
+    convolution of its factors.
     """
     ax = -grid.dim - 1
     factors = (spec_a,) if spec_b is spec_a else (spec_a, spec_b)
     lead = np.broadcast_shapes(*(f.shape[:ax] for f in factors))
-    rows = np.concatenate([np.broadcast_to(f, lead + f.shape[ax:]) for f in factors], axis=ax)
-    off = rows.shape[ax] - spec_b.shape[ax]  # the first row of b
-    kernel = _ProductKernel(grid, rows.shape[ax], [(i, off + j) for i, j in pairs], lead=lead)
-    return _plus_zero(kernel(rows), grid)
+    pad = _Pad(grid, 3 * grid.points // 2, lead, tuple(f.shape[ax] for f in factors))
+    values = np.moveaxis(pad(*(np.broadcast_to(f, lead + f.shape[ax:]) for f in factors)), ax, 0)
+    off = len(values) - spec_b.shape[ax]  # the first row of b
+    prods = np.empty(lead + (len(pairs),) + values.shape[ax + 1 :])
+    for out, (i, j) in zip(np.moveaxis(prods, ax, 0), pairs):
+        np.multiply(values[i], values[off + j], out=out)
+    return _band_spectrum(prods, grid)
 
 
 def dealias_multiply(

@@ -871,7 +871,7 @@ def test_embedding_constants_stable_at_doubled_resolution(rng):
     assert c32["sup_vs_strong"] <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("dim,points", [(2, 32), (2, 8), (3, 8)])
+@pytest.mark.parametrize("dim,points", [(2, 32), (2, 8)])
 @pytest.mark.parametrize("p", [1.0, 2.0, INF])
 def test_row_pruned_table_equals_the_per_shell_c2r(dim, points, p, monkeypatch):
     # a stack big enough for the matrix rule takes the rows-only product;
@@ -903,3 +903,17 @@ def test_row_pruned_table_equals_the_per_shell_c2r(dim, points, p, monkeypatch):
     assert np.all(np.isnan(table[:, 1:3])) and np.all(np.isfinite(table[:, 3:]))
     assert np.any(table[:, 3] > 1e290)
     _assert_table_agrees(table, np.array(expected))
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+def test_three_d_tables_transform_whole_shells(p, c2r_calls, monkeypatch):
+    # a 3-D stack of 2N samples and components meets the 2-D rule for pruned
+    # rows, but in 3-D the rows' product ran slower: every shell is one c2r of
+    # the whole shell, no rows are built, and the table reads irfftn's
+    grid = Grid(3, 8)
+    rng = np.random.default_rng(3)
+    half = np.fft.rfftn(rng.standard_normal((8, 2) + grid.shape), axes=(-3, -2, -1), norm="forward")
+    monkeypatch.setattr(besov, "_shell_rows", lambda *a: pytest.fail("rows pruned in 3-D"))
+    table = besov._block_table(half, grid, p)
+    assert c2r_calls == [8] * (shell_max(grid) + 2)
+    _assert_table_agrees(table, _unpruned_table(half, grid, p))

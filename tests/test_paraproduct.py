@@ -411,8 +411,9 @@ def test_verify_bony_transforms_on_the_n_grid_only(monkeypatch):
     for module in (spectral, paraproduct):
         monkeypatch.setattr(module, "_c2r", sized)
     pad = spectral._Pad  # the block values' pad and c2r
+    sized_pad = lambda grid, m, lead, rows: sizes.append(m) or pad(grid, m, lead, rows)
     for module in (spectral, dyadic):
-        monkeypatch.setattr(module, "_Pad", lambda grid, m, shape: sizes.append(m) or pad(grid, m, shape))
+        monkeypatch.setattr(module, "_Pad", sized_pad)
     for name in ("dealiased_product", "dealiased_products"):
         real = getattr(spectral, name)
         spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)

@@ -54,6 +54,7 @@ from lptorus.solver import (
     velocity_norm,
 )
 from lptorus.spectral import (
+    _Pad,
     dealiased_products,
     heat_stack,
     project_divergence_free,
@@ -363,7 +364,7 @@ def test_self_flux_forms_the_trace_free_columns(dim):
     assert list(rows).count(-1) == 1 and rows[n * n - 1] == -1  # the entry (n-1, n-1)
     flux = _Flux(grid, _source_operator(grid, (0.0,) * n, True), True)
     flux(b, b)
-    got = flux.kernel.band
+    got = flux.band
     for p, (i, j) in enumerate(pairs):
         want = dealiased_products(b, b, [(i, j)], grid)[0]
         if i == j:
@@ -1099,17 +1100,13 @@ def test_flux_plan_equals_the_term_loop_bit_for_bit(n, self_flux, n_grid, buoyan
     rng = np.random.default_rng(n)
     op = 0.5 * _source_operator(grid, (0.0,) * (n - 1) + (float(buoyant),), self_flux)
     flux = _Flux(grid, op, self_flux, grid.points if n_grid else None)
-    kernel, band = flux.kernel, flux.kernel.band
+    band = flux.band
 
     def zero_half(x):  # in place: half the entries to +-0.0, each part's sign drawn
         parts = rng.choice([-0.0, 0.0], (2,) + x.shape)
         np.copyto(x, parts[0] + 1j * parts[1], where=rng.random(x.shape) < 0.5)
 
-    def kernel_then_zeros(*stacks):
-        kernel(*stacks)
-        zero_half(band)
-
-    flux.kernel = kernel_then_zeros
+    flux.calls.append(functools.partial(zero_half, band))  # after the band read, before the operator
     b = random_field(grid, rng, components=n + 1).spectral.copy()
     zero_half(b[n])
     a = b if self_flux else random_field(grid, rng, components=n).spectral
@@ -1126,16 +1123,18 @@ def test_flux_plan_equals_the_term_loop_bit_for_bit(n, self_flux, n_grid, buoyan
 @pytest.mark.parametrize("n_grid", [False, True])
 def test_cross_flux_pads_its_two_stacks_as_their_concatenation(dim, points, n_grid):
     # the constants' cross flux pads u and (v, theta) straight into the
-    # kernel's factor rows: the same bits as padding one concatenated stack
+    # flux's factor rows: the same bits as padding one concatenated stack
     grid = Grid(dim, points)
     rng = np.random.default_rng(points + dim)
     a = random_field(grid, rng, components=dim).spectral
     b = random_field(grid, rng, components=dim + 1).spectral
     op = _source_operator(grid, (0.0,) * dim, False)
-    flux = _Flux(grid, op, False, grid.points if n_grid else None)
+    m = points if n_grid else 3 * points // 2
+    flux = _Flux(grid, op, False, m if n_grid else None)
     got = flux(a, b).copy()
-    kernel = flux.kernel
-    flux.kernel = lambda *stacks: kernel(np.concatenate(stacks))
+    pad, whole = flux.pad, _Pad(grid, m, (), (2 * dim + 1,))
+    assert whole.fold == pad.fold
+    flux.pad = lambda *stacks: np.copyto(pad.values, whole(np.concatenate(stacks)))
     assert np.array_equal(flux(a, b), got)
 
 

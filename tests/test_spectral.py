@@ -1,5 +1,6 @@
 """Transforms, differential operators, projection, heat flow, dealiasing, IO."""
 
+import ast
 import os
 import re
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lptorus
 import lptorus.suites
-from lptorus import spectral
+from lptorus import besov, spectral
 from lptorus import (
     Field,
     FieldFormatError,
@@ -27,9 +28,12 @@ from lptorus import (
     write_field,
 )
 from lptorus.besov import INF, _lp_norms, block_lp_norms, lp_norm
+from lptorus.cutoffs import build_cutoffs
+from lptorus.dyadic import shell_max
 from lptorus.ensembles import _envelope, embedded_field, random_field
 from lptorus.spectral import (
     MATRIX_COLUMNS,
+    TWO_PI,
     _band_index,
     _band_spectrum,
     _c2r,
@@ -40,6 +44,7 @@ from lptorus.spectral import (
     _nyquist_planes,
     _padded,
     _r2c,
+    _wavenumbers,
     _zero_nyquist,
     dealias_multiply,
     dealiased_products,
@@ -765,7 +770,7 @@ def test_no_basis_is_built_for_a_pass_wider_than_the_matrix_rule(monkeypatch, rn
             _r2c(np.zeros((rows, 64)), 1, cols)
             assert built == ([(cols, 64)] * 2 if cols <= MATRIX_COLUMNS and rows == 64 else [])
     # the 2-D N = 32 pad onto m = 48 transforms rows * 17 columns in its leading pass
-    assert [spectral._Pad(Grid(2, 32), 48, (rows,)).fold for rows in (2, 3)] == [False, True]
+    assert [spectral._Pad(Grid(2, 32), 48, (), (rows,)).fold for rows in (2, 3)] == [False, True]
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (2, 16), (3, 8)])
@@ -861,6 +866,88 @@ def test_only_the_spectral_module_calls_numpy_fft():
     assert called <= {"rfftn", "rfft", "irfft", "fft", "ifft", "fftfreq"}
 
 
+def test_only_the_fourier_matrix_evaluates_complex_exponentials():
+    # every e^{ikx} table of spectral, besov and solver comes from
+    # spectral._fourier: outside it no np.cos or np.sin is called, and no
+    # np.exp of an imaginary argument
+    package = Path(lptorus.__file__).parent
+    found, inside = [], set()
+    for name in ("spectral.py", "besov.py", "solver.py"):
+        tree = ast.parse((package / name).read_text())
+        defs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_fourier"]
+        fourier = {id(node) for f in defs for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("np", "numpy")):
+                continue
+            imaginary = any(isinstance(c, ast.Constant) and isinstance(c.value, complex) for c in ast.walk(node))
+            if func.attr in ("cos", "sin") or (func.attr == "exp" and imaginary):
+                (inside.add(func.attr) if id(node) in fourier else found.append((name, node.lineno)))
+    assert found == []
+    assert inside == {"cos", "sin"}  # the scan sees _fourier's own calls
+
+
+def _dft_basis_closed_form(cols, m, inverse):
+    # the real DFT basis as built before the one Fourier matrix: cosine and
+    # sine tables of the centred angles, read row by row at k j mod m
+    j = np.arange(m)
+    angle = TWO_PI / m * np.where(2 * j < m, j, j - m)
+    cos, sin = np.cos(angle), -np.sin(angle)
+    sin[2 * j % m == 0] = 0.0
+    basis = np.empty((2 * cols, m) if inverse else (m, 2 * cols))
+    pairs = basis if inverse else basis.T
+    for k in range(cols):
+        pairs[2 * k], pairs[2 * k + 1] = cos[k * j % m], sin[k * j % m]
+    if inverse:
+        pairs *= np.where((j[:cols] == 0) | (2 * j[:cols] == m), 1.0, 2.0).repeat(2)[:, None]
+    else:
+        pairs /= m
+    return basis
+
+
+def _band_basis_closed_form(n, m):
+    pos = _dft_basis_closed_form(n // 2, m, False).view(np.complex128).T
+    return np.concatenate([pos, np.zeros_like(pos[:1]), pos[:0:-1].conj()])
+
+
+def _pad_bases_closed_form(n, m):
+    h, x = n // 2, np.arange(m)[:, None]
+    turn = x * np.append(_wavenumbers(n), h) % m
+    angle = TWO_PI / m * np.where(2 * turn < m, turn, turn - m)
+    e = np.cos(angle) + 1j * np.where(2 * turn % m == 0, 0.0, np.sin(angle))
+    a, d = e[:, :n].copy(), e[:, h] - e[:, n]
+    a[:, h] -= d / 2
+    last = _dft_basis_closed_form(h + 1, m, True)
+    last[2 * h :] *= 1.0 if m == n else 0.5
+    return a, -d / 2, last
+
+
+def test_bases_from_the_one_fourier_matrix_equal_their_closed_forms():
+    # bit for bit, signs of zero included, for N = 2..64, m = N and 3N/2 and
+    # every cut up to min(m/2+1, 33) columns both ways
+    def same(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    for n in (2, 4, 8, 16, 32, 64):
+        for m in sorted({n, 3 * n // 2}):
+            for cols in range(1, min(m // 2 + 1, 33) + 1):
+                for inverse in (False, True):
+                    same(spectral._dft_basis(cols, m, inverse), _dft_basis_closed_form(cols, m, inverse))
+            same(spectral._band_basis(n, m), _band_basis_closed_form(n, m))
+            for got, want in zip(spectral._pad_bases(n, m), _pad_bases_closed_form(n, m), strict=True):
+                same(got, want)
+    # the block tables' row bases: within 1e-15 of exp of the uncentred angles
+    cut = build_cutoffs()
+    for n in (8, 16, 32, 64):
+        grid = Grid(2, n)
+        for q in range(-1, shell_max(grid) + 1):
+            head, tail, _, basis = besov._shell_rows(grid, q, cut)
+            k = _wavenumbers(n)[np.r_[0:head, tail:n]]
+            want = np.exp(TWO_PI / n * 1j * (np.outer(np.arange(n), k) % n))
+            assert np.max(np.abs(basis - want)) <= 1e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([1, 2, 3]),
@@ -873,8 +960,8 @@ def test_only_the_spectral_module_calls_numpy_fft():
 @example(dim=3, points=8, padded=True, seed=0, spoil=[])
 @example(dim=2, points=4, padded=False, seed=1, spoil=[(3, np.inf, True)])
 def test_folded_pad_equals_the_padded_pocketfft_c2r(dim, points, padded, seed, spoil):
-    # the folded pad (dim <= 2) reads the N half lattice through its BLAS
-    # bases, and 3-D keeps _c2r of _padded: against _padded and irfftn of the
+    # the folded pad (2-D) reads the N half lattice through its BLAS bases,
+    # and 1-D and 3-D keep _c2r of _padded: against _padded and irfftn of the
     # zero-filled pruned m half spectrum, on half spectra of white noise whose
     # Nyquist planes are populated and whose 3-D corner line c(-N/2, -N/2, .)
     # is ten times larger, on m = N and 3N/2.  The first sample stays finite;
@@ -891,8 +978,8 @@ def test_folded_pad_equals_the_padded_pocketfft_c2r(dim, points, padded, seed, s
         at = np.unravel_index(pos % half[1:].size, half[1:].shape)
         entry = half[1:][at]
         half[1:][at] = complex(bad, entry.imag) if real else complex(entry.real, bad)
-    pad = spectral._Pad(grid, m, (rows,))
-    assert pad.fold == (dim <= 2)
+    pad = spectral._Pad(grid, m, (), (rows,))
+    assert pad.fold == (dim == 2)
     filled = np.zeros(shape[:-1 - (dim - 1)] + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         filled[..., : h + 1] = _padded(half, grid, m)
