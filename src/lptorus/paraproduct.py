@@ -216,6 +216,13 @@ def _ratio(spec: BilinearEstimateSpec, grid: Grid, times, u, v, uv) -> float:
     return lhs / rhs if rhs > 0 else 0.0
 
 
+def _median(vals: list[float]) -> float:
+    """``np.median`` of a list without NaN, bit for bit, without importing
+    ``numpy.ma`` (11-16 ms) as its first call does."""
+    vals, mid = sorted(vals), len(vals) // 2
+    return float(vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2)
+
+
 def bilinear_constant_estimate(
     spec: BilinearEstimateSpec,
     dim: int = 2,
@@ -254,7 +261,7 @@ def bilinear_constant_estimate(
     stats = {
         n: {
             "max": float(np.max(vals)) if vals else 0.0,
-            "median": float(np.median(vals)) if vals else 0.0,
+            "median": _median(vals) if vals else 0.0,
             "count": len(vals),
         }
         for n, vals in ratios.items()

@@ -1,8 +1,11 @@
 """CLI surface: exit codes, report shapes, schema validation, determinism."""
 
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -214,6 +217,55 @@ def test_unknown_subcommand_exits_2():
 
 def test_unknown_flag_exits_2():
     assert main(["verify", "lp", "--frobnicate"]) == 2
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    lptorus.cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["frobnicate"]) == 2
+    assert len(made) == 6  # lp and its five subcommands
+    assert main(["frobnicate"]) == 2
+    assert len(made) == 6
+
+
+def test_the_cached_parser_keeps_exit_codes_and_patched_collaborators(
+    field_files, tmp_path, monkeypatch, capsys
+):
+    assert main(["verify", "comb", "--report", str(tmp_path / "comb.json")]) == 0
+    assert main(["verify", "lp", "--frobnicate"]) == 2
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0.1.0"
+    real_oracle, calls = lptorus.cli.exponential_euler, []
+    monkeypatch.setattr(lptorus.cli, "exponential_euler",
+                        lambda *args: calls.append(args) or real_oracle(*args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["solve", "--u0", field_files["u0"], "--theta0", field_files["theta0"],
+                 "--T", "0.25", "--M", "8", "--oracle", "--oracle-refine", "2",
+                 "--report", str(tmp_path / "solve.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_bilinear_and_a_comb_run_leave_numpy_ma_unimported(tmp_path):
+    # np.median's first call imports numpy.ma, 11-16 ms of a cold run
+    code = "\n".join([
+        "import sys",
+        "from lptorus.cli import main",
+        "main(['verify', 'bilinear', '--lemma', '2.7', '--N', '16,32', '--trials', '3'])",
+        "main(['verify', 'comb'])",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(lptorus.cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_malformed_field_file_exits_2_names_field(tmp_path, capsys):

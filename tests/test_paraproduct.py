@@ -33,6 +33,15 @@ from lptorus.paraproduct import ESTIMATE_IDS, _bony_parts, _harmonic_conjugate
 from lptorus.spectral import Grid, dealias_multiply, dealiased_products, values_from_half
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_nan=False), min_size=1, max_size=20))
+def test_the_suite_median_is_numpy_median_bit_for_bit(vals):
+    # the ratios are filtered to > 0 before the median, so no NaN reaches it
+    with np.errstate(over="ignore"):
+        expected = float(np.median(vals))
+    assert paraproduct._median(vals).hex() == expected.hex()
+
+
 def test_paraproduct_of_zero(grid32, rng):
     u = random_field(grid32, rng)
     z = Field.zeros(grid32)

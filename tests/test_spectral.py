@@ -644,6 +644,37 @@ def test_matrix_band_read_equals_the_gather_of_the_r2c(dim, points, padded, lead
         assert np.max(np.abs(got[~bad] - expected[~bad])) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("points", [8, 16, 32])
+def test_the_3d_band_read_in_column_blocks_equals_one_product_per_pass(points):
+    # the leading passes run in column blocks (one OpenBLAS thread per call);
+    # against one product per pass they agree to 1e-15 of the largest
+    # magnitude, not bit for bit: OpenBLAS rounds a block's column tail apart
+    grid, m, h = Grid(3, points), 3 * points // 2, points // 2
+    values = np.random.default_rng(points).standard_normal((2, m, m, m))
+    band = spectral._band_basis(points, m)
+    x = (values @ spectral._dft_basis(h, m, False)).view(np.complex128)
+    x = (band @ x.reshape(2, m, -1)).reshape(2, points, m, h)
+    expected = np.zeros((2,) + grid.half_shape, np.complex128)
+    expected[..., :h] = band @ x
+    got = _band_spectrum(values, grid)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("points", [8, 16, 32])
+def test_no_complex_product_of_a_3d_band_read_reaches_the_blas_thread_threshold(points):
+    # OpenBLAS runs a zgemm of M N K > 2^16 complex multiply-adds on a second
+    # thread, which beside the forked oracle only costs time.  The real
+    # last-axis pass (a dgemm, 48 x 48 x 32 at N = 32) stayed on one thread up
+    # to 276,480 in a probe, so it stays one call
+    grid, m = Grid(3, points), 3 * points // 2
+    out = np.empty((4,) + grid.half_shape, np.complex128)
+    calls = spectral._band_plan(np.empty((4, m, m, m)), grid, out)
+    assert all(call.func is np.matmul for call in calls)
+    sizes = [a.shape[-2] * a.shape[-1] * b.shape[-1] for a, b in (call.args for call in calls)
+             if b.dtype == np.complex128]
+    assert len(sizes) == len(calls) - 1 and max(sizes) < 2**16
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("points", [2, 4, 8, 16])
 def test_pruned_c2r_is_bit_identical_to_irfftn_of_the_zero_filled_half(dim, points):
