@@ -32,7 +32,8 @@ import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
 from .dyadic import block_weights, shell_max
-from .spectral import MATRIX_COLUMNS, Field, Grid, _c2r, _fourier, _wavenumbers, heat_stack, values_from_half
+from .spectral import (MATRIX_COLUMNS, Field, Grid, _c2r, _column_blocks, _fourier, _wavenumbers, heat_stack,
+                       values_from_half)
 
 INF = float("inf")
 
@@ -277,9 +278,8 @@ def _block_table(
             np.multiply(half[:head, ..., :c], wr[:head], out=z[:head])
             np.multiply(half[tail:, ..., :c], wr[head:], out=z[head:])
             y = wide[: z.size // len(wr) * n].reshape((n,) + z.shape[1:])
-            z, step = z.reshape(len(wr), -1), (2**16 - 1) // (n * len(wr))  # one BLAS thread per call
-            for a in range(0, z.shape[1], step):
-                np.matmul(basis, z[:, a : a + step], out=y.reshape(n, -1)[:, a : a + step])
+            for c in _column_blocks(n, len(wr), z[0].size):
+                np.matmul(basis, z.reshape(len(wr), -1)[:, c], out=y.reshape(n, -1)[:, c])
             block = np.moveaxis(_c2r(y, dim - 1, n, values, overwrite=True), (0, 1), (-dim, -dim - 1))
         out[q + 1] = np.where(bad, np.nan, _lp_norms(block, grid, p))
     return out

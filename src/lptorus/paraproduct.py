@@ -217,8 +217,8 @@ def _ratio(spec: BilinearEstimateSpec, grid: Grid, times, u, v, uv) -> float:
 
 
 def _median(vals: list[float]) -> float:
-    """``np.median`` of a list without NaN, bit for bit, without importing
-    ``numpy.ma`` (11-16 ms) as its first call does."""
+    """``np.median`` of a list without NaN, bit for bit, without importing ``numpy.ma``
+    (11-16 ms, ``np.median``'s first call) or ``statistics`` (3 ms: ``fractions``, ``decimal``)."""
     vals, mid = sorted(vals), len(vals) // 2
     return float(vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2)
 

@@ -251,6 +251,12 @@ def _matrix(cols: int, m: int, transforms: int) -> bool:
     return cols <= MATRIX_COLUMNS and transforms >= m
 
 
+def _column_blocks(rows: int, k: int, cols: int) -> list[slice]:
+    """Column slices of a complex (rows x k)(k x cols) product on one OpenBLAS thread each."""
+    step = (2**16 - 1) // (rows * k)
+    return [slice(a, a + step) for a in range(0, cols, step)]
+
+
 def _fourier(m: int, ks) -> np.ndarray:
     """The complex (m, len(ks)) matrix exp(2 pi i x k / m), x = 0..m-1, of
     angles centred on 0, Im exactly 0 at the half turns x k = 0 or m/2 mod m
@@ -634,8 +640,7 @@ def _band_plan(values: np.ndarray, grid: Grid, out: np.ndarray) -> list:
     values on the m grid, m = N or 3N/2 read from their last axis, on buffers
     made here: a pruned r2c and the band gather, Nyquist planes zeroed, or
     under the matrix rule at N/2+1 <= ``MATRIX_COLUMNS`` BLAS products, leading
-    axes outermost first in column blocks of under 2^16 complex multiply-adds
-    a call (one OpenBLAS thread), whose leading Nyquist planes may read -0.0."""
+    axes outermost first in ``_column_blocks``, whose leading Nyquist planes may read -0.0."""
     dim, n, m = grid.dim, grid.points, values.shape[-1]
     if not _matrix(n // 2 + 1, m, values.size // m):
         spec, index = np.empty(values.shape[:-1] + (m // 2 + 1,), np.complex128), _band_index(n, dim, m)
@@ -647,9 +652,9 @@ def _band_plan(values: np.ndarray, grid: Grid, out: np.ndarray) -> list:
     calls = [partial(np.matmul, values, _dft_basis(n // 2, m, False), out=steps[0].view(np.float64))]
     for k, (src, dst) in enumerate(zip(steps, steps[1:])):  # leading axis k
         pre = src.shape[: src.ndim - dim + k]
-        src, dst, step = src.reshape(pre + (m, -1)), dst.reshape(pre + (n, -1)), (2**16 - 1) // (n * m)
-        calls += [partial(np.matmul, _band_basis(n, m), src[..., a : a + step], out=dst[..., a : a + step])
-                  for a in range(0, src.shape[-1], step)]  # one BLAS thread per call, as in tables
+        src, dst = src.reshape(pre + (m, -1)), dst.reshape(pre + (n, -1))
+        calls += [partial(np.matmul, _band_basis(n, m), src[..., c], out=dst[..., c])
+                  for c in _column_blocks(n, m, src.shape[-1])]
     return calls
 
 

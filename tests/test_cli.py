@@ -250,6 +250,8 @@ def test_the_cached_parser_keeps_exit_codes_and_patched_collaborators(
                  "--T", "0.25", "--M", "8", "--oracle", "--oracle-refine", "2",
                  "--report", str(tmp_path / "solve.json")]) == 0
     assert len(calls) == 1
+    monkeypatch.setattr(lptorus.cli, "cmd_verify", lambda args: 7)
+    assert main(["verify", "comb"]) == 7  # the command itself is looked up per call
 
 
 def test_a_bilinear_and_a_comb_run_leave_numpy_ma_unimported(tmp_path):
