@@ -17,7 +17,7 @@ from .besov import (
     lebesgue_besov_norm,
     lp_norm,
 )
-from .comb import DiracCombSpec, comb_norms, dirac_comb_norms
+from .comb import DiracCombSpec, dirac_comb_norms
 from .cutoffs import CutoffPair, build_cutoffs, partition_defect
 from .dyadic import (
     DyadicDecomposition,

@@ -28,16 +28,11 @@ M + 1 grid points, so no run samples the kernel: O(PROFILE_POINTS) work per
 transform.  ``_kernel_table`` samples it only as the reference the closed form
 is tested against.
 
-Block sup norms are taken over a dense sample of one period of the lowest mode,
-summing read-only rows cos(2^d theta) cached per offset d from that mode (the
-comb's blocks meet d = 0 and 1 only).
-
-Since the supports are exact, block q weighs only the modes j = q and q + 1,
-and the norms visit only those: O(J) weights per comb, not O(J^2).  A block's
-sup depends only on its amplitudes and exponent offsets, so ``comb_norms``
-measures each distinct block once per call; the harmonic truncations share
-every block below their top one.  Nothing is kept between calls, so one run
-pays for its own blocks.
+Block q weighs only the modes j = q and q + 1, so it is
+A cos(2^q x) + B cos(2^(q+1) x) = 2 B c^2 + A c - B in c = cos(2^q x).  Its
+sup over c in [-1, 1] is |A| + |B|, at c = 1 or -1 (the vertex, where
+|A| <= 4|B|, reaches only |B| + |A|/2), so each block costs two weights and
+one sum: O(J) work per comb.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ SPLIT = 1 << 8  # coarse and fine factors of the y grid
 KERNEL_POINTS = SPLIT * SPLIT  # samples of h on the half-line
 KERNEL_EXTENT = 400.0  # the kernel decays super-polynomially; tail checked in tests
 PROFILE_POINTS = 1 << 11
-SUP_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -177,72 +171,31 @@ def kernel_multiplier(
     return _cosine_transform(kernel, arg, cut)
 
 
-@lru_cache(maxsize=16)
-def _sup_row(d: int) -> np.ndarray:
-    """cos(2^d theta) on SUP_SAMPLES points of [0, 2 pi), read-only."""
-    theta = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
-    row = np.cos(2.0**d * theta)
-    row.setflags(write=False)
-    return row
-
-
-def _block_sup(amps: list[float], exponents: list[int]) -> float:
-    """sup_x |sum_i amps[i] cos(2^{e_i} x)| over one period of the lowest mode."""
-    if not amps:
-        return 0.0
-    base = min(exponents)
-    total = np.zeros(SUP_SAMPLES)
-    for amp, e in zip(amps, exponents):
-        total += amp * _sup_row(e - base)
-    return float(np.max(np.abs(total)))
-
-
-def comb_norms(specs) -> list[tuple[float, float]]:
-    """``dirac_comb_norms`` of each spec, measuring each distinct block once.
-
-    Block q of a comb weighs only the modes j = q and q + 1: for q >= 0 the
-    argument 2^(j-q) of phi lies in its support [3/4, 8/3] only there, and
-    for q = -1 chi's support {2^j <= 4/3} holds j = -1 and 0 only, so every
-    other mode's weight is the exact 0.0 and is not visited.  A block's sup
-    depends only on its amplitudes and on its exponents' offsets from its
-    lowest mode, so it is taken once per such key within this call (the
-    harmonic truncations share every block below their top one); nothing is
-    kept between calls.
-    """
-    sups: dict = {}
-    norms = []
-    for spec in specs:
-        J = spec.J
-        partial = 0.0
-        weighted_sup = 0.0
-        for q in range(-1, J + 1):
-            amps, expos = [], []
-            for j in range(q, min(q + 1, J) + 1):
-                a = spec.coefficients[j + 1]
-                if a == 0.0:
-                    continue
-                w = kernel_multiplier(2.0**j, q)
-                if abs(w) < 1e-9:
-                    continue
-                amps.append(a * w)
-                expos.append(j)
-            key = (tuple(amps), tuple(e - min(expos) for e in expos))
-            if key not in sups:
-                sups[key] = _block_sup(amps, expos)
-            sup = sups[key]
-            partial += sup
-            weighted_sup = max(weighted_sup, (q + 3.0) * sup)
-        norms.append((partial, weighted_sup))
-    return norms
-
-
 def dirac_comb_norms(spec: DiracCombSpec, dim: int = 1) -> tuple[float, float]:
     """(partial sum_q ||block_q f||_inf for q <= J, sup_q (q+3) ||block_q f||_inf).
 
     Comparable within fixed constants to sum_j |a_j| and sup_j (j+3) |a_j|.
-    The construction is one-dimensional.  Each block visits only the two
-    modes its cutoff can weigh (see ``comb_norms``), so the cost is O(J).
+    The construction is one-dimensional.  Block q weighs only the modes
+    j = q and q + 1: for q >= 0 the argument 2^(j-q) of phi lies in its
+    support [3/4, 8/3] only there, and for q = -1 chi's support
+    {2^j <= 4/3} holds j = -1 and 0 only, so every other mode's weight is
+    the exact 0.0 and is not visited.  The block's sup is the sum of its
+    terms' sizes (see the module docstring).
     """
     if dim != 1:
         raise ValueError("the comb norms are computed in one dimension only")
-    return comb_norms([spec])[0]
+    J = spec.J
+    partial = weighted_sup = 0.0
+    for q in range(-1, J + 1):
+        sup = 0.0
+        for j in range(q, min(q + 1, J) + 1):
+            a = spec.coefficients[j + 1]
+            if a == 0.0:
+                continue
+            w = kernel_multiplier(2.0**j, q)
+            if abs(w) < 1e-9:
+                continue
+            sup += abs(a * w)
+        partial += sup
+        weighted_sup = max(weighted_sup, (q + 3.0) * sup)
+    return partial, weighted_sup

@@ -240,6 +240,8 @@ def bilinear_constant_estimate(
     ``workers`` and ``children_maxrss_mb``.
     """
     resolutions = tuple(sorted(resolutions))
+    if len(set(resolutions)) < len(resolutions):
+        raise ValueError(f"resolutions must be distinct, got {list(resolutions)}")
     ref = Grid(dim, resolutions[0])
     grids = [Grid(dim, n) for n in resolutions]
     times = np.linspace(0.0, 1.0, time_samples) if spec.time_dependent else None

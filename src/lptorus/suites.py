@@ -29,7 +29,7 @@ from .besov import (
     heat_trajectory,
     lebesgue_besov_reduce,
 )
-from .comb import DiracCombSpec, comb_norms
+from .comb import DiracCombSpec, dirac_comb_norms
 from .cutoffs import default_test_radii, partition_defect
 from .dyadic import decompose, require_shell, support_report
 from .ensembles import embedded_field, random_field, random_spectrum
@@ -191,6 +191,8 @@ def heat_characterization_suite(
     ``fork_map``, which gives ``workers`` and ``children_maxrss_mb``.
     """
     resolutions = tuple(sorted(resolutions))
+    if len(set(resolutions)) < len(resolutions):
+        raise ValueError(f"resolutions must be distinct, got {list(resolutions)}")
     ref = require_shell(Grid(dim, resolutions[0]))
     grids = [Grid(dim, n) for n in resolutions]
     rng = np.random.default_rng(seed)
@@ -247,10 +249,9 @@ def comb_suite(seed: int = 0) -> dict:
     slope at least half the empirical comparability coefficient; the
     one-coefficient comb must scale like 1/k within 30%.
     """
-    norms = comb_norms(
-        [DiracCombSpec.harmonic(J) for J in COMB_J_VALUES]
-        + [DiracCombSpec.kronecker(k) for k in COMB_K_VALUES]
-    )
+    norms = [dirac_comb_norms(DiracCombSpec.harmonic(J)) for J in COMB_J_VALUES] + [
+        dirac_comb_norms(DiracCombSpec.kronecker(k)) for k in COMB_K_VALUES
+    ]
     b01 = [partial for partial, _ in norms[: len(COMB_J_VALUES)]]
     blog = [weighted for _, weighted in norms[: len(COMB_J_VALUES)]]
     blog_arr = np.asarray(blog)

@@ -418,6 +418,8 @@ DOMAIN_GUARD_CELLS = {
     "verify-besov-N-list": ["verify", "besov", "--N", "16,32"],
     "verify-bernstein-N-list": ["verify", "bernstein", "--N", "64,64"],
     "verify-bony-N-list": ["verify", "bony", "--N", "16,32"],
+    "verify-bilinear-N-repeated": ["verify", "bilinear", "--lemma", "2.4", "--N", "32,32"],
+    "verify-heatchar-N-repeated": ["verify", "heatchar", "--N", "32,32"],
     "solve-grid-without-shell-N2": ["solve", "--u0", "{u0_n2}", "--theta0", "{theta0_n2}",
                                     "--M", "4", "--oracle"],
     "solve-grid-without-shell-N4": ["solve", "--u0", "{u0_n4}", "--theta0", "{theta0_n4}",

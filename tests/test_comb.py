@@ -1,9 +1,11 @@
 """Lacunary comb norms: the two spaces separate in opposite directions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lptorus import DiracCombSpec, build_cutoffs, comb, dirac_comb_norms, suites
 from lptorus.comb import (
@@ -11,13 +13,9 @@ from lptorus.comb import (
     KERNEL_POINTS,
     PROFILE_POINTS,
     SPLIT,
-    SUP_SAMPLES,
-    _block_sup,
     _cosine_transform,
     _kernel_table,
-    _sup_row,
     _trapezoid_cosines,
-    comb_norms,
     kernel_multiplier,
 )
 
@@ -110,6 +108,10 @@ def test_nan_frequency_is_rejected():
         assert kernel_multiplier(-math.inf, q) == 0.0
 
 
+# the reference block sup: samples of one period of the block's lowest mode
+SUP_SAMPLES = 1 << 13
+
+
 def _block_sup_per_call(amps, exponents):
     # the sup grid and one cosine per term, built on every call
     if not amps:
@@ -122,43 +124,32 @@ def _block_sup_per_call(amps, exponents):
     return float(np.max(np.abs(total)))
 
 
-@pytest.mark.parametrize(
-    "amps, exponents",
-    [
-        ([], []),
-        ([0.3581659549520068], [4]),
-        ([0.41, -0.27, 0.125], [0, 1, 2]),
-        ([0.3, 0.6, -0.2], [5, 3, 4]),
-        ([0.5, 0.6418340450479966 / 3.0], [-1, 0]),
-    ],
+AMPLITUDES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7e308, -1.7e308]),
 )
-def test_block_sup_from_cached_rows_matches_per_call_cosines(amps, exponents):
-    assert _block_sup(amps, exponents) == _block_sup_per_call(amps, exponents)
 
 
-def test_block_sup_attained_away_from_the_origin_and_half_grid():
-    # a comb block of three lacunary modes (a cutoff spanning a ratio of 4
-    # would give one) peaks at theta0 = 2 pi 901 / 2^13: away from x = 0, and
-    # 4e-6 above the best sample of a sup grid of 2^12 points
-    theta0 = 2.0 * np.pi * 901 / 2**13
-    c = -0.9
-    b = -(np.sin(theta0) + 4.0 * c * np.sin(4.0 * theta0)) / (2.0 * np.sin(2.0 * theta0))
+@settings(max_examples=300, deadline=None)
+@given(a=AMPLITUDES, b=AMPLITUDES, q=st.integers(-1, 40), one_mode=st.booleans())
+@example(a=1.7e308, b=1.7e308, q=3, one_mode=False)  # both read inf on overflow
+@example(a=0.41, b=-0.27, q=0, one_mode=False)
+@example(a=5e-324, b=-5e-324, q=-1, one_mode=False)
+def test_closed_form_block_sup_equals_the_sampled_sup_bit_for_bit(a, b, q, one_mode):
+    # only block q weighs, with weight 1, the modes q and q + 1, so the summed
+    # norm is that block's sup: the sampled grid holds both of its extremal
+    # points, x = 0 and x = pi / 2^q
+    b = 0.0 if one_mode else b
+    spec = DiracCombSpec((0.0,) * (q + 1) + (a, b))
+    amps, exponents = ([a], [q]) if one_mode else ([a, b], [q, q + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sampled = _block_sup_per_call(amps, exponents)
 
-    def f(theta):  # f'(theta0) = 0 by the choice of b
-        return np.cos(theta) + b * np.cos(2.0 * theta) + c * np.cos(4.0 * theta)
+    def unit(omega, block):
+        return 1.0 if block == q else 0.0
 
-    peak = abs(f(theta0))
-    dense = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
-    assert np.max(np.abs(f(dense))) <= peak * (1.0 + 1e-14)  # the global sup
-    assert abs(f(0.0)) < 0.3 * peak
-    assert _block_sup([1.0, b, c], [3, 4, 5]) == pytest.approx(peak, rel=1e-12)
-
-
-def test_cached_sup_rows_are_read_only():
-    row = _sup_row(1)
-    with pytest.raises(ValueError):
-        row[0] = 0.0
-    assert _sup_row(1) is row
+    with mock.patch.object(comb, "kernel_multiplier", unit):
+        assert dirac_comb_norms(spec)[0] == sampled
 
 
 def test_long_kronecker_comb_matches_short_one():
@@ -233,7 +224,8 @@ def test_kronecker_inverse_k():
 
 
 def _comb_norms_all_pairs(spec):
-    # the O(J^2) loop: every mode weighed in every block, every block measured
+    # the O(J^2) loop: every mode weighed in every block, every block's sup
+    # sampled densely
     partial = weighted_sup = 0.0
     for q in range(-1, spec.J + 1):
         amps, expos = [], []
@@ -246,7 +238,7 @@ def _comb_norms_all_pairs(spec):
                 continue
             amps.append(a * w)
             expos.append(j)
-        sup = _block_sup(amps, expos)
+        sup = _block_sup_per_call(amps, expos)
         partial += sup
         weighted_sup = max(weighted_sup, (q + 3.0) * sup)
     return partial, weighted_sup
@@ -270,30 +262,24 @@ SUITE_SPECS = [DiracCombSpec.harmonic(J) for J in range(8, 21)] + [
 )
 def test_comb_norms_equal_the_all_pairs_loop_bit_for_bit(specs):
     expected = [_comb_norms_all_pairs(spec) for spec in specs]
-    assert comb_norms(specs) == expected
     assert [dirac_comb_norms(spec) for spec in specs] == expected
 
 
-def test_comb_suite_measures_each_distinct_block_once_per_run(monkeypatch):
-    # 234 blocks and 3,536 weights in the all-pairs loop; the 13 harmonic
-    # truncations share every block below their top one.  The counts hold
-    # in a second run too, so nothing is kept between runs.
-    counts = {}
+def test_comb_suite_makes_the_same_409_weight_calls_in_every_run(monkeypatch):
+    # 3,536 weights in the all-pairs loop; each block weighs its two modes
+    # only.  The count holds in a second run too, so nothing is kept
+    # between runs.
+    calls = []
 
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+    def counting(*args):
+        calls.append(args)
+        return kernel_multiplier(*args)
 
-    monkeypatch.setattr(comb, "_block_sup", counting("_block_sup", _block_sup))
-    monkeypatch.setattr(
-        comb, "kernel_multiplier", counting("kernel_multiplier", kernel_multiplier)
-    )
+    monkeypatch.setattr(comb, "kernel_multiplier", counting)
     for _ in range(2):
-        counts.update(_block_sup=0, kernel_multiplier=0)
+        calls.clear()
         suites.comb_suite()
-        assert counts == {"_block_sup": 40, "kernel_multiplier": 409}
+        assert len(calls) == 409
 
 
 def test_modes_outside_the_two_mode_window_weigh_exact_zero():
