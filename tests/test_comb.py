@@ -124,6 +124,34 @@ def _block_sup_per_call(amps, exponents):
     return float(np.max(np.abs(total)))
 
 
+@pytest.mark.parametrize(
+    "amps, exponents",
+    [
+        ([], []),
+        ([0.3581659549520068], [4]),
+        ([0.41, -0.27], [0, 1]),
+        ([0.6, 0.3], [4, 3]),
+        ([0.5, 0.6418340450479966 / 3.0], [-1, 0]),
+    ],
+)
+def test_block_sup_from_cached_rows_matches_per_call_cosines(amps, exponents):
+    # fixed blocks of the shapes a comb forms (empty, one mode, two adjacent
+    # modes in either order, the low block q = -1): with only block q weighed,
+    # with weight 1, dirac_comb_norms returns its closed-form sup, which must
+    # equal the per-call cosine samples bit for bit
+    q = min(exponents, default=0)
+    coeffs = [0.0] * (max(exponents, default=0) + 2)
+    for amp, e in zip(amps, exponents):
+        coeffs[e + 1] = amp
+
+    def unit(omega, block):
+        return 1.0 if block == q else 0.0
+
+    with mock.patch.object(comb, "kernel_multiplier", unit):
+        closed = dirac_comb_norms(DiracCombSpec(tuple(coeffs)))[0]
+    assert closed == _block_sup_per_call(amps, exponents)
+
+
 AMPLITUDES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7e308, -1.7e308]),
