@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import CutoffPair, build_cutoffs
-from .dyadic import block_weights, shell_max
+from .dyadic import _shell_columns, block_weights, shell_max
 from .spectral import (MATRIX_COLUMNS, Field, Grid, _c2r, _column_blocks, _fourier, _wavenumbers, heat_stack,
                        values_from_half)
 
@@ -200,15 +200,6 @@ def sequence_norm(values: np.ndarray, r: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _shell_columns(grid: Grid, q: int, cut: CutoffPair) -> int:
-    """Half-lattice columns of block q up to the last one holding a nonzero
-    weight (at least one)."""
-    w = block_weights(grid, q, cut)
-    used = np.flatnonzero(np.any(w != 0, axis=tuple(range(grid.dim - 1))))
-    return int(used[-1]) + 1 if used.size else 1
-
-
-@lru_cache(maxsize=None)
 def _shell_rows(grid: Grid, q: int, cut: CutoffPair) -> tuple:
     """The first-axis rows |k_1| <= R of block q, R the largest |k_1| its
     weights touch, as the first ``head`` rows and those from ``tail`` on; the
@@ -370,12 +361,7 @@ def heat_trajectory(f: Field, times) -> FieldTrajectory:
 
 def time_norm(values: np.ndarray, times: np.ndarray, rho: float) -> float:
     """L^rho norm over the sampled interval (trapezoid; max when rho = inf)."""
-    rho = _check_exponent("rho", rho)
-
-    def trapezoid(terms, axis):
-        return np.sum(0.5 * (terms[..., 1:] + terms[..., :-1]) * np.diff(times), axis=axis)
-
-    return float(_power_mean(np.asarray(values, dtype=float), rho, (-1,), trapezoid))
+    return float(time_block_norms(values, times, rho))
 
 
 def block_time_lp(traj: FieldTrajectory, p: float) -> np.ndarray:
@@ -388,8 +374,14 @@ def block_time_lp(traj: FieldTrajectory, p: float) -> np.ndarray:
 
 
 def time_block_norms(matrix: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
-    """||block_q||_{L^rho_T L^p} for every row of a ``block_time_lp`` matrix."""
-    return np.array([time_norm(row, times, rho) for row in matrix])
+    """||block_q||_{L^rho_T L^p} for every row of a ``block_time_lp`` matrix:
+    ``time_norm`` of each, all in one ``_power_mean``."""
+    rho = _check_exponent("rho", rho)
+
+    def trapezoid(terms, axis):
+        return np.sum(0.5 * (terms[..., 1:] + terms[..., :-1]) * np.diff(times), axis=axis)
+
+    return _power_mean(np.asarray(matrix, dtype=float), rho, (-1,), trapezoid)
 
 
 def chemin_lerner_reduce(

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import CHI_FLAT_RADIUS, GAMMA, CutoffPair, build_cutoffs
-from .spectral import Field, Grid, _band_spectrum, _Pad
+from .spectral import Field, Grid, _band_spectrum, _c2r, _padded
 
 
 def shell_max(grid: Grid) -> int:
@@ -83,6 +83,15 @@ def block_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np.n
     return _block_weights(grid, int(q), cutoffs or build_cutoffs())
 
 
+@lru_cache(maxsize=None)
+def _shell_columns(grid: Grid, q: int, cut: CutoffPair) -> int:
+    """Half-lattice columns of block q up to the last one holding a nonzero
+    weight (at least one): the only ones a block's c2r reads."""
+    w = block_weights(grid, q, cut)
+    used = np.flatnonzero(np.any(w != 0, axis=tuple(range(grid.dim - 1))))
+    return int(used[-1]) + 1 if used.size else 1
+
+
 def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
     """Multiplier of the partial sum below 2^q (zero for q <= -1) on the half
     lattice; cached and read-only."""
@@ -91,13 +100,19 @@ def lowpass_weights(grid: Grid, q: int, cutoffs: CutoffPair | None = None) -> np
 
 def _block_values(f: Field, m: int) -> np.ndarray:
     """Blocks -1..shell_max of ``f`` as values on the m^n grid, m = N or 3N/2,
-    (shell_max + 2, components, m, ..., m), by one batched pad and c2r.  Sums of their
-    products, brought back by ``_band_spectrum``, are exact on the band at
-    m = 3N/2 (the 3/2 rule), and at m = N when every product stays below N/2
-    per axis, as for factors band-limited below N/4."""
-    grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
-    blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
-    return _Pad(grid, m, blocks.shape[:1], blocks.shape[1:2])(blocks)
+    (shell_max + 2, components, m, ..., m): per shell one c2r of the block
+    cut to the columns its weights reach (``_shell_columns``), padded first
+    by ``_padded`` at m = 3N/2.  Sums of their products, brought back by
+    ``_band_spectrum``, are exact on the band at m = 3N/2 (the 3/2 rule), and
+    at m = N when every product stays below N/2 per axis, as for factors
+    band-limited below N/4."""
+    grid, cut, qm = f.grid, build_cutoffs(), shell_max(f.grid)
+    out = np.empty((qm + 2, f.components) + (m,) * grid.dim)
+    for q in range(-1, qm + 1):
+        c, w = _shell_columns(grid, q, cut), block_weights(grid, q, cut)
+        half = f.spectral[..., :c] * w[..., :c] if m == grid.points else _padded(f.spectral * w, grid, m)[..., :c]
+        _c2r(half, grid.dim, m, out[q + 1], overwrite=True)
+    return out
 
 
 def dyadic_block(f: Field, q: int, cutoffs: CutoffPair | None = None) -> Field:

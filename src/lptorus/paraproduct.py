@@ -12,8 +12,9 @@ the retained band.  T(u, v) collects interactions where u sits at strictly
 lower frequency than v; R collects the comparable-frequency diagonal.
 
 The 3/2 rule is linear, so no part is made one product per shell: each
-factor's blocks go to the 3N/2 grid in one batched c2r, S_{q-1} is a running
-sum of block values there, and one r2c of the summed parts gives them all.
+block of a factor goes to the 3N/2 grid by one c2r cut to its shell's
+columns, S_{q-1} is a running sum of block values there, and one r2c of the
+summed parts gives them all.
 ``verify bony`` draws its factors below N/4, so it runs the same sums on the
 N grid, where such products do not alias.
 

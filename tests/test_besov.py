@@ -32,7 +32,6 @@ from lptorus.besov import (
     INF,
     _lp_norms,
     _power_mean,
-    _shell_columns,
     block_lp_norms,
     block_time_lp,
     characterization_ratio,
@@ -44,7 +43,7 @@ from lptorus.besov import (
     time_norm,
 )
 from lptorus.cutoffs import build_cutoffs
-from lptorus.dyadic import block_weights, shell_max
+from lptorus.dyadic import _shell_columns, block_weights, shell_max
 from lptorus.ensembles import random_field
 from lptorus.spectral import hermitian_half, values_from_half
 
@@ -576,6 +575,42 @@ def test_sequence_and_time_norms_rescale_only_what_left_the_range():
     assert time_norm([1.0, np.inf, 1.0], times, 2.0) == INF
 
 
+def _time_norms_per_row(matrix, times, rho):
+    """The per-row loop that ``time_block_norms`` batches: one trapezoid
+    ``_power_mean`` per row."""
+
+    def trapezoid(terms, axis):
+        return np.sum(0.5 * (terms[..., 1:] + terms[..., :-1]) * np.diff(times), axis=axis)
+
+    return np.array([float(_power_mean(np.asarray(row, float), rho, (-1,), trapezoid)) for row in matrix])
+
+
+ROW_SCALES = {"plain": 1.0, "zero": 0.0, "tiny": 1e-160, "subnormal": 1e-310, "huge": 1e200, "inf": 1.0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(ROW_SCALES)), min_size=1, max_size=8),
+    samples=st.integers(1, 70),
+    rho=st.sampled_from([1.0, 2.0, INF]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_time_block_norms_equal_the_per_row_loop_bit_for_bit(kinds, samples, rho, seed):
+    # all-zero rows, rows whose powers underflow or overflow (the rescue
+    # path) and rows holding inf, mixed in one matrix
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 1.0, samples)) - 0.005
+    matrix = rng.uniform(0.0, 1.0, (len(kinds), samples)) * [[ROW_SCALES[k]] for k in kinds]
+    for row, kind in zip(matrix, kinds):
+        if kind == "inf":
+            row[rng.integers(samples)] = np.inf
+    with np.errstate(over="ignore"):
+        got = time_block_norms(matrix, times, rho)
+        expected = _time_norms_per_row(matrix, times, rho)
+    assert got.shape == (len(kinds),) and got.tobytes() == expected.tobytes()
+    assert [time_norm(row, times, rho) for row in matrix] == list(got)
+
+
 def test_chemin_lerner_norm_of_a_trajectory_near_overflow_is_finite(grid32, rng):
     # every block norm of the sup-1e200 field is finite; their squares are not
     f = random_field(grid32, rng)
@@ -894,7 +929,7 @@ def test_row_pruned_table_equals_the_per_shell_c2r(dim, points, p, monkeypatch):
         table = besov._block_table(half, grid, p)
         expected = []
         for q in range(-1, shell_max(grid) + 1):
-            c = besov._shell_columns(grid, q, build_cutoffs())
+            c = _shell_columns(grid, q, build_cutoffs())
             block = besov._c2r(half[..., :c] * block_weights(grid, q)[..., :c], dim, points)
             expected.append(np.where([False, True, True] + [False] * 37, np.nan,
                                      besov._lp_norms(block, grid, p)))

@@ -20,6 +20,7 @@ from lptorus import (
 )
 from lptorus import besov, dyadic, paraproduct, spectral, suites
 from lptorus.besov import INF, FieldTrajectory, besov_norm, chemin_lerner_norm, heat_trajectory
+from lptorus.cutoffs import build_cutoffs
 from lptorus.dyadic import (
     block_weights,
     lowpass_weights,
@@ -411,23 +412,65 @@ def test_bony_draws_stay_below_a_quarter_of_every_accepted_grid(dim):
 
 def test_verify_bony_transforms_on_the_n_grid_only(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    sizes, calls = [], []
+    sizes, columns, calls = [], [], []
     c2r = spectral._c2r
-    sized = lambda half, dim, m, *rest: sizes.append(m) or c2r(half, dim, m, *rest)
+    sized = lambda half, dim, m, *rest, **kw: sizes.append(m) or c2r(half, dim, m, *rest, **kw)
     for module in (spectral, paraproduct):
         monkeypatch.setattr(module, "_c2r", sized)
-    pad = spectral._Pad  # the block values' pad and c2r
-    sized_pad = lambda grid, m, lead, rows: sizes.append(m) or pad(grid, m, lead, rows)
-    for module in (spectral, dyadic):
-        monkeypatch.setattr(module, "_Pad", sized_pad)
+    # the block values' c2r, one per shell, on the columns its weights reach
+    block = lambda half, dim, m, *rest, **kw: columns.append(half.shape[-1]) or sized(half, dim, m, *rest, **kw)
+    monkeypatch.setattr(dyadic, "_c2r", block)
+    pad = spectral._Pad
+    monkeypatch.setattr(spectral, "_Pad", lambda grid, m, lead, rows: sizes.append(m) or pad(grid, m, lead, rows))
     for name in ("dealiased_product", "dealiased_products"):
         real = getattr(spectral, name)
         spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
         for module in (spectral, suites):
             monkeypatch.setattr(module, name, spy, raising=False)  # an imported name
     for dim, points in ((1, 32), (2, 16), (3, 8)):
+        grid = Grid(dim, points)
+        shells = [dyadic._shell_columns(grid, q, build_cutoffs()) for q in range(-1, shell_max(grid) + 1)]
         report = suites.bony_suite(dim=dim, points=points, trials=3, seed=4)
         assert report["pass"] and report["workers"] == 1
         assert sizes and set(sizes) == {points}
+        assert columns == shells * 6  # both factors of each of the 3 trials
         sizes.clear()
+        columns.clear()
     assert calls == []
+
+
+def _block_values_padded(f, m):
+    """The blocks' values by one batched ``_Pad`` over all shells: the
+    reference for the per-shell pruned c2r of ``dyadic._block_values``."""
+    grid, qs = f.grid, range(-1, shell_max(f.grid) + 1)
+    blocks = np.stack([block_weights(grid, q) for q in qs])[:, None] * f.spectral
+    return spectral._Pad(grid, m, blocks.shape[:1], blocks.shape[1:2])(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    exponent=st.integers(3, 6),
+    wide=st.booleans(),
+    vector=st.booleans(),
+    three_halves=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_shell_block_values_match_the_batched_pad(dim, exponent, wide, vector, three_halves, seed):
+    # N = 8..64 (up to 16 in 3-D); a period pi N puts the Nyquist frequency at 1:
+    # no full shell fits, and the top block, -1, reaches the Nyquist column N/2
+    points = 2 ** min(exponent, 4 if dim == 3 else 6)
+    grid = Grid(dim, points, np.pi * points if wide else 2 * np.pi)
+    qm, cut = shell_max(grid), build_cutoffs()
+    if wide:
+        assert qm == -1 and dyadic._shell_columns(grid, -1, cut) == points // 2 + 1
+    rng = np.random.default_rng(seed)
+    shape = (dim if vector else 1,) + grid.half_shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for plane in spectral._nyquist_planes(dim, points):  # Nyquist-plane content, made heavy
+        spec[plane] *= 4.0
+    f = Field.from_spectral(grid, spec)
+    m = 3 * points // 2 if three_halves else points
+    got, expected = dyadic._block_values(f, m), _block_values_padded(f, m)
+    assert got.shape == expected.shape == (qm + 2, shape[0]) + (m,) * dim
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

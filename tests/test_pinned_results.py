@@ -37,9 +37,9 @@ PINNED_CASES = [("solve", 0), ("bilinear", 0), ("comb", 0), ("bony", 0)]
 REPORT_DIGESTS = {
     "solve": "fba1a604549b498b987993c6747d481460732a2c853aa1e2af7d1eec2734de22",
     "comb": "cad30330c7c5a913d9ff15135837cb8504aa384ddfefd608b304c771e641c24c",
-    "bony": "b93615c7098b3d6878e4cebe25e45269b8c1571c58751375f274c28bdda4a6b3",
+    "bony": "bea22b74881cddca382623052af0672a1d6fd29c02f37577a36abdb932c98b1a",
     "heatchar": "2a61459ce204b30089d1303604b129880a87e5b10d753ff0e9551e0029c2e8d4",
-    "lp": "06ed06fa15e4e9387f6e281729d58f3261facf132256ecbec229df54f3c277eb",
+    "lp": "6d14ba30af5141af4f74a0ad02d3c5cbe6cc45c7540bcae602b98dd4007a301a",
     "besov": "7a5f09740808e8d20de044c3b2b45c5c891218d038047da8d19da4c378789b40",
     "bernstein": "536a152a882793adcd11bc595abe1162819beba3a9968363e3c43f092dd5a293",
     "solve thm1.3:2,2": "f60b368d6f48bd86e1dbafc7d06eb737456a7ee31b5ece801b16d0917849b1e3",
